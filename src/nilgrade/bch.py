@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Sequence
 
 from . import lie
@@ -175,34 +174,6 @@ def bch_table(c: int) -> BCHTermTable:
     return BCHTermTable(c, coeffs)
 
 
-def _int_structure(g: LieAlgebra):
-    """Integer-scaled bracket table: sigma * [e_i, e_j] has integer entries."""
-    cached = getattr(g, "_int_struct_cache", None)
-    if cached is not None:
-        return cached
-    sigma = 1
-    for v in g.brackets.values():
-        for x in v:
-            sigma = sigma * x.denominator // gcd(sigma, x.denominator)
-    table = [
-        (i, j, [(k, int(x * sigma)) for k, x in enumerate(v) if x != 0])
-        for (i, j), v in sorted(g.brackets.items())
-    ]
-    result = (sigma, table)
-    g._int_struct_cache = result
-    return result
-
-
-def _int_bracket(table, dim: int, u: list[int], v: list[int]) -> list[int]:
-    out = [0] * dim
-    for i, j, entries in table:
-        c = u[i] * v[j] - u[j] * v[i]
-        if c:
-            for k, s in entries:
-                out[k] += c * s
-    return out
-
-
 def bch_product(g: LieAlgebra, f: Filtration, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
     """x * y = log(exp x . exp y), exact, truncated by the nilpotency class.
 
@@ -212,24 +183,22 @@ def bch_product(g: LieAlgebra, f: Filtration, x: Sequence[Fraction], y: Sequence
     if len(x) != g.dim or len(y) != g.dim:
         raise ValueError("dimension mismatch")
     c = f.nilpotency_class
-    result = [q(a) + q(b) for a, b in zip(x, y)]
+    xs = [q(v) for v in x]
+    ys = [q(v) for v in y]
+    result = [a + b for a, b in zip(xs, ys)]
     if c < 2:
         return result
     table = bch_table(c)
-    sigma, int_table = _int_structure(g)
-    den = 1
-    for val in list(x) + list(y):
-        d = q(val).denominator
-        den = den * d // gcd(den, d)
-    ix = [int(q(v) * den) for v in x]
-    iy = [int(q(v) * den) for v in y]
+    sigma = g.sigma
+    den, ints = lie.clear_denominators(xs + ys)
+    ix, iy = ints[: g.dim], ints[g.dim :]
     gens = (ix, iy)
     suffix_cache: dict[Word, list[int]] = {(LEFT,): ix, (RIGHT,): iy}
 
     def eval_word(word: Word) -> list[int]:
         vec = suffix_cache.get(word)
         if vec is None:
-            vec = _int_bracket(int_table, g.dim, gens[word[0]], eval_word(word[1:]))
+            vec = lie.scaled_bracket(g, gens[word[0]], eval_word(word[1:]))
             suffix_cache[word] = vec
         return vec
 

@@ -14,17 +14,7 @@ from typing import Sequence
 from . import lie
 from .derivability import GradingOperator, OperatorNotInDError, is_grading_operator
 from .lie import LieAlgebra
-from .linalg import (
-    Echelon,
-    Vec,
-    ZERO,
-    columns_matrix,
-    echelon_basis,
-    mat_inv,
-    mat_vec,
-    nullspace,
-    q,
-)
+from .linalg import Vec, ZERO, echelon_basis, echelon_of, nullspace, q, unit_vec
 
 
 @dataclass(frozen=True)
@@ -81,81 +71,73 @@ def grading_from_operator(g: LieAlgebra, d: GradingOperator) -> LinearGrading:
     return LinearGrading(tuple(tuple(tuple(v) for v in layer) for layer in layers))
 
 
-def carnot_algebra(g: LieAlgebra, d: GradingOperator) -> CarnotAlgebra:
-    """Structure constants of the graded bracket in the eigenbasis.
+def carnot_algebra(g: LieAlgebra, d: GradingOperator | Sequence[int]) -> CarnotAlgebra:
+    """The associated Carnot algebra of (g, D), in the grading eigenbasis.
 
-    Basis labels are "v{i}_{k}" for the k-th vector of layer i; the
-    output is checked to be a Lie algebra, to respect the grading and to
-    be generated by the degree-1 layer.
+    D is a grading operator of g, or the layer degree of each basis
+    vector when g is already written in the eigenbasis of one (as
+    `carnot_pair` passes it).  The graded bracket keeps, for basis vectors
+    of degrees i and j, the degree-(i+j) component of their bracket in g;
+    it is checked to be a Lie algebra, to respect the grading and to be
+    generated by the degree-1 layer.
     """
-    grading = grading_from_operator(g, d)
-    basis = grading.eigenbasis
-    degrees = grading.degrees
-    labels = []
-    for i, layer in enumerate(grading.layers, start=1):
-        labels.extend(f"v{i}_{k}" for k in range(1, len(layer) + 1))
-    p = columns_matrix(basis)
-    p_inv = mat_inv(p)
-    n = g.dim
+    if isinstance(d, GradingOperator):
+        g, d = _eigenbasis_algebra(g, d)
+    degrees = tuple(d)
+    if len(degrees) != g.dim or any(k < 1 for k in degrees):
+        raise ValueError("need one positive degree per basis vector")
     brackets: dict[tuple[int, int], Vec] = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            target = degrees[a] + degrees[b]
-            w = lie.bracket(g, basis[a], basis[b])
-            coords = mat_vec(p_inv, w)
-            graded = [c if degrees[k] == target else ZERO for k, c in enumerate(coords)]
-            brackets[(a, b)] = graded
-    algebra = LieAlgebra(n, brackets, labels)
+    for (a, b), v in g.brackets.items():
+        target = degrees[a] + degrees[b]
+        if any(x != 0 and degrees[k] < target for k, x in enumerate(v)):
+            raise ValueError(
+                f"[{g.labels[a]}, {g.labels[b]}] has a component of degree below {target}"
+            )
+        brackets[(a, b)] = [x if degrees[k] == target else ZERO for k, x in enumerate(v)]
+    algebra = LieAlgebra(g.dim, brackets, g.labels)
     if lie.check_jacobi(algebra):
         raise AssertionError("graded bracket failed the Jacobi identity")
-    _assert_graded(algebra, degrees)
-    _assert_layer_one_generates(algebra, degrees)
-    return CarnotAlgebra(algebra, tuple(degrees))
+    if not verify_grading(algebra, degrees)[0]:
+        raise AssertionError("graded bracket has an off-degree component")
+    if not _layer_one_generates(algebra, degrees):
+        raise ValueError("degree-1 layer does not generate the graded algebra")
+    return CarnotAlgebra(algebra, degrees)
 
 
-def _assert_graded(algebra: LieAlgebra, degrees: Sequence[int]) -> None:
-    for (a, b), v in algebra.brackets.items():
-        target = degrees[a] + degrees[b]
-        for k, c in enumerate(v):
-            if c != 0 and degrees[k] != target:
-                raise AssertionError("graded bracket has an off-degree component")
-
-
-def _assert_layer_one_generates(algebra: LieAlgebra, degrees: Sequence[int]) -> None:
+def _layer_one_generates(algebra: LieAlgebra, degrees: Sequence[int]) -> bool:
     n = algebra.dim
-    ech = Echelon(n)
-    generated = []
-    for i in range(n):
-        if degrees[i] == 1:
-            v = [ZERO] * n
-            v[i] = Fraction(1)
-            ech.add(v)
-            generated.append(v)
-    frontier = list(generated)
+    units = [unit_vec(n, i) for i in range(n)]
+    frontier = [units[i] for i in range(n) if degrees[i] == 1]
+    ech = echelon_of(frontier, n)
     while frontier:
         new_frontier = []
         for v in frontier:
-            for i in range(n):
-                base = [ZERO] * n
-                base[i] = Fraction(1)
+            for base in units:
                 w = lie.bracket(algebra, base, v)
                 if ech.add(w):
                     new_frontier.append(w)
         frontier = new_frontier
-    if ech.rank != n:
-        raise AssertionError("degree-1 layer does not generate the graded algebra")
+    return ech.rank == n
+
+
+def _eigenbasis_algebra(g: LieAlgebra, d: GradingOperator) -> tuple[LieAlgebra, tuple[int, ...]]:
+    """g in the grading eigenbasis, labelled "v{i}_{k}" for the k-th vector
+    of layer i, and the layer degree of each basis vector."""
+    grading = grading_from_operator(g, d)
+    labels = []
+    for i, layer in enumerate(grading.layers, start=1):
+        labels.extend(f"v{i}_{k}" for k in range(1, len(layer) + 1))
+    return lie.change_of_basis(g, grading.eigenbasis, labels), grading.degrees
 
 
 def carnot_pair(g: LieAlgebra, d: GradingOperator) -> tuple[LieAlgebra, CarnotAlgebra]:
     """(g expressed in the grading eigenbasis, associated Carnot algebra).
 
     Both algebras share the same coordinates, so their group laws can be
-    compared pointwise.
+    compared pointwise; the grading and the eigenbasis are computed once.
     """
-    grading = grading_from_operator(g, d)
-    ca = carnot_algebra(g, d)
-    g_eig = lie.change_of_basis(g, grading.eigenbasis, ca.algebra.labels)
-    return g_eig, ca
+    g_eig, degrees = _eigenbasis_algebra(g, d)
+    return g_eig, carnot_algebra(g_eig, degrees)
 
 
 def verify_grading(

@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 negative decision (Jacobi violations, a failed
-grading check or NotDerivable), 2 usage or input errors.  All error text
-goes to stderr; `--json` renders the same values as one JSON document
-with numbers as strings.
+grading check or NotDerivable), 2 usage or input errors (bad arguments,
+parse errors, a table that is not nilpotent), 3 internal errors (any
+other exception).  Every verb but `check` rejects a bracket table that
+violates the Jacobi identity as an input error.  All error text goes to stderr;
+`--json` renders the same values as one JSON document with numbers as
+strings.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +27,7 @@ class CliError(Exception):
     """Input or usage problem; maps to exit code 2."""
 
 
-def _load_algebra(source: str) -> LieAlgebra:
+def _read_algebra(source: str) -> LieAlgebra:
     if source.startswith("catalog:"):
         name = source[len("catalog:") :]
         try:
@@ -39,6 +43,19 @@ def _load_algebra(source: str) -> LieAlgebra:
         return lie.parse_algebra(text)
     except lie.AlgebraFormatError as exc:
         raise CliError(f"parse error in {source!r}: {exc}") from exc
+
+
+def _load_algebra(source: str) -> LieAlgebra:
+    """The algebra named by `source`, which must satisfy the Jacobi identity."""
+    g = _read_algebra(source)
+    violations = lie.check_jacobi(g)
+    if violations:
+        i, j, k, _ = violations[0]
+        raise CliError(
+            f"{source!r} violates the Jacobi identity on the triple "
+            f"({g.labels[i]},{g.labels[j]},{g.labels[k]}); run `nilgrade check` for all of them"
+        )
+    return g
 
 
 def _frac(x: Fraction) -> str:
@@ -72,7 +89,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _cmd_check(args) -> int:
-    g = _load_algebra(args.source)
+    g = _read_algebra(args.source)
     violations = lie.check_jacobi(g)
     if violations:
         payload = {
@@ -157,8 +174,6 @@ def _auto_operator(g: LieAlgebra) -> GradingOperator:
 
 def _cmd_carnot(args) -> int:
     g = _load_algebra(args.source)
-    if args.operator != "auto":
-        raise CliError("only --operator auto is supported")
     d = _auto_operator(g)
     ca = carnot.carnot_algebra(g, d)
     text = carnot.serialize_carnot(ca)
@@ -208,6 +223,10 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_goodman(args) -> int:
+    if args.samples < 1:
+        raise CliError("--samples must be at least 1")
+    if args.tmax < 0:
+        raise CliError("--tmax must be at least 0")
     g = _load_algebra(args.source)
     d = _auto_operator(g)
     ladder = [Fraction(2) ** k for k in range(args.tmax + 1)]
@@ -304,7 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("carnot", _cmd_carnot, help="emit the associated Carnot-graded algebra")
     p.add_argument("source")
-    p.add_argument("--operator", default="auto", help="grading operator choice (auto)")
 
     p = add("bch", _cmd_bch, help="group product in exponential coordinates")
     p.add_argument("source")
@@ -342,12 +360,13 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except CliError as exc:
+    except (CliError, lie.AlgebraFormatError, lie.NotNilpotentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (lie.AlgebraFormatError, lie.NotNilpotentError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -22,11 +22,11 @@ from .linalg import (
     Vec,
     ZERO,
     ONE,
+    echelon_of,
     mat_inv,
     mat_mul,
     mat_vec,
     q,
-    subspace_contains,
     zero_vec,
 )
 
@@ -102,10 +102,6 @@ def parse_condition_set(text: str) -> ConditionSet:
             wp = wp[:-2] + (wp[-1], wp[-2])
         conditions.add(DerivCondition(wp, int(level_text)))
     return frozenset(conditions)
-
-
-def format_condition_set(conditions: Iterable[DerivCondition]) -> str:
-    return ",".join(str(c) for c in sorted(conditions))
 
 
 def normalized_tuples(max_sum: int) -> list[tuple[int, ...]]:
@@ -205,15 +201,15 @@ def is_grading_operator(g: LieAlgebra, f: Filtration, d: GradingOperator) -> boo
     rows = d.rows
     if len(rows) != g.dim or any(len(r) != g.dim for r in rows):
         return False
-    for i in range(1, f.nilpotency_class + 1):
-        basis = f.basis(i)
-        next_basis = f.basis(i + 1)
-        for v in basis:
+    c = f.nilpotency_class
+    levels = [echelon_of(f.basis(i), g.dim) for i in range(1, c + 2)]
+    for i in range(1, c + 1):
+        for v in f.basis(i):
             dv = mat_vec(rows, v)
-            if not subspace_contains(basis, dv):
+            if not levels[i - 1].contains(dv):
                 return False
             shifted = [x - i * y for x, y in zip(dv, v)]
-            if not subspace_contains(next_basis, shifted):
+            if not levels[i].contains(shifted):
                 return False
     return True
 
@@ -263,11 +259,13 @@ class _Setup:
         self.p_inv = mat_inv(self.p)
         self.g_ad = lie.change_of_basis(g, [list(v) for v in self.ab.vectors])
         n = g.dim
-        # row_table[i][j] = sparse [e_i, e_j] in adapted coordinates
+        # row_table[i][j] = sparse [e_i, e_j] in adapted coordinates, a
+        # Fraction copy of g_ad.table (the solver works on Fraction dicts)
         self.row_table: list[dict[int, SparseVec]] = [dict() for _ in range(n)]
-        for (i, j), v in self.g_ad._sparse.items():
-            self.row_table[i][j] = dict(v)
-            self.row_table[j][i] = {k: -x for k, x in v.items()}
+        sigma = self.g_ad.sigma
+        for i, j, entries in self.g_ad.table:
+            self.row_table[i][j] = {k: Fraction(s, sigma) for k, s in entries}
+            self.row_table[j][i] = {k: Fraction(-s, sigma) for k, s in entries}
         # free positions (a, b): N e_b = e_a, enumerated column-major
         self.positions: list[tuple[int, int]] = []
         self.col_vars: list[list[tuple[int, int]]] = [[] for _ in range(n)]

@@ -154,8 +154,11 @@ def goodman_check(
     Base pairs are drawn on the grid in [-1, 1], dilated through the
     ladder; the law difference is exact and the report carries the
     fitted exponent plus the best constant for
-    diff <= C * max(1, r)^(e_D).
+    diff <= C * max(1, r)^(e_D).  Raises ValueError when there is no
+    pair or no ladder value to sample.
     """
+    if n_samples < 1 or not t_ladder:
+        raise ValueError("need at least one sample pair and one ladder value")
     g_eig, ca = carnot.carnot_pair(g, d)
     ctx = GuivarchContext.for_carnot(ca)
     e_d = e_of_operator(g, d)

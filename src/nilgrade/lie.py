@@ -10,19 +10,20 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .linalg import (
     Echelon,
     Matrix,
     Vec,
+    ZERO,
     columns_matrix,
-    is_zero_vec,
+    echelon_of,
     mat_inv,
     mat_vec,
     q,
     unit_vec,
-    vec_add,
     vec_scale,
     zero_vec,
 )
@@ -41,6 +42,11 @@ class LieAlgebra:
 
     Brackets are stored only for i < j; values are immutable after
     construction and instances are safe to share between threads.
+
+    `table` is the one structure table every bracket runs on: the pairs
+    (i, j, ((k, s), ...)) with nonzero [e_i, e_j], sorted, where the s are
+    the integers sigma * [e_i, e_j]_k for the least common denominator
+    `sigma` of all structure constants.
     """
 
     def __init__(
@@ -66,19 +72,11 @@ class LieAlgebra:
         self.labels = tuple(labels)
         self.brackets = clean
         self._lcs_cache: Filtration | None = None
-        self._sparse = {
-            (i, j): {k: x for k, x in enumerate(v) if x != 0} for (i, j), v in clean.items()
-        }
-
-    def bracket_basis(self, i: int, j: int) -> Vec:
-        """[e_i, e_j] as a dense vector, any index order."""
-        if i == j:
-            return zero_vec(self.dim)
-        if i < j:
-            v = self.brackets.get((i, j))
-            return list(v) if v else zero_vec(self.dim)
-        v = self.brackets.get((j, i))
-        return [-x for x in v] if v else zero_vec(self.dim)
+        self.sigma = lcm(1, *(x.denominator for v in clean.values() for x in v))
+        self.table = tuple(
+            (i, j, tuple((k, int(x * self.sigma)) for k, x in enumerate(v) if x != 0))
+            for (i, j), v in sorted(clean.items())
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -123,16 +121,38 @@ class AdaptedBasis:
         return columns_matrix([list(v) for v in self.vectors])
 
 
+def scaled_bracket(g: LieAlgebra, u: Sequence, v: Sequence) -> list:
+    """sigma * [u, v] over `g.table`: integer vectors give integer results.
+
+    The only dense bracket kernel; callers with rational inputs clear
+    denominators first (see `bracket`).
+    """
+    out = [0] * g.dim
+    for i, j, entries in g.table:
+        c = u[i] * v[j] - u[j] * v[i]
+        if c:
+            for k, s in entries:
+                out[k] += c * s
+    return out
+
+
+def clear_denominators(x: Sequence) -> tuple[int, list[int]]:
+    """(den, den * x) for the least den that makes every entry an integer."""
+    den = lcm(1, *(a.denominator for a in x))
+    return den, [a.numerator * (den // a.denominator) for a in x]
+
+
+def _divide(v: list[int], den: int) -> Vec:
+    return [Fraction(s, den) if s else ZERO for s in v]
+
+
 def bracket(g: LieAlgebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
     """Bilinear antisymmetric extension of the basis brackets."""
     if len(x) != g.dim or len(y) != g.dim:
         raise ValueError("dimension mismatch")
-    out = zero_vec(g.dim)
-    for (i, j), v in g.brackets.items():
-        c = x[i] * y[j] - x[j] * y[i]
-        if c:
-            out = [o + c * s for o, s in zip(out, v)]
-    return out
+    dx, ix = clear_denominators(x)
+    dy, iy = clear_denominators(y)
+    return _divide(scaled_bracket(g, ix, iy), g.sigma * dx * dy)
 
 
 def iterated_bracket(g: LieAlgebra, xs: Sequence[Sequence[Fraction]]) -> Vec:
@@ -146,20 +166,26 @@ def iterated_bracket(g: LieAlgebra, xs: Sequence[Sequence[Fraction]]) -> Vec:
 
 
 def check_jacobi(g: LieAlgebra) -> list[tuple[int, int, int, Vec]]:
-    """All basis triples i<j<k violating the Jacobi identity, with values."""
+    """All basis triples i<j<k violating the Jacobi identity, with values.
+
+    Only triples with a nonzero bracket among their pairs can violate it,
+    so only those are visited; they are reported in increasing order.
+    """
+    n = g.dim
+    e = [[int(a == i) for a in range(n)] for i in range(n)]
+
+    def br(a: int, v: list[int]) -> list[int]:
+        return scaled_bracket(g, e[a], v)
+
+    triples = sorted(
+        {tuple(sorted((i, j, k))) for i, j, _ in g.table for k in range(n) if k not in (i, j)}
+    )
     violations = []
-    for i in range(g.dim):
-        ei = unit_vec(g.dim, i)
-        for j in range(i + 1, g.dim):
-            ej = unit_vec(g.dim, j)
-            bij = g.bracket_basis(i, j)
-            for k in range(j + 1, g.dim):
-                ek = unit_vec(g.dim, k)
-                total = bracket(g, ei, g.bracket_basis(j, k))
-                total = vec_add(total, bracket(g, ej, g.bracket_basis(k, i)))
-                total = vec_add(total, bracket(g, ek, bij))
-                if not is_zero_vec(total):
-                    violations.append((i, j, k, total))
+    for i, j, k in triples:
+        terms = (br(i, br(j, e[k])), br(j, br(k, e[i])), br(k, br(i, e[j])))
+        total = [a + b + c for a, b, c in zip(*terms)]
+        if any(total):
+            violations.append((i, j, k, _divide(total, g.sigma**2)))
     return violations
 
 
@@ -202,9 +228,7 @@ def adapted_basis(g: LieAlgebra, f: Filtration) -> AdaptedBasis:
     for level in range(c, 0, -1):
         level_basis = f.basis(level)
         target = len(level_basis)
-        level_ech = Echelon(g.dim)
-        for v in level_basis:
-            level_ech.add(v)
+        level_ech = echelon_of(level_basis, g.dim)
         candidates = [
             unit_vec(g.dim, i) for i in range(g.dim) if level_ech.contains(unit_vec(g.dim, i))
         ]

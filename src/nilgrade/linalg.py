@@ -42,10 +42,6 @@ def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
     return [x + y for x, y in zip(a, b)]
 
 
-def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    return [x - y for x, y in zip(a, b)]
-
-
 def vec_scale(c: Fraction, a: Sequence[Fraction]) -> Vec:
     return [c * x for x in a]
 
@@ -68,7 +64,8 @@ def identity(n: int) -> Matrix:
 def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vec:
     if m and len(m[0]) != len(v):
         raise ValueError("dimension mismatch")
-    return [sum((r[j] * v[j] for j in range(len(v))), ZERO) for r in m]
+    support = [(j, x) for j, x in enumerate(v) if x]
+    return [sum((r[j] * x for j, x in support), ZERO) for r in m]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -229,12 +226,17 @@ class Echelon:
         return [list(r) for r in self.rows]
 
 
-def echelon_basis(vectors: Sequence[Sequence[Fraction]], dim: int) -> list[Vec]:
-    """Canonical (RREF) basis of the span of `vectors`."""
+def echelon_of(vectors: Sequence[Sequence[Fraction]], dim: int) -> Echelon:
+    """Echelon form of the span of `vectors`."""
     ech = Echelon(dim)
     for v in vectors:
         ech.add(v)
-    return ech.basis
+    return ech
+
+
+def echelon_basis(vectors: Sequence[Sequence[Fraction]], dim: int) -> list[Vec]:
+    """Canonical (RREF) basis of the span of `vectors`."""
+    return echelon_of(vectors, dim).basis
 
 
 def subspace_contains(basis: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> bool:
@@ -242,10 +244,7 @@ def subspace_contains(basis: Sequence[Sequence[Fraction]], v: Sequence[Fraction]
     for b in basis:
         if len(b) != len(v):
             raise ValueError("dimension mismatch")
-    ech = Echelon(len(v))
-    for b in basis:
-        ech.add(b)
-    return ech.contains(v)
+    return echelon_of(basis, len(v)).contains(v)
 
 
 def filtration_depth(

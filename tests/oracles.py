@@ -154,3 +154,17 @@ def grid_vectors(seed: int, dim: int, count: int) -> list[Vec]:
             v.append(F(((state >> 32) % 33) - 16, 16))
         out.append(v)
     return out
+
+
+def dense_bracket(g, x: Vec, y: Vec) -> Vec:
+    """[x, y] as the sum of x_i y_j [e_i, e_j] over all ordered basis pairs."""
+    n = g.dim
+    out = [F(0)] * n
+    for i in range(n):
+        for j in range(n):
+            v = g.brackets.get((min(i, j), max(i, j)))
+            if i == j or v is None:
+                continue
+            c = x[i] * y[j] if i < j else -x[i] * y[j]
+            out = [o + c * s for o, s in zip(out, v)]
+    return out

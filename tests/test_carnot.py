@@ -125,6 +125,28 @@ def test_carnot_algebra_counterexample11_drops_1_plus_2_is_4():
     assert ca.algebra.brackets.get((2, 4)) is None
 
 
+def test_carnot_algebra_on_eigenbasis_degrees_matches_pair():
+    g = catalog.get("g6_2").algebra
+    g_eig, ca = carnot_pair(g, e_invariant(g).witness)
+    again = carnot_algebra(g_eig, ca.degrees)
+    assert again.algebra == ca.algebra
+    assert again.algebra.labels == ca.algebra.labels
+    assert again.degrees == ca.degrees
+
+
+def test_carnot_algebra_rejects_bad_degrees():
+    g = catalog.get("heisenberg").algebra
+    with pytest.raises(ValueError, match="positive degree"):
+        carnot_algebra(g, [1, 1])
+    with pytest.raises(ValueError, match="positive degree"):
+        carnot_algebra(g, [1, 0, 2])
+    # [e1, e2] = e3 would be dropped, not graded, if e3 had degree 1
+    with pytest.raises(ValueError, match="degree below 2"):
+        carnot_algebra(g, [1, 1, 1])
+    with pytest.raises(ValueError, match="does not generate"):
+        carnot_algebra(catalog.get("abelian(2)").algebra, [1, 2])
+
+
 def test_carnot_algebra_passes_jacobi_and_is_graded():
     for name in ("g5_5", "g6_11", "g6_13", "g6_17", "g6_19", "g6_20", "g6_2"):
         g = catalog.get(name).algebra

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from nilgrade import derivability
 from nilgrade.cli import run
 
 
@@ -186,3 +189,72 @@ def test_byte_identical_reruns(capsys):
     code1, out1, _ = run_capture(capsys, args)
     code2, out2, _ = run_capture(capsys, args)
     assert (code1, out1) == (code2, out2)
+
+
+NON_JACOBI = "dim 6\nbracket e1 e2 = e3\nbracket e1 e3 = e4\nbracket e2 e3 = e5\nbracket e2 e4 = e6\n"
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["e"],
+        ["carnot"],
+        ["derivable", "--cond", "(1,1|3)"],
+        ["bch", "--x", "1,0,0,0,0,0", "--y", "0,1,0,0,0,0"],
+        ["diff", "--x", "1,0,0,0,0,0", "--y", "0,1,0,0,0,0"],
+        ["goodman", "--samples", "2", "--tmax", "1"],
+        ["grading", "--degrees", "1,1,2,3,3,4"],
+    ],
+)
+def test_jacobi_violation_rejected_at_load(tmp_path, capsys, verb):
+    # [e1,[e2,e3]] + [e2,[e3,e1]] + [e3,[e1,e2]] = -e6
+    path = tmp_path / "nj.alg"
+    path.write_text(NON_JACOBI)
+    code, out, err = run_capture(capsys, [verb[0], str(path), *verb[1:]])
+    assert code == 2
+    assert out == ""
+    assert "Jacobi identity on the triple (e1,e2,e3)" in err
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def broken(g):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(derivability, "e_invariant", broken)
+    code, out, err = run_capture(capsys, ["e", "catalog:heisenberg"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: RuntimeError: boom")
+
+
+def test_value_error_inside_a_verb_is_internal(monkeypatch, capsys):
+    def broken(g):
+        raise ValueError("dimension mismatch")
+
+    monkeypatch.setattr(derivability, "e_invariant", broken)
+    code, out, err = run_capture(capsys, ["e", "catalog:heisenberg"])
+    assert code == 3
+    assert err.startswith("internal error: ValueError: dimension mismatch")
+
+
+def test_not_nilpotent_input_exit_2(tmp_path, capsys):
+    path = tmp_path / "nn.alg"
+    path.write_text("dim 2\nbracket e1 e2 = e1\n")
+    code, out, err = run_capture(capsys, ["e", str(path)])
+    assert code == 2
+    assert err == "error: lower central series does not reach zero\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--samples", "0"], "--samples must be at least 1"),
+        (["--samples", "-3", "--tmax", "-1"], "--samples must be at least 1"),
+        (["--tmax", "-1"], "--tmax must be at least 0"),
+    ],
+)
+def test_goodman_rejects_bad_arguments(capsys, flags, message):
+    code, out, err = run_capture(capsys, ["goodman", "catalog:g6_2", *flags])
+    assert code == 2
+    assert out == ""
+    assert message in err

@@ -100,6 +100,13 @@ def test_sampler_is_reproducible_and_on_grid():
     assert grid_vectors(123, 20, 1)[0] == va
 
 
+@pytest.mark.parametrize("n_samples, ladder", [(0, [F(1), F(2)]), (-3, [F(1)]), (2, [])])
+def test_goodman_check_rejects_empty_sample_set(n_samples, ladder):
+    g = catalog.get("g6_2").algebra
+    with pytest.raises(ValueError, match="at least one sample pair"):
+        goodman_check(g, e_invariant(g).witness, n_samples, ladder, seed=1)
+
+
 def test_goodman_check_identically_zero_for_carnot():
     g = catalog.get("filiform(5)").algebra
     res = e_invariant(g)

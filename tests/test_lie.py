@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_bracket
+
 from nilgrade import catalog
+from nilgrade.derivability import e_invariant
 from nilgrade.lie import (
     AlgebraFormatError,
     NotNilpotentError,
@@ -21,7 +24,7 @@ from nilgrade.lie import (
     parse_algebra,
     serialize_algebra,
 )
-from nilgrade.linalg import Echelon, subspace_contains, unit_vec, vec
+from nilgrade.linalg import Echelon, mat_mul, subspace_contains, unit_vec, vec
 
 coords = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 
@@ -131,6 +134,37 @@ def test_bracket_bilinear(x, xp, y, lam):
         for a, b in zip(bracket(g, x, y), bracket(g, xp, y))
     ]
     assert lhs == rhs
+
+
+SMALL_ENTRIES = [e.name for e in catalog.entries() if e.algebra.dim <= 7]
+
+
+@st.composite
+def invertible_matrices(draw, n: int):
+    """L @ U with L unit lower triangular and U upper triangular, diagonal nonzero."""
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    lower = [[F(1) if i == j else draw(entry) if i > j else F(0) for j in range(n)] for i in range(n)]
+    upper = [
+        [draw(entry.filter(bool)) if i == j else draw(entry) if i < j else F(0) for j in range(n)]
+        for i in range(n)
+    ]
+    return mat_mul(lower, upper)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(SMALL_ENTRIES), st.data())
+def test_bracket_matches_dense_oracle_under_change_of_basis(name, data):
+    g = catalog.get(name).algebra
+    n = g.dim
+    p = data.draw(invertible_matrices(n))
+    moved = change_of_basis(g, [[p[i][k] for i in range(n)] for k in range(n)])
+    x = data.draw(st.lists(coords, min_size=n, max_size=n))
+    y = data.draw(st.lists(coords, min_size=n, max_size=n))
+    assert bracket(moved, x, y) == dense_bracket(moved, x, y)
+    f, f_moved = lower_central_series(g), lower_central_series(moved)
+    assert f_moved.nilpotency_class == f.nilpotency_class
+    assert f_moved.quotient_dims == f.quotient_dims
+    assert e_invariant(moved).e == e_invariant(g).e
 
 
 def test_iterated_bracket_single():
