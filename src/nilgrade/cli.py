@@ -126,17 +126,17 @@ def _cmd_check(args) -> int:
 def _cmd_e(args) -> int:
     g = _load_algebra(args.source)
     result = derivability.e_invariant(g)
-    grading = carnot.grading_from_operator(g, result.witness)
-    layer_dims = ",".join(str(len(layer)) for layer in grading.layers)
+    # the witness grades g with the quotients of its lower central series
+    layer_dims = [str(d) for d in lie.lower_central_series(g).quotient_dims]
     payload = {
         "command": "e",
         "e": _frac(result.e),
         "witness": _matrix_lines(result.witness.rows),
-        "layer_dims": [str(len(layer)) for layer in grading.layers],
+        "layer_dims": layer_dims,
     }
     lines = [
         f"e = {_frac(result.e)}",
-        f"witness layer dims = ({layer_dims})",
+        f"witness layer dims = ({','.join(layer_dims)})",
         "witness (rows):",
     ] + ["  " + row for row in _matrix_lines(result.witness.rows)]
     _emit(args, payload, lines)

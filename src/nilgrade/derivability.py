@@ -21,7 +21,6 @@ from .linalg import (
     Matrix,
     Vec,
     ZERO,
-    ONE,
     echelon_of,
     mat_inv,
     mat_mul,
@@ -30,7 +29,7 @@ from .linalg import (
     zero_vec,
 )
 
-SparseVec = dict[int, Fraction]
+SparseVec = dict[int, int]
 
 
 class OperatorNotInDError(ValueError):
@@ -259,13 +258,13 @@ class _Setup:
         self.p_inv = mat_inv(self.p)
         self.g_ad = lie.change_of_basis(g, [list(v) for v in self.ab.vectors])
         n = g.dim
-        # row_table[i][j] = sparse [e_i, e_j] in adapted coordinates, a
-        # Fraction copy of g_ad.table (the solver works on Fraction dicts)
+        # row_table[i][j] = sparse sigma * [e_i, e_j] in adapted coordinates:
+        # the signed integers of g_ad.table, so every sparse bracket below
+        # runs on ints and scales its result by sigma
         self.row_table: list[dict[int, SparseVec]] = [dict() for _ in range(n)]
-        sigma = self.g_ad.sigma
         for i, j, entries in self.g_ad.table:
-            self.row_table[i][j] = {k: Fraction(s, sigma) for k, s in entries}
-            self.row_table[j][i] = {k: Fraction(-s, sigma) for k, s in entries}
+            self.row_table[i][j] = dict(entries)
+            self.row_table[j][i] = {k: -s for k, s in entries}
         # free positions (a, b): N e_b = e_a, enumerated column-major
         self.positions: list[tuple[int, int]] = []
         self.col_vars: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -280,7 +279,7 @@ class _Setup:
         ]
 
     def sbr(self, i: int, v: SparseVec) -> SparseVec:
-        """Sparse bracket [e_i, v] in adapted coordinates."""
+        """Sparse sigma * [e_i, v] in adapted coordinates."""
         out: SparseVec = {}
         table = self.row_table[i]
         for j, coeff in v.items():
@@ -288,7 +287,7 @@ class _Setup:
             if bv is None:
                 continue
             for k, s in bv.items():
-                t = out.get(k, ZERO) + coeff * s
+                t = out.get(k, 0) + coeff * s
                 if t:
                     out[k] = t
                 else:
@@ -296,11 +295,11 @@ class _Setup:
         return out
 
     def sbr_vec(self, x: SparseVec, v: SparseVec) -> SparseVec:
-        """Sparse bracket [x, v] for a general sparse x."""
+        """Sparse sigma * [x, v] for a general sparse x."""
         out: SparseVec = {}
         for i, ci in x.items():
             for k, s in self.sbr(i, v).items():
-                t = out.get(k, ZERO) + ci * s
+                t = out.get(k, 0) + ci * s
                 if t:
                     out[k] = t
                 else:
@@ -335,14 +334,33 @@ class _AugmentedEchelon:
         return x
 
 
+def _dominates(strong: DerivCondition, weak: DerivCondition) -> bool:
+    """(wp'|j') dominates (wp|j): same length, wp' <= wp entrywise, j <= j'."""
+    return (
+        len(strong.wp) == len(weak.wp)
+        and weak.level <= strong.level
+        and all(a <= b for a, b in zip(strong.wp, weak.wp))
+    )
+
+
 def _clamp_conditions(conditions: Iterable[DerivCondition], c: int) -> list[DerivCondition]:
-    """Project conditions to nilpotency class c and drop trivial ones."""
+    """Project conditions to nilpotency class c, drop trivial and dominated ones.
+
+    A dominated condition's rows are a subset of its dominator's, so the
+    row space, and with it the canonical RREF and the witness, is unchanged.
+    A dominator sorts before the conditions it dominates, so one pass
+    keeps exactly the antichain.
+    """
     clamped = set()
     for cond in conditions:
         level = min(cond.level, c)
         if level > sum(cond.wp):
             clamped.add(DerivCondition(cond.wp, level))
-    return sorted(clamped)
+    kept: list[DerivCondition] = []
+    for cond in sorted(clamped, key=lambda d: (len(d.wp), sum(d.wp), -d.level, d.wp)):
+        if not any(_dominates(k, cond) for k in kept):
+            kept.append(cond)
+    return kept
 
 
 def _condition_rows(setup: _Setup, cond: DerivCondition, system: _AugmentedEchelon) -> None:
@@ -351,7 +369,10 @@ def _condition_rows(setup: _Setup, cond: DerivCondition, system: _AugmentedEchel
     Works entirely in adapted coordinates where D0 is diagonal and each
     free direction is an elementary matrix, recursing over tuple slots
     from the right so that suffix brackets and replacement values are
-    shared between tuples.
+    shared between tuples.  The sparse brackets run on integers: every
+    vector at recursion depth k carries the same scale sigma^k, so each
+    emitted row is the true row times sigma^(n-1), and the echelon form,
+    which keeps unit pivots, is unchanged by it.
     """
     n = len(cond.wp)
     dim = setup.g.dim
@@ -385,7 +406,7 @@ def _condition_rows(setup: _Setup, cond: DerivCondition, system: _AugmentedEchel
                     else:
                         merged = dict(prev)
                         for k, x in w.items():
-                            t = merged.get(k, ZERO) + x
+                            t = merged.get(k, 0) + x
                             if t:
                                 merged[k] = t
                             else:
@@ -410,22 +431,22 @@ def _condition_rows(setup: _Setup, cond: DerivCondition, system: _AugmentedEchel
             for var, a in col_vars[coord]:
                 if a < max_coord:
                     entry = rows.setdefault(a, {})
-                    entry[var] = entry.get(var, ZERO) + val
+                    entry[var] = entry.get(var, 0) + val
         for var, w in repl.items():
             for coord, val in w.items():
                 if coord < max_coord and val:
                     entry = rows.setdefault(coord, {})
-                    t = entry.get(var, ZERO) - val
+                    t = entry.get(var, 0) - val
                     if t:
                         entry[var] = t
                     else:
                         entry.pop(var, None)
         for coord in set(rows) | set(rhs):
             coeffs = rows.get(coord, {})
-            b = rhs.get(coord, ZERO)
+            b = rhs.get(coord, 0)
             if not coeffs and b == 0:
                 continue
-            dense = zero_vec(nvars)
+            dense = [0] * nvars
             for var, val in coeffs.items():
                 dense[var] = val
             system.add(dense, b)
@@ -437,8 +458,8 @@ def _condition_rows(setup: _Setup, cond: DerivCondition, system: _AugmentedEchel
     for b_last in range(starts[n - 1], dim):
         if system.infeasible:
             return
-        seed_repl: dict[int, SparseVec] = {var: {a: ONE} for var, a in col_vars[b_last]}
-        recurse(n - 1, {b_last: ONE}, seed_repl, degrees[b_last], b_last)
+        seed_repl: dict[int, SparseVec] = {var: {a: 1} for var, a in col_vars[b_last]}
+        recurse(n - 1, {b_last: 1}, seed_repl, degrees[b_last], b_last)
 
 
 def _feasibility(setup: _Setup, conditions: Iterable[DerivCondition]) -> GradingOperator | None:
@@ -483,10 +504,12 @@ def e_of_operator(g: LieAlgebra, d: GradingOperator) -> Fraction:
     """
     setup = _Setup(g)
     _require_grading_operator(g, setup.f, d)
-    d_ad = setup.to_adapted_operator(d)
     dim = g.dim
+    # only the support of each Delta value matters, so the columns of D are
+    # scaled to integers once and the brackets run on ints like the solver's
+    _, scaled = lie.clear_denominators([x for row in setup.to_adapted_operator(d) for x in row])
     d_cols: list[SparseVec] = [
-        {i: d_ad[i][b] for i in range(dim) if d_ad[i][b]} for b in range(dim)
+        {i: scaled[i * dim + b] for i in range(dim) if scaled[i * dim + b]} for b in range(dim)
     ]
     best = Fraction(0)
     for wp in normalized_tuples(setup.c - 1):
@@ -507,7 +530,7 @@ def e_of_operator(g: LieAlgebra, d: GradingOperator) -> Fraction:
                 new_dsub = setup.sbr(b, dsub) if dsub else {}
                 w = setup.sbr_vec(d_cols[b], suffix) if suffix else {}
                 for k, x in w.items():
-                    t = new_dsub.get(k, ZERO) + x
+                    t = new_dsub.get(k, 0) + x
                     if t:
                         new_dsub[k] = t
                     else:
@@ -519,13 +542,13 @@ def e_of_operator(g: LieAlgebra, d: GradingOperator) -> Fraction:
                     for coord, val in new_suffix.items():
                         dv = d_cols[coord]
                         for k, x in dv.items():
-                            t = delta.get(k, ZERO) + val * x
+                            t = delta.get(k, 0) + val * x
                             if t:
                                 delta[k] = t
                             else:
                                 delta.pop(k, None)
                     for k, x in new_dsub.items():
-                        t = delta.get(k, ZERO) - x
+                        t = delta.get(k, 0) - x
                         if t:
                             delta[k] = t
                         else:
@@ -540,7 +563,7 @@ def e_of_operator(g: LieAlgebra, d: GradingOperator) -> Fraction:
                     recurse(slot - 1, new_suffix, new_dsub, b)
 
         for b_last in range(starts[n - 1], dim):
-            recurse(n - 1, {b_last: ONE}, dict(d_cols[b_last]), b_last)
+            recurse(n - 1, {b_last: 1}, dict(d_cols[b_last]), b_last)
             if min_depth == total + 1:
                 break
         if min_depth is not None:

@@ -4,13 +4,19 @@ Nothing here shares code paths with the package internals: matrix
 exponentials are summed term by term, group laws come from honest matrix
 products, and the associative-series checker re-derives log(exp x exp y)
 from scratch.
+
+The derivability oracles evaluate Delta only through the public dense
+`delta_n`, never through the sparse solver they check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
-from nilgrade.linalg import Matrix, Vec, identity, mat_mul
+from nilgrade.derivability import delta_n
+from nilgrade.lie import adapted_basis, lower_central_series
+from nilgrade.linalg import Matrix, Vec, echelon_of, identity, mat_mul
 
 F = Fraction
 
@@ -168,3 +174,40 @@ def dense_bracket(g, x: Vec, y: Vec) -> Vec:
             c = x[i] * y[j] if i < j else -x[i] * y[j]
             out = [o + c * s for o, s in zip(out, v)]
     return out
+
+
+def delta_depth(g, d, wp: tuple) -> int | None:
+    """Least filtration depth of delta_n(g, d, xs) over adapted basis tuples.
+
+    xs runs over every tuple of adapted basis vectors whose k-th entry
+    has degree >= wp[k], through the dense `delta_n` path; None when every
+    value vanishes.  Depth k means the value lies in F_k but not F_{k+1}.
+    For a grading operator no value is shallower than |wp| + 1, so the
+    search stops there.
+    """
+    f = lower_central_series(g)
+    ab = adapted_basis(g, f)
+    levels = [echelon_of(f.basis(k), g.dim) for k in range(1, f.nilpotency_class + 2)]
+    slots = [[list(v) for v, deg in zip(ab.vectors, ab.degrees) if deg >= p] for p in wp]
+    best = None
+    for xs in product(*slots):
+        value = delta_n(g, d, xs)
+        if any(value):
+            depth = max(k for k, level in enumerate(levels, start=1) if level.contains(value))
+            best = depth if best is None else min(best, depth)
+            if best == sum(wp) + 1:
+                break
+    return best
+
+
+def e_of_operator_dense(g, d) -> Fraction:
+    """max |wp| / depth(wp) over all tuples wp of length >= 2 and sum < c."""
+    c = lower_central_series(g).nilpotency_class
+    best = F(0)
+    for n in range(2, c):
+        for wp in product(range(1, c), repeat=n):
+            if sum(wp) < c:
+                depth = delta_depth(g, d, wp)
+                if depth is not None:
+                    best = max(best, F(sum(wp), depth))
+    return best

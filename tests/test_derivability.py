@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import delta_depth, e_of_operator_dense
 
 from nilgrade import catalog
 from nilgrade.derivability import (
@@ -24,9 +25,10 @@ from nilgrade.derivability import (
     is_grading_operator,
     parse_condition_set,
     r_condition_set,
+    _clamp_conditions,
 )
-from nilgrade.lie import adapted_basis, iterated_bracket, lower_central_series
-from nilgrade.linalg import mat_add, mat_vec, unit_vec
+from nilgrade.lie import adapted_basis, change_of_basis, iterated_bracket, lower_central_series
+from nilgrade.linalg import mat_add, mat_inv, mat_mul, mat_vec, unit_vec
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -405,3 +407,90 @@ def test_delta_lands_one_step_deeper():
             for combo in product(*slots):
                 value = delta_n(g, d, list(combo))
                 assert subspace_contains(target, value)
+
+
+# --- dominated conditions and the sparse solver against dense oracles
+
+
+def dominates(strong: DerivCondition, weak: DerivCondition) -> bool:
+    return (
+        len(strong.wp) == len(weak.wp)
+        and all(a <= b for a, b in zip(strong.wp, weak.wp))
+        and weak.level <= strong.level
+    )
+
+
+def test_clamp_keeps_only_all_ones_at_r_zero():
+    for c in range(3, 12):
+        kept = _clamp_conditions(r_condition_set(c, 0), c)
+        assert sorted(kept) == [DerivCondition((1,) * n, c) for n in range(2, c)]
+
+
+def test_clamp_keeps_exactly_the_antichain():
+    c = 8
+    for r in candidate_values(c):
+        conditions = r_condition_set(c, r)
+        kept = _clamp_conditions(conditions, c)
+        assert set(kept) <= conditions
+        for a in kept:
+            assert not any(dominates(b, a) for b in kept if b != a), (r, a)
+        for dropped in conditions - set(kept):
+            assert any(dominates(k, dropped) for k in kept), (r, dropped)
+
+
+GRADED_ENTRIES = [
+    e.name
+    for e in catalog.entries()
+    if e.algebra.dim <= 7 and lower_central_series(e.algebra).nilpotency_class >= 3
+]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(GRADED_ENTRIES), st.data())
+def test_sparse_solver_against_dominated_conditions_and_dense_delta(name, data):
+    g = catalog.get(name).algebra
+    universe = sorted(enumerate_S(lower_central_series(g).nilpotency_class))
+    # half the draws take conditions that each hold alone, so that most of
+    # those sets have a witness to check
+    feasible_alone = [d for d in universe if is_A_derivable(g, {d}) is not None]
+    pool = data.draw(st.sampled_from([universe, feasible_alone or universe]))
+    chosen = frozenset(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)))
+    dominated = {d for d in universe if any(dominates(s, d) for s in chosen)}
+    witness = is_A_derivable(g, chosen)
+    assert is_A_derivable(g, chosen | dominated) == witness
+    if witness is not None:
+        for cond in chosen | dominated:
+            depth = delta_depth(g, witness, cond.wp)
+            assert depth is None or depth > cond.level, cond
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog.entries() if e.algebra.dim <= 6])
+def test_e_of_operator_matches_dense_oracle(name):
+    g = catalog.get(name).algebra
+    f = lower_central_series(g)
+    base, dirs = grading_operator_space(g, f, adapted_basis(g, f))
+    # a third of a free direction leaves a denominator in D's adapted columns
+    third = GradingOperator.from_rows(mat_add(base.rows, [[x / 3 for x in row] for row in dirs[-1]]))
+    for d in (e_invariant(g).witness, third):
+        assert e_of_operator(g, d) == e_of_operator_dense(g, d)
+
+
+@pytest.mark.parametrize("name", [n for n in catalog.names() if "(" not in n])
+def test_solver_on_rescaled_and_sheared_bases(name):
+    # every catalog table is integral; both bases below make sigma > 1.
+    # Under each, the e-value and the witness's own e_of_operator are
+    # unchanged, and under the scaling the witness moves as P^-1 W P.
+    g = catalog.get(name).algebra
+    n = g.dim
+    result = e_invariant(g)
+    scales = [F(i + 1, 2 if i % 2 else 3) for i in range(n)]
+    diag = [[scales[i] if i == j else F(0) for j in range(n)] for i in range(n)]
+    shear = [[F(1, i - j + 1) * scales[j] if i >= j else F(0) for j in range(n)] for i in range(n)]
+    for p in (diag, shear):
+        moved_g = change_of_basis(g, [list(col) for col in zip(*p)])
+        assert moved_g.sigma > 1
+        moved = e_invariant(moved_g)
+        assert moved.e == result.e
+        assert e_of_operator(moved_g, moved.witness) == result.e
+        if p is diag:
+            assert moved.witness.rows == mat_mul(mat_mul(mat_inv(p), result.witness.rows), p)
