@@ -236,7 +236,8 @@ def _cmd_goodman(args) -> int:
         f"e_D = {report.e_d}",
         f"samples = {len(report.samples)} (pairs={args.samples}, ladder=2^0..2^{args.tmax})",
         f"identically_zero = {report.identically_zero}",
-        f"fitted_slope = {report.fitted_slope:.12g}",
+        "fitted_slope = "
+        + ("n/a" if report.fitted_slope is None else f"{report.fitted_slope:.12g}"),
         f"constant_estimate = {report.constant_estimate:.12g}",
     ]
     _emit(args, payload, lines)

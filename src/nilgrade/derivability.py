@@ -314,23 +314,27 @@ class _Setup:
 
 
 class _AugmentedEchelon:
-    """Incremental RREF of an affine system with early infeasibility."""
+    """Incremental RREF of an affine system with early infeasibility.
+
+    Rows are sparse {variable: coefficient}; the right-hand side is
+    column `nvars`, so the system is infeasible once that column is a pivot.
+    """
 
     def __init__(self, nvars: int):
         self.nvars = nvars
         self.ech = Echelon(nvars + 1)
         self.infeasible = False
 
-    def add(self, row: Vec, rhs: Fraction) -> None:
-        if self.ech.add(row + [rhs]) and self.ech.pivots[-1] == self.nvars:
+    def add(self, coeffs: SparseVec, rhs: int) -> None:
+        if self.ech.add({**coeffs, self.nvars: rhs}) and self.nvars in self.ech.sparse_rows:
             self.infeasible = True
 
     def particular(self) -> Vec | None:
         if self.infeasible:
             return None
         x = zero_vec(self.nvars)
-        for row, pivot in zip(self.ech.rows, self.ech.pivots):
-            x[pivot] = row[self.nvars]
+        for pivot, row in self.ech.sparse_rows.items():
+            x[pivot] = row.get(self.nvars, ZERO)
         return x
 
 
@@ -380,7 +384,6 @@ def _condition_rows(setup: _Setup, cond: DerivCondition, system: _AugmentedEchel
     col_vars = setup.col_vars
     sbr = setup.sbr
     max_coord = setup.first_at_least[min(cond.level + 1, setup.c + 1)]
-    nvars = len(setup.positions)
     starts = [setup.first_at_least[p] for p in cond.wp]
 
     def recurse(slot: int, suffix: SparseVec, repl: dict[int, SparseVec], degsum: int, last_b: int):
@@ -446,10 +449,7 @@ def _condition_rows(setup: _Setup, cond: DerivCondition, system: _AugmentedEchel
             b = rhs.get(coord, 0)
             if not coeffs and b == 0:
                 continue
-            dense = [0] * nvars
-            for var, val in coeffs.items():
-                dense[var] = val
-            system.add(dense, b)
+            system.add(coeffs, b)
             if system.infeasible:
                 return
 

@@ -115,7 +115,7 @@ class GoodmanSample:
 class GoodmanReport:
     e_d: Fraction
     samples: tuple[GoodmanSample, ...]
-    fitted_slope: float
+    fitted_slope: float | None
     constant_estimate: float
     seed: int
     identically_zero: bool
@@ -125,7 +125,7 @@ class GoodmanReport:
             "e_D": str(self.e_d),
             "seed": str(self.seed),
             "identically_zero": self.identically_zero,
-            "fitted_slope": f"{self.fitted_slope:.12g}",
+            "fitted_slope": None if self.fitted_slope is None else f"{self.fitted_slope:.12g}",
             "constant_estimate": f"{self.constant_estimate:.12g}",
             "samples": [
                 {
@@ -154,8 +154,10 @@ def goodman_check(
     Base pairs are drawn on the grid in [-1, 1], dilated through the
     ladder; the law difference is exact and the report carries the
     fitted exponent plus the best constant for
-    diff <= C * max(1, r)^(e_D).  Raises ValueError when there is no
-    pair or no ladder value to sample.
+    diff <= C * max(1, r)^(e_D).  The exponent is 0 when the difference
+    is identically zero and None when it is not but fewer than two
+    distinct r > 1 carry a nonzero difference.  Raises ValueError when
+    there is no pair or no ladder value to sample.
     """
     if n_samples < 1 or not t_ladder:
         raise ValueError("need at least one sample pair and one ladder value")
@@ -189,7 +191,10 @@ def goodman_check(
                 if r > 1:
                     fit_points.append((r, dn))
     estimable = len(fit_points) >= 2 and len({r for r, _ in fit_points}) >= 2
-    slope = fit_exponent(fit_points) if estimable else 0.0
+    if estimable:
+        slope = fit_exponent(fit_points)
+    else:
+        slope = 0.0 if all_zero else None
     return GoodmanReport(
         e_d=e_d,
         samples=tuple(samples),

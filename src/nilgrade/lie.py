@@ -193,14 +193,17 @@ def lower_central_series(g: LieAlgebra) -> Filtration:
     """F_1 = g, F_{k+1} = span[g, F_k]; raises NotNilpotentError if it stalls."""
     if g._lcs_cache is not None:
         return g._lcs_cache
+    # scaled brackets of e_i with integer multiples of F_k's basis vectors
+    # span the same space as the brackets themselves, so they run on ints
+    units = [[int(a == i) for a in range(g.dim)] for i in range(g.dim)]
     chain: list[list[Vec]] = [[unit_vec(g.dim, i) for i in range(g.dim)]]
     while chain[-1]:
         prev = chain[-1]
+        scaled = [clear_denominators(v)[1] for v in prev]
         ech = Echelon(g.dim)
-        for i in range(g.dim):
-            ei = unit_vec(g.dim, i)
-            for v in prev:
-                ech.add(bracket(g, ei, v))
+        for ei in units:
+            for v in scaled:
+                ech.add(scaled_bracket(g, ei, v))
         nxt = ech.basis
         if len(nxt) == len(prev):
             raise NotNilpotentError("lower central series does not reach zero")

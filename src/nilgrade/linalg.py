@@ -3,6 +3,11 @@
 Everything here works over `fractions.Fraction` and is deterministic:
 pivots are always the first nonzero entry in column order, so reduced
 forms, particular solutions and nullspace bases are reproducible.
+
+Spans are kept by `Echelon` as sparse rows ({column: value} over the
+nonzero entries) and `mat_mul` skips zero entries, so both pay only for
+the nonzero entries of mostly-zero data; `rref` and the solvers built on
+it stay dense.
 """
 
 from __future__ import annotations
@@ -69,13 +74,19 @@ def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vec:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
+    if a and len(a[0]) != len(b):
         raise ValueError("dimension mismatch")
     cols = len(b[0]) if b else 0
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(cols)]
-        for i in range(len(a))
-    ]
+    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [ZERO] * cols
+        for x, b_row in zip(row, sparse_b):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -176,54 +187,96 @@ def mat_inv(m: Matrix) -> Matrix:
     return [row[n:] for row in red]
 
 
+SparseRow = dict[int, Fraction]
+
+
+def _support(v: Sequence | SparseRow) -> dict:
+    """The nonzero entries of a dense sequence or a {column: value} dict, as a new dict."""
+    items = v.items() if isinstance(v, dict) else enumerate(v)
+    return {k: x for k, x in items if x}
+
+
 class Echelon:
     """Incrementally maintained reduced echelon basis of a subspace.
 
-    `add` returns True when the vector enlarged the span.  Rows are kept
-    fully reduced with unit pivots, so `basis` is the canonical RREF
-    basis of the span regardless of insertion order.
+    Rows are stored sparsely, as {column: Fraction} over their nonzero
+    entries in `sparse_rows`, keyed by pivot column.  They are kept fully
+    reduced with unit pivots, so `basis` is the canonical RREF basis of
+    the span regardless of insertion order, and a reduction or an
+    insertion touches only the support of the rows it meets.
+
+    `add`, `reduce` and `contains` take a dense sequence or a sparse
+    {column: value} dict; `reduce`, `rows` and `basis` return dense lists
+    of Fractions, rows ordered by pivot.  `sparse_rows` is read-only.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.rows: list[Vec] = []
-        self.pivots: list[int] = []
+        self.sparse_rows: dict[int, SparseRow] = {}
 
-    def reduce(self, v: Sequence[Fraction]) -> Vec:
-        w = list(v)
-        for row, p in zip(self.rows, self.pivots):
+    def _reduce(self, w: dict) -> dict:
+        # each row is zero on every other pivot column, so subtracting it
+        # clears its own pivot in w and creates no entry at another pivot
+        rows = self.sparse_rows
+        for p in [p for p in w if p in rows]:
             f = w[p]
-            if f != 0:
-                w = [x - f * y for x, y in zip(w, row)]
+            for k, y in rows[p].items():
+                t = w.get(k, 0) - f * y
+                if t:
+                    w[k] = t
+                else:
+                    del w[k]
         return w
 
-    def add(self, v: Sequence[Fraction]) -> bool:
-        w = self.reduce(v)
-        p = next((i for i, x in enumerate(w) if x != 0), None)
-        if p is None:
+    def reduce(self, v: Sequence | SparseRow) -> Vec:
+        w = zero_vec(self.dim)
+        for k, x in self._reduce(_support(v)).items():
+            w[k] = q(x)
+        return w
+
+    def add(self, v: Sequence | SparseRow) -> bool:
+        w = self._reduce(_support(v))
+        if not w:
             return False
+        p = min(w)
         inv = ONE / w[p]
-        if inv != 1:
-            w = [x * inv for x in w]
-        for i, row in enumerate(self.rows):
-            f = row[p]
-            if f != 0:
-                self.rows[i] = [x - f * y for x, y in zip(row, w)]
-        k = next((i for i, pp in enumerate(self.pivots) if pp > p), len(self.pivots))
-        self.rows.insert(k, w)
-        self.pivots.insert(k, p)
+        w = {k: x * inv for k, x in w.items()}
+        for row in self.sparse_rows.values():
+            f = row.get(p)
+            if f:
+                for k, y in w.items():
+                    t = row.get(k, 0) - f * y
+                    if t:
+                        row[k] = t
+                    else:
+                        del row[k]
+        self.sparse_rows[p] = w
         return True
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        return is_zero_vec(self.reduce(v))
+    def contains(self, v: Sequence | SparseRow) -> bool:
+        return not self._reduce(_support(v))
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.sparse_rows)
+
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self.sparse_rows)
+
+    @property
+    def rows(self) -> list[Vec]:
+        out = []
+        for p in self.pivots:
+            w = zero_vec(self.dim)
+            for k, x in self.sparse_rows[p].items():
+                w[k] = x
+            out.append(w)
+        return out
 
     @property
     def basis(self) -> list[Vec]:
-        return [list(r) for r in self.rows]
+        return self.rows
 
 
 def echelon_of(vectors: Sequence[Sequence[Fraction]], dim: int) -> Echelon:

@@ -6,7 +6,9 @@ products, and the associative-series checker re-derives log(exp x exp y)
 from scratch.
 
 The derivability oracles evaluate Delta only through the public dense
-`delta_n`, never through the sparse solver they check.
+`delta_n`, never through the sparse solver they check.  The linear
+algebra oracles use only the dense `rref` and plain loops, never the
+sparse `Echelon` or `mat_mul` they check.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import product
 
 from nilgrade.derivability import delta_n
 from nilgrade.lie import adapted_basis, lower_central_series
-from nilgrade.linalg import Matrix, Vec, echelon_of, identity, mat_mul
+from nilgrade.linalg import Matrix, Vec, echelon_of, identity, mat_mul, rref
 
 F = Fraction
 
@@ -211,3 +213,41 @@ def e_of_operator_dense(g, d) -> Fraction:
                 if depth is not None:
                     best = max(best, F(sum(wp), depth))
     return best
+
+
+# --- dense linear algebra, for checking the sparse kernels
+
+
+def naive_mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The textbook triple loop over every entry, zeros included."""
+    cols = len(b[0]) if b else 0
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), F(0)) for j in range(cols)]
+        for i in range(len(a))
+    ]
+
+
+def rref_span(vectors: list[Vec]) -> tuple[list[Vec], list[int]]:
+    """Nonzero rows and pivot columns of the dense RREF of `vectors`."""
+    red, pivots, rank = rref([[F(x) for x in v] for v in vectors])
+    return red[:rank], pivots
+
+
+def rref_reduce(rows: list[Vec], pivots: list[int], v: Vec) -> Vec:
+    """v minus v[p] times the RREF row of each pivot p: the unique vector of
+    v + span(rows) that vanishes on every pivot column."""
+    out = [F(x) for x in v]
+    for row, p in zip(rows, pivots):
+        f = F(v[p])
+        out = [a - f * b for a, b in zip(out, row)]
+    return out
+
+
+def lcs_rref(g) -> list[list[Vec]]:
+    """F_1 = g and F_{k+1} = RREF span of every [e_i, v] with v in F_k,
+    through `dense_bracket`, down to the zero space."""
+    units = identity(g.dim)
+    chain = [units]
+    while chain[-1] and len(chain) <= g.dim:
+        chain.append(rref_span([dense_bracket(g, e, v) for e in units for v in chain[-1]])[0])
+    return chain

@@ -130,6 +130,32 @@ def test_goodman_verb(capsys):
     assert len(doc["report"]["samples"]) == 25
 
 
+@pytest.mark.parametrize(
+    "source, tmax, slope",
+    [
+        # ladder 2^0 only: a nonzero difference but no r > 1, so no slope
+        ("catalog:g6_11", "0", None),
+        # a Carnot algebra: the difference is identically zero
+        ("catalog:filiform(5)", "0", "0"),
+        ("catalog:g6_11", "3", "fitted"),
+    ],
+)
+def test_goodman_fitted_slope_json_and_text(capsys, source, tmax, slope):
+    argv = ["goodman", source, "--samples", "3", "--tmax", tmax]
+    code, out, _ = run_capture(capsys, argv + ["--json"])
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["identically_zero"] == (slope == "0")
+    if slope == "fitted":
+        slope = report["fitted_slope"]
+        assert isinstance(slope, str) and float(slope) > 0
+    assert report["fitted_slope"] == slope
+    assert ('"fitted_slope": null' in out) == (slope is None)
+    code, out, _ = run_capture(capsys, argv)
+    assert code == 0
+    assert f"fitted_slope = {'n/a' if slope is None else slope}" in out.splitlines()
+
+
 def test_catalog_list_and_show(capsys):
     code, out, _ = run_capture(capsys, ["catalog", "list"])
     assert code == 0

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import delta_depth, e_of_operator_dense
+from test_lie import invertible_matrices
 
 from nilgrade import catalog
 from nilgrade.derivability import (
@@ -494,3 +495,29 @@ def test_solver_on_rescaled_and_sheared_bases(name):
         assert e_of_operator(moved_g, moved.witness) == result.e
         if p is diag:
             assert moved.witness.rows == mat_mul(mat_mul(mat_inv(p), result.witness.rows), p)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(GRADED_ENTRIES), st.data())
+def test_feasibility_invariant_under_change_of_basis(name, data):
+    # derivability is a property of the algebra, not of its basis: each
+    # condition set is feasible in g exactly when it is feasible in g
+    # written in a random rational basis, and every witness is a grading
+    # operator of the algebra it was computed for that meets every
+    # condition on the dense delta_n path
+    g = catalog.get(name).algebra
+    n = g.dim
+    p = data.draw(invertible_matrices(n))
+    moved = change_of_basis(g, [[p[i][k] for i in range(n)] for k in range(n)])
+    universe = sorted(enumerate_S(lower_central_series(g).nilpotency_class))
+    feasible_alone = [d for d in universe if is_A_derivable(g, {d}) is not None]
+    pool = data.draw(st.sampled_from([universe, feasible_alone or universe]))
+    chosen = frozenset(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)))
+    witnesses = [(alg, is_A_derivable(alg, chosen)) for alg in (g, moved)]
+    assert (witnesses[0][1] is None) == (witnesses[1][1] is None), sorted(chosen)
+    for alg, witness in witnesses:
+        if witness is not None:
+            assert is_grading_operator(alg, lower_central_series(alg), witness)
+            for cond in chosen:
+                depth = delta_depth(alg, witness, cond.wp)
+                assert depth is None or depth > cond.level, cond

@@ -9,9 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import lcs_rref, naive_mat_mul, rref_reduce, rref_span
+
+from nilgrade import catalog
+from nilgrade.lie import lower_central_series
 from nilgrade.linalg import (
+    Echelon,
     filtration_depth,
     identity,
+    mat_mul,
     mat_vec,
     matrix,
     rref,
@@ -121,3 +127,77 @@ def test_filtration_depth():
     assert filtration_depth(chain, vec([0, 0])) == math.inf
     assert filtration_depth(chain, vec([0, 5])) == 2
     assert filtration_depth(chain, vec([1, 1])) == 1
+
+
+# --- sparse kernels against dense oracles
+
+# mostly zeros, with both int and Fraction entries
+sparse_entries = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), small_fracs)
+
+
+def sparse_vectors(dim: int, max_count: int = 6):
+    return st.lists(st.lists(sparse_entries, min_size=dim, max_size=dim), max_size=max_count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_echelon_matches_dense_rref(dim, data):
+    vectors = data.draw(sparse_vectors(dim))
+    order = data.draw(st.permutations(range(len(vectors))))
+    as_dict = data.draw(st.lists(st.booleans(), min_size=len(vectors), max_size=len(vectors)))
+    ech = Echelon(dim)
+    for i in order:
+        v = vectors[i]
+        ech.add({k: x for k, x in enumerate(v) if x} if as_dict[i] else v)
+    rows, pivots = rref_span(vectors)
+    assert ech.basis == rows
+    assert ech.rows == rows
+    assert ech.pivots == pivots
+    assert ech.rank == len(rows)
+    assert all(isinstance(x, F) for row in ech.basis for x in row)
+    for v in data.draw(sparse_vectors(dim, 3)) + vectors:
+        assert ech.reduce(v) == rref_reduce(rows, pivots, v)
+        assert ech.contains(v) == (len(rref_span(vectors + [v])[0]) == len(rows))
+        assert ech.contains({k: x for k, x in enumerate(v) if x}) == ech.contains(v)
+
+
+def test_echelon_zero_vectors_and_dim_one():
+    ech = Echelon(1)
+    assert not ech.add([0])
+    assert not ech.add({})
+    assert ech.rank == 0 and ech.basis == [] and ech.contains([0])
+    assert ech.add([F(-3, 4)])
+    assert ech.basis == [[F(1)]] and ech.pivots == [0]
+    assert not ech.add({0: 5})
+    assert ech.reduce([7]) == [F(0)]
+
+
+def matrices(rows: int, cols: int):
+    return st.lists(st.lists(sparse_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(1, 4), st.data())
+def test_mat_mul_matches_triple_loop(m, k, n, data):
+    a = matrix(data.draw(matrices(m, k)))
+    b = matrix(data.draw(matrices(k, n)))
+    assert mat_mul(a, b) == naive_mat_mul(a, b)
+
+
+def test_mat_mul_empty_and_mismatch():
+    assert mat_mul([], identity(2)) == []
+    assert mat_mul([[], []], []) == [[], []]
+    assert mat_mul(matrix([[0, 0], [0, 0]]), matrix([[0], [0]])) == [[F(0)], [F(0)]]
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mat_mul(matrix([[1, 2]]), matrix([[1]]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mat_mul(matrix([[1]]), [])
+
+
+@pytest.mark.parametrize(
+    "name", [e.name for e in catalog.entries()] + ["filiform(12)", "central_product(6,10)"]
+)
+def test_lower_central_series_matches_rref_oracle(name):
+    g = catalog.get(name).algebra
+    f = lower_central_series(g)
+    assert [f.basis(k) for k in range(1, f.nilpotency_class + 2)] == lcs_rref(g)

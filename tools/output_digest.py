@@ -1,0 +1,100 @@
+"""Print one sha256 over nilgrade's canonical library outputs on the bench set.
+
+    python3 tools/output_digest.py
+
+The algebras are the 13 catalog fixtures, filiform(6..12) and the five
+central products of the benchmark.  For each one the script records, as
+exact text: the lower central series, the adapted basis and its degrees,
+the algebra in the adapted basis (`change_of_basis`), the e-invariant
+and its witness, `e_of_operator` of the witness, `is_A_derivable` on the
+catalog's recorded condition sets and on conditions drawn from
+`enumerate_S(c)` with a fixed seed, and the Carnot pair.  Algebras within
+the BCH cap also get a short goodman report as JSON.  Two checkouts print
+the same hash exactly when all of these outputs agree, so running it on
+a parent and a change checks that the change keeps them bit-identical.
+Only the standard library and the checkout's own `src/` are used.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from nilgrade import bch, carnot, catalog, derivability, goodman, lie  # noqa: E402
+
+ALGEBRAS = (
+    [entry.name for entry in catalog.entries()]
+    + [f"filiform({n})" for n in range(6, 13)]
+    + [f"central_product({i},{j})" for i, j in ((2, 3), (3, 5), (4, 7), (5, 8), (6, 10))]
+)
+DRAWN_PER_ALGEBRA = 6
+GOODMAN_SAMPLES, GOODMAN_TMAX, GOODMAN_SEED = 2, 4, 7
+
+
+def _vec(v) -> str:
+    return ",".join(str(x) for x in v)
+
+
+def _rows(rows) -> str:
+    return "/".join(_vec(r) for r in rows)
+
+
+def _operator(d) -> str:
+    return "NotDerivable" if d is None else _rows(d.matrix)
+
+
+def _conditions(conds) -> str:
+    return ",".join(str(c) for c in sorted(conds))
+
+
+def algebra_lines(name: str, rng: random.Random) -> list[str]:
+    entry = catalog.get(name)
+    g = entry.algebra
+    f = lie.lower_central_series(g)
+    ab = lie.adapted_basis(g, f)
+    result = derivability.e_invariant(g)
+    out = [
+        f"algebra {name}",
+        "lcs " + " | ".join(_rows(f.basis(k)) for k in range(1, f.nilpotency_class + 2)),
+        f"adapted {_rows(ab.vectors)} degrees {_vec(ab.degrees)}",
+        "change_of_basis " + lie.serialize_algebra(lie.change_of_basis(g, ab.vectors)),
+        f"e {result.e} witness {_operator(result.witness)}",
+        f"e_of_operator {derivability.e_of_operator(g, result.witness)}",
+    ]
+    exp = entry.expected
+    recorded = []
+    if exp is not None:
+        recorded = ([exp.failure] if exp.failure else []) + list(exp.derivable) + list(exp.not_derivable)
+    for conds in recorded:
+        out.append(f"recorded {_conditions(conds)}: {_operator(derivability.is_A_derivable(g, conds))}")
+    c = f.nilpotency_class
+    pool = sorted(derivability.enumerate_S(c)) if c >= 3 else []
+    for cond in rng.sample(pool, min(DRAWN_PER_ALGEBRA, len(pool))):
+        out.append(f"drawn {cond}: {_operator(derivability.is_A_derivable(g, [cond]))}")
+    g_eig, ca = carnot.carnot_pair(g, result.witness)
+    out.append("eigenbasis " + lie.serialize_algebra(g_eig))
+    out.append("carnot " + carnot.serialize_carnot(ca))
+    if c <= bch.MAX_SUPPORTED_CLASS:
+        ladder = [Fraction(2) ** k for k in range(GOODMAN_TMAX + 1)]
+        report = goodman.goodman_check(g, result.witness, GOODMAN_SAMPLES, ladder, GOODMAN_SEED)
+        out.append("goodman " + report.to_json())
+    return out
+
+
+def main() -> int:
+    rng = random.Random("output_digest")
+    digest = hashlib.sha256()
+    for name in ALGEBRAS:
+        for line in algebra_lines(name, rng):
+            digest.update(line.encode() + b"\n")
+    print(digest.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
