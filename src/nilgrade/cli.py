@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 negative decision (Jacobi violations, a failed
 grading check or NotDerivable), 2 usage or input errors (bad arguments,
-parse errors, a table that is not nilpotent), 3 internal errors (any
-other exception).  Every verb but `check` rejects a bracket table that
+parse errors, a table that is not nilpotent, a class above the BCH cap
+in `bch`, `diff` and `goodman`), 3 internal errors (any other
+exception), 141 (128 + SIGPIPE) when the reader of stdout has gone away,
+with nothing on stderr.  Every verb but `check` rejects a bracket table that
 violates the Jacobi identity as an input error.  All error text goes to stderr;
 `--json` renders the same values as one JSON document with numbers as
 strings.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from fractions import Fraction
@@ -21,6 +24,9 @@ from pathlib import Path
 from . import bch, carnot, catalog, derivability, goodman, lie
 from .derivability import GradingOperator
 from .lie import LieAlgebra
+
+
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
 
 
 class CliError(Exception):
@@ -168,6 +174,17 @@ def _cmd_derivable(args) -> int:
     return 0
 
 
+def _bch_filtration(g: LieAlgebra) -> lie.Filtration:
+    """g's lower central series, once its class is known to be within the BCH cap."""
+    f = lie.lower_central_series(g)
+    if f.nilpotency_class > bch.MAX_SUPPORTED_CLASS:
+        raise CliError(
+            f"nilpotency class {f.nilpotency_class} is above {bch.MAX_SUPPORTED_CLASS}, "
+            "the largest class the BCH group law supports"
+        )
+    return f
+
+
 def _auto_operator(g: LieAlgebra) -> GradingOperator:
     return derivability.e_invariant(g).witness
 
@@ -188,6 +205,7 @@ def _cmd_carnot(args) -> int:
 
 def _cmd_bch(args) -> int:
     g = _load_algebra(args.source)
+    f = _bch_filtration(g)
     if args.carnot:
         d = _auto_operator(g)
         _, ca = carnot.carnot_pair(g, d)
@@ -196,7 +214,6 @@ def _cmd_bch(args) -> int:
         product = bch.carnot_product(ca, x, y)
         note = "coordinates: grading eigenbasis; law: graded bracket"
     else:
-        f = lie.lower_central_series(g)
         x = _parse_vec(args.x, g.dim)
         y = _parse_vec(args.y, g.dim)
         product = bch.bch_product(g, f, x, y)
@@ -208,6 +225,7 @@ def _cmd_bch(args) -> int:
 
 def _cmd_diff(args) -> int:
     g = _load_algebra(args.source)
+    _bch_filtration(g)
     d = _auto_operator(g)
     g_eig, ca = carnot.carnot_pair(g, d)
     x = _parse_vec(args.x, g.dim)
@@ -228,6 +246,7 @@ def _cmd_goodman(args) -> int:
     if args.tmax < 0:
         raise CliError("--tmax must be at least 0")
     g = _load_algebra(args.source)
+    _bch_filtration(g)
     d = _auto_operator(g)
     ladder = [Fraction(2) ** k for k in range(args.tmax + 1)]
     report = goodman.goodman_check(g, d, args.samples, ladder, args.seed)
@@ -360,7 +379,12 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early, as in `nilgrade ... | head -1`
+        return EXIT_BROKEN_PIPE
     except (CliError, lie.AlgebraFormatError, lie.NotNilpotentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -371,4 +395,9 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    if code == EXIT_BROKEN_PIPE:
+        # output still buffered would fail again in the flush at interpreter
+        # exit and print a second error; let it drain into devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Sequence
 
 from . import lie
 from .lie import AdaptedBasis, Filtration, LieAlgebra
@@ -245,8 +246,27 @@ def grading_operator_space(
     return base, directions
 
 
+class _Node(NamedTuple):
+    """Index path (b_last, ..., b_k): its suffix bracket sigma^depth *
+    [e_bk, [..., e_blast]], the replacement brackets per free variable and
+    the degree sum, none of which depends on a condition.  The next index
+    stays below `limit` (b_last at a root: Delta alternates in the last two
+    slots); `children` maps it to the extended node, or to None if empty."""
+
+    suffix: SparseVec
+    repl: dict[int, SparseVec]
+    degsum: int
+    limit: int
+    children: dict[int, "_Node | None"]
+
+
 class _Setup:
-    """Cached adapted-coordinate data shared by the feasibility solver."""
+    """Cached adapted-coordinate data shared by the feasibility solver.
+
+    `roots[b]` is the path trie rooted at index b (see `_Node`), filled in
+    on first visit and kept for the life of the `_Setup`, that is, one
+    public call, whose conditions and candidates all reuse it.
+    """
 
     def __init__(self, g: LieAlgebra):
         self.g = g
@@ -277,6 +297,10 @@ class _Setup:
         self.first_at_least = [
             next((i for i in range(n) if self.degrees[i] >= d), n) for d in range(self.c + 2)
         ]
+        self.roots = [
+            _Node({b: 1}, {var: {a: 1} for var, a in self.col_vars[b]}, self.degrees[b], b, {})
+            for b in range(n)
+        ]
 
     def sbr(self, i: int, v: SparseVec) -> SparseVec:
         """Sparse sigma * [e_i, v] in adapted coordinates."""
@@ -294,17 +318,28 @@ class _Setup:
                     out.pop(k, None)
         return out
 
-    def sbr_vec(self, x: SparseVec, v: SparseVec) -> SparseVec:
-        """Sparse sigma * [x, v] for a general sparse x."""
-        out: SparseVec = {}
-        for i, ci in x.items():
-            for k, s in self.sbr(i, v).items():
-                t = out.get(k, 0) + ci * s
-                if t:
-                    out[k] = t
-                else:
-                    out.pop(k, None)
-        return out
+    def extend(self, node: _Node, b: int) -> _Node | None:
+        """Compute and store the child of `node` at index b (see `_Node`)."""
+        sbr = self.sbr
+        suffix = node.suffix
+        new_suffix = sbr(b, suffix) if suffix else {}
+        new_repl = {var: bw for var, w in node.repl.items() if (bw := sbr(b, w))}
+        if suffix:
+            for var, a in self.col_vars[b]:
+                merged = new_repl.setdefault(var, {})
+                for k, x in sbr(a, suffix).items():
+                    t = merged.get(k, 0) + x
+                    if t:
+                        merged[k] = t
+                    else:
+                        merged.pop(k, None)
+                if not merged:
+                    del new_repl[var]
+        kid = None
+        if new_suffix or new_repl:
+            kid = _Node(new_suffix, new_repl, node.degsum + self.degrees[b], self.g.dim, {})
+        node.children[b] = kid
+        return kid
 
     def to_original(self, d_ad: Matrix) -> GradingOperator:
         return GradingOperator.from_rows(mat_mul(mat_mul(self.p, d_ad), self.p_inv))
@@ -338,6 +373,19 @@ class _AugmentedEchelon:
         return x
 
 
+class _PointCheck:
+    """Row sink that flags the first row coeffs . x = rhs violated at x = point / scale."""
+
+    def __init__(self, point: list[int], scale: int):
+        self.point = point
+        self.scale = scale
+        self.infeasible = False
+
+    def add(self, coeffs: SparseVec, rhs: int) -> None:
+        if sum(c * self.point[var] for var, c in coeffs.items()) != rhs * self.scale:
+            self.infeasible = True
+
+
 def _dominates(strong: DerivCondition, weak: DerivCondition) -> bool:
     """(wp'|j') dominates (wp|j): same length, wp' <= wp entrywise, j <= j'."""
     return (
@@ -367,60 +415,44 @@ def _clamp_conditions(conditions: Iterable[DerivCondition], c: int) -> list[Deri
     return kept
 
 
-def _condition_rows(setup: _Setup, cond: DerivCondition, system: _AugmentedEchelon) -> None:
-    """Stream the affine rows of one condition into the system.
+@lru_cache(maxsize=None)
+def _antichain(c: int, r: Fraction) -> tuple[DerivCondition, ...]:
+    """The antichain of `r_condition_set(c, r)`; like `bch_table(c)` it
+    depends on no algebra, so one copy serves every scan."""
+    return tuple(_clamp_conditions(r_condition_set(c, r), c))
 
-    Works entirely in adapted coordinates where D0 is diagonal and each
-    free direction is an elementary matrix, recursing over tuple slots
-    from the right so that suffix brackets and replacement values are
-    shared between tuples.  The sparse brackets run on integers: every
-    vector at recursion depth k carries the same scale sigma^k, so each
-    emitted row is the true row times sigma^(n-1), and the echelon form,
-    which keeps unit pivots, is unchanged by it.
+
+def _condition_rows(setup: _Setup, cond: DerivCondition, system) -> None:
+    """Stream the affine rows of one condition into an `_AugmentedEchelon`
+    or a `_PointCheck`, stopping once it is infeasible.
+
+    Works in adapted coordinates where D0 is diagonal and each free
+    direction is an elementary matrix, walking the setup's path trie over
+    tuple slots from the right: the condition only picks the children
+    (degrees >= wp) and the depth, so each bracket is computed once per
+    `_Setup`, while the rows are emitted per condition.  The brackets run
+    on integers: a vector at trie depth k carries the scale sigma^k, so
+    each row is the true row times sigma^(n-1), which leaves the echelon
+    form, with its unit pivots, unchanged.
     """
     n = len(cond.wp)
-    dim = setup.g.dim
     degrees = setup.degrees
     col_vars = setup.col_vars
-    sbr = setup.sbr
+    extend = setup.extend
     max_coord = setup.first_at_least[min(cond.level + 1, setup.c + 1)]
     starts = [setup.first_at_least[p] for p in cond.wp]
 
-    def recurse(slot: int, suffix: SparseVec, repl: dict[int, SparseVec], degsum: int, last_b: int):
+    def recurse(slot: int, node: _Node):
         if slot == 0:
-            _emit_rows(suffix, repl, degsum)
+            _emit_rows(node.suffix, node.repl, node.degsum)
             return
-        lo = starts[slot - 1]
-        for b in range(lo, dim):
-            if slot == n - 1 and b >= last_b:
-                continue
-            new_suffix = sbr(b, suffix) if suffix else {}
-            new_repl: dict[int, SparseVec] = {}
-            for var, w in repl.items():
-                bw = sbr(b, w)
-                if bw:
-                    new_repl[var] = bw
-            for var, a in col_vars[b]:
-                w = sbr(a, suffix) if suffix else {}
-                if w:
-                    prev = new_repl.get(var)
-                    if prev is None:
-                        new_repl[var] = w
-                    else:
-                        merged = dict(prev)
-                        for k, x in w.items():
-                            t = merged.get(k, 0) + x
-                            if t:
-                                merged[k] = t
-                            else:
-                                merged.pop(k, None)
-                        if merged:
-                            new_repl[var] = merged
-                        else:
-                            new_repl.pop(var, None)
-            if not new_suffix and not new_repl:
-                continue
-            recurse(slot - 1, new_suffix, new_repl, degsum + degrees[b], b)
+        children = node.children
+        for b in range(starts[slot - 1], node.limit):
+            kid = children[b] if b in children else extend(node, b)
+            if kid is not None:
+                recurse(slot - 1, kid)
+                if system.infeasible:
+                    return
 
     def _emit_rows(value: SparseVec, repl: dict[int, SparseVec], degsum: int):
         # affine value: (D0 - degsum) v + sum_m x_m (v_{col(m)} e_{row(m)}) - repl
@@ -455,15 +487,14 @@ def _condition_rows(setup: _Setup, cond: DerivCondition, system: _AugmentedEchel
 
     # outermost slot is the last one so suffixes can be built right-to-left;
     # substituting into that slot replaces it by a single basis vector
-    for b_last in range(starts[n - 1], dim):
+    for root in setup.roots[starts[n - 1] :]:
+        recurse(n - 1, root)
         if system.infeasible:
             return
-        seed_repl: dict[int, SparseVec] = {var: {a: 1} for var, a in col_vars[b_last]}
-        recurse(n - 1, {b_last: 1}, seed_repl, degrees[b_last], b_last)
 
 
-def _feasibility(setup: _Setup, conditions: Iterable[DerivCondition]) -> GradingOperator | None:
-    clamped = _clamp_conditions(conditions, setup.c)
+def _feasibility(setup: _Setup, clamped: Sequence[DerivCondition]) -> GradingOperator | None:
+    """Witness for an antichain of conditions clamped to the class, or None."""
 
     def cost(cond: DerivCondition) -> tuple:
         est = 1
@@ -492,7 +523,8 @@ def is_A_derivable(g: LieAlgebra, conditions: Iterable[DerivCondition]) -> Gradi
     the deterministic particular solution with all free coefficients
     zero.
     """
-    return _feasibility(_Setup(g), conditions)
+    setup = _Setup(g)
+    return _feasibility(setup, _clamp_conditions(conditions, setup.c))
 
 
 def e_of_operator(g: LieAlgebra, d: GradingOperator) -> Fraction:
@@ -500,75 +532,34 @@ def e_of_operator(g: LieAlgebra, d: GradingOperator) -> Fraction:
 
     Equals the maximum of |wp| / depth(wp) over normalized tuples, where
     depth(wp) is the filtration depth of the span of all Delta values on
-    adapted tuples of degrees >= wp; tuples with zero span are skipped.
+    adapted tuples of degrees >= wp (tuples with zero span are skipped).
+    It is computed as the least candidate r such that d meets every
+    condition of the antichain `_clamp_conditions(r_condition_set(c, r))`,
+    which rests on three facts: |wp| / depth is always a candidate i/j;
+    d meets (wp|j) iff depth(wp) >= j + 1; and for a fixed d, meeting a
+    condition implies meeting every condition it dominates.  d meets a
+    condition iff every row `_condition_rows` emits for it holds at x_D,
+    the free entries of d in adapted coordinates.
     """
     setup = _Setup(g)
     _require_grading_operator(g, setup.f, d)
-    dim = g.dim
-    # only the support of each Delta value matters, so the columns of D are
-    # scaled to integers once and the brackets run on ints like the solver's
-    _, scaled = lie.clear_denominators([x for row in setup.to_adapted_operator(d) for x in row])
-    d_cols: list[SparseVec] = [
-        {i: scaled[i * dim + b] for i in range(dim) if scaled[i * dim + b]} for b in range(dim)
-    ]
-    best = Fraction(0)
-    for wp in normalized_tuples(setup.c - 1):
-        n = len(wp)
-        starts = [setup.first_at_least[p] for p in wp]
-        total = sum(wp)
-        min_depth: int | None = None
+    if setup.c < 3:
+        return Fraction(0)
+    d_ad = setup.to_adapted_operator(d)
+    scale, point = lie.clear_denominators([d_ad[a][b] for a, b in setup.positions])
+    met: dict[DerivCondition, bool] = {}
 
-        def recurse(slot: int, suffix: SparseVec, dsub: SparseVec, last_b: int):
-            nonlocal min_depth
-            if min_depth == total + 1:
-                return
-            lo = starts[slot - 1]
-            for b in range(lo, dim):
-                if slot == n - 1 and b >= last_b:
-                    continue
-                new_suffix = setup.sbr(b, suffix) if suffix else {}
-                new_dsub = setup.sbr(b, dsub) if dsub else {}
-                w = setup.sbr_vec(d_cols[b], suffix) if suffix else {}
-                for k, x in w.items():
-                    t = new_dsub.get(k, 0) + x
-                    if t:
-                        new_dsub[k] = t
-                    else:
-                        new_dsub.pop(k, None)
-                if not new_suffix and not new_dsub:
-                    continue
-                if slot == 1:
-                    delta: SparseVec = {}
-                    for coord, val in new_suffix.items():
-                        dv = d_cols[coord]
-                        for k, x in dv.items():
-                            t = delta.get(k, 0) + val * x
-                            if t:
-                                delta[k] = t
-                            else:
-                                delta.pop(k, None)
-                    for k, x in new_dsub.items():
-                        t = delta.get(k, 0) - x
-                        if t:
-                            delta[k] = t
-                        else:
-                            delta.pop(k, None)
-                    if delta:
-                        depth = min(setup.degrees[k] for k in delta)
-                        if min_depth is None or depth < min_depth:
-                            min_depth = depth
-                            if min_depth == total + 1:
-                                return
-                else:
-                    recurse(slot - 1, new_suffix, new_dsub, b)
+    def meets(cond: DerivCondition) -> bool:
+        if cond not in met:
+            check = _PointCheck(point, scale)
+            _condition_rows(setup, cond, check)
+            met[cond] = not check.infeasible
+        return met[cond]
 
-        for b_last in range(starts[n - 1], dim):
-            recurse(n - 1, {b_last: 1}, dict(d_cols[b_last]), b_last)
-            if min_depth == total + 1:
-                break
-        if min_depth is not None:
-            best = max(best, Fraction(total, min_depth))
-    return best
+    for r in candidate_values(setup.c):
+        if all(meets(cond) for cond in _antichain(setup.c, r)):
+            return r
+    raise AssertionError("the top candidate has no conditions")
 
 
 @dataclass(frozen=True)
@@ -589,7 +580,7 @@ def e_invariant(g: LieAlgebra) -> EInvariantResult:
         assert witness is not None
         return EInvariantResult(Fraction(0), witness)
     for r in candidate_values(setup.c):
-        witness = _feasibility(setup, r_condition_set(setup.c, r))
+        witness = _feasibility(setup, _antichain(setup.c, r))
         if witness is not None:
             return EInvariantResult(r, witness)
     raise AssertionError("empty condition set at the top candidate must be feasible")

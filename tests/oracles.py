@@ -5,8 +5,9 @@ exponentials are summed term by term, group laws come from honest matrix
 products, and the associative-series checker re-derives log(exp x exp y)
 from scratch.
 
-The derivability oracles evaluate Delta only through the public dense
-`delta_n`, never through the sparse solver they check.  The linear
+The derivability oracles evaluate Delta either through the public dense
+`delta_n` or, in `e_of_operator_tuples`, through a per-tuple sparse
+recursion of their own, never through the solver's row stream they check.  The linear
 algebra oracles use only the dense `rref` and plain loops, never the
 sparse `Echelon` or `mat_mul` they check.
 """
@@ -16,9 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from nilgrade.derivability import delta_n
-from nilgrade.lie import adapted_basis, lower_central_series
-from nilgrade.linalg import Matrix, Vec, echelon_of, identity, mat_mul, rref
+from nilgrade.derivability import delta_n, normalized_tuples
+from nilgrade.lie import adapted_basis, change_of_basis, clear_denominators, lower_central_series
+from nilgrade.linalg import Matrix, Vec, echelon_of, identity, mat_inv, mat_mul, rref
 
 F = Fraction
 
@@ -199,6 +200,120 @@ def delta_depth(g, d, wp: tuple) -> int | None:
             best = depth if best is None else min(best, depth)
             if best == sum(wp) + 1:
                 break
+    return best
+
+
+def e_of_operator_tuples(g, d) -> Fraction:
+    """max |wp| / depth(wp) over `normalized_tuples(c - 1)`, tuple by tuple.
+
+    depth(wp) is the least filtration depth of the Delta values on adapted
+    basis tuples of degrees >= wp; tuples whose values all vanish are
+    skipped.  Each tuple runs its own sparse integer bracket recursion
+    over the adapted structure table, so nothing is shared with the
+    solver's row stream, its path trie or the antichain of conditions.
+    Only the support of each Delta value matters, so the columns of D are
+    scaled to integers once.
+    """
+    f = lower_central_series(g)
+    ab = adapted_basis(g, f)
+    c = f.nilpotency_class
+    dim = g.dim
+    degrees = ab.degrees
+    first_at_least = [next((i for i in range(dim) if degrees[i] >= k), dim) for k in range(c + 2)]
+    row_table: list[dict] = [dict() for _ in range(dim)]
+    for i, j, entries in change_of_basis(g, [list(v) for v in ab.vectors]).table:
+        row_table[i][j] = dict(entries)
+        row_table[j][i] = {k: -s for k, s in entries}
+
+    def sbr(i: int, v: dict) -> dict:
+        out: dict = {}
+        table = row_table[i]
+        for j, coeff in v.items():
+            bv = table.get(j)
+            if bv is None:
+                continue
+            for k, s in bv.items():
+                t = out.get(k, 0) + coeff * s
+                if t:
+                    out[k] = t
+                else:
+                    out.pop(k, None)
+        return out
+
+    def sbr_vec(x: dict, v: dict) -> dict:
+        out: dict = {}
+        for i, ci in x.items():
+            for k, s in sbr(i, v).items():
+                t = out.get(k, 0) + ci * s
+                if t:
+                    out[k] = t
+                else:
+                    out.pop(k, None)
+        return out
+
+    basis = ab.change_of_basis
+    d_ad = mat_mul(mat_mul(mat_inv(basis), d.rows), basis)
+    _, scaled = clear_denominators([x for row in d_ad for x in row])
+    d_cols: list[dict] = [
+        {i: scaled[i * dim + b] for i in range(dim) if scaled[i * dim + b]} for b in range(dim)
+    ]
+    best = F(0)
+    for wp in normalized_tuples(c - 1):
+        n = len(wp)
+        starts = [first_at_least[p] for p in wp]
+        total = sum(wp)
+        min_depth: int | None = None
+
+        def recurse(slot: int, suffix: dict, dsub: dict, last_b: int):
+            nonlocal min_depth
+            if min_depth == total + 1:
+                return
+            lo = starts[slot - 1]
+            for b in range(lo, dim):
+                if slot == n - 1 and b >= last_b:
+                    continue
+                new_suffix = sbr(b, suffix) if suffix else {}
+                new_dsub = sbr(b, dsub) if dsub else {}
+                w = sbr_vec(d_cols[b], suffix) if suffix else {}
+                for k, x in w.items():
+                    t = new_dsub.get(k, 0) + x
+                    if t:
+                        new_dsub[k] = t
+                    else:
+                        new_dsub.pop(k, None)
+                if not new_suffix and not new_dsub:
+                    continue
+                if slot == 1:
+                    delta: dict = {}
+                    for coord, val in new_suffix.items():
+                        dv = d_cols[coord]
+                        for k, x in dv.items():
+                            t = delta.get(k, 0) + val * x
+                            if t:
+                                delta[k] = t
+                            else:
+                                delta.pop(k, None)
+                    for k, x in new_dsub.items():
+                        t = delta.get(k, 0) - x
+                        if t:
+                            delta[k] = t
+                        else:
+                            delta.pop(k, None)
+                    if delta:
+                        depth = min(degrees[k] for k in delta)
+                        if min_depth is None or depth < min_depth:
+                            min_depth = depth
+                            if min_depth == total + 1:
+                                return
+                else:
+                    recurse(slot - 1, new_suffix, new_dsub, b)
+
+        for b_last in range(starts[n - 1], dim):
+            recurse(n - 1, {b_last: 1}, dict(d_cols[b_last]), b_last)
+            if min_depth == total + 1:
+                break
+        if min_depth is not None:
+            best = max(best, F(total, min_depth))
     return best
 
 

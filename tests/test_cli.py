@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -284,3 +289,64 @@ def test_goodman_rejects_bad_arguments(capsys, flags, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+FILIFORM10_X = "--x=1,0,0,0,0,0,0,0,0,0"
+FILIFORM10_Y = "--y=0,1,0,0,0,0,0,0,0,0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bch", FILIFORM10_X, FILIFORM10_Y],
+        ["bch", FILIFORM10_X, FILIFORM10_Y, "--carnot"],
+        ["diff", FILIFORM10_X, FILIFORM10_Y],
+        ["goodman", "--samples", "1", "--tmax", "0"],
+    ],
+)
+def test_class_above_bch_cap_is_usage_error(capsys, argv):
+    verb, *flags = argv
+    code, out, err = run_capture(capsys, [verb, "catalog:filiform(10)", *flags])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: nilpotency class 9 is above 8, the largest class the BCH group law supports\n"
+    )
+
+
+class _ClosedOnWrite(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class _ClosedOnFlush(io.StringIO):
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("stdout", [_ClosedOnWrite, _ClosedOnFlush])
+def test_closed_stdout_exits_141_quietly(monkeypatch, capsys, stdout):
+    # a reader that went away (`nilgrade ... | head -1`) is no internal error
+    monkeypatch.setattr(sys, "stdout", stdout())
+    code = run(["goodman", "catalog:g6_11", "--samples", "3", "--tmax", "0", "--json"])
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_pipe_exits_141_at_process_level():
+    # the read end is closed before the interpreter has even started; with
+    # block-buffered stdout the output waits in the buffer, which the
+    # interpreter flushes again at exit, so a second error would show there
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nilgrade", "check", "catalog:g6_11"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert err == b""

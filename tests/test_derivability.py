@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import delta_depth, e_of_operator_dense
+from oracles import delta_depth, e_of_operator_dense, e_of_operator_tuples
 from test_lie import invertible_matrices
 
 from nilgrade import catalog
@@ -27,6 +27,8 @@ from nilgrade.derivability import (
     parse_condition_set,
     r_condition_set,
     _clamp_conditions,
+    _feasibility,
+    _Setup,
 )
 from nilgrade.lie import adapted_basis, change_of_basis, iterated_bracket, lower_central_series
 from nilgrade.linalg import mat_add, mat_inv, mat_mul, mat_vec, unit_vec
@@ -472,8 +474,48 @@ def test_e_of_operator_matches_dense_oracle(name):
     base, dirs = grading_operator_space(g, f, adapted_basis(g, f))
     # a third of a free direction leaves a denominator in D's adapted columns
     third = GradingOperator.from_rows(mat_add(base.rows, [[x / 3 for x in row] for row in dirs[-1]]))
-    for d in (e_invariant(g).witness, third):
+    for d in (e_invariant(g).witness, base, third):
         assert e_of_operator(g, d) == e_of_operator_dense(g, d)
+
+
+DECIDE_ALGEBRAS = (
+    [e.name for e in catalog.entries()]
+    + [f"filiform({n})" for n in range(6, 13)]
+    + [f"central_product({i},{j})" for i, j in ((2, 3), (3, 5), (4, 7), (5, 8), (6, 10))]
+)
+
+
+@pytest.mark.parametrize("name", DECIDE_ALGEBRAS)
+def test_e_of_operator_matches_per_tuple_oracle(name):
+    # the antichain scan through the row stream against the max of
+    # |wp| / depth over every normalized tuple
+    g = catalog.get(name).algebra
+    f = lower_central_series(g)
+    base, dirs = grading_operator_space(g, f, adapted_basis(g, f))
+    witness = e_invariant(g).witness
+    spread = dirs[:: max(1, len(dirs) // 3)][:3]
+    operators = [witness, base] + [
+        GradingOperator.from_rows(mat_add(witness.rows, [[t * x for x in row] for row in m]))
+        for m in spread
+        for t in (F(1, 3), F(-7, 2))
+    ]
+    for d in operators:
+        assert e_of_operator(g, d) == e_of_operator_tuples(g, d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(GRADED_ENTRIES), st.data())
+def test_shared_setup_answers_like_a_fresh_one(name, data):
+    # one _Setup, and with it one path trie, answers a sequence of condition
+    # sets exactly as a fresh _Setup answers each set: nothing a condition
+    # leaves in the trie changes the answer for the next
+    g = catalog.get(name).algebra
+    shared = _Setup(g)
+    universe = sorted(enumerate_S(shared.c))
+    for _ in range(data.draw(st.integers(min_value=2, max_value=5))):
+        chosen = data.draw(st.lists(st.sampled_from(universe), min_size=1, max_size=3))
+        clamped = _clamp_conditions(chosen, shared.c)
+        assert _feasibility(shared, clamped) == _feasibility(_Setup(g), clamped), sorted(chosen)
 
 
 @pytest.mark.parametrize("name", [n for n in catalog.names() if "(" not in n])

@@ -6,7 +6,9 @@ The algebras are the 13 catalog fixtures, filiform(6..12) and the five
 central products of the benchmark.  For each one the script records, as
 exact text: the lower central series, the adapted basis and its degrees,
 the algebra in the adapted basis (`change_of_basis`), the e-invariant
-and its witness, `e_of_operator` of the witness, `is_A_derivable` on the
+and its witness, `e_of_operator` of the witness, of the base point of
+`grading_operator_space` and of the witness plus a third of each of 3
+free directions spread over that space, `is_A_derivable` on the
 catalog's recorded condition sets and on conditions drawn from
 `enumerate_S(c)` with a fixed seed, and the Carnot pair.  Algebras within
 the BCH cap also get a short goodman report as JSON.  Two checkouts print
@@ -66,6 +68,12 @@ def algebra_lines(name: str, rng: random.Random) -> list[str]:
         f"e {result.e} witness {_operator(result.witness)}",
         f"e_of_operator {derivability.e_of_operator(g, result.witness)}",
     ]
+    base, dirs = derivability.grading_operator_space(g, f, ab)
+    out.append(f"e_of_operator base {derivability.e_of_operator(g, base)}")
+    for m in dirs[:: max(1, len(dirs) // 3)][:3]:
+        moved = [[w + x / 3 for w, x in zip(wr, mr)] for wr, mr in zip(result.witness.rows, m)]
+        d = derivability.GradingOperator.from_rows(moved)
+        out.append(f"e_of_operator {_operator(d)}: {derivability.e_of_operator(g, d)}")
     exp = entry.expected
     recorded = []
     if exp is not None:
