@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from . import lie
@@ -59,7 +59,7 @@ class BCHTermTable:
     max_degree: int
     coeffs: dict[Word, Fraction]
 
-    @property
+    @cached_property
     def nonzero(self) -> list[tuple[Word, Fraction]]:
         return [(w, c) for w, c in sorted(self.coeffs.items()) if c != 0]
 
@@ -164,8 +164,9 @@ def _degree_coeffs(n: int) -> tuple[tuple[Word, Fraction], ...]:
     return tuple((w, sol.particular[i]) for i, w in enumerate(order))
 
 
+@lru_cache(maxsize=None)
 def bch_table(c: int) -> BCHTermTable:
-    """Coefficients of the BCH series truncated at degree c (2 <= c <= 8)."""
+    """Coefficients of the BCH series truncated at degree c (2 <= c <= 8), built once per c."""
     if not 2 <= c <= MAX_SUPPORTED_CLASS:
         raise ValueError(f"supported classes are 2..{MAX_SUPPORTED_CLASS}")
     coeffs: dict[Word, Fraction] = {}

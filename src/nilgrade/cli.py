@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 negative decision (Jacobi violations, a failed
 grading check or NotDerivable), 2 usage or input errors (bad arguments,
-parse errors, a table that is not nilpotent, a class above the BCH cap
-in `bch`, `diff` and `goodman`), 3 internal errors (any other
+parse errors, a catalog family parameter out of range, a table that is
+not nilpotent, a class above the BCH cap in `bch`, `diff` and
+`goodman`), 3 internal errors (any other
 exception), 141 (128 + SIGPIPE) when the reader of stdout has gone away,
 with nothing on stderr.  Every verb but `check` rejects a bracket table that
 violates the Jacobi identity as an input error.  All error text goes to stderr;
@@ -33,13 +34,19 @@ class CliError(Exception):
     """Input or usage problem; maps to exit code 2."""
 
 
+def _catalog_entry(name: str) -> catalog.CatalogEntry:
+    """A catalog entry; an unknown name or a family parameter out of range is an input error."""
+    try:
+        return catalog.get(name)
+    except catalog.UnknownEntryError as exc:
+        raise CliError(str(exc)) from exc
+    except ValueError as exc:
+        raise CliError(f"catalog entry {name!r}: {exc}") from exc
+
+
 def _read_algebra(source: str) -> LieAlgebra:
     if source.startswith("catalog:"):
-        name = source[len("catalog:") :]
-        try:
-            return catalog.get(name).algebra
-        except catalog.UnknownEntryError as exc:
-            raise CliError(str(exc)) from exc
+        return _catalog_entry(source[len("catalog:") :]).algebra
     path = Path(source)
     try:
         text = path.read_text()
@@ -293,10 +300,7 @@ def _cmd_catalog(args) -> int:
         return 0
     if not args.name:
         raise CliError("catalog show needs a name")
-    try:
-        entry = catalog.get(args.name)
-    except catalog.UnknownEntryError as exc:
-        raise CliError(str(exc)) from exc
+    entry = _catalog_entry(args.name)
     payload = {
         "command": "catalog",
         "name": entry.name,

@@ -22,7 +22,6 @@ from .linalg import (
     Matrix,
     Vec,
     ZERO,
-    echelon_of,
     mat_inv,
     mat_mul,
     mat_vec,
@@ -196,30 +195,39 @@ def delta_n(g: LieAlgebra, d: GradingOperator, xs: Sequence[Sequence[Fraction]])
     return value
 
 
+def _free_positions(degrees: Sequence[int]) -> list[tuple[int, int]]:
+    """Adapted positions (a, b) with degree(a) >= degree(b) + 1, column-major:
+    where a grading operator may differ from diag(degrees) (see
+    `is_grading_operator`), and so where the solver's variables sit."""
+    n = len(degrees)
+    return [(a, b) for b in range(n) for a in range(n) if degrees[a] >= degrees[b] + 1]
+
+
+def _adapted_operator(d: GradingOperator, degrees, p: Matrix, p_inv: Matrix) -> Matrix | None:
+    """p^-1 D p if D is a grading operator (see `is_grading_operator`), else None."""
+    n = len(degrees)
+    if [len(row) for row in d.matrix] != [n] * n:
+        return None
+    d_ad = mat_mul(mat_mul(p_inv, d.rows), p)
+    free = set(_free_positions(degrees))
+    for a, row in enumerate(d_ad):
+        if any(x != (degrees[a] if a == b else 0) for b, x in enumerate(row) if (a, b) not in free):
+            return None
+    return d_ad
+
+
 def is_grading_operator(g: LieAlgebra, f: Filtration, d: GradingOperator) -> bool:
-    """D stabilizes every F_i and induces multiplication by i on F_i/F_{i+1}."""
-    rows = d.rows
-    if len(rows) != g.dim or any(len(r) != g.dim for r in rows):
-        return False
-    c = f.nilpotency_class
-    levels = [echelon_of(f.basis(i), g.dim) for i in range(1, c + 2)]
-    for i in range(1, c + 1):
-        for v in f.basis(i):
-            dv = mat_vec(rows, v)
-            if not levels[i - 1].contains(dv):
-                return False
-            shifted = [x - i * y for x, y in zip(dv, v)]
-            if not levels[i].contains(shifted):
-                return False
-    return True
+    """D stabilizes every F_i and induces multiplication by i on F_i/F_{i+1}.
 
-
-def _require_grading_operator(g: LieAlgebra, f: Filtration, d: GradingOperator) -> None:
-    if not is_grading_operator(g, f, d):
-        raise OperatorNotInDError(
-            "matrix does not stabilize the lower central series with the "
-            "required action on its quotients"
-        )
+    With p = `adapted_basis(g, f).change_of_basis`, F_i is spanned by the
+    adapted vectors e_b of degree >= i, so this holds iff D e_b - deg(b) e_b
+    lies in F_{deg(b)+1} for every b, that is, iff p^-1 D p equals
+    diag(degrees) at every position outside `_free_positions`.  That one
+    comparison is the test; a matrix of the wrong shape fails it.
+    """
+    ab = lie.adapted_basis(g, f)
+    p = ab.change_of_basis
+    return _adapted_operator(d, ab.degrees, p, mat_inv(p)) is not None
 
 
 def grading_operator_space(
@@ -228,8 +236,8 @@ def grading_operator_space(
     """Affine parametrization of all grading operators of g.
 
     Returns the diagonal base point (multiplication by the adapted
-    degree) and the elementary free directions at positions (a, b) with
-    degree(a) >= degree(b) + 1, all in original coordinates.
+    degree) and the elementary free directions at `_free_positions`, all
+    in original coordinates.
     """
     p = ab.change_of_basis
     p_inv = mat_inv(p)
@@ -237,12 +245,10 @@ def grading_operator_space(
     n = g.dim
     diag = [[Fraction(degrees[i]) if i == j else ZERO for j in range(n)] for i in range(n)]
     base = GradingOperator.from_rows(mat_mul(mat_mul(p, diag), p_inv))
-    directions: list[Matrix] = []
-    for b in range(n):
-        for a in range(n):
-            if degrees[a] >= degrees[b] + 1:
-                outer = [[p[i][a] * p_inv[b][j] for j in range(n)] for i in range(n)]
-                directions.append(outer)
+    directions = [
+        [[p[i][a] * p_inv[b][j] for j in range(n)] for i in range(n)]
+        for a, b in _free_positions(degrees)
+    ]
     return base, directions
 
 
@@ -285,14 +291,11 @@ class _Setup:
         for i, j, entries in self.g_ad.table:
             self.row_table[i][j] = dict(entries)
             self.row_table[j][i] = {k: -s for k, s in entries}
-        # free positions (a, b): N e_b = e_a, enumerated column-major
-        self.positions: list[tuple[int, int]] = []
+        # free positions (a, b): N e_b = e_a; col_vars[b] lists (variable, a)
+        self.positions = _free_positions(self.degrees)
         self.col_vars: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for b in range(n):
-            for a in range(n):
-                if self.degrees[a] >= self.degrees[b] + 1:
-                    self.col_vars[b].append((len(self.positions), a))
-                    self.positions.append((a, b))
+        for var, (a, b) in enumerate(self.positions):
+            self.col_vars[b].append((var, a))
         # first adapted index of each degree (degrees are nondecreasing)
         self.first_at_least = [
             next((i for i in range(n) if self.degrees[i] >= d), n) for d in range(self.c + 2)
@@ -343,9 +346,6 @@ class _Setup:
 
     def to_original(self, d_ad: Matrix) -> GradingOperator:
         return GradingOperator.from_rows(mat_mul(mat_mul(self.p, d_ad), self.p_inv))
-
-    def to_adapted_operator(self, d: GradingOperator) -> Matrix:
-        return mat_mul(mat_mul(self.p_inv, d.rows), self.p)
 
 
 class _AugmentedEchelon:
@@ -539,13 +539,15 @@ def e_of_operator(g: LieAlgebra, d: GradingOperator) -> Fraction:
     d meets (wp|j) iff depth(wp) >= j + 1; and for a fixed d, meeting a
     condition implies meeting every condition it dominates.  d meets a
     condition iff every row `_condition_rows` emits for it holds at x_D,
-    the free entries of d in adapted coordinates.
+    the free entries of d in adapted coordinates.  The same p^-1 d p first
+    runs the `is_grading_operator` test, raising OperatorNotInDError if d fails.
     """
     setup = _Setup(g)
-    _require_grading_operator(g, setup.f, d)
+    d_ad = _adapted_operator(d, setup.degrees, setup.p, setup.p_inv)
+    if d_ad is None:
+        raise OperatorNotInDError("matrix is not a grading operator of the lower central series")
     if setup.c < 3:
         return Fraction(0)
-    d_ad = setup.to_adapted_operator(d)
     scale, point = lie.clear_denominators([d_ad[a][b] for a, b in setup.positions])
     met: dict[DerivCondition, bool] = {}
 

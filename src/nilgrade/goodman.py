@@ -169,8 +169,6 @@ def goodman_check(
     pairs = [
         (sampler.vector(g.dim), sampler.vector(g.dim)) for _ in range(n_samples)
     ]
-    f_eig = lie.lower_central_series(g_eig)
-    f_ca = lie.lower_central_series(ca.algebra)
     samples: list[GoodmanSample] = []
     constant = 0.0
     fit_points: list[tuple[float, float]] = []
@@ -179,9 +177,7 @@ def goodman_check(
         for t in t_ladder:
             z1t = dilate(ctx, t, z1)
             z2t = dilate(ctx, t, z2)
-            a = bch.bch_product(g_eig, f_eig, z1t, z2t)
-            b = bch.bch_product(ca.algebra, f_ca, z1t, z2t)
-            diff = [s - u for s, u in zip(a, b)]
+            diff = bch.law_difference(g_eig, ca, z1t, z2t)
             r = max(guivarch_norm(ctx, z1t), guivarch_norm(ctx, z2t))
             dn = guivarch_norm(ctx, diff)
             samples.append(GoodmanSample(index, q(t), r, dn))

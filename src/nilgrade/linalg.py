@@ -287,11 +287,6 @@ def echelon_of(vectors: Sequence[Sequence[Fraction]], dim: int) -> Echelon:
     return ech
 
 
-def echelon_basis(vectors: Sequence[Sequence[Fraction]], dim: int) -> list[Vec]:
-    """Canonical (RREF) basis of the span of `vectors`."""
-    return echelon_of(vectors, dim).basis
-
-
 def subspace_contains(basis: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> bool:
     """True iff v lies in the span of `basis` (the empty span is {0})."""
     for b in basis:

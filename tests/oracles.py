@@ -5,7 +5,9 @@ exponentials are summed term by term, group laws come from honest matrix
 products, and the associative-series checker re-derives log(exp x exp y)
 from scratch.
 
-The derivability oracles evaluate Delta either through the public dense
+`is_grading_operator_echelon` is the filtration-level membership test the
+package used before it compared adapted matrix entries.  The derivability
+oracles evaluate Delta either through the public dense
 `delta_n` or, in `e_of_operator_tuples`, through a per-tuple sparse
 recursion of their own, never through the solver's row stream they check.  The linear
 algebra oracles use only the dense `rref` and plain loops, never the
@@ -19,7 +21,7 @@ from itertools import product
 
 from nilgrade.derivability import delta_n, normalized_tuples
 from nilgrade.lie import adapted_basis, change_of_basis, clear_denominators, lower_central_series
-from nilgrade.linalg import Matrix, Vec, echelon_of, identity, mat_inv, mat_mul, rref
+from nilgrade.linalg import Matrix, Vec, echelon_of, identity, mat_inv, mat_mul, mat_vec, rref
 
 F = Fraction
 
@@ -177,6 +179,25 @@ def dense_bracket(g, x: Vec, y: Vec) -> Vec:
             c = x[i] * y[j] if i < j else -x[i] * y[j]
             out = [o + c * s for o, s in zip(out, v)]
     return out
+
+
+def is_grading_operator_echelon(g, f, d) -> bool:
+    """D F_i lies in F_i and (D - i) F_i in F_{i+1}, checked on each basis
+    vector of each F_i by membership in an echelon form of the level."""
+    rows = d.rows
+    if len(rows) != g.dim or any(len(r) != g.dim for r in rows):
+        return False
+    c = f.nilpotency_class
+    levels = [echelon_of(f.basis(i), g.dim) for i in range(1, c + 2)]
+    for i in range(1, c + 1):
+        for v in f.basis(i):
+            dv = mat_vec(rows, v)
+            if not levels[i - 1].contains(dv):
+                return False
+            shifted = [x - i * y for x, y in zip(dv, v)]
+            if not levels[i].contains(shifted):
+                return False
+    return True
 
 
 def delta_depth(g, d, wp: tuple) -> int | None:

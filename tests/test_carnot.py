@@ -5,6 +5,11 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import rref_span
+from test_derivability import grading_operator_samples, moved_by
+from test_lie import invertible_matrices
 
 from nilgrade import catalog
 from nilgrade.carnot import (
@@ -28,7 +33,7 @@ from nilgrade.lie import (
     lower_central_series,
     parse_algebra,
 )
-from nilgrade.linalg import mat_add, subspace_contains, unit_vec, vec
+from nilgrade.linalg import mat_add, mat_inv, mat_mul, subspace_contains, unit_vec, vec
 
 
 def diag_operator(degrees) -> GradingOperator:
@@ -81,6 +86,24 @@ def test_grading_layer_dimensions_sum():
         dims = tuple(len(layer) for layer in grading.layers)
         assert dims == f.quotient_dims
         assert sum(dims) == g.dim
+
+
+@settings(max_examples=25, deadline=None)
+@given(grading_operator_samples(), st.data())
+def test_grading_layers_fill_the_space_and_recover_the_filtration(sample, data):
+    # what grading_from_operator no longer checks, because it follows from
+    # D being a grading operator: the layers have dim vectors in all, and
+    # the layers from i on span F_i; also in a random basis
+    g, f, rows = sample
+    p = data.draw(invertible_matrices(g.dim))
+    moved = moved_by(g, p)
+    for alg, m in ((g, rows), (moved, mat_mul(mat_mul(mat_inv(p), rows), p))):
+        fil = lower_central_series(alg)
+        layers = grading_from_operator(alg, GradingOperator.from_rows(m)).layers
+        assert sum(len(layer) for layer in layers) == alg.dim
+        for i in range(1, fil.nilpotency_class + 1):
+            tail = [list(v) for layer in layers[i - 1 :] for v in layer]
+            assert rref_span(tail)[0] == fil.basis(i)
 
 
 def test_carnot_algebra_fixed_point_on_carnot_input():

@@ -176,6 +176,40 @@ def test_unknown_catalog_name_is_usage_error(capsys):
     assert "unknown catalog entry" in err
 
 
+@pytest.mark.parametrize(
+    "name, constraint",
+    [
+        ("filiform(2)", "standard filiform needs dimension >= 3"),
+        ("abelian(0)", "dimension must be positive"),
+        ("central_product(3,2)", "need 2 <= i < j"),
+        ("cp(1,2)", "need 2 <= i < j"),
+    ],
+)
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["check"],
+        ["e"],
+        ["derivable", "--cond", "(1,1|3)"],
+        ["carnot"],
+        ["bch", "--x", "1", "--y", "1"],
+        ["diff", "--x", "1", "--y", "1"],
+        ["goodman"],
+        ["grading", "--degrees", "1"],
+        ["catalog", "show"],
+    ],
+)
+def test_catalog_family_parameter_out_of_range_is_usage_error(capsys, verb, name, constraint):
+    if verb[0] == "catalog":
+        argv = [*verb, name]
+    else:
+        argv = [verb[0], f"catalog:{name}", *verb[1:]]
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: catalog entry {name!r}: {constraint}\n"
+
+
 def test_unreadable_file_is_usage_error(capsys):
     code, _, err = run_capture(capsys, ["check", "/no/such/file.alg"])
     assert code == 2

@@ -7,8 +7,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import delta_depth, e_of_operator_dense, e_of_operator_tuples
-from test_lie import invertible_matrices
+from oracles import (
+    delta_depth,
+    e_of_operator_dense,
+    e_of_operator_tuples,
+    is_grading_operator_echelon,
+)
+from test_lie import SMALL_ENTRIES, invertible_matrices
 
 from nilgrade import catalog
 from nilgrade.derivability import (
@@ -212,6 +217,68 @@ def test_grading_operator_space_count_g6_11():
     assert len(dirs) == expected == 12
     for m in dirs:
         assert is_grading_operator(g, f, GradingOperator.from_rows(mat_add(base.rows, m)))
+
+
+@st.composite
+def grading_operator_samples(draw):
+    """(g, its lower central series, base + sum of t * direction) on a
+    catalog entry of dim <= 7, with a random rational t per direction."""
+    g = catalog.get(draw(st.sampled_from(SMALL_ENTRIES))).algebra
+    f = lower_central_series(g)
+    base, dirs = grading_operator_space(g, f, adapted_basis(g, f))
+    rows = base.rows
+    for m in dirs:
+        t = draw(coords)
+        rows = mat_add(rows, [[t * x for x in row] for row in m])
+    return g, f, rows
+
+
+def moved_by(g, p):
+    """g in the basis given by the columns of p."""
+    n = g.dim
+    return change_of_basis(g, [[p[i][k] for i in range(n)] for k in range(n)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(grading_operator_samples(), st.data())
+def test_is_grading_operator_matches_echelon_oracle(sample, data):
+    # a point of the affine space is a grading operator; one perturbed
+    # entry may or may not leave it one; and neither answer depends on
+    # the basis the algebra is written in
+    g, f, rows = sample
+    n = g.dim
+    a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    perturbed = [list(row) for row in rows]
+    perturbed[a][b] = data.draw(coords)
+    p = data.draw(invertible_matrices(n))
+    moved = moved_by(g, p)
+    f_moved = lower_central_series(moved)
+    cases = []
+    for m in (rows, perturbed):
+        m_moved = mat_mul(mat_mul(mat_inv(p), m), p)
+        cases.append((g, f, GradingOperator.from_rows(m)))
+        cases.append((moved, f_moved, GradingOperator.from_rows(m_moved)))
+    verdicts = [is_grading_operator(*case) for case in cases]
+    assert verdicts == [is_grading_operator_echelon(*case) for case in cases]
+    assert verdicts[:2] == [True, True]
+    assert verdicts[2] == verdicts[3]
+
+
+@pytest.mark.parametrize("shape", ["7x7", "5x6", "6x7", "0x0", "ragged"])
+def test_wrong_shape_is_not_a_grading_operator(shape):
+    g = catalog.get("g6_11").algebra
+    rows = diag_operator([1, 1, 1, 2, 3, 4]).rows
+    rows = {
+        "7x7": diag_operator([1, 1, 1, 2, 3, 4, 5]).rows,
+        "5x6": rows[:5],
+        "6x7": [row + [F(0)] for row in rows],
+        "0x0": [],
+        "ragged": rows[:5] + [rows[5] + [F(0)]],
+    }[shape]
+    d = GradingOperator.from_rows(rows)
+    assert not is_grading_operator(g, lower_central_series(g), d)
+    with pytest.raises(OperatorNotInDError):
+        e_of_operator(g, d)
 
 
 # --- derivability decisions

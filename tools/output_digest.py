@@ -8,7 +8,11 @@ exact text: the lower central series, the adapted basis and its degrees,
 the algebra in the adapted basis (`change_of_basis`), the e-invariant
 and its witness, `e_of_operator` of the witness, of the base point of
 `grading_operator_space` and of the witness plus a third of each of 3
-free directions spread over that space, `is_A_derivable` on the
+free directions spread over that space, `is_grading_operator` on the
+witness, on the base point and on the base point with 1 added to its top
+left entry (never a grading operator: the free directions have trace 0),
+that `e_of_operator` raises OperatorNotInDError on the latter,
+`is_A_derivable` on the
 catalog's recorded condition sets and on conditions drawn from
 `enumerate_S(c)` with a fixed seed, and the Carnot pair.  Algebras within
 the BCH cap also get a short goodman report as JSON.  Two checkouts print
@@ -74,6 +78,16 @@ def algebra_lines(name: str, rng: random.Random) -> list[str]:
         moved = [[w + x / 3 for w, x in zip(wr, mr)] for wr, mr in zip(result.witness.rows, m)]
         d = derivability.GradingOperator.from_rows(moved)
         out.append(f"e_of_operator {_operator(d)}: {derivability.e_of_operator(g, d)}")
+    bad_rows = base.rows
+    bad_rows[0][0] += 1
+    bad = derivability.GradingOperator.from_rows(bad_rows)
+    verdicts = [derivability.is_grading_operator(g, f, d) for d in (result.witness, base, bad)]
+    out.append("is_grading_operator witness {} base {} perturbed {}".format(*verdicts))
+    try:
+        raised = f"returned {derivability.e_of_operator(g, bad)}"
+    except derivability.OperatorNotInDError:
+        raised = "raised OperatorNotInDError"
+    out.append(f"e_of_operator perturbed {raised}")
     exp = entry.expected
     recorded = []
     if exp is not None:
