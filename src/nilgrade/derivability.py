@@ -195,21 +195,13 @@ def delta_n(g: LieAlgebra, d: GradingOperator, xs: Sequence[Sequence[Fraction]])
     return value
 
 
-def _free_positions(degrees: Sequence[int]) -> list[tuple[int, int]]:
-    """Adapted positions (a, b) with degree(a) >= degree(b) + 1, column-major:
-    where a grading operator may differ from diag(degrees) (see
-    `is_grading_operator`), and so where the solver's variables sit."""
-    n = len(degrees)
-    return [(a, b) for b in range(n) for a in range(n) if degrees[a] >= degrees[b] + 1]
-
-
-def _adapted_operator(d: GradingOperator, degrees, p: Matrix, p_inv: Matrix) -> Matrix | None:
+def _adapted_operator(d: GradingOperator, setup: _Setup) -> Matrix | None:
     """p^-1 D p if D is a grading operator (see `is_grading_operator`), else None."""
-    n = len(degrees)
+    n, degrees = setup.dim, setup.degrees
     if [len(row) for row in d.matrix] != [n] * n:
         return None
-    d_ad = mat_mul(mat_mul(p_inv, d.rows), p)
-    free = set(_free_positions(degrees))
+    d_ad = mat_mul(mat_mul(setup.p_inv, d.rows), setup.p)
+    free = set(setup.positions)
     for a, row in enumerate(d_ad):
         if any(x != (degrees[a] if a == b else 0) for b, x in enumerate(row) if (a, b) not in free):
             return None
@@ -219,15 +211,17 @@ def _adapted_operator(d: GradingOperator, degrees, p: Matrix, p_inv: Matrix) -> 
 def is_grading_operator(g: LieAlgebra, f: Filtration, d: GradingOperator) -> bool:
     """D stabilizes every F_i and induces multiplication by i on F_i/F_{i+1}.
 
-    With p = `adapted_basis(g, f).change_of_basis`, F_i is spanned by the
+    f must be `lower_central_series(g)`, else ValueError.  With p the
+    change of basis of `adapted_basis(g, f)`, F_i is spanned by the
     adapted vectors e_b of degree >= i, so this holds iff D e_b - deg(b) e_b
     lies in F_{deg(b)+1} for every b, that is, iff p^-1 D p equals
-    diag(degrees) at every position outside `_free_positions`.  That one
+    diag(degrees) at every position outside `_Setup.positions`.  That one
     comparison is the test; a matrix of the wrong shape fails it.
     """
-    ab = lie.adapted_basis(g, f)
-    p = ab.change_of_basis
-    return _adapted_operator(d, ab.degrees, p, mat_inv(p)) is not None
+    setup = _setup(g)
+    if f != setup.f:
+        raise ValueError("f must be the lower central series of g")
+    return _adapted_operator(d, setup) is not None
 
 
 def grading_operator_space(
@@ -235,21 +229,19 @@ def grading_operator_space(
 ) -> tuple[GradingOperator, list[Matrix]]:
     """Affine parametrization of all grading operators of g.
 
-    Returns the diagonal base point (multiplication by the adapted
-    degree) and the elementary free directions at `_free_positions`, all
-    in original coordinates.
+    ab must be `adapted_basis(g, f)` for f the lower central series of g,
+    else ValueError.  Returns the diagonal base point (multiplication by
+    the adapted degree) and the elementary free directions at
+    `_Setup.positions`, all in original coordinates.
     """
-    p = ab.change_of_basis
-    p_inv = mat_inv(p)
-    degrees = ab.degrees
-    n = g.dim
-    diag = [[Fraction(degrees[i]) if i == j else ZERO for j in range(n)] for i in range(n)]
-    base = GradingOperator.from_rows(mat_mul(mat_mul(p, diag), p_inv))
+    setup = _setup(g)
+    if f != setup.f or ab != setup.ab:
+        raise ValueError("ab must be the adapted basis of the lower central series of g")
+    p, p_inv, n = setup.p, setup.p_inv, setup.dim
     directions = [
-        [[p[i][a] * p_inv[b][j] for j in range(n)] for i in range(n)]
-        for a, b in _free_positions(degrees)
+        [[p[i][a] * p_inv[b][j] for j in range(n)] for i in range(n)] for a, b in setup.positions
     ]
-    return base, directions
+    return setup.operator([]), directions
 
 
 class _Node(NamedTuple):
@@ -267,32 +259,34 @@ class _Node(NamedTuple):
 
 
 class _Setup:
-    """Cached adapted-coordinate data shared by the feasibility solver.
+    """An algebra's adapted coordinates, built once per instance by `_setup`.
 
     `roots[b]` is the path trie rooted at index b (see `_Node`), filled in
-    on first visit and kept for the life of the `_Setup`, that is, one
-    public call, whose conditions and candidates all reuse it.
+    on first visit and kept as long as the algebra instance, so every call,
+    condition and candidate reuses it.  Threads may share it: each fill is
+    idempotent.  It holds `dim`, not the algebra, so no reference cycle
+    keeps a dropped algebra's setup alive.
     """
 
     def __init__(self, g: LieAlgebra):
-        self.g = g
+        self.dim = n = g.dim
         self.f = lie.lower_central_series(g)
         self.c = self.f.nilpotency_class
         self.ab = lie.adapted_basis(g, self.f)
-        self.degrees = self.ab.degrees
+        self.degrees = degrees = self.ab.degrees
         self.p = self.ab.change_of_basis
         self.p_inv = mat_inv(self.p)
-        self.g_ad = lie.change_of_basis(g, [list(v) for v in self.ab.vectors])
-        n = g.dim
+        g_ad = lie.change_of_basis(g, [list(v) for v in self.ab.vectors])
         # row_table[i][j] = sparse sigma * [e_i, e_j] in adapted coordinates:
         # the signed integers of g_ad.table, so every sparse bracket below
         # runs on ints and scales its result by sigma
         self.row_table: list[dict[int, SparseVec]] = [dict() for _ in range(n)]
-        for i, j, entries in self.g_ad.table:
+        for i, j, entries in g_ad.table:
             self.row_table[i][j] = dict(entries)
             self.row_table[j][i] = {k: -s for k, s in entries}
-        # free positions (a, b): N e_b = e_a; col_vars[b] lists (variable, a)
-        self.positions = _free_positions(self.degrees)
+        # free positions (a, b), column-major: degree(a) > degree(b), so a grading operator
+        # may differ from diag(degrees) there; N e_b = e_a; col_vars[b] lists (var, a)
+        self.positions = [(a, b) for b in range(n) for a in range(n) if degrees[a] > degrees[b]]
         self.col_vars: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for var, (a, b) in enumerate(self.positions):
             self.col_vars[b].append((var, a))
@@ -340,12 +334,24 @@ class _Setup:
                     del new_repl[var]
         kid = None
         if new_suffix or new_repl:
-            kid = _Node(new_suffix, new_repl, node.degsum + self.degrees[b], self.g.dim, {})
+            kid = _Node(new_suffix, new_repl, node.degsum + self.degrees[b], self.dim, {})
         node.children[b] = kid
         return kid
 
-    def to_original(self, d_ad: Matrix) -> GradingOperator:
+    def operator(self, x: Sequence[Fraction]) -> GradingOperator:
+        """diag(degrees) plus x[var] at each free position, in original coordinates."""
+        n = self.dim
+        d_ad = [[Fraction(self.degrees[i]) if i == j else ZERO for j in range(n)] for i in range(n)]
+        for (a, b), value in zip(self.positions, x):
+            d_ad[a][b] += value
         return GradingOperator.from_rows(mat_mul(mat_mul(self.p, d_ad), self.p_inv))
+
+
+def _setup(g: LieAlgebra) -> _Setup:
+    """g's `_Setup`, built on first use and kept on the instance."""
+    if g._setup_cache is None:
+        g._setup_cache = _Setup(g)
+    return g._setup_cache
 
 
 class _AugmentedEchelon:
@@ -499,7 +505,7 @@ def _feasibility(setup: _Setup, clamped: Sequence[DerivCondition]) -> GradingOpe
     def cost(cond: DerivCondition) -> tuple:
         est = 1
         for p in cond.wp:
-            est *= setup.g.dim - setup.first_at_least[p]
+            est *= setup.dim - setup.first_at_least[p]
         return (len(cond.wp), est, cond)
 
     system = _AugmentedEchelon(len(setup.positions))
@@ -509,11 +515,7 @@ def _feasibility(setup: _Setup, clamped: Sequence[DerivCondition]) -> GradingOpe
             return None
     x = system.particular()
     assert x is not None
-    n = setup.g.dim
-    d_ad = [[Fraction(setup.degrees[i]) if i == j else ZERO for j in range(n)] for i in range(n)]
-    for var, (a, b) in enumerate(setup.positions):
-        d_ad[a][b] += x[var]
-    return setup.to_original(d_ad)
+    return setup.operator(x)
 
 
 def is_A_derivable(g: LieAlgebra, conditions: Iterable[DerivCondition]) -> GradingOperator | None:
@@ -523,7 +525,7 @@ def is_A_derivable(g: LieAlgebra, conditions: Iterable[DerivCondition]) -> Gradi
     the deterministic particular solution with all free coefficients
     zero.
     """
-    setup = _Setup(g)
+    setup = _setup(g)
     return _feasibility(setup, _clamp_conditions(conditions, setup.c))
 
 
@@ -542,8 +544,8 @@ def e_of_operator(g: LieAlgebra, d: GradingOperator) -> Fraction:
     the free entries of d in adapted coordinates.  The same p^-1 d p first
     runs the `is_grading_operator` test, raising OperatorNotInDError if d fails.
     """
-    setup = _Setup(g)
-    d_ad = _adapted_operator(d, setup.degrees, setup.p, setup.p_inv)
+    setup = _setup(g)
+    d_ad = _adapted_operator(d, setup)
     if d_ad is None:
         raise OperatorNotInDError("matrix is not a grading operator of the lower central series")
     if setup.c < 3:
@@ -576,13 +578,10 @@ def e_invariant(g: LieAlgebra) -> EInvariantResult:
     Feasibility is monotone in r, so the scan stops at the first
     success; the witness is the deterministic particular solution.
     """
-    setup = _Setup(g)
-    if setup.c < 2:
-        witness = _feasibility(setup, ())
-        assert witness is not None
-        return EInvariantResult(Fraction(0), witness)
-    for r in candidate_values(setup.c):
-        witness = _feasibility(setup, _antichain(setup.c, r))
+    setup = _setup(g)
+    c = max(setup.c, 2)  # below class 2, as at class 2, there are no conditions
+    for r in candidate_values(c):
+        witness = _feasibility(setup, _antichain(c, r))
         if witness is not None:
             return EInvariantResult(r, witness)
     raise AssertionError("empty condition set at the top candidate must be feasible")

@@ -72,6 +72,7 @@ class LieAlgebra:
         self.labels = tuple(labels)
         self.brackets = clean
         self._lcs_cache: Filtration | None = None
+        self._setup_cache = None  # derivability._setup fills it, idempotently
         self.sigma = lcm(1, *(x.denominator for v in clean.values() for x in v))
         self.table = tuple(
             (i, j, tuple((k, int(x * self.sigma)) for k, x in enumerate(v) if x != 0))

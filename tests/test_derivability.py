@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +18,7 @@ from oracles import (
 from test_lie import SMALL_ENTRIES, invertible_matrices
 
 from nilgrade import catalog
+from nilgrade.carnot import carnot_pair
 from nilgrade.derivability import (
     DerivCondition,
     GradingOperator,
@@ -32,8 +35,6 @@ from nilgrade.derivability import (
     parse_condition_set,
     r_condition_set,
     _clamp_conditions,
-    _feasibility,
-    _Setup,
 )
 from nilgrade.lie import adapted_basis, change_of_basis, iterated_bracket, lower_central_series
 from nilgrade.linalg import mat_add, mat_inv, mat_mul, mat_vec, unit_vec
@@ -570,19 +571,78 @@ def test_e_of_operator_matches_per_tuple_oracle(name):
         assert e_of_operator(g, d) == e_of_operator_tuples(g, d)
 
 
-@settings(max_examples=25, deadline=None)
+_PUBLIC_CALLS = {
+    "e_invariant": lambda g: e_invariant(g),
+    "e_of_operator": lambda g, d: e_of_operator(g, d),
+    "is_A_derivable": lambda g, conds: is_A_derivable(g, conds),
+    "is_grading_operator": lambda g, d: is_grading_operator(g, lower_central_series(g), d),
+    "carnot_pair": lambda g, d: carnot_pair(g, d),
+}
+
+
+@settings(max_examples=30, deadline=None)
 @given(st.sampled_from(GRADED_ENTRIES), st.data())
 def test_shared_setup_answers_like_a_fresh_one(name, data):
-    # one _Setup, and with it one path trie, answers a sequence of condition
-    # sets exactly as a fresh _Setup answers each set: nothing a condition
-    # leaves in the trie changes the answer for the next
-    g = catalog.get(name).algebra
-    shared = _Setup(g)
-    universe = sorted(enumerate_S(shared.c))
-    for _ in range(data.draw(st.integers(min_value=2, max_value=5))):
-        chosen = data.draw(st.lists(st.sampled_from(universe), min_size=1, max_size=3))
-        clamped = _clamp_conditions(chosen, shared.c)
-        assert _feasibility(shared, clamped) == _feasibility(_Setup(g), clamped), sorted(chosen)
+    # one algebra instance, and with it one cached setup and path trie,
+    # answers a random sequence of public calls exactly as a freshly parsed
+    # instance answers each call: nothing a call leaves in the trie, whether
+    # the solver or an operator's point check filled it, changes the next
+    entry = catalog.get(name)
+    shared = entry.algebra
+    f = lower_central_series(entry.algebra)
+    base, dirs = grading_operator_space(entry.algebra, f, adapted_basis(entry.algebra, f))
+    witness = e_invariant(entry.algebra).witness
+    universe = sorted(enumerate_S(f.nilpotency_class))
+    for _ in range(data.draw(st.integers(min_value=2, max_value=6))):
+        kind = data.draw(st.sampled_from(sorted(_PUBLIC_CALLS)))
+        if kind == "e_invariant":
+            args = ()
+        elif kind == "is_A_derivable":
+            args = (frozenset(data.draw(st.lists(st.sampled_from(universe), min_size=1, max_size=3))),)
+        else:
+            d = data.draw(st.sampled_from([witness, base, None]))
+            if d is None:
+                m, t = data.draw(st.sampled_from(dirs)), data.draw(coords)
+                d = GradingOperator.from_rows(mat_add(witness.rows, [[t * x for x in row] for row in m]))
+            args = (d,)
+        call = _PUBLIC_CALLS[kind]
+        assert call(shared, *args) == call(entry.algebra, *args), (kind, args)
+
+
+def test_dropped_algebra_is_freed_by_refcounting():
+    # the setup cached on an algebra holds no reference back to it, so an
+    # algebra that decide parses per request is freed, setup and trie with
+    # it, as soon as it is dropped, without waiting for the cycle collector
+    g = catalog.get("g6_11").algebra
+    e_invariant(g)
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_foreign_filtration_or_adapted_basis_is_rejected():
+    # the setup holds g's own lower central series and adapted basis, so a
+    # filtration or basis of another algebra is refused, not ignored; equal
+    # values computed on another instance of g are accepted
+    g, other = catalog.get("g6_11").algebra, catalog.get("filiform(6)").algebra
+    f, f_other = lower_central_series(g), lower_central_series(other)
+    witness = e_invariant(g).witness
+    with pytest.raises(ValueError, match="lower central series"):
+        is_grading_operator(g, f_other, witness)
+    with pytest.raises(ValueError, match="adapted basis"):
+        grading_operator_space(g, f, adapted_basis(other, f_other))
+    with pytest.raises(ValueError, match="adapted basis"):
+        grading_operator_space(g, f_other, adapted_basis(g, f))
+    fresh = catalog.get("g6_11").algebra
+    f_fresh = lower_central_series(fresh)
+    assert is_grading_operator(g, f_fresh, witness)
+    assert grading_operator_space(g, f_fresh, adapted_basis(fresh, f_fresh)) == grading_operator_space(
+        fresh, f_fresh, adapted_basis(fresh, f_fresh)
+    )
 
 
 @pytest.mark.parametrize("name", [n for n in catalog.names() if "(" not in n])

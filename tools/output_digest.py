@@ -12,10 +12,13 @@ free directions spread over that space, `is_grading_operator` on the
 witness, on the base point and on the base point with 1 added to its top
 left entry (never a grading operator: the free directions have trace 0),
 that `e_of_operator` raises OperatorNotInDError on the latter,
-`is_A_derivable` on the
-catalog's recorded condition sets and on conditions drawn from
-`enumerate_S(c)` with a fixed seed, and the Carnot pair.  Algebras within
-the BCH cap also get a short goodman report as JSON.  Two checkouts print
+`is_A_derivable` on the catalog's recorded condition sets and on
+conditions drawn from `enumerate_S(c)` with a fixed seed, and the Carnot
+pair.  All of these share one algebra instance, and with it the adapted
+setup cached on it; `e_of_operator` of the witness and `is_A_derivable`
+on the recorded sets are then run once more, each call on a freshly
+parsed instance, so that an unshared setup is covered too.  Algebras
+within the BCH cap also get a short goodman report as JSON.  Two checkouts print
 the same hash exactly when all of these outputs agree, so running it on
 a parent and a change checks that the change keeps them bit-identical.
 Only the standard library and the checkout's own `src/` are used.
@@ -98,6 +101,9 @@ def algebra_lines(name: str, rng: random.Random) -> list[str]:
     pool = sorted(derivability.enumerate_S(c)) if c >= 3 else []
     for cond in rng.sample(pool, min(DRAWN_PER_ALGEBRA, len(pool))):
         out.append(f"drawn {cond}: {_operator(derivability.is_A_derivable(g, [cond]))}")
+    fresh = [str(derivability.e_of_operator(entry.algebra, result.witness))]
+    fresh += [_operator(derivability.is_A_derivable(entry.algebra, conds)) for conds in recorded]
+    out.append("fresh " + " ; ".join(fresh))
     g_eig, ca = carnot.carnot_pair(g, result.witness)
     out.append("eigenbasis " + lie.serialize_algebra(g_eig))
     out.append("carnot " + carnot.serialize_carnot(ca))
