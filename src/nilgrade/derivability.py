@@ -263,9 +263,9 @@ class _Setup:
 
     `roots[b]` is the path trie rooted at index b (see `_Node`), filled in
     on first visit and kept as long as the algebra instance, so every call,
-    condition and candidate reuses it.  Threads may share it: each fill is
-    idempotent.  It holds `dim`, not the algebra, so no reference cycle
-    keeps a dropped algebra's setup alive.
+    condition and candidate reuses it.  Threads may share it, as they may
+    share a `LieAlgebra`: each fill is idempotent.  It holds `dim`, not the
+    algebra, so no reference cycle keeps a dropped algebra's setup alive.
     """
 
     def __init__(self, g: LieAlgebra):
@@ -276,12 +276,12 @@ class _Setup:
         self.degrees = degrees = self.ab.degrees
         self.p = self.ab.change_of_basis
         self.p_inv = mat_inv(self.p)
-        g_ad = lie.change_of_basis(g, [list(v) for v in self.ab.vectors])
+        self.g_ad = lie.change_of_basis(g, [list(v) for v in self.ab.vectors])
         # row_table[i][j] = sparse sigma * [e_i, e_j] in adapted coordinates:
         # the signed integers of g_ad.table, so every sparse bracket below
         # runs on ints and scales its result by sigma
         self.row_table: list[dict[int, SparseVec]] = [dict() for _ in range(n)]
-        for i, j, entries in g_ad.table:
+        for i, j, entries in self.g_ad.table:
             self.row_table[i][j] = dict(entries)
             self.row_table[j][i] = {k: -s for k, s in entries}
         # free positions (a, b), column-major: degree(a) > degree(b), so a grading operator
