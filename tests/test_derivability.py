@@ -611,8 +611,8 @@ def test_shared_setup_answers_like_a_fresh_one(name, data):
 
 def test_dropped_algebra_is_freed_by_refcounting():
     # the setup cached on an algebra holds no reference back to it, so an
-    # algebra that decide parses per request is freed, setup and trie with
-    # it, as soon as it is dropped, without waiting for the cycle collector
+    # algebra parsed for one request is freed, setup and trie with it, as
+    # soon as it is dropped, without waiting for the cycle collector
     g = catalog.get("g6_11").algebra
     e_invariant(g)
     ref = weakref.ref(g)
