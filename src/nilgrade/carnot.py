@@ -15,7 +15,7 @@ from typing import Sequence
 from . import lie
 from .derivability import GradingOperator, OperatorNotInDError, is_grading_operator
 from .lie import LieAlgebra
-from .linalg import Vec, ZERO, echelon_of, nullspace, q, unit_vec
+from .linalg import Vec, ZERO, nullspace, q
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,14 @@ def carnot_algebra(g: LieAlgebra, d: GradingOperator | Sequence[int]) -> CarnotA
     `carnot_pair` passes it).  The graded bracket keeps, for basis vectors
     of degrees i and j, the degree-(i+j) component of their bracket in g,
     so it respects the grading by construction; it is checked to be a Lie
-    algebra and to be generated by the degree-1 layer.
+    algebra and to be generated by the degree-1 layer V_1.
+
+    V_1 generates iff the lower central series γ_k of the graded algebra A
+    (then cached on A for the group laws) has dim γ_k = #{degrees >= k} for
+    every k; k = 1 and k > max degree hold trivially.  Proof: [V_a, V_b] ⊆
+    V_{a+b} gives γ_k ⊆ ⊕_{d>=k} V_d.  Equality at k = 2 gives V_1 + [A, A]
+    = A, so V_1 generates the nilpotent A; conversely V_k = [V_1, V_{k-1}]
+    ⊆ γ_k by induction.
     """
     if isinstance(d, GradingOperator):
         g, d = _eigenbasis_algebra(g, d)
@@ -97,25 +104,11 @@ def carnot_algebra(g: LieAlgebra, d: GradingOperator | Sequence[int]) -> CarnotA
     algebra = LieAlgebra(g.dim, brackets, g.labels)
     if lie.check_jacobi(algebra):
         raise AssertionError("graded bracket failed the Jacobi identity")
-    if not _layer_one_generates(algebra, degrees):
-        raise ValueError("degree-1 layer does not generate the graded algebra")
+    f = lie.lower_central_series(algebra)
+    for k in range(2, max(degrees, default=1) + 1):
+        if len(f.basis(k)) != sum(deg >= k for deg in degrees):
+            raise ValueError("degree-1 layer does not generate the graded algebra")
     return CarnotAlgebra(algebra, degrees)
-
-
-def _layer_one_generates(algebra: LieAlgebra, degrees: Sequence[int]) -> bool:
-    n = algebra.dim
-    units = [unit_vec(n, i) for i in range(n)]
-    frontier = [units[i] for i in range(n) if degrees[i] == 1]
-    ech = echelon_of(frontier, n)
-    while frontier:
-        new_frontier = []
-        for v in frontier:
-            for base in units:
-                w = lie.bracket(algebra, base, v)
-                if ech.add(w):
-                    new_frontier.append(w)
-        frontier = new_frontier
-    return ech.rank == n
 
 
 def _eigenbasis_algebra(g: LieAlgebra, d: GradingOperator) -> tuple[LieAlgebra, tuple[int, ...]]:

@@ -39,7 +39,8 @@ def _catalog_entry(name: str) -> catalog.CatalogEntry:
     try:
         return catalog.get(name)
     except catalog.UnknownEntryError as exc:
-        raise CliError(str(exc)) from exc
+        # KeyError.__str__ quotes its message, so take the message itself
+        raise CliError(exc.args[0]) from exc
     except ValueError as exc:
         raise CliError(f"catalog entry {name!r}: {exc}") from exc
 

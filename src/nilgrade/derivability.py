@@ -85,7 +85,8 @@ def parse_condition_set(text: str) -> ConditionSet:
     """Parse condition-set syntax like "(1,1|3),(1,2|4)" (whitespace-free-form).
 
     A tuple whose last two entries are decreasing is normalized by
-    swapping them (the constraint is alternating in those slots).
+    swapping them (the constraint is alternating in those slots).  An
+    invalid condition raises ValueError naming it as written.
     """
     stripped = re.sub(r"\s+", "", text)
     if not stripped:
@@ -99,7 +100,10 @@ def parse_condition_set(text: str) -> ConditionSet:
         wp = tuple(int(p) for p in tup_text.split(","))
         if len(wp) >= 2 and wp[-2] > wp[-1]:
             wp = wp[:-2] + (wp[-1], wp[-2])
-        conditions.add(DerivCondition(wp, int(level_text)))
+        try:
+            conditions.add(DerivCondition(wp, int(level_text)))
+        except ValueError as exc:
+            raise ValueError(f"condition ({tup_text}|{level_text}): {exc}") from exc
     return frozenset(conditions)
 
 

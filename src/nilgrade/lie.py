@@ -19,7 +19,6 @@ from .linalg import (
     Vec,
     ZERO,
     columns_matrix,
-    echelon_of,
     mat_inv,
     mat_vec,
     q,
@@ -92,13 +91,14 @@ class LieAlgebra:
 
 @dataclass(frozen=True)
 class Filtration:
-    """Lower central series F_1 ⊇ F_2 ⊇ ... ⊇ F_{c+1} = 0 as echelon bases."""
+    """Lower central series F_1 ⊇ F_2 ⊇ ... ⊇ F_{c+1} = 0, each F_k given by
+    the canonical RREF basis of its span (`Echelon.basis`)."""
 
     subspaces: tuple[tuple[tuple[Fraction, ...], ...], ...]
     nilpotency_class: int
 
     def basis(self, k: int) -> list[Vec]:
-        """Echelon basis of F_k (1-indexed); empty list for k > c."""
+        """RREF basis of F_k (1-indexed); empty list for k > c."""
         if k > len(self.subspaces):
             return []
         return [list(v) for v in self.subspaces[k - 1]]
@@ -222,9 +222,12 @@ def lower_central_series(g: LieAlgebra) -> Filtration:
 def adapted_basis(g: LieAlgebra, f: Filtration) -> AdaptedBasis:
     """Deterministic adapted basis, preferring original basis vectors.
 
-    Extends an echelon basis of F_c upward to F_1; at each level the
-    original basis vectors lying in F_i are tried first, in index order,
-    before falling back to the echelon basis of F_i.
+    Extends the basis of F_c upward to F_1; at each level the original
+    basis vectors lying in F_i are tried first, in index order, before
+    falling back to the basis of F_i.  F_i's basis is its canonical RREF
+    (see `Filtration`), and a unit vector lies in an RREF span iff it is
+    one of the rows, so those vectors are the rows with a single nonzero
+    entry.
     """
     c = f.nilpotency_class
     ech = Echelon(g.dim)
@@ -232,12 +235,8 @@ def adapted_basis(g: LieAlgebra, f: Filtration) -> AdaptedBasis:
     for level in range(c, 0, -1):
         level_basis = f.basis(level)
         target = len(level_basis)
-        level_ech = echelon_of(level_basis, g.dim)
-        candidates = [
-            unit_vec(g.dim, i) for i in range(g.dim) if level_ech.contains(unit_vec(g.dim, i))
-        ]
-        candidates += level_basis
-        for v in candidates:
+        units = [v for v in level_basis if sum(1 for x in v if x) == 1]
+        for v in units + level_basis:
             if ech.rank == target:
                 break
             if ech.add(v):

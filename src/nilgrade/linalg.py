@@ -4,10 +4,9 @@ Everything here works over `fractions.Fraction` and is deterministic:
 pivots are always the first nonzero entry in column order, so reduced
 forms, particular solutions and nullspace bases are reproducible.
 
-Spans are kept by `Echelon` as sparse rows ({column: value} over the
-nonzero entries) and `mat_mul` skips zero entries, so both pay only for
-the nonzero entries of mostly-zero data; `rref` and the solvers built on
-it stay dense.
+Every solve, inverse and span runs on `Echelon`, which keeps reduced
+sparse rows ({column: value} over the nonzero entries), and `mat_mul`
+skips zero entries.  The dense `rref` is the tests' reference only.
 """
 
 from __future__ import annotations
@@ -143,48 +142,50 @@ class AffineSolution:
 def solve_affine(a: Matrix, b: Sequence[Fraction]) -> AffineSolution | None:
     """Solve a·x = b exactly; None when the system is infeasible.
 
-    The particular solution sets every free variable to zero, so it is
-    deterministic and reproducible.
+    One `Echelon` of the rows [a | b]; infeasible iff column b is a pivot.
+    Free variables are 0 in the particular solution, and each free column,
+    in increasing order, gives one nullspace vector with that variable 1.
     """
     if len(a) != len(b):
         raise ValueError("dimension mismatch between matrix and rhs")
     ncols = len(a[0]) if a else 0
-    aug = [list(row) + [q(bb)] for row, bb in zip(a, b)]
-    red, pivots, _ = rref(aug)
-    if ncols in pivots:
+    ech = Echelon(ncols + 1)
+    for row, bb in zip(a, b):
+        ech.add(list(row) + [q(bb)])
+    rows = ech.sparse_rows
+    if ncols in rows:
         return None
     particular = zero_vec(ncols)
-    for row, c in enumerate(pivots):
-        particular[c] = red[row][ncols]
-    free = [c for c in range(ncols) if c not in set(pivots)]
+    for c, row in rows.items():
+        particular[c] = row.get(ncols, ZERO)
     basis: list[Vec] = []
-    for f in free:
-        v = zero_vec(ncols)
-        v[f] = ONE
-        for row, c in enumerate(pivots):
-            v[c] = -red[row][f]
-        basis.append(v)
+    for f in range(ncols):
+        if f not in rows:
+            v = unit_vec(ncols, f)
+            for c, row in rows.items():
+                v[c] = -row.get(f, ZERO)
+            basis.append(v)
     return AffineSolution(particular, basis)
 
 
 def nullspace(a: Matrix) -> list[Vec]:
     """Basis of {x : a·x = 0}, free variables set one at a time."""
-    if not a:
-        return []
     sol = solve_affine(a, zero_vec(len(a)))
     assert sol is not None
     return sol.nullspace_basis
 
 
 def mat_inv(m: Matrix) -> Matrix:
+    """Right half of the RREF of [m | I], which has rank n: singular iff a pivot is >= n."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("not square")
-    aug = [list(row) + unit_vec(n, i) for i, row in enumerate(m)]
-    red, pivots, rank = rref(aug)
-    if rank != n or pivots != list(range(n)):
+    ech = Echelon(2 * n)
+    for i, row in enumerate(m):
+        ech.add(list(row) + unit_vec(n, i))
+    if ech.pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return [row[n:] for row in ech.rows]
 
 
 SparseRow = dict[int, Fraction]

@@ -10,8 +10,14 @@ package used before it compared adapted matrix entries.  The derivability
 oracles evaluate Delta either through the public dense
 `delta_n` or, in `e_of_operator_tuples`, through a per-tuple sparse
 recursion of their own, never through the solver's row stream they check.  The linear
-algebra oracles use only the dense `rref` and plain loops, never the
-sparse `Echelon` or `mat_mul` they check.
+algebra oracles (`rref_solve_affine`, `rref_mat_inv` and the helpers
+beside them) use only the dense `rref` and plain loops, never the sparse
+`Echelon` or `mat_mul` they check; they are the dense bodies `solve_affine`
+and `mat_inv` had before every elimination in the package ran on
+`Echelon`.  `adapted_basis_echelon` and `layer_one_generates` are likewise
+the code `adapted_basis` and `carnot_algebra`'s generation check replaced:
+a membership test of every unit vector against an echelon form of each
+F_i, and a bracket-closure loop from the degree-1 layer.
 """
 
 from __future__ import annotations
@@ -20,8 +26,28 @@ from fractions import Fraction
 from itertools import product
 
 from nilgrade.derivability import delta_n, normalized_tuples
-from nilgrade.lie import adapted_basis, change_of_basis, clear_denominators, lower_central_series
-from nilgrade.linalg import Matrix, Vec, echelon_of, identity, mat_inv, mat_mul, mat_vec, rref
+from nilgrade.lie import (
+    AdaptedBasis,
+    LieAlgebra,
+    adapted_basis,
+    bracket,
+    change_of_basis,
+    clear_denominators,
+    lower_central_series,
+)
+from nilgrade.linalg import (
+    AffineSolution,
+    Echelon,
+    Matrix,
+    Vec,
+    echelon_of,
+    identity,
+    mat_mul,
+    mat_vec,
+    rref,
+    unit_vec,
+    zero_vec,
+)
 
 F = Fraction
 
@@ -273,7 +299,7 @@ def e_of_operator_tuples(g, d) -> Fraction:
         return out
 
     basis = ab.change_of_basis
-    d_ad = mat_mul(mat_mul(mat_inv(basis), d.rows), basis)
+    d_ad = mat_mul(mat_mul(rref_mat_inv(basis), d.rows), basis)
     _, scaled = clear_denominators([x for row in d_ad for x in row])
     d_cols: list[dict] = [
         {i: scaled[i * dim + b] for i in range(dim) if scaled[i * dim + b]} for b in range(dim)
@@ -387,3 +413,84 @@ def lcs_rref(g) -> list[list[Vec]]:
     while chain[-1] and len(chain) <= g.dim:
         chain.append(rref_span([dense_bracket(g, e, v) for e in units for v in chain[-1]])[0])
     return chain
+
+
+def rref_solve_affine(a: Matrix, b: Vec) -> AffineSolution | None:
+    """a·x = b through the dense RREF of [a | b]: free variables 0 in the
+    particular solution, one nullspace vector per free column in order."""
+    if len(a) != len(b):
+        raise ValueError("dimension mismatch between matrix and rhs")
+    ncols = len(a[0]) if a else 0
+    red, pivots, _ = rref([list(row) + [F(bb)] for row, bb in zip(a, b)])
+    if ncols in pivots:
+        return None
+    particular = zero_vec(ncols)
+    for row, c in enumerate(pivots):
+        particular[c] = red[row][ncols]
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = unit_vec(ncols, f)
+        for row, c in enumerate(pivots):
+            v[c] = -red[row][f]
+        basis.append(v)
+    return AffineSolution(particular, basis)
+
+
+def rref_mat_inv(m: Matrix) -> Matrix:
+    """The right half of the dense RREF of [m | I]."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("not square")
+    red, pivots, _ = rref([list(row) + unit_vec(n, i) for i, row in enumerate(m)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red]
+
+
+# --- adapted bases and graded algebras, as the package built them before
+
+
+def adapted_basis_echelon(g, f) -> AdaptedBasis:
+    """Extend F_c's basis up to F_1, at each level trying first every unit
+    vector that an echelon form of F_i contains, in index order, then
+    F_i's basis."""
+    ech = Echelon(g.dim)
+    chosen = []
+    for level in range(f.nilpotency_class, 0, -1):
+        level_basis = f.basis(level)
+        level_ech = echelon_of(level_basis, g.dim)
+        units = [unit_vec(g.dim, i) for i in range(g.dim) if level_ech.contains(unit_vec(g.dim, i))]
+        for v in units + level_basis:
+            if ech.rank == len(level_basis):
+                break
+            if ech.add(v):
+                chosen.append((level, v))
+    chosen.sort(key=lambda t: t[0])
+    return AdaptedBasis(tuple(tuple(v) for _, v in chosen), tuple(d for d, _ in chosen))
+
+
+def graded_truncation(g, degrees) -> LieAlgebra:
+    """Keep, in each [e_a, e_b], only the components of degree deg a + deg b."""
+    brackets = {
+        (a, b): [x if degrees[k] == degrees[a] + degrees[b] else 0 for k, x in enumerate(v)]
+        for (a, b), v in g.brackets.items()
+    }
+    return LieAlgebra(g.dim, brackets, g.labels)
+
+
+def layer_one_generates(algebra, degrees) -> bool:
+    """Close the degree-1 basis vectors under brackets with every basis
+    vector and compare the rank of the closure with the dimension."""
+    n = algebra.dim
+    units = [unit_vec(n, i) for i in range(n)]
+    frontier = [units[i] for i in range(n) if degrees[i] == 1]
+    ech = echelon_of(frontier, n)
+    while frontier:
+        new_frontier = []
+        for v in frontier:
+            for base in units:
+                w = bracket(algebra, base, v)
+                if ech.add(w):
+                    new_frontier.append(w)
+        frontier = new_frontier
+    return ech.rank == n

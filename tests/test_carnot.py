@@ -5,11 +5,11 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import rref_span
+from oracles import graded_truncation, layer_one_generates, rref_span
 from test_derivability import grading_operator_samples, moved_by
-from test_lie import invertible_matrices
+from test_lie import SMALL_ENTRIES, invertible_matrices
 
 from nilgrade import catalog
 from nilgrade.carnot import (
@@ -168,6 +168,36 @@ def test_carnot_algebra_rejects_bad_degrees():
         carnot_algebra(g, [1, 1, 1])
     with pytest.raises(ValueError, match="does not generate"):
         carnot_algebra(catalog.get("abelian(2)").algebra, [1, 2])
+
+
+@st.composite
+def filtered_degrees(draw, g):
+    """Degrees that pass `carnot_algebra`'s degree check: random degrees
+    1..3, with each bracket component raised to at least deg a + deg b
+    until nothing changes."""
+    degrees = draw(st.lists(st.integers(1, 3), min_size=g.dim, max_size=g.dim))
+    for _ in range(g.dim + 1):
+        raised = False
+        for (a, b), v in g.brackets.items():
+            for k, x in enumerate(v):
+                if x and degrees[k] < degrees[a] + degrees[b]:
+                    degrees[k] = degrees[a] + degrees[b]
+                    raised = True
+        if not raised:
+            return degrees
+    assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_ENTRIES), st.data())
+def test_generation_check_matches_closure_oracle(name, data):
+    g = catalog.get(name).algebra
+    degrees = data.draw(filtered_degrees(g))
+    if layer_one_generates(graded_truncation(g, degrees), degrees):
+        assert carnot_algebra(g, degrees).degrees == tuple(degrees)
+    else:
+        with pytest.raises(ValueError, match="^degree-1 layer does not generate the graded algebra$"):
+            carnot_algebra(g, degrees)
 
 
 def test_carnot_algebra_passes_jacobi_and_is_graded():

@@ -176,6 +176,34 @@ def test_unknown_catalog_name_is_usage_error(capsys):
     assert "unknown catalog entry" in err
 
 
+# every verb that reads an algebra, with arguments it accepts, and `catalog show`
+CATALOG_VERBS = [
+    ["check"],
+    ["e"],
+    ["derivable", "--cond", "(1,1|3)"],
+    ["carnot"],
+    ["bch", "--x", "1", "--y", "1"],
+    ["diff", "--x", "1", "--y", "1"],
+    ["goodman"],
+    ["grading", "--degrees", "1"],
+    ["catalog", "show"],
+]
+
+
+def _catalog_argv(verb: list[str], name: str) -> list[str]:
+    if verb[0] == "catalog":
+        return [*verb, name]
+    return [verb[0], f"catalog:{name}", *verb[1:]]
+
+
+@pytest.mark.parametrize("verb", CATALOG_VERBS)
+def test_unknown_catalog_name_prints_one_unquoted_line(capsys, verb):
+    code, out, err = run_capture(capsys, _catalog_argv(verb, "nope"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown catalog entry: 'nope'\n"
+
+
 @pytest.mark.parametrize(
     "name, constraint",
     [
@@ -185,26 +213,9 @@ def test_unknown_catalog_name_is_usage_error(capsys):
         ("cp(1,2)", "need 2 <= i < j"),
     ],
 )
-@pytest.mark.parametrize(
-    "verb",
-    [
-        ["check"],
-        ["e"],
-        ["derivable", "--cond", "(1,1|3)"],
-        ["carnot"],
-        ["bch", "--x", "1", "--y", "1"],
-        ["diff", "--x", "1", "--y", "1"],
-        ["goodman"],
-        ["grading", "--degrees", "1"],
-        ["catalog", "show"],
-    ],
-)
+@pytest.mark.parametrize("verb", CATALOG_VERBS)
 def test_catalog_family_parameter_out_of_range_is_usage_error(capsys, verb, name, constraint):
-    if verb[0] == "catalog":
-        argv = [*verb, name]
-    else:
-        argv = [verb[0], f"catalog:{name}", *verb[1:]]
-    code, out, err = run_capture(capsys, argv)
+    code, out, err = run_capture(capsys, _catalog_argv(verb, name))
     assert code == 2
     assert out == ""
     assert err == f"error: catalog entry {name!r}: {constraint}\n"
@@ -220,6 +231,21 @@ def test_malformed_condition_is_usage_error(capsys):
         capsys, ["derivable", "catalog:g6_11", "--cond", "(1|banana)"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "cond, named, reason",
+    [
+        ("(1,1|0)", "(1,1|0)", "level must exceed the tuple sum"),
+        ("(0,1|3)", "(0,1|3)", "tuple entries must be positive"),
+        ("(1,1|3), (2, 1|3)", "(2,1|3)", "level must exceed the tuple sum"),
+    ],
+)
+def test_invalid_condition_is_named(capsys, cond, named, reason):
+    code, out, err = run_capture(capsys, ["derivable", "catalog:g6_11", "--cond", cond])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: condition {named}: {reason}\n"
 
 
 def test_bad_vector_is_usage_error(capsys):

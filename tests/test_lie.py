@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_bracket
+from oracles import adapted_basis_echelon, dense_bracket
 
 from nilgrade import catalog
 from nilgrade.derivability import e_invariant
@@ -264,6 +264,23 @@ def test_adapted_basis_examples():
     fil = catalog.get("filiform(5)").algebra
     ab = adapted_basis(fil, lower_central_series(fil))
     assert ab.degrees == (1, 1, 2, 3, 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_ENTRIES), st.data())
+def test_adapted_basis_matches_echelon_oracle_under_change_of_basis(name, data):
+    g = catalog.get(name).algebra
+    n = g.dim
+    p = data.draw(invertible_matrices(n))
+    moved = change_of_basis(g, [[p[i][k] for i in range(n)] for k in range(n)])
+    # a shear e_b -> e_b + x e_a keeps most unit vectors in each F_k, so
+    # their preference over the rest of F_k's basis is exercised too
+    a, b = data.draw(st.permutations(range(n)))[:2]
+    shear = [unit_vec(n, k) for k in range(n)]
+    shear[b][a] = data.draw(coords.filter(bool))
+    for h in (g, moved, change_of_basis(g, shear)):
+        f = lower_central_series(h)
+        assert adapted_basis(h, f) == adapted_basis_echelon(h, f)
 
 
 def test_adapted_basis_spans_filtration():

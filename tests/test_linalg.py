@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lcs_rref, naive_mat_mul, rref_reduce, rref_span
+from oracles import lcs_rref, naive_mat_mul, rref_mat_inv, rref_reduce, rref_solve_affine, rref_span
 
 from nilgrade import catalog
 from nilgrade.lie import lower_central_series
@@ -17,9 +17,11 @@ from nilgrade.linalg import (
     Echelon,
     filtration_depth,
     identity,
+    mat_inv,
     mat_mul,
     mat_vec,
     matrix,
+    nullspace,
     rref,
     solve_affine,
     subspace_contains,
@@ -201,3 +203,72 @@ def test_lower_central_series_matches_rref_oracle(name):
     g = catalog.get(name).algebra
     f = lower_central_series(g)
     assert [f.basis(k) for k in range(1, f.nilpotency_class + 2)] == lcs_rref(g)
+
+
+# --- elimination on Echelon against the dense bodies it replaced
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@st.composite
+def linear_systems(draw, max_dim: int = 5):
+    """(a, b) with 0..max_dim rows and columns (so empty, wide and tall),
+    int and Fraction entries, sometimes a zero row or a row that is a
+    combination of two others, and a rhs that is random or a·x."""
+    nrows = draw(st.integers(0, max_dim))
+    ncols = draw(st.integers(0, max_dim))
+    a = [draw(st.lists(sparse_entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    extra = draw(st.sampled_from(["none", "zero row", "combination"]))
+    if extra == "zero row":
+        a.insert(draw(st.integers(0, nrows)), [0] * ncols)
+    elif extra == "combination" and a:
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        s, t = draw(small_fracs), draw(small_fracs)
+        a.append([s * x + t * y for x, y in zip(a[i], a[j])])
+    if draw(st.booleans()):
+        b = draw(st.lists(sparse_entries, min_size=len(a), max_size=len(a)))
+    else:
+        x = draw(st.lists(sparse_entries, min_size=ncols, max_size=ncols))
+        b = [sum((F(r) * F(y) for r, y in zip(row, x)), F(0)) for row in a]
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+def test_solve_affine_and_nullspace_match_dense_oracle(system):
+    a, b = system
+    sol = solve_affine(a, b)
+    assert sol == rref_solve_affine(a, b)
+    if sol is not None:
+        assert all(isinstance(x, F) for v in [sol.particular, *sol.nullspace_basis] for x in v)
+    assert nullspace(a) == rref_solve_affine(a, [0] * len(a)).nullspace_basis
+
+
+@st.composite
+def near_square_matrices(draw, max_dim: int = 5):
+    """Square matrices, singular ones (a row a multiple of another or
+    zero), and wide or tall ones, with int and Fraction entries."""
+    n = draw(st.integers(0, max_dim))
+    shape = draw(st.sampled_from(["square", "singular", "wide", "tall"]))
+    cols = n + 1 if shape == "wide" else n
+    m = [draw(st.lists(sparse_entries, min_size=cols, max_size=cols)) for _ in range(n)]
+    if shape == "singular" and n:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m[i] = [draw(small_fracs) * x for x in m[j]] if i != j else [0] * n
+    if shape == "tall":
+        m.append(draw(st.lists(sparse_entries, min_size=n, max_size=n)))
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_square_matrices())
+def test_mat_inv_matches_dense_oracle(m):
+    inv = _outcome(mat_inv, m)
+    assert inv == _outcome(rref_mat_inv, m)
+    if isinstance(inv, list):
+        assert mat_mul(matrix(m), inv) == identity(len(m))

@@ -25,3 +25,16 @@ def test_package_imports_only_itself_and_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top == "nilgrade" or top in sys.stdlib_module_names, (path.name, name)
+
+
+def test_only_the_tests_use_the_dense_rref():
+    # every solve, inverse and span in the package runs on `linalg.Echelon`;
+    # `rref` stays defined and exported as the dense reference for the tests
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and any(a.name == "rref" for a in node.names):
+                assert path.name == "__init__.py", (path.name, node.lineno)
+            elif isinstance(node, ast.Name):
+                assert node.id != "rref", (path.name, node.lineno)
+            elif isinstance(node, ast.Attribute):
+                assert node.attr != "rref", (path.name, node.lineno)

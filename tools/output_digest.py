@@ -18,7 +18,9 @@ pair.  All of these share one algebra instance, and with it the adapted
 setup cached on it; `e_of_operator` of the witness and `is_A_derivable`
 on the recorded sets are then run once more, each call on a freshly
 parsed instance, so that an unshared setup is covered too.  Algebras
-within the BCH cap also get a short goodman report as JSON.  Two checkouts print
+within the BCH cap also get a short goodman report as JSON.  Last come
+the nonzero BCH word coefficients of `bch_table(c)` for c = 2..8, the
+largest exact solves the package makes.  Two checkouts print
 the same hash exactly when all of these outputs agree, so running it on
 a parent and a change checks that the change keeps them bit-identical.
 Only the standard library and the checkout's own `src/` are used.
@@ -114,12 +116,19 @@ def algebra_lines(name: str, rng: random.Random) -> list[str]:
     return out
 
 
+def bch_lines() -> list[str]:
+    return [
+        f"bch_table {c} " + " ".join(f"{''.join(map(str, w))}:{x}" for w, x in bch.bch_table(c).nonzero)
+        for c in range(2, bch.MAX_SUPPORTED_CLASS + 1)
+    ]
+
+
 def main() -> int:
     rng = random.Random("output_digest")
     digest = hashlib.sha256()
-    for name in ALGEBRAS:
-        for line in algebra_lines(name, rng):
-            digest.update(line.encode() + b"\n")
+    lines = [line for name in ALGEBRAS for line in algebra_lines(name, rng)] + bch_lines()
+    for line in lines:
+        digest.update(line.encode() + b"\n")
     print(digest.hexdigest())
     return 0
 
