@@ -19,7 +19,7 @@ from typing import Sequence
 from . import lie
 from .carnot import CarnotAlgebra
 from .lie import Filtration, LieAlgebra
-from .linalg import Vec, ZERO, q, solve_affine
+from .linalg import AffineSystem, Vec, ZERO, q
 
 LEFT, RIGHT = 0, 1
 Word = tuple[int, ...]
@@ -151,17 +151,18 @@ def _degree_coeffs(n: int) -> tuple[tuple[Word, Fraction], ...]:
     """Word coefficients b_{n,q} with sum_q b_{n,q} [q_1,...,q_n] = BCH_n."""
     target = _log_components(n)[n]
     order = _word_order(n)
-    rows = sorted({w for cand in order for w in _beta_assoc(cand)} | set(target))
-    row_index = {w: i for i, w in enumerate(rows)}
-    a = [[ZERO] * len(order) for _ in rows]
+    # one equation per associative word w: sum_q b_q * beta(q)[w] = BCH_n[w]
+    equations: dict[Word, dict[int, Fraction]] = {w: {} for w in target}
     for col, cand in enumerate(order):
         for w, c in _beta_assoc(cand).items():
-            a[row_index[w]][col] = c
-    rhs = [target.get(w, ZERO) for w in rows]
-    sol = solve_affine(a, rhs)
-    if sol is None:
+            equations.setdefault(w, {})[col] = c
+    system = AffineSystem(len(order))
+    for w in sorted(equations):
+        system.add(equations[w], target.get(w, ZERO))
+    x = system.particular()
+    if x is None:
         raise AssertionError("BCH component is not a combination of nested brackets")
-    return tuple((w, sol.particular[i]) for i, w in enumerate(order))
+    return tuple(zip(order, x))
 
 
 @lru_cache(maxsize=None)

@@ -28,6 +28,8 @@ from .lie import LieAlgebra
 
 
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
+# argparse takes a value like -1,1,0 after a space for an option of its own
+POINT_HELP = "comma-separated rational coordinates; with a negative first one write --%(dest)s=-1,1,0"
 
 
 class CliError(Exception):
@@ -351,14 +353,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("bch", _cmd_bch, help="group product in exponential coordinates")
     p.add_argument("source")
-    p.add_argument("--x", required=True, help="comma-separated rational coordinates")
-    p.add_argument("--y", required=True)
+    p.add_argument("--x", required=True, help=POINT_HELP)
+    p.add_argument("--y", required=True, help=POINT_HELP)
     p.add_argument("--carnot", action="store_true", help="use the graded law")
 
     p = add("diff", _cmd_diff, help="difference of the two group laws")
     p.add_argument("source")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
+    p.add_argument("--x", required=True, help=POINT_HELP)
+    p.add_argument("--y", required=True, help=POINT_HELP)
 
     p = add("goodman", _cmd_goodman, help="sample the difference-law inequality")
     p.add_argument("source")

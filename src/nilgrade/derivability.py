@@ -17,17 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import lie
 from .lie import AdaptedBasis, Filtration, LieAlgebra
-from .linalg import (
-    Echelon,
-    Matrix,
-    Vec,
-    ZERO,
-    mat_inv,
-    mat_mul,
-    mat_vec,
-    q,
-    zero_vec,
-)
+from .linalg import AffineSystem, Matrix, Vec, ZERO, mat_inv, mat_mul, mat_vec, q
 
 SparseVec = dict[int, int]
 
@@ -280,14 +270,8 @@ class _Setup:
         self.degrees = degrees = self.ab.degrees
         self.p = self.ab.change_of_basis
         self.p_inv = mat_inv(self.p)
-        self.g_ad = lie.change_of_basis(g, [list(v) for v in self.ab.vectors])
-        # row_table[i][j] = sparse sigma * [e_i, e_j] in adapted coordinates:
-        # the signed integers of g_ad.table, so every sparse bracket below
-        # runs on ints and scales its result by sigma
-        self.row_table: list[dict[int, SparseVec]] = [dict() for _ in range(n)]
-        for i, j, entries in self.g_ad.table:
-            self.row_table[i][j] = dict(entries)
-            self.row_table[j][i] = {k: -s for k, s in entries}
+        # sigma * [e_i, v] in adapted coordinates; the bound method keeps the adapted algebra
+        self.ad = lie.change_of_basis(g, [list(v) for v in self.ab.vectors]).ad
         # free positions (a, b), column-major: degree(a) > degree(b), so a grading operator
         # may differ from diag(degrees) there; N e_b = e_a; col_vars[b] lists (var, a)
         self.positions = [(a, b) for b in range(n) for a in range(n) if degrees[a] > degrees[b]]
@@ -303,32 +287,16 @@ class _Setup:
             for b in range(n)
         ]
 
-    def sbr(self, i: int, v: SparseVec) -> SparseVec:
-        """Sparse sigma * [e_i, v] in adapted coordinates."""
-        out: SparseVec = {}
-        table = self.row_table[i]
-        for j, coeff in v.items():
-            bv = table.get(j)
-            if bv is None:
-                continue
-            for k, s in bv.items():
-                t = out.get(k, 0) + coeff * s
-                if t:
-                    out[k] = t
-                else:
-                    out.pop(k, None)
-        return out
-
     def extend(self, node: _Node, b: int) -> _Node | None:
         """Compute and store the child of `node` at index b (see `_Node`)."""
-        sbr = self.sbr
+        ad = self.ad
         suffix = node.suffix
-        new_suffix = sbr(b, suffix) if suffix else {}
-        new_repl = {var: bw for var, w in node.repl.items() if (bw := sbr(b, w))}
+        new_suffix = ad(b, suffix) if suffix else {}
+        new_repl = {var: bw for var, w in node.repl.items() if (bw := ad(b, w))}
         if suffix:
             for var, a in self.col_vars[b]:
                 merged = new_repl.setdefault(var, {})
-                for k, x in sbr(a, suffix).items():
+                for k, x in ad(a, suffix).items():
                     t = merged.get(k, 0) + x
                     if t:
                         merged[k] = t
@@ -356,31 +324,6 @@ def _setup(g: LieAlgebra) -> _Setup:
     if g._setup_cache is None:
         g._setup_cache = _Setup(g)
     return g._setup_cache
-
-
-class _AugmentedEchelon:
-    """Incremental RREF of an affine system with early infeasibility.
-
-    Rows are sparse {variable: coefficient}; the right-hand side is
-    column `nvars`, so the system is infeasible once that column is a pivot.
-    """
-
-    def __init__(self, nvars: int):
-        self.nvars = nvars
-        self.ech = Echelon(nvars + 1)
-        self.infeasible = False
-
-    def add(self, coeffs: SparseVec, rhs: int) -> None:
-        if self.ech.add({**coeffs, self.nvars: rhs}) and self.nvars in self.ech.sparse_rows:
-            self.infeasible = True
-
-    def particular(self) -> Vec | None:
-        if self.infeasible:
-            return None
-        x = zero_vec(self.nvars)
-        for pivot, row in self.ech.sparse_rows.items():
-            x[pivot] = row.get(self.nvars, ZERO)
-        return x
 
 
 class _PointCheck:
@@ -433,8 +376,8 @@ def _antichain(c: int, r: Fraction) -> tuple[DerivCondition, ...]:
 
 
 def _condition_rows(setup: _Setup, cond: DerivCondition, system) -> None:
-    """Stream the affine rows of one condition into an `_AugmentedEchelon`
-    or a `_PointCheck`, stopping once it is infeasible.
+    """Stream the affine rows of one condition into an `AffineSystem` or a
+    `_PointCheck`, stopping once it is infeasible.
 
     Works in adapted coordinates where D0 is diagonal and each free
     direction is an elementary matrix, walking the setup's path trie over
@@ -512,7 +455,7 @@ def _feasibility(setup: _Setup, clamped: Sequence[DerivCondition]) -> GradingOpe
             est *= setup.dim - setup.first_at_least[p]
         return (len(cond.wp), est, cond)
 
-    system = _AugmentedEchelon(len(setup.positions))
+    system = AffineSystem(len(setup.positions))
     for cond in sorted(clamped, key=cost):
         _condition_rows(setup, cond, system)
         if system.infeasible:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Sequence
 
@@ -45,7 +46,8 @@ class LieAlgebra:
     `table` is the one structure table every bracket runs on: the pairs
     (i, j, ((k, s), ...)) with nonzero [e_i, e_j], sorted, where the s are
     the integers sigma * [e_i, e_j]_k for the least common denominator
-    `sigma` of all structure constants.
+    `sigma` of all structure constants.  `scaled_bracket` is the dense
+    kernel over it and `ad` the sparse one.
     """
 
     def __init__(
@@ -77,6 +79,31 @@ class LieAlgebra:
             (i, j, tuple((k, int(x * self.sigma)) for k, x in enumerate(v) if x != 0))
             for (i, j), v in sorted(clean.items())
         )
+
+    @cached_property
+    def _signed_rows(self) -> list[dict[int, dict[int, int]]]:
+        # rows[i][j] = sigma * [e_i, e_j] as {k: int}, for i < j and i > j
+        rows: list[dict[int, dict[int, int]]] = [{} for _ in range(self.dim)]
+        for i, j, entries in self.table:
+            rows[i][j] = dict(entries)
+            rows[j][i] = {k: -s for k, s in entries}
+        return rows
+
+    def ad(self, i: int, v: dict[int, int]) -> dict[int, int]:
+        """sigma * [e_i, v] over `table`; v and the result are sparse {index: nonzero value}."""
+        out: dict[int, int] = {}
+        row = self._signed_rows[i]
+        for j, coeff in v.items():
+            bv = row.get(j)
+            if bv is None:
+                continue
+            for k, s in bv.items():
+                t = out.get(k, 0) + coeff * s
+                if t:
+                    out[k] = t
+                else:
+                    del out[k]
+        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -173,18 +200,15 @@ def check_jacobi(g: LieAlgebra) -> list[tuple[int, int, int, Vec]]:
     so only those are visited; they are reported in increasing order.
     """
     n = g.dim
-    e = [[int(a == i) for a in range(n)] for i in range(n)]
-
-    def br(a: int, v: list[int]) -> list[int]:
-        return scaled_bracket(g, e[a], v)
-
     triples = sorted(
         {tuple(sorted((i, j, k))) for i, j, _ in g.table for k in range(n) if k not in (i, j)}
     )
     violations = []
     for i, j, k in triples:
-        terms = (br(i, br(j, e[k])), br(j, br(k, e[i])), br(k, br(i, e[j])))
-        total = [a + b + c for a, b, c in zip(*terms)]
+        total = [0] * n
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in g.ad(a, g.ad(b, {c: 1})).items():
+                total[m] += x
         if any(total):
             violations.append((i, j, k, _divide(total, g.sigma**2)))
     return violations
@@ -196,15 +220,14 @@ def lower_central_series(g: LieAlgebra) -> Filtration:
         return g._lcs_cache
     # scaled brackets of e_i with integer multiples of F_k's basis vectors
     # span the same space as the brackets themselves, so they run on ints
-    units = [[int(a == i) for a in range(g.dim)] for i in range(g.dim)]
     chain: list[list[Vec]] = [[unit_vec(g.dim, i) for i in range(g.dim)]]
     while chain[-1]:
         prev = chain[-1]
-        scaled = [clear_denominators(v)[1] for v in prev]
+        scaled = [{k: x for k, x in enumerate(clear_denominators(v)[1]) if x} for v in prev]
         ech = Echelon(g.dim)
-        for ei in units:
+        for i in range(g.dim):
             for v in scaled:
-                ech.add(scaled_bracket(g, ei, v))
+                ech.add(g.ad(i, v))
         nxt = ech.basis
         if len(nxt) == len(prev):
             raise NotNilpotentError("lower central series does not reach zero")

@@ -142,22 +142,20 @@ class AffineSolution:
 def solve_affine(a: Matrix, b: Sequence[Fraction]) -> AffineSolution | None:
     """Solve a·x = b exactly; None when the system is infeasible.
 
-    One `Echelon` of the rows [a | b]; infeasible iff column b is a pivot.
-    Free variables are 0 in the particular solution, and each free column,
-    in increasing order, gives one nullspace vector with that variable 1.
+    One `AffineSystem` of the rows of a with b.  Free variables are 0 in
+    the particular solution, and each free column, in increasing order,
+    gives one nullspace vector with that variable 1.
     """
     if len(a) != len(b):
         raise ValueError("dimension mismatch between matrix and rhs")
     ncols = len(a[0]) if a else 0
-    ech = Echelon(ncols + 1)
+    system = AffineSystem(ncols)
     for row, bb in zip(a, b):
-        ech.add(list(row) + [q(bb)])
-    rows = ech.sparse_rows
-    if ncols in rows:
+        system.add(row, q(bb))
+    particular = system.particular()
+    if particular is None:
         return None
-    particular = zero_vec(ncols)
-    for c, row in rows.items():
-        particular[c] = row.get(ncols, ZERO)
+    rows = system.sparse_rows
     basis: list[Vec] = []
     for f in range(ncols):
         if f not in rows:
@@ -278,6 +276,36 @@ class Echelon:
     @property
     def basis(self) -> list[Vec]:
         return self.rows
+
+
+class AffineSystem(Echelon):
+    """An affine system coeffs·x = rhs over `nvars` unknowns, built row by row.
+
+    It is an `Echelon` of the augmented rows, with the right-hand side
+    stored as column `nvars`, so the system is infeasible iff that column
+    is a pivot; `infeasible` is set as soon as it becomes one.
+    """
+
+    def __init__(self, nvars: int):
+        super().__init__(nvars + 1)
+        self.nvars = nvars
+        self.infeasible = False
+
+    def add(self, coeffs: Sequence | SparseRow, rhs) -> None:
+        """Add coeffs·x = rhs, coeffs dense or a sparse {variable: value} dict."""
+        row = _support(coeffs)
+        row[self.nvars] = rhs
+        super().add(row)
+        self.infeasible = self.nvars in self.sparse_rows
+
+    def particular(self) -> Vec | None:
+        """The solution with every free variable 0, or None if infeasible."""
+        if self.infeasible:
+            return None
+        x = zero_vec(self.nvars)
+        for p, row in self.sparse_rows.items():
+            x[p] = row.get(self.nvars, ZERO)
+        return x
 
 
 def echelon_of(vectors: Sequence[Sequence[Fraction]], dim: int) -> Echelon:

@@ -9,9 +9,12 @@ from scratch.
 package used before it compared adapted matrix entries.  The derivability
 oracles evaluate Delta either through the public dense
 `delta_n` or, in `e_of_operator_tuples`, through a per-tuple sparse
-recursion of their own, never through the solver's row stream they check.  The linear
-algebra oracles (`rref_solve_affine`, `rref_mat_inv` and the helpers
-beside them) use only the dense `rref` and plain loops, never the sparse
+recursion of their own (on a signed row table of their own, not
+`LieAlgebra.ad`), never through the solver's row stream they check.
+`jacobi_violations_dense` sums the Jacobi identity of every basis triple
+through `dense_bracket`, not through `ad` or `check_jacobi`'s choice of
+triples.  The linear algebra oracles (`rref_solve_affine`, `rref_mat_inv`
+and the helpers beside them) use only the dense `rref` and plain loops, never the sparse
 `Echelon` or `mat_mul` they check; they are the dense bodies `solve_affine`
 and `mat_inv` had before every elimination in the package ran on
 `Echelon`.  `adapted_basis_echelon` and `layer_one_generates` are likewise
@@ -23,7 +26,7 @@ F_i, and a bracket-closure loop from the degree-1 layer.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from nilgrade.derivability import delta_n, normalized_tuples
 from nilgrade.lie import (
@@ -204,6 +207,21 @@ def dense_bracket(g, x: Vec, y: Vec) -> Vec:
                 continue
             c = x[i] * y[j] if i < j else -x[i] * y[j]
             out = [o + c * s for o, s in zip(out, v)]
+    return out
+
+
+def jacobi_violations_dense(g) -> list:
+    """(i, j, k, sum) for every basis triple i < j < k whose Jacobi sum
+    [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]], through
+    `dense_bracket`, is nonzero."""
+    e = identity(g.dim)
+    out = []
+    for i, j, k in combinations(range(g.dim), 3):
+        total = [F(0)] * g.dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            total = [t + x for t, x in zip(total, dense_bracket(g, e[a], dense_bracket(g, e[b], e[c])))]
+        if any(total):
+            out.append((i, j, k, total))
     return out
 
 

@@ -85,6 +85,19 @@ def test_bch_carnot_flag(capsys):
     assert out.strip() == "1,1,0,0,1/2,1/12"
 
 
+def test_negative_first_coordinate_takes_the_equals_form(capsys, monkeypatch):
+    # argparse reads "-1,1,0" after "--y" as an option; "--y=-1,1,0" passes
+    # it as the value, and the help of both two-point verbs says so
+    argv = ["bch", "catalog:heisenberg", "--x", "1,0,0"]
+    assert run_capture(capsys, argv + ["--y=-1,1,0"])[:2] == (0, "0,1,1/2\n")
+    code, _, err = run_capture(capsys, argv + ["--y", "-1,1,0"])
+    assert code == 2 and "argument --y: expected one argument" in err
+    monkeypatch.setenv("COLUMNS", "80")
+    for verb in ("bch", "diff"):
+        code, out, _ = run_capture(capsys, [verb, "--help"])
+        assert code == 0 and "--x=-1,1,0" in out and "--y=-1,1,0" in out
+
+
 def test_e_text_and_json_agree(capsys):
     code, text_out, _ = run_capture(capsys, ["e", "catalog:g6_17"])
     code2, json_out, _ = run_capture(capsys, ["e", "catalog:g6_17", "--json"])

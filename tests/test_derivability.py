@@ -15,7 +15,7 @@ from oracles import (
     e_of_operator_tuples,
     is_grading_operator_echelon,
 )
-from test_lie import SMALL_ENTRIES, invertible_matrices
+from test_lie import SMALL_ENTRIES, invertible_matrices, matrix_lie_algebras
 
 from nilgrade import catalog
 from nilgrade.carnot import carnot_pair
@@ -36,7 +36,14 @@ from nilgrade.derivability import (
     r_condition_set,
     _clamp_conditions,
 )
-from nilgrade.lie import adapted_basis, change_of_basis, iterated_bracket, lower_central_series
+from nilgrade.lie import (
+    adapted_basis,
+    change_of_basis,
+    iterated_bracket,
+    lower_central_series,
+    parse_algebra,
+    serialize_algebra,
+)
 from nilgrade.linalg import mat_add, mat_inv, mat_mul, mat_vec, unit_vec
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -581,32 +588,32 @@ _PUBLIC_CALLS = {
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(GRADED_ENTRIES), st.data())
-def test_shared_setup_answers_like_a_fresh_one(name, data):
+@given(st.sampled_from(GRADED_ENTRIES), matrix_lie_algebras(min_class=3), st.data())
+def test_shared_setup_answers_like_a_fresh_one(name, extra, data):
     # one algebra instance, and with it one cached setup and path trie,
     # answers a random sequence of public calls exactly as a freshly parsed
     # instance answers each call: nothing a call leaves in the trie, whether
     # the solver or an operator's point check filled it, changes the next
-    entry = catalog.get(name)
-    shared = entry.algebra
-    f = lower_central_series(entry.algebra)
-    base, dirs = grading_operator_space(entry.algebra, f, adapted_basis(entry.algebra, f))
-    witness = e_invariant(entry.algebra).witness
-    universe = sorted(enumerate_S(f.nilpotency_class))
-    for _ in range(data.draw(st.integers(min_value=2, max_value=6))):
-        kind = data.draw(st.sampled_from(sorted(_PUBLIC_CALLS)))
-        if kind == "e_invariant":
-            args = ()
-        elif kind == "is_A_derivable":
-            args = (frozenset(data.draw(st.lists(st.sampled_from(universe), min_size=1, max_size=3))),)
-        else:
-            d = data.draw(st.sampled_from([witness, base, None]))
-            if d is None:
-                m, t = data.draw(st.sampled_from(dirs)), data.draw(coords)
-                d = GradingOperator.from_rows(mat_add(witness.rows, [[t * x for x in row] for row in m]))
-            args = (d,)
-        call = _PUBLIC_CALLS[kind]
-        assert call(shared, *args) == call(entry.algebra, *args), (kind, args)
+    for text in (catalog.get(name).definition, serialize_algebra(extra)):
+        shared = parse_algebra(text)
+        f = lower_central_series(parse_algebra(text))
+        base, dirs = grading_operator_space(parse_algebra(text), f, adapted_basis(parse_algebra(text), f))
+        witness = e_invariant(parse_algebra(text)).witness
+        universe = sorted(enumerate_S(f.nilpotency_class))
+        for _ in range(data.draw(st.integers(min_value=2, max_value=6))):
+            kind = data.draw(st.sampled_from(sorted(_PUBLIC_CALLS)))
+            if kind == "e_invariant":
+                args = ()
+            elif kind == "is_A_derivable":
+                args = (frozenset(data.draw(st.lists(st.sampled_from(universe), min_size=1, max_size=3))),)
+            else:
+                d = data.draw(st.sampled_from([witness, base, None]))
+                if d is None:
+                    m, t = data.draw(st.sampled_from(dirs)), data.draw(coords)
+                    d = GradingOperator.from_rows(mat_add(witness.rows, [[t * x for x in row] for row in m]))
+                args = (d,)
+            call = _PUBLIC_CALLS[kind]
+            assert call(shared, *args) == call(parse_algebra(text), *args), (kind, args)
 
 
 def test_dropped_algebra_is_freed_by_refcounting():

@@ -5,15 +5,16 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import adapted_basis_echelon, dense_bracket
+from oracles import adapted_basis_echelon, dense_bracket, jacobi_violations_dense
 
 from nilgrade import catalog
 from nilgrade.derivability import e_invariant
 from nilgrade.lie import (
     AlgebraFormatError,
+    LieAlgebra,
     NotNilpotentError,
     adapted_basis,
     bracket,
@@ -22,6 +23,7 @@ from nilgrade.lie import (
     iterated_bracket,
     lower_central_series,
     parse_algebra,
+    scaled_bracket,
     serialize_algebra,
 )
 from nilgrade.linalg import Echelon, mat_mul, subspace_contains, unit_vec, vec
@@ -151,6 +153,44 @@ def invertible_matrices(draw, n: int):
     return mat_mul(lower, upper)
 
 
+@st.composite
+def matrix_lie_algebras(draw, min_class: int = 1):
+    """The Lie algebra of dim <= 8 generated by 2-3 random strictly upper
+    triangular integer matrices of size <= 5, moved by a random change of
+    basis.  The span of the generators is closed under commutators and the
+    structure constants are read at the pivots of its RREF basis, so
+    Jacobi and nilpotency hold by construction."""
+    m = draw(st.integers(3, 5))
+    slots = [(r, c) for r in range(m) for c in range(r + 1, m)]
+    generator = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=len(slots), max_size=len(slots))
+
+    def commutator(u, v):
+        a, b = ([[0] * m for _ in range(m)] for _ in range(2))
+        for (r, c), x, y in zip(slots, u, v):
+            a[r][c], b[r][c] = x, y
+        return [sum(a[r][k] * b[k][c] - b[r][k] * a[k][c] for k in range(m)) for r, c in slots]
+
+    span = Echelon(len(slots))
+    new = [v for v in draw(st.lists(generator, min_size=2, max_size=3)) if span.add(v)]
+    spanning = list(new)
+    while new:
+        new = [w for u in new for v in spanning if span.add(w := commutator(u, v))]
+        spanning += new
+    basis, pivots = span.basis, span.pivots
+    n = len(basis)
+    assume(1 <= n <= 8)
+    brackets = {
+        (i, j): [w[p] for p in pivots]
+        for i in range(n)
+        for j in range(i + 1, n)
+        for w in [commutator(basis[i], basis[j])]
+    }
+    g = LieAlgebra(n, brackets)
+    assume(lower_central_series(g).nilpotency_class >= min_class)
+    p = draw(invertible_matrices(n))
+    return change_of_basis(g, [[p[i][k] for i in range(n)] for k in range(n)])
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(SMALL_ENTRIES), st.data())
 def test_bracket_matches_dense_oracle_under_change_of_basis(name, data):
@@ -194,6 +234,43 @@ def test_jacobi_detects_violation():
     g = parse_algebra("dim 3\nbracket e1 e2 = e1\nbracket e1 e3 = e2\nbracket e2 e3 = 0\n")
     bad = check_jacobi(g)
     assert bad and bad[0][:3] == (0, 1, 2)
+
+
+@st.composite
+def random_tables(draw):
+    """An algebra of dim 3 to 6 with random rational structure constants
+    on a random set of at least two pairs; most violate Jacobi."""
+    n = draw(st.integers(3, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=2, unique=True))
+    entries = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(1, 2), F(-2, 3)])
+    value = st.lists(entries, min_size=n, max_size=n)
+    return LieAlgebra(n, {pair: draw(value) for pair in chosen})
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_tables())
+def test_check_jacobi_matches_dense_oracle_on_random_tables(g):
+    # the same violating triples, in the same order, with the same sums,
+    # whether the triple has a nonzero bracket among its pairs or not
+    assert check_jacobi(g) == jacobi_violations_dense(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_ENTRIES), st.data())
+def test_ad_matches_scaled_bracket_under_change_of_basis(name, data):
+    # a random basis makes sigma > 1, so the signed integer rows carry
+    # scaled constants of both signs
+    g = catalog.get(name).algebra
+    n = g.dim
+    p = data.draw(invertible_matrices(n))
+    moved = change_of_basis(g, [[p[i][k] for i in range(n)] for k in range(n)])
+    i = data.draw(st.integers(0, n - 1))
+    v = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(-9, 9).filter(bool)))
+    out = moved.ad(i, v)
+    assert all(out.values())
+    unit = [int(k == i) for k in range(n)]
+    assert [out.get(k, 0) for k in range(n)] == scaled_bracket(moved, unit, [v.get(k, 0) for k in range(n)])
 
 
 def test_jacobi_invariant_under_basis_permutation():
@@ -278,7 +355,7 @@ def test_adapted_basis_matches_echelon_oracle_under_change_of_basis(name, data):
     a, b = data.draw(st.permutations(range(n)))[:2]
     shear = [unit_vec(n, k) for k in range(n)]
     shear[b][a] = data.draw(coords.filter(bool))
-    for h in (g, moved, change_of_basis(g, shear)):
+    for h in (g, moved, change_of_basis(g, shear), data.draw(matrix_lie_algebras())):
         f = lower_central_series(h)
         assert adapted_basis(h, f) == adapted_basis_echelon(h, f)
 

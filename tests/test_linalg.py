@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import lcs_rref, naive_mat_mul, rref_mat_inv, rref_reduce, rref_solve_affine, rref_span
+from test_lie import matrix_lie_algebras
 
 from nilgrade import catalog
 from nilgrade.lie import lower_central_series
 from nilgrade.linalg import (
+    AffineSystem,
     Echelon,
     filtration_depth,
     identity,
@@ -205,6 +207,13 @@ def test_lower_central_series_matches_rref_oracle(name):
     assert [f.basis(k) for k in range(1, f.nilpotency_class + 2)] == lcs_rref(g)
 
 
+@settings(max_examples=40, deadline=None)
+@given(matrix_lie_algebras())
+def test_lower_central_series_matches_rref_oracle_on_matrix_algebras(g):
+    f = lower_central_series(g)
+    assert [f.basis(k) for k in range(1, f.nilpotency_class + 2)] == lcs_rref(g)
+
+
 # --- elimination on Echelon against the dense bodies it replaced
 
 
@@ -239,14 +248,21 @@ def linear_systems(draw, max_dim: int = 5):
 
 
 @settings(max_examples=200, deadline=None)
-@given(linear_systems())
-def test_solve_affine_and_nullspace_match_dense_oracle(system):
+@given(linear_systems(), st.data())
+def test_solve_affine_and_nullspace_match_dense_oracle(system, data):
     a, b = system
     sol = solve_affine(a, b)
-    assert sol == rref_solve_affine(a, b)
+    oracle = rref_solve_affine(a, b)
+    assert sol == oracle
     if sol is not None:
         assert all(isinstance(x, F) for v in [sol.particular, *sol.nullspace_basis] for x in v)
     assert nullspace(a) == rref_solve_affine(a, [0] * len(a)).nullspace_basis
+    # the same equations as sparse dicts, added in a shuffled order
+    shuffled = AffineSystem(len(a[0]) if a else 0)
+    for r in data.draw(st.permutations(range(len(a)))):
+        shuffled.add({c: x for c, x in enumerate(a[r]) if x}, b[r])
+    assert shuffled.infeasible == (oracle is None)
+    assert shuffled.particular() == (None if oracle is None else oracle.particular)
 
 
 @st.composite

@@ -38,3 +38,22 @@ def test_only_the_tests_use_the_dense_rref():
                 assert node.id != "rref", (path.name, node.lineno)
             elif isinstance(node, ast.Attribute):
                 assert node.attr != "rref", (path.name, node.lineno)
+
+
+def test_one_sparse_bracket_kernel_and_one_affine_system():
+    # `lie` owns the structure table: the solver brackets through
+    # `LieAlgebra.ad`, so no other module reads an algebra's `.table`; and
+    # every affine system is a `linalg.AffineSystem`, so neither the solver
+    # nor the BCH coefficient solve builds an `Echelon` of its own
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "table":
+                assert path.name == "lie.py", (path.name, node.lineno)
+            if path.name not in ("derivability.py", "bch.py"):
+                continue
+            if isinstance(node, ast.ImportFrom):
+                assert all(a.name != "Echelon" for a in node.names), (path.name, node.lineno)
+            elif isinstance(node, ast.Name):
+                assert node.id != "Echelon", (path.name, node.lineno)
+            elif isinstance(node, ast.Attribute):
+                assert node.attr != "Echelon", (path.name, node.lineno)

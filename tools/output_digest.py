@@ -13,9 +13,12 @@ witness, on the base point and on the base point with 1 added to its top
 left entry (never a grading operator: the free directions have trace 0),
 that `e_of_operator` raises OperatorNotInDError on the latter,
 `is_A_derivable` on the catalog's recorded condition sets and on
-conditions drawn from `enumerate_S(c)` with a fixed seed, and the Carnot
-pair.  All of these share one algebra instance, and with it the adapted
-setup cached on it; `e_of_operator` of the witness and `is_A_derivable`
+conditions drawn from `enumerate_S(c)` with a fixed seed, the Carnot
+pair, the lower central series of the Carnot companion, and
+`check_jacobi` of the algebra with 1 added to the e_1 component of its
+first nonzero bracket (most such tables violate Jacobi).  All of these
+share one algebra instance, and with it the adapted setup cached on it;
+`e_of_operator` of the witness and `is_A_derivable`
 on the recorded sets are then run once more, each call on a freshly
 parsed instance, so that an unshared setup is covered too.  Algebras
 within the BCH cap also get a short goodman report as JSON.  Last come
@@ -61,6 +64,13 @@ def _operator(d) -> str:
 
 def _conditions(conds) -> str:
     return ",".join(str(c) for c in sorted(conds))
+
+
+def perturbed(g: lie.LieAlgebra) -> lie.LieAlgebra:
+    """g with 1 added to the e_1 component of its first nonzero bracket."""
+    brackets = {pair: list(v) for pair, v in g.brackets.items()}
+    brackets[min(brackets)][0] += 1
+    return lie.LieAlgebra(g.dim, brackets, g.labels)
 
 
 def algebra_lines(name: str, rng: random.Random) -> list[str]:
@@ -109,6 +119,9 @@ def algebra_lines(name: str, rng: random.Random) -> list[str]:
     g_eig, ca = carnot.carnot_pair(g, result.witness)
     out.append("eigenbasis " + lie.serialize_algebra(g_eig))
     out.append("carnot " + carnot.serialize_carnot(ca))
+    f_ca = lie.lower_central_series(ca.algebra)
+    out.append("carnot lcs " + " | ".join(_rows(f_ca.basis(k)) for k in range(1, f_ca.nilpotency_class + 2)))
+    out.append("jacobi perturbed " + repr(lie.check_jacobi(perturbed(g))))
     if c <= bch.MAX_SUPPORTED_CLASS:
         ladder = [Fraction(2) ** k for k in range(GOODMAN_TMAX + 1)]
         report = goodman.goodman_check(g, result.witness, GOODMAN_SAMPLES, ladder, GOODMAN_SEED)
