@@ -53,7 +53,7 @@ def _read_algebra(source: str) -> LieAlgebra:
     path = Path(source)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {source!r}: {exc}") from exc
     try:
         return lie.parse_algebra(text)

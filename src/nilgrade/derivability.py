@@ -9,6 +9,7 @@ exactly over the rationals.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,25 +98,24 @@ def parse_condition_set(text: str) -> ConditionSet:
     return frozenset(conditions)
 
 
+def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def normalized_tuples(max_sum: int) -> list[tuple[int, ...]]:
     """All tuples with n >= 2, entries >= 1, sum <= max_sum and the last
     two entries nondecreasing, ordered by (sum, length, lexicographic)."""
-    out: list[tuple[int, ...]] = []
+    return [wp for total in range(2, max_sum + 1) for n in range(2, total + 1) for wp in _normalized(total, n)]
 
-    def compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(1, total - parts + 2):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
 
-    for total in range(2, max_sum + 1):
-        for n in range(2, total + 1):
-            for wp in compositions(total, n):
-                if wp[-2] <= wp[-1]:
-                    out.append(wp)
-    return out
+def _normalized(total: int, n: int) -> list[tuple[int, ...]]:
+    """The normalized tuples of length n and sum total, lexicographically."""
+    return [wp for wp in _compositions(total, n) if wp[-2] <= wp[-1]]
 
 
 def enumerate_T(j: int, c: int) -> list[tuple[int, ...]]:
@@ -162,16 +162,16 @@ def r_condition_set(c: int, r: Fraction) -> ConditionSet:
         raise ValueError("need 0 <= r < 1")
     conditions = set()
     for wp in normalized_tuples(c - 1):
-        total = sum(wp)
-        if r == 0:
-            j_eff = c
-        else:
-            bound = Fraction(total, 1) / r
-            j_max = int(bound) - 1 if bound.denominator == 1 else int(bound)
-            j_eff = min(c, j_max)
-        if j_eff > total:
-            conditions.add(DerivCondition(wp, j_eff))
+        level = _level(sum(wp), c, r)
+        if level > sum(wp):
+            conditions.add(DerivCondition(wp, level))
     return frozenset(conditions)
+
+
+def _level(total: int, c: int, r: Fraction) -> int:
+    """The level of each sum-total tuple in `r_condition_set(c, r)`, admissible
+    iff above total; it never decreases as total grows."""
+    return c if r == 0 else min(c, math.ceil(total / r) - 1)
 
 
 def delta_n(g: LieAlgebra, d: GradingOperator, xs: Sequence[Sequence[Fraction]]) -> Vec:
@@ -270,8 +270,8 @@ class _Setup:
         self.degrees = degrees = self.ab.degrees
         self.p = self.ab.change_of_basis
         self.p_inv = mat_inv(self.p)
-        # sigma * [e_i, v] in adapted coordinates; the bound method keeps the adapted algebra
-        self.ad = lie.change_of_basis(g, [list(v) for v in self.ab.vectors]).ad
+        # sigma * [e_i, v] in adapted coordinates, set by the first solve (see `_setup`)
+        self.ad = None
         # free positions (a, b), column-major: degree(a) > degree(b), so a grading operator
         # may differ from diag(degrees) there; N e_b = e_a; col_vars[b] lists (var, a)
         self.positions = [(a, b) for b in range(n) for a in range(n) if degrees[a] > degrees[b]]
@@ -319,11 +319,16 @@ class _Setup:
         return GradingOperator.from_rows(mat_mul(mat_mul(self.p, d_ad), self.p_inv))
 
 
-def _setup(g: LieAlgebra) -> _Setup:
-    """g's `_Setup`, built on first use and kept on the instance."""
-    if g._setup_cache is None:
-        g._setup_cache = _Setup(g)
-    return g._setup_cache
+def _setup(g: LieAlgebra, solve: bool = False) -> _Setup:
+    """g's `_Setup`, built on first use and kept on the instance.  Only a
+    solve reads `ad`, so the first one builds it; its bound method keeps
+    the algebra in the adapted basis alive, and the setup still holds no g."""
+    setup = g._setup_cache
+    if setup is None:
+        setup = g._setup_cache = _Setup(g)
+    if solve and setup.ad is None:
+        setup.ad = lie.change_of_basis(g, [list(v) for v in setup.ab.vectors]).ad
+    return setup
 
 
 class _PointCheck:
@@ -339,40 +344,39 @@ class _PointCheck:
             self.infeasible = True
 
 
-def _dominates(strong: DerivCondition, weak: DerivCondition) -> bool:
-    """(wp'|j') dominates (wp|j): same length, wp' <= wp entrywise, j <= j'."""
-    return (
-        len(strong.wp) == len(weak.wp)
-        and weak.level <= strong.level
-        and all(a <= b for a, b in zip(strong.wp, weak.wp))
-    )
+def _clamp_conditions(conditions: Iterable[DerivCondition], c: int) -> set[DerivCondition]:
+    """Project conditions to nilpotency class c and drop trivial ones.
 
-
-def _clamp_conditions(conditions: Iterable[DerivCondition], c: int) -> list[DerivCondition]:
-    """Project conditions to nilpotency class c, drop trivial and dominated ones.
-
-    A dominated condition's rows are a subset of its dominator's, so the
-    row space, and with it the canonical RREF and the witness, is unchanged.
-    A dominator sorts before the conditions it dominates, so one pass
-    keeps exactly the antichain.
+    Dominated conditions stay (see `_antichain`): their rows are among
+    their dominator's, so the row space, and with it the canonical RREF
+    and the witness, is the same with or without them.
     """
     clamped = set()
     for cond in conditions:
         level = min(cond.level, c)
         if level > sum(cond.wp):
             clamped.add(DerivCondition(cond.wp, level))
-    kept: list[DerivCondition] = []
-    for cond in sorted(clamped, key=lambda d: (len(d.wp), sum(d.wp), -d.level, d.wp)):
-        if not any(_dominates(k, cond) for k in kept):
-            kept.append(cond)
-    return kept
+    return clamped
 
 
 @lru_cache(maxsize=None)
 def _antichain(c: int, r: Fraction) -> tuple[DerivCondition, ...]:
-    """The antichain of `r_condition_set(c, r)`; like `bch_table(c)` it
-    depends on no algebra, so one copy serves every scan."""
-    return tuple(_clamp_conditions(r_condition_set(c, r), c))
+    """The conditions of `r_condition_set(c, r)` that no other one dominates.
+
+    (wp'|j') dominates (wp|j) if the tuples have the same length, wp' <= wp
+    entrywise and j <= j'.  A dominator has the same level (`_level` grows
+    with the sum), and within one (length, level) lowering entries takes a
+    tuple to a dominator of the least admissible sum.  So the antichain is
+    the normalized tuples of that sum per (length, level), by length, sum,
+    then lexicographically.  It depends on no algebra, like `bch_table(c)`.
+    """
+    out: list[DerivCondition] = []
+    for n in range(2, c):
+        least: dict[int, int] = {}  # level -> least sum; admissible iff any sum is
+        for total in range(n, c):
+            least.setdefault(_level(total, c, r), total)
+        out += (DerivCondition(wp, j) for j, s in least.items() if j > s for wp in _normalized(s, n))
+    return tuple(out)
 
 
 def _condition_rows(setup: _Setup, cond: DerivCondition, system) -> None:
@@ -446,7 +450,7 @@ def _condition_rows(setup: _Setup, cond: DerivCondition, system) -> None:
             return
 
 
-def _feasibility(setup: _Setup, clamped: Sequence[DerivCondition]) -> GradingOperator | None:
+def _feasibility(setup: _Setup, clamped: Iterable[DerivCondition]) -> GradingOperator | None:
     """Witness for an antichain of conditions clamped to the class, or None."""
 
     def cost(cond: DerivCondition) -> tuple:
@@ -472,7 +476,7 @@ def is_A_derivable(g: LieAlgebra, conditions: Iterable[DerivCondition]) -> Gradi
     the deterministic particular solution with all free coefficients
     zero.
     """
-    setup = _setup(g)
+    setup = _setup(g, solve=True)
     return _feasibility(setup, _clamp_conditions(conditions, setup.c))
 
 
@@ -483,13 +487,13 @@ def e_of_operator(g: LieAlgebra, d: GradingOperator) -> Fraction:
     depth(wp) is the filtration depth of the span of all Delta values on
     adapted tuples of degrees >= wp (tuples with zero span are skipped).
     It is computed as the least candidate r such that d meets every
-    condition of the antichain `_clamp_conditions(r_condition_set(c, r))`,
-    which rests on three facts: |wp| / depth is always a candidate i/j;
-    d meets (wp|j) iff depth(wp) >= j + 1; and for a fixed d, meeting a
-    condition implies meeting every condition it dominates.  d meets a
-    condition iff every row `_condition_rows` emits for it holds at x_D,
-    the free entries of d in adapted coordinates.  The same p^-1 d p first
-    runs the `is_grading_operator` test, raising OperatorNotInDError if d fails.
+    condition of the antichain `_antichain(c, r)`, which rests on three
+    facts: |wp| / depth is always a candidate i/j; d meets (wp|j) iff
+    depth(wp) >= j + 1; and for a fixed d, meeting a condition implies
+    meeting every condition it dominates.  d meets a condition iff every
+    row `_condition_rows` emits for it holds at x_D, the free entries of d
+    in adapted coordinates.  The same p^-1 d p first runs the
+    `is_grading_operator` test, raising OperatorNotInDError if d fails.
     """
     setup = _setup(g)
     d_ad = _adapted_operator(d, setup)
@@ -497,6 +501,7 @@ def e_of_operator(g: LieAlgebra, d: GradingOperator) -> Fraction:
         raise OperatorNotInDError("matrix is not a grading operator of the lower central series")
     if setup.c < 3:
         return Fraction(0)
+    _setup(g, solve=True)
     scale, point = lie.clear_denominators([d_ad[a][b] for a, b in setup.positions])
     met: dict[DerivCondition, bool] = {}
 
@@ -525,7 +530,7 @@ def e_invariant(g: LieAlgebra) -> EInvariantResult:
     Feasibility is monotone in r, so the scan stops at the first
     success; the witness is the deterministic particular solution.
     """
-    setup = _setup(g)
+    setup = _setup(g, solve=True)
     c = max(setup.c, 2)  # below class 2, as at class 2, there are no conditions
     for r in candidate_values(c):
         witness = _feasibility(setup, _antichain(c, r))

@@ -20,7 +20,9 @@ and `mat_inv` had before every elimination in the package ran on
 `Echelon`.  `adapted_basis_echelon` and `layer_one_generates` are likewise
 the code `adapted_basis` and `carnot_algebra`'s generation check replaced:
 a membership test of every unit vector against an echelon form of each
-F_i, and a bracket-closure loop from the degree-1 layer.
+F_i, and a bracket-closure loop from the degree-1 layer.  So is
+`antichain_by_pruning`, the pairwise domination pass over all of
+`r_condition_set` that the closed-form `_antichain` replaced.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from nilgrade.derivability import delta_n, normalized_tuples
+from nilgrade.derivability import DerivCondition, delta_n, normalized_tuples, r_condition_set
 from nilgrade.lie import (
     AdaptedBasis,
     LieAlgebra,
@@ -512,3 +514,28 @@ def layer_one_generates(algebra, degrees) -> bool:
                     new_frontier.append(w)
         frontier = new_frontier
     return ech.rank == n
+
+
+def _dominates(strong: DerivCondition, weak: DerivCondition) -> bool:
+    """(wp'|j') dominates (wp|j): same length, wp' <= wp entrywise, j <= j'."""
+    return (
+        len(strong.wp) == len(weak.wp)
+        and weak.level <= strong.level
+        and all(a <= b for a, b in zip(strong.wp, weak.wp))
+    )
+
+
+def antichain_by_pruning(c: int, r: Fraction) -> tuple[DerivCondition, ...]:
+    """The undominated conditions of `r_condition_set(c, r)`: clamp to class c,
+    then keep each condition, in (length, sum, -level, tuple) order, that no
+    condition kept before it dominates (a dominator sorts first)."""
+    clamped = set()
+    for cond in r_condition_set(c, r):
+        level = min(cond.level, c)
+        if level > sum(cond.wp):
+            clamped.add(DerivCondition(cond.wp, level))
+    kept: list[DerivCondition] = []
+    for cond in sorted(clamped, key=lambda d: (len(d.wp), sum(d.wp), -d.level, d.wp)):
+        if not any(_dominates(k, cond) for k in kept):
+            kept.append(cond)
+    return tuple(kept)

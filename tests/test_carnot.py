@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import graded_truncation, layer_one_generates, rref_span
 from test_derivability import grading_operator_samples, moved_by
-from test_lie import SMALL_ENTRIES, invertible_matrices
+from test_lie import SMALL_ENTRIES, invertible_matrices, matrix_lie_algebras
 
 from nilgrade import catalog
 from nilgrade.carnot import (
@@ -89,21 +89,22 @@ def test_grading_layer_dimensions_sum():
 
 
 @settings(max_examples=25, deadline=None)
-@given(grading_operator_samples(), st.data())
-def test_grading_layers_fill_the_space_and_recover_the_filtration(sample, data):
+@given(grading_operator_samples(), grading_operator_samples(matrix_lie_algebras(min_class=3)), st.data())
+def test_grading_layers_fill_the_space_and_recover_the_filtration(sample, extra, data):
     # what grading_from_operator no longer checks, because it follows from
     # D being a grading operator: the layers have dim vectors in all, and
-    # the layers from i on span F_i; also in a random basis
-    g, f, rows = sample
-    p = data.draw(invertible_matrices(g.dim))
-    moved = moved_by(g, p)
-    for alg, m in ((g, rows), (moved, mat_mul(mat_mul(mat_inv(p), rows), p))):
-        fil = lower_central_series(alg)
-        layers = grading_from_operator(alg, GradingOperator.from_rows(m)).layers
-        assert sum(len(layer) for layer in layers) == alg.dim
-        for i in range(1, fil.nilpotency_class + 1):
-            tail = [list(v) for layer in layers[i - 1 :] for v in layer]
-            assert rref_span(tail)[0] == fil.basis(i)
+    # the layers from i on span F_i; also in a random basis, and on a
+    # random matrix Lie algebra as well as a catalog entry
+    for g, f, rows in (sample, extra):
+        p = data.draw(invertible_matrices(g.dim))
+        moved = moved_by(g, p)
+        for alg, m in ((g, rows), (moved, mat_mul(mat_mul(mat_inv(p), rows), p))):
+            fil = lower_central_series(alg)
+            layers = grading_from_operator(alg, GradingOperator.from_rows(m)).layers
+            assert sum(len(layer) for layer in layers) == alg.dim
+            for i in range(1, fil.nilpotency_class + 1):
+                tail = [list(v) for layer in layers[i - 1 :] for v in layer]
+                assert rref_span(tail)[0] == fil.basis(i)
 
 
 def test_carnot_algebra_fixed_point_on_carnot_input():

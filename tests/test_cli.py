@@ -239,6 +239,17 @@ def test_unreadable_file_is_usage_error(capsys):
     assert code == 2
 
 
+def test_undecodable_file_is_usage_error(capsys, tmp_path):
+    # bytes that are not text fail like a missing file: one line, exit 2
+    path = tmp_path / "f.alg"
+    path.write_bytes(b"dim 3\n\xff\n")
+    code, out, err = run_capture(capsys, ["check", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {str(path)!r}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_malformed_condition_is_usage_error(capsys):
     code, _, err = run_capture(
         capsys, ["derivable", "catalog:g6_11", "--cond", "(1|banana)"]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    antichain_by_pruning,
     delta_depth,
     e_of_operator_dense,
     e_of_operator_tuples,
@@ -34,7 +35,7 @@ from nilgrade.derivability import (
     is_grading_operator,
     parse_condition_set,
     r_condition_set,
-    _clamp_conditions,
+    _antichain,
 )
 from nilgrade.lie import (
     adapted_basis,
@@ -228,10 +229,11 @@ def test_grading_operator_space_count_g6_11():
 
 
 @st.composite
-def grading_operator_samples(draw):
-    """(g, its lower central series, base + sum of t * direction) on a
-    catalog entry of dim <= 7, with a random rational t per direction."""
-    g = catalog.get(draw(st.sampled_from(SMALL_ENTRIES))).algebra
+def grading_operator_samples(draw, algebras=st.sampled_from(SMALL_ENTRIES).map(lambda n: catalog.get(n).algebra)):
+    """(g, its lower central series, base + sum of t * direction) on an
+    algebra drawn from `algebras` (a catalog entry of dim <= 7 by default),
+    with a random rational t per direction."""
+    g = draw(algebras)
     f = lower_central_series(g)
     base, dirs = grading_operator_space(g, f, adapted_basis(g, f))
     rows = base.rows
@@ -500,7 +502,7 @@ def dominates(strong: DerivCondition, weak: DerivCondition) -> bool:
 
 def test_clamp_keeps_only_all_ones_at_r_zero():
     for c in range(3, 12):
-        kept = _clamp_conditions(r_condition_set(c, 0), c)
+        kept = _antichain(c, F(0))
         assert sorted(kept) == [DerivCondition((1,) * n, c) for n in range(2, c)]
 
 
@@ -508,12 +510,20 @@ def test_clamp_keeps_exactly_the_antichain():
     c = 8
     for r in candidate_values(c):
         conditions = r_condition_set(c, r)
-        kept = _clamp_conditions(conditions, c)
+        kept = _antichain(c, r)
         assert set(kept) <= conditions
         for a in kept:
             assert not any(dominates(b, a) for b in kept if b != a), (r, a)
         for dropped in conditions - set(kept):
             assert any(dominates(k, dropped) for k in kept), (r, dropped)
+
+
+def test_antichain_matches_pruning_oracle():
+    # the closed form against the pairwise domination pass over the whole
+    # condition set, condition by condition and in the same order
+    for c in range(2, 12):
+        for r in candidate_values(c):
+            assert _antichain(c, r) == antichain_by_pruning(c, r), (c, r)
 
 
 GRADED_ENTRIES = [
@@ -631,6 +641,26 @@ def test_dropped_algebra_is_freed_by_refcounting():
         gc.enable()
 
 
+def test_grading_only_calls_do_not_build_the_adapted_algebra(monkeypatch):
+    # is_grading_operator and grading_operator_space read only p, p^-1 and
+    # the degrees of a fresh instance's setup; the algebra in the adapted
+    # basis is built by the first solve and serves every later one
+    built = []
+    monkeypatch.setattr("nilgrade.lie.change_of_basis", lambda *args: built.append(args) or change_of_basis(*args))
+    for name in ("heisenberg", "g6_11", "filiform(7)"):
+        witness = e_invariant(catalog.get(name).algebra).witness
+        g = catalog.get(name).algebra
+        f = lower_central_series(g)
+        built.clear()
+        assert is_grading_operator(g, f, witness)
+        grading_operator_space(g, f, adapted_basis(g, f))
+        assert built == [], name
+        e_of_operator(g, witness)
+        is_A_derivable(g, enumerate_S(f.nilpotency_class))
+        e_invariant(g)
+        assert len(built) == 1, name
+
+
 def test_foreign_filtration_or_adapted_basis_is_rejected():
     # the setup holds g's own lower central series and adapted basis, so a
     # filtration or basis of another algebra is refused, not ignored; equal
@@ -674,26 +704,39 @@ def test_solver_on_rescaled_and_sheared_bases(name):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from(GRADED_ENTRIES), st.data())
-def test_feasibility_invariant_under_change_of_basis(name, data):
+@given(st.sampled_from(GRADED_ENTRIES), matrix_lie_algebras(min_class=3), st.data())
+def test_feasibility_invariant_under_change_of_basis(name, extra, data):
     # derivability is a property of the algebra, not of its basis: each
     # condition set is feasible in g exactly when it is feasible in g
     # written in a random rational basis, and every witness is a grading
     # operator of the algebra it was computed for that meets every
-    # condition on the dense delta_n path
-    g = catalog.get(name).algebra
-    n = g.dim
-    p = data.draw(invertible_matrices(n))
-    moved = change_of_basis(g, [[p[i][k] for i in range(n)] for k in range(n)])
-    universe = sorted(enumerate_S(lower_central_series(g).nilpotency_class))
-    feasible_alone = [d for d in universe if is_A_derivable(g, {d}) is not None]
-    pool = data.draw(st.sampled_from([universe, feasible_alone or universe]))
-    chosen = frozenset(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)))
-    witnesses = [(alg, is_A_derivable(alg, chosen)) for alg in (g, moved)]
-    assert (witnesses[0][1] is None) == (witnesses[1][1] is None), sorted(chosen)
-    for alg, witness in witnesses:
-        if witness is not None:
-            assert is_grading_operator(alg, lower_central_series(alg), witness)
-            for cond in chosen:
-                depth = delta_depth(alg, witness, cond.wp)
-                assert depth is None or depth > cond.level, cond
+    # condition on the dense delta_n path; g is a catalog entry and then a
+    # random matrix Lie algebra
+    for g in (catalog.get(name).algebra, extra):
+        moved = moved_by(g, data.draw(invertible_matrices(g.dim)))
+        universe = sorted(enumerate_S(lower_central_series(g).nilpotency_class))
+        feasible_alone = [d for d in universe if is_A_derivable(g, {d}) is not None]
+        pool = data.draw(st.sampled_from([universe, feasible_alone or universe]))
+        chosen = frozenset(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)))
+        witnesses = [(alg, is_A_derivable(alg, chosen)) for alg in (g, moved)]
+        assert (witnesses[0][1] is None) == (witnesses[1][1] is None), sorted(chosen)
+        for alg, witness in witnesses:
+            if witness is not None:
+                assert is_grading_operator(alg, lower_central_series(alg), witness)
+                for cond in chosen:
+                    depth = delta_depth(alg, witness, cond.wp)
+                    assert depth is None or depth > cond.level, cond
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(GRADED_ENTRIES), matrix_lie_algebras(min_class=3), st.data())
+def test_e_invariant_unchanged_under_change_of_basis(name, extra, data):
+    # e is a property of the algebra: in a random rational basis the scan
+    # finds the same e, and the witness found in either basis has
+    # e_of_operator exactly e there
+    for g in (catalog.get(name).algebra, extra):
+        e = e_invariant(g).e
+        for alg in (g, moved_by(g, data.draw(invertible_matrices(g.dim)))):
+            result = e_invariant(alg)
+            assert result.e == e
+            assert e_of_operator(alg, result.witness) == e

@@ -20,7 +20,10 @@ first nonzero bracket (most such tables violate Jacobi).  All of these
 share one algebra instance, and with it the adapted setup cached on it;
 `e_of_operator` of the witness and `is_A_derivable`
 on the recorded sets are then run once more, each call on a freshly
-parsed instance, so that an unshared setup is covered too.  Algebras
+parsed instance, so that an unshared setup is covered too.  One more
+freshly parsed instance answers `is_grading_operator` on the witness,
+the base point and the perturbed base point before any solve has run on
+it, and then `e_of_operator` of the three moved operators.  Algebras
 within the BCH cap also get a short goodman report as JSON.  Last come
 the nonzero BCH word coefficients of `bch_table(c)` for c = 2..8, the
 largest exact solves the package makes.  Two checkouts print
@@ -89,9 +92,11 @@ def algebra_lines(name: str, rng: random.Random) -> list[str]:
     ]
     base, dirs = derivability.grading_operator_space(g, f, ab)
     out.append(f"e_of_operator base {derivability.e_of_operator(g, base)}")
+    moved_operators = []
     for m in dirs[:: max(1, len(dirs) // 3)][:3]:
         moved = [[w + x / 3 for w, x in zip(wr, mr)] for wr, mr in zip(result.witness.rows, m)]
         d = derivability.GradingOperator.from_rows(moved)
+        moved_operators.append(d)
         out.append(f"e_of_operator {_operator(d)}: {derivability.e_of_operator(g, d)}")
     bad_rows = base.rows
     bad_rows[0][0] += 1
@@ -116,6 +121,12 @@ def algebra_lines(name: str, rng: random.Random) -> list[str]:
     fresh = [str(derivability.e_of_operator(entry.algebra, result.witness))]
     fresh += [_operator(derivability.is_A_derivable(entry.algebra, conds)) for conds in recorded]
     out.append("fresh " + " ; ".join(fresh))
+    unsolved = entry.algebra
+    f_unsolved = lie.lower_central_series(unsolved)
+    verdicts = [derivability.is_grading_operator(unsolved, f_unsolved, d) for d in (result.witness, base, bad)]
+    moved_e = [str(derivability.e_of_operator(unsolved, d)) for d in moved_operators]
+    out.append("unsolved is_grading_operator witness {} base {} perturbed {}".format(*verdicts))
+    out.append("unsolved e_of_operator moved " + " ; ".join(moved_e))
     g_eig, ca = carnot.carnot_pair(g, result.witness)
     out.append("eigenbasis " + lie.serialize_algebra(g_eig))
     out.append("carnot " + carnot.serialize_carnot(ca))
