@@ -7,7 +7,7 @@ Carnot-graded algebra, evaluates truncated BCH group laws, and samples
 the difference-law inequality that controls the exponent.
 """
 
-from .bch import BCHTermTable, bch_product, bch_table, carnot_product, group_inverse, law_difference
+from .bch import BCHTermTable, bch_product, bch_table, carnot_product, group_inverse, law_difference, law_difference_ladder
 from .carnot import (
     CarnotAlgebra,
     LinearGrading,

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from typing import Sequence
 
 from . import lie
@@ -240,3 +241,80 @@ def law_difference(
     a = bch_product(g, lie.lower_central_series(g), x, y)
     b = bch_product(other_alg, lie.lower_central_series(other_alg), x, y)
     return [s - t for s, t in zip(a, b)]
+
+
+def law_difference_ladder(
+    g: LieAlgebra,
+    ca: CarnotAlgebra,
+    x: Sequence[Fraction],
+    y: Sequence[Fraction],
+    ts: Sequence[Fraction],
+) -> list[Vec]:
+    """`law_difference(g, ca, δ_t x, δ_t y)` for every t in ts, from one evaluation.
+
+    g is written in the grading eigenbasis of its Carnot companion ca, and
+    δ_t multiplies each degree-i coordinate by t^i.  Split x and y by
+    degree: a bracket of weight-a and weight-b parts lands in degrees
+    >= a + b, so each word's value splits into weight-W parts and
+    P_{k,W}(δ_t x, δ_t y) = t^W P_{k,W}(x, y).  In a degree-d coordinate
+    the top-weight part W = d is the Carnot law and parts W > d vanish, so
+    the difference there is sum_{W<d} t^W P_{k,W}: the words are evaluated
+    once over integers (weights below the class only), and each rung costs
+    one Fraction per coordinate.  Raises ValueError on t <= 0, as `dilate`
+    does, and on a class above 8, as `bch_table` does.
+    """
+    degrees = ca.degrees
+    if len(x) != g.dim or len(y) != g.dim or len(degrees) != g.dim:
+        raise ValueError("dimension mismatch")
+    ts = [q(t) for t in ts]
+    if any(t <= 0 for t in ts):
+        raise ValueError("dilation parameter must be positive")
+    c = lie.lower_central_series(g).nilpotency_class
+    if c < 2:
+        return [[ZERO] * g.dim for _ in ts]
+    words = [(w, coeff) for w, coeff in bch_table(c).nonzero if len(w) < c]
+    lcd = lcm(1, *(coeff.denominator for _, coeff in words))
+    den, ints = lie.clear_denominators([q(v) for v in (*x, *y)])
+    dens = den * g.sigma
+    parts: tuple[dict[int, list[int]], ...] = ({}, {})
+    for side, vec in enumerate((ints[: g.dim], ints[g.dim :])):
+        for k, v in enumerate(vec):
+            if v:
+                parts[side].setdefault(degrees[k], [0] * g.dim)[k] = v
+    suffix_cache: dict[Word, dict[int, list[int]]] = {(LEFT,): parts[LEFT], (RIGHT,): parts[RIGHT]}
+
+    def eval_word(word: Word) -> dict[int, list[int]]:
+        split = suffix_cache.get(word)
+        if split is None:
+            split = {}
+            for b, v in eval_word(word[1:]).items():
+                for a, u in parts[word[0]].items():
+                    if a + b < c:
+                        acc = split.setdefault(a + b, [0] * g.dim)
+                        for k, s in enumerate(lie.scaled_bracket(g, u, v)):
+                            acc[k] += s
+            suffix_cache[word] = split
+        return split
+
+    # weighted[w][k] * t^w / (lcd * den^c * sigma^(c-1)) is coordinate k's weight-w part
+    weighted: dict[int, list[int]] = {}
+    for word, coeff in words:
+        n = len(word)
+        scale = coeff.numerator * (lcd // coeff.denominator) * dens ** (c - n)
+        for w, vec in eval_word(word).items():
+            acc = weighted.setdefault(w, [0] * g.dim)
+            for k, s in enumerate(vec):
+                if s:
+                    acc[k] += scale * s
+    common = lcd * den**c * g.sigma ** (c - 1)
+    out: list[Vec] = []
+    for t in ts:
+        num, tden = t.numerator, t.denominator
+        row: Vec = []
+        for k, d in enumerate(degrees):
+            total = sum(
+                vec[k] * num**w * tden ** (d - 1 - w) for w, vec in weighted.items() if w < d
+            )
+            row.append(Fraction(total, common * tden ** (d - 1)) if total else ZERO)
+        out.append(row)
+    return out

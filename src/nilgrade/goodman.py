@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import bch, carnot, lie
+from . import bch, carnot
 from .carnot import CarnotAlgebra
 from .derivability import GradingOperator, e_of_operator
 from .lie import LieAlgebra
@@ -152,12 +152,14 @@ def goodman_check(
     """Sample the inequality between the two laws attached to (g, D).
 
     Base pairs are drawn on the grid in [-1, 1], dilated through the
-    ladder; the law difference is exact and the report carries the
-    fitted exponent plus the best constant for
-    diff <= C * max(1, r)^(e_D).  The exponent is 0 when the difference
-    is identically zero and None when it is not but fewer than two
-    distinct r > 1 carry a nonzero difference.  Raises ValueError when
-    there is no pair or no ladder value to sample.
+    ladder; the law difference is exact.  Its weight-w part P_{k,w} has
+    P_{k,w}(δ_t x, δ_t y) = t^w P_{k,w}(x, y) and the Carnot law is the
+    top-weight part, so `bch.law_difference_ladder` evaluates each pair
+    once for the whole ladder.  The report carries the fitted exponent
+    plus the best constant for diff <= C * max(1, r)^(e_D).  The exponent
+    is 0 when the difference is identically zero and None when it is not
+    but fewer than two distinct r > 1 carry a nonzero difference.  Raises
+    ValueError when there is no pair or no ladder value to sample.
     """
     if n_samples < 1 or not t_ladder:
         raise ValueError("need at least one sample pair and one ladder value")
@@ -174,10 +176,10 @@ def goodman_check(
     fit_points: list[tuple[float, float]] = []
     all_zero = True
     for index, (z1, z2) in enumerate(pairs):
-        for t in t_ladder:
+        diffs = bch.law_difference_ladder(g_eig, ca, z1, z2, t_ladder)
+        for t, diff in zip(t_ladder, diffs):
             z1t = dilate(ctx, t, z1)
             z2t = dilate(ctx, t, z2)
-            diff = bch.law_difference(g_eig, ca, z1t, z2t)
             r = max(guivarch_norm(ctx, z1t), guivarch_norm(ctx, z2t))
             dn = guivarch_norm(ctx, diff)
             samples.append(GoodmanSample(index, q(t), r, dn))
@@ -214,45 +216,3 @@ def segment_constants(report: GoodmanReport) -> list[float]:
             by_t[s.t] = max(by_t[s.t], s.diff_norm / max(1.0, s.r) ** e_float)
     return [by_t[t] for t in order]
 
-
-def layer_component(ctx: GuivarchContext, x: Sequence[Fraction], layer: int) -> Vec:
-    """The layer-`layer` component of x in eigenbasis coordinates."""
-    return [q(c) if deg == layer else Fraction(0) for deg, c in zip(ctx.degrees, x)]
-
-
-def four_step_components(
-    g_eig: LieAlgebra,
-    ctx: GuivarchContext,
-    x: Sequence[Fraction],
-    y: Sequence[Fraction],
-) -> tuple[Vec, Vec, Vec, Vec]:
-    """The four metrically distinct pieces of the 4-step law difference.
-
-    M1 = 1/2 [x1,y1]_3, M2 = 1/2 [x1,y1]_4, M3 = 1/2 ([x1,y2]_4 + [x2,y1]_4),
-    M4 = 1/12 ([x1,[x1,y1]_3] + [y1,[y1,x1]_3] + [x1,[x1,y1]_2]_4
-               + [y1,[y1,x1]_2]_4); their sum is the exact law difference.
-    """
-    half = Fraction(1, 2)
-    twelfth = Fraction(1, 12)
-    x1 = layer_component(ctx, x, 1)
-    x2 = layer_component(ctx, x, 2)
-    y1 = layer_component(ctx, y, 1)
-    y2 = layer_component(ctx, y, 2)
-    br = lambda a, b: lie.bracket(g_eig, a, b)
-    proj = lambda v, k: layer_component(ctx, v, k)
-    xy = br(x1, y1)
-    yx = br(y1, x1)
-    m1 = [half * c for c in proj(xy, 3)]
-    m2 = [half * c for c in proj(xy, 4)]
-    m3 = [
-        half * (a + b)
-        for a, b in zip(proj(br(x1, y2), 4), proj(br(x2, y1), 4))
-    ]
-    inner = [
-        proj(br(x1, proj(xy, 3)), 4),
-        proj(br(y1, proj(yx, 3)), 4),
-        proj(br(x1, proj(xy, 2)), 4),
-        proj(br(y1, proj(yx, 2)), 4),
-    ]
-    m4 = [twelfth * sum(vals) for vals in zip(*inner)]
-    return m1, m2, m3, m4

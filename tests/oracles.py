@@ -23,14 +23,20 @@ a membership test of every unit vector against an echelon form of each
 F_i, and a bracket-closure loop from the degree-1 layer.  So is
 `antichain_by_pruning`, the pairwise domination pass over all of
 `r_condition_set` that the closed-form `_antichain` replaced.
+`layer_component` and `four_step_components` write the 4-step law
+difference as four bracket pieces of layer components, through
+`lie.bracket`, not through any BCH word.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Sequence
 
+from nilgrade import lie
 from nilgrade.derivability import DerivCondition, delta_n, normalized_tuples, r_condition_set
+from nilgrade.goodman import GuivarchContext
 from nilgrade.lie import (
     AdaptedBasis,
     LieAlgebra,
@@ -49,6 +55,7 @@ from nilgrade.linalg import (
     identity,
     mat_mul,
     mat_vec,
+    q,
     rref,
     unit_vec,
     zero_vec,
@@ -539,3 +546,48 @@ def antichain_by_pruning(c: int, r: Fraction) -> tuple[DerivCondition, ...]:
         if not any(_dominates(k, cond) for k in kept):
             kept.append(cond)
     return tuple(kept)
+
+
+# --- the 4-step law difference in closed form, by layer components
+
+def layer_component(ctx: GuivarchContext, x: Sequence[Fraction], layer: int) -> Vec:
+    """The layer-`layer` component of x in eigenbasis coordinates."""
+    return [q(c) if deg == layer else Fraction(0) for deg, c in zip(ctx.degrees, x)]
+
+
+def four_step_components(
+    g_eig: LieAlgebra,
+    ctx: GuivarchContext,
+    x: Sequence[Fraction],
+    y: Sequence[Fraction],
+) -> tuple[Vec, Vec, Vec, Vec]:
+    """The four metrically distinct pieces of the 4-step law difference.
+
+    M1 = 1/2 [x1,y1]_3, M2 = 1/2 [x1,y1]_4, M3 = 1/2 ([x1,y2]_4 + [x2,y1]_4),
+    M4 = 1/12 ([x1,[x1,y1]_3] + [y1,[y1,x1]_3] + [x1,[x1,y1]_2]_4
+               + [y1,[y1,x1]_2]_4); their sum is the exact law difference.
+    """
+    half = Fraction(1, 2)
+    twelfth = Fraction(1, 12)
+    x1 = layer_component(ctx, x, 1)
+    x2 = layer_component(ctx, x, 2)
+    y1 = layer_component(ctx, y, 1)
+    y2 = layer_component(ctx, y, 2)
+    br = lambda a, b: lie.bracket(g_eig, a, b)
+    proj = lambda v, k: layer_component(ctx, v, k)
+    xy = br(x1, y1)
+    yx = br(y1, x1)
+    m1 = [half * c for c in proj(xy, 3)]
+    m2 = [half * c for c in proj(xy, 4)]
+    m3 = [
+        half * (a + b)
+        for a, b in zip(proj(br(x1, y2), 4), proj(br(x2, y1), 4))
+    ]
+    inner = [
+        proj(br(x1, proj(xy, 3)), 4),
+        proj(br(y1, proj(yx, 3)), 4),
+        proj(br(x1, proj(xy, 2)), 4),
+        proj(br(y1, proj(yx, 2)), 4),
+    ]
+    m4 = [twelfth * sum(vals) for vals in zip(*inner)]
+    return m1, m2, m3, m4

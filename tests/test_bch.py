@@ -6,6 +6,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     assoc_log_exp_exp,
@@ -16,6 +18,8 @@ from oracles import (
     heisenberg_matrix,
     matrix_group_product,
 )
+from test_derivability import GRADED_ENTRIES, grading_operator_samples
+from test_lie import matrix_lie_algebras
 
 from nilgrade import catalog
 from nilgrade.bch import (
@@ -24,9 +28,11 @@ from nilgrade.bch import (
     carnot_product,
     group_inverse,
     law_difference,
+    law_difference_ladder,
 )
 from nilgrade.carnot import carnot_pair
-from nilgrade.derivability import e_invariant
+from nilgrade.derivability import GradingOperator, e_invariant
+from nilgrade.goodman import GuivarchContext, dilate
 from nilgrade.lie import bracket, lower_central_series
 from nilgrade.linalg import unit_vec, vec, zero_vec
 
@@ -251,3 +257,69 @@ def test_g7_0_8_vs_g7_1_21_difference_formula():
         expected = zero_vec(7)
         expected[6] = F(1, 2) * (x[0] * y[2] - x[2] * y[0])
         assert law_difference(ga, gb, x, y) == expected
+
+
+# --- the law difference along a dilation ladder
+
+
+def per_rung(g_eig, ca, x, y, ts):
+    ctx = GuivarchContext.for_carnot(ca)
+    return [law_difference(g_eig, ca, dilate(ctx, t, x), dilate(ctx, t, y)) for t in ts]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    grading_operator_samples(
+        st.one_of(
+            st.sampled_from(GRADED_ENTRIES).map(lambda n: catalog.get(n).algebra),
+            # dim <= 8, so class <= 7: every drawn law is within bch_table's range
+            matrix_lie_algebras(min_class=3),
+        )
+    ),
+    st.data(),
+)
+def test_ladder_matches_per_rung_law_difference(sample, data):
+    # one weighted evaluation read at every rung equals the two full BCH
+    # evaluations per rung on dilated inputs, whatever grading operator
+    # picks the eigenbasis; the ladder mixes powers of 2, t < 1, non-dyadic
+    # t and a repeated rung
+    g, _, rows = sample
+    g_eig, ca = carnot_pair(g, GradingOperator.from_rows(rows))
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+    x, y = (data.draw(st.lists(coord, min_size=g.dim, max_size=g.dim)) for _ in range(2))
+    ts = [
+        F(2) ** data.draw(st.integers(0, 8)),
+        data.draw(st.fractions(min_value=F(1, 16), max_value=F(15, 16), max_denominator=16)),
+        data.draw(st.sampled_from([F(3, 7), F(5, 3), F(22, 9), F(1, 5)])),
+    ]
+    ts = data.draw(st.permutations(ts + [data.draw(st.sampled_from(ts))]))
+    assert law_difference_ladder(g_eig, ca, x, y, ts) == per_rung(g_eig, ca, x, y, ts)
+
+
+def test_ladder_is_zero_on_abelian_and_class_two_algebras():
+    # the Carnot law is the whole BCH law below class 3
+    ts = [F(1), F(3, 7), F(8), F(3, 7)]
+    for g in (catalog.abelian(4), catalog.get("heisenberg").algebra):
+        g_eig, ca = carnot_pair(g, e_invariant(g).witness)
+        x, y = vec([1, -2, F(1, 3), 5][: g.dim]), vec([F(-1, 2), 3, 7, 1][: g.dim])
+        got = law_difference_ladder(g_eig, ca, x, y, ts)
+        assert got == per_rung(g_eig, ca, x, y, ts) == [zero_vec(g.dim)] * len(ts)
+
+
+def test_ladder_edge_cases_raise_as_the_per_rung_path_does():
+    g = catalog.get("g6_11").algebra
+    g_eig, ca = carnot_pair(g, e_invariant(g).witness)
+    x, y = vec([1, 0, 2, 0, 1, 3]), vec([0, 1, 1, 1, 0, 2])
+    assert law_difference_ladder(g_eig, ca, x, y, []) == []
+    for bad in (F(0), F(-1, 2)):
+        with pytest.raises(ValueError, match="^dilation parameter must be positive$"):
+            per_rung(g_eig, ca, x, y, [F(2), bad])
+        with pytest.raises(ValueError, match="^dilation parameter must be positive$"):
+            law_difference_ladder(g_eig, ca, x, y, [F(2), bad])
+    g9 = catalog.get("filiform(10)").algebra
+    assert lower_central_series(g9).nilpotency_class == 9
+    g_eig, ca = carnot_pair(g9, e_invariant(g9).witness)
+    x = y = [F(1)] * g9.dim
+    for call in (per_rung, law_difference_ladder):
+        with pytest.raises(ValueError, match=r"^supported classes are 2\.\.8$"):
+            call(g_eig, ca, x, y, [F(2)])

@@ -11,21 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_vectors
+from oracles import four_step_components, grid_vectors, layer_component
 
-from nilgrade import catalog
+from nilgrade import bch, catalog
 from nilgrade.bch import law_difference
 from nilgrade.carnot import carnot_pair
 from nilgrade.derivability import e_invariant
 from nilgrade.goodman import (
+    GoodmanSample,
     GridSampler,
     GuivarchContext,
     dilate,
     fit_exponent,
-    four_step_components,
     goodman_check,
     guivarch_norm,
-    layer_component,
     segment_constants,
 )
 from nilgrade.linalg import vec, zero_vec
@@ -160,6 +159,30 @@ def test_sample_ordering():
     report = goodman_check(g, res.witness, 3, ladder, seed=1)
     keys = [(s.pair_index, s.t) for s in report.samples]
     assert keys == [(p, t) for p in range(3) for t in ladder]
+
+
+def test_goodman_samples_match_per_rung_law_difference(monkeypatch):
+    # each pair's law difference is evaluated once for its whole ladder,
+    # never rung by rung, and every sample is still the norm of the
+    # per-rung difference of the dilated pair
+    g = catalog.get("g6_11").algebra
+    d = e_invariant(g).witness
+    ladder = [F(1), F(3, 7), F(2), F(5, 2), F(2), F(64)]
+    monkeypatch.setattr(bch, "law_difference", None)
+    report = goodman_check(g, d, 6, ladder, seed=3)
+    monkeypatch.undo()
+    g_eig, ca = carnot_pair(g, d)
+    ctx = GuivarchContext.for_carnot(ca)
+    sampler = GridSampler(3)
+    expected = []
+    for index in range(6):
+        z1, z2 = sampler.vector(g.dim), sampler.vector(g.dim)
+        for t in ladder:
+            z1t, z2t = dilate(ctx, t, z1), dilate(ctx, t, z2)
+            r = max(guivarch_norm(ctx, z1t), guivarch_norm(ctx, z2t))
+            diff = law_difference(g_eig, ca, z1t, z2t)
+            expected.append(GoodmanSample(index, t, r, guivarch_norm(ctx, diff)))
+    assert list(report.samples) == expected
 
 
 def test_three_step_diff_norm_matches_closed_form():
