@@ -57,7 +57,6 @@ _PREFERRED: dict[int, tuple[Word, ...]] = {
 class BCHTermTable:
     """Coefficient of the left-nested bracket of every word of length 2..c."""
 
-    max_degree: int
     coeffs: dict[Word, Fraction]
 
     @cached_property
@@ -88,7 +87,8 @@ def _series_mul(a: list[dict[Word, Fraction]], b: list[dict[Word, Fraction]], ca
 
 @lru_cache(maxsize=None)
 def _log_components(cap: int) -> tuple[dict[Word, Fraction], ...]:
-    """Homogeneous components of log(exp x . exp y) up to degree cap."""
+    """Homogeneous components of log(exp x . exp y) up to degree cap, each
+    exact, so the series at MAX_SUPPORTED_CLASS serves every degree."""
     fact = [1]
     for k in range(1, cap + 1):
         fact.append(fact[-1] * k)
@@ -150,7 +150,7 @@ def _word_order(n: int) -> list[Word]:
 @lru_cache(maxsize=None)
 def _degree_coeffs(n: int) -> tuple[tuple[Word, Fraction], ...]:
     """Word coefficients b_{n,q} with sum_q b_{n,q} [q_1,...,q_n] = BCH_n."""
-    target = _log_components(n)[n]
+    target = _log_components(MAX_SUPPORTED_CLASS)[n]
     order = _word_order(n)
     # one equation per associative word w: sum_q b_q * beta(q)[w] = BCH_n[w]
     equations: dict[Word, dict[int, Fraction]] = {w: {} for w in target}
@@ -174,7 +174,7 @@ def bch_table(c: int) -> BCHTermTable:
     coeffs: dict[Word, Fraction] = {}
     for n in range(2, c + 1):
         coeffs.update(dict(_degree_coeffs(n)))
-    return BCHTermTable(c, coeffs)
+    return BCHTermTable(coeffs)
 
 
 def bch_product(g: LieAlgebra, f: Filtration, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:

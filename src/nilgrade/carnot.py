@@ -74,12 +74,12 @@ def grading_from_operator(g: LieAlgebra, d: GradingOperator) -> LinearGrading:
 def carnot_algebra(g: LieAlgebra, d: GradingOperator | Sequence[int]) -> CarnotAlgebra:
     """The associated Carnot algebra of (g, D), in the grading eigenbasis.
 
-    D is a grading operator of g, or the layer degree of each basis
-    vector when g is already written in the eigenbasis of one (as
-    `carnot_pair` passes it).  The graded bracket keeps, for basis vectors
-    of degrees i and j, the degree-(i+j) component of their bracket in g,
-    so it respects the grading by construction; it is checked to be a Lie
-    algebra and to be generated by the degree-1 layer V_1.
+    D is a grading operator of g, for which this is `carnot_pair(g, D)[1]`,
+    or the layer degree of each basis vector when g is already written in
+    the eigenbasis of one (as `carnot_pair` passes it).  The graded bracket
+    keeps, for basis vectors of degrees i and j, the degree-(i+j) component
+    of their bracket in g, so it respects the grading by construction; it
+    is checked to be a Lie algebra and to be generated by the degree-1 layer V_1.
 
     V_1 generates iff the lower central series γ_k of the graded algebra A
     (then cached on A for the group laws) has dim γ_k = #{degrees >= k} for
@@ -89,7 +89,7 @@ def carnot_algebra(g: LieAlgebra, d: GradingOperator | Sequence[int]) -> CarnotA
     ⊆ γ_k by induction.
     """
     if isinstance(d, GradingOperator):
-        g, d = _eigenbasis_algebra(g, d)
+        return carnot_pair(g, d)[1]
     degrees = tuple(d)
     if len(degrees) != g.dim or any(k < 1 for k in degrees):
         raise ValueError("need one positive degree per basis vector")
@@ -111,24 +111,18 @@ def carnot_algebra(g: LieAlgebra, d: GradingOperator | Sequence[int]) -> CarnotA
     return CarnotAlgebra(algebra, degrees)
 
 
-def _eigenbasis_algebra(g: LieAlgebra, d: GradingOperator) -> tuple[LieAlgebra, tuple[int, ...]]:
-    """g in the grading eigenbasis, labelled "v{i}_{k}" for the k-th vector
-    of layer i, and the layer degree of each basis vector."""
-    grading = grading_from_operator(g, d)
-    labels = []
-    for i, layer in enumerate(grading.layers, start=1):
-        labels.extend(f"v{i}_{k}" for k in range(1, len(layer) + 1))
-    return lie.change_of_basis(g, grading.eigenbasis, labels), grading.degrees
-
-
 def carnot_pair(g: LieAlgebra, d: GradingOperator) -> tuple[LieAlgebra, CarnotAlgebra]:
     """(g expressed in the grading eigenbasis, associated Carnot algebra).
 
-    Both algebras share the same coordinates, so their group laws can be
-    compared pointwise; the grading and the eigenbasis are computed once.
+    The k-th eigenbasis vector of layer i is labelled "v{i}_{k}".  Both
+    algebras share these coordinates, so their group laws can be compared
+    pointwise; the grading and the eigenbasis are computed once.
     """
-    g_eig, degrees = _eigenbasis_algebra(g, d)
-    return g_eig, carnot_algebra(g_eig, degrees)
+    grading = grading_from_operator(g, d)
+    layers = enumerate(grading.layers, start=1)
+    labels = [f"v{i}_{k}" for i, layer in layers for k in range(1, len(layer) + 1)]
+    g_eig = lie.change_of_basis(g, grading.eigenbasis, labels)
+    return g_eig, carnot_algebra(g_eig, grading.degrees)
 
 
 def verify_grading(

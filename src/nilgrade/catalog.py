@@ -13,7 +13,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .derivability import ConditionSet, parse_condition_set
-from .lie import LieAlgebra, parse_algebra
+from .lie import LieAlgebra, parse_algebra, serialize_algebra
 
 
 class UnknownEntryError(KeyError):
@@ -240,15 +240,11 @@ def get(name: str) -> CatalogEntry:
             expected = Expected(1, (n,), e_value=Fraction(0))
         elif kind == "filiform":
             expected = Expected(n - 1, (2,) + (1,) * (n - 2), e_value=Fraction(0))
-        from .lie import serialize_algebra
-
         return CatalogEntry(f"{kind}({n})", (), serialize_algebra(algebra), expected)
     m = _CP_RE.match(key)
     if m:
         i, j = int(m.group(1)), int(m.group(2))
         algebra = central_product_filiform(i, j)
-        from .lie import serialize_algebra
-
         return CatalogEntry(
             f"central_product({i},{j})",
             (),

@@ -74,12 +74,8 @@ def _load_algebra(source: str) -> LieAlgebra:
     return g
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _vec(v) -> str:
-    return ",".join(_frac(Fraction(c)) for c in v)
+    return ",".join(str(Fraction(c)) for c in v)
 
 
 def _parse_vec(text: str, dim: int):
@@ -146,12 +142,12 @@ def _cmd_e(args) -> int:
     layer_dims = [str(d) for d in lie.lower_central_series(g).quotient_dims]
     payload = {
         "command": "e",
-        "e": _frac(result.e),
+        "e": str(result.e),
         "witness": _matrix_lines(result.witness.rows),
         "layer_dims": layer_dims,
     }
     lines = [
-        f"e = {_frac(result.e)}",
+        f"e = {result.e}",
         f"witness layer dims = ({','.join(layer_dims)})",
         "witness (rows):",
     ] + ["  " + row for row in _matrix_lines(result.witness.rows)]
@@ -216,16 +212,13 @@ def _cmd_carnot(args) -> int:
 def _cmd_bch(args) -> int:
     g = _load_algebra(args.source)
     f = _bch_filtration(g)
+    x = _parse_vec(args.x, g.dim)
+    y = _parse_vec(args.y, g.dim)
     if args.carnot:
-        d = _auto_operator(g)
-        _, ca = carnot.carnot_pair(g, d)
-        x = _parse_vec(args.x, g.dim)
-        y = _parse_vec(args.y, g.dim)
+        _, ca = carnot.carnot_pair(g, _auto_operator(g))
         product = bch.carnot_product(ca, x, y)
         note = "coordinates: grading eigenbasis; law: graded bracket"
     else:
-        x = _parse_vec(args.x, g.dim)
-        y = _parse_vec(args.y, g.dim)
         product = bch.bch_product(g, f, x, y)
         note = "coordinates: original basis"
     payload = {"command": "bch", "product": _vec(product), "note": note}

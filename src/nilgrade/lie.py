@@ -229,11 +229,10 @@ def lower_central_series(g: LieAlgebra) -> Filtration:
             for v in scaled:
                 ech.add(g.ad(i, v))
         nxt = ech.basis
+        # [g, F_k] ⊆ [g, F_{k-1}] by bilinearity, so equal dims mean a stall
         if len(nxt) == len(prev):
             raise NotNilpotentError("lower central series does not reach zero")
         chain.append(nxt)
-        if len(chain) > g.dim + 1:
-            raise NotNilpotentError("lower central series does not reach zero")
     filtration = Filtration(
         subspaces=tuple(tuple(tuple(v) for v in basis) for basis in chain),
         nilpotency_class=len(chain) - 1,
@@ -289,8 +288,9 @@ def change_of_basis(
     return LieAlgebra(g.dim, brackets, labels)
 
 
+_LABEL = r"[A-Za-z_]\w*"  # a basis label: anything else misreads in a bracket's terms
 _TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+(?:/\d+)?)\s*\*?\s*)?(?P<label>[A-Za-z_]\w*)\s*"
+    r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+(?:/\d+)?)\s*\*?\s*)?(?P<label>" + _LABEL + r")\s*"
 )
 
 
@@ -331,9 +331,10 @@ def parse_algebra(text: str) -> LieAlgebra:
         basis e1 e2 ... eN          # optional, defaults to e1..eN
         bracket ei ej = c1 ek [+ c2 el ...]
 
-    Coefficients are rational literals (1, -1, 1/2, -3/4); a coefficient
-    of 1 may be omitted.  Unlisted brackets are zero and exactly one
-    declaration per unordered pair is allowed.
+    A label is a letter or _ followed by letters, digits or _.  Coefficients
+    are rational literals (1, -1, 1/2, -3/4); a coefficient of 1 may be
+    omitted.  Unlisted brackets are zero and exactly one declaration per
+    unordered pair is allowed.
     """
     dim: int | None = None
     labels: list[str] | None = None
@@ -369,6 +370,9 @@ def parse_algebra(text: str) -> LieAlgebra:
                 raise AlgebraFormatError(f"basis must list exactly {dim} labels ({where})")
             if len(set(labels)) != dim:
                 raise AlgebraFormatError(f"duplicate basis label ({where})")
+            bad = [label for label in labels if not re.fullmatch(_LABEL, label)]
+            if bad:
+                raise AlgebraFormatError(f"basis label {bad[0]!r} must match {_LABEL} ({where})")
         elif keyword == "bracket":
             if dim is None:
                 raise AlgebraFormatError(f"bracket before dim ({where})")

@@ -33,7 +33,7 @@ from nilgrade.lie import (
     lower_central_series,
     parse_algebra,
 )
-from nilgrade.linalg import mat_add, mat_inv, mat_mul, subspace_contains, unit_vec, vec
+from nilgrade.linalg import columns_matrix, mat_add, mat_inv, mat_mul, subspace_contains, unit_vec, vec
 
 
 def diag_operator(degrees) -> GradingOperator:
@@ -156,6 +156,30 @@ def test_carnot_algebra_on_eigenbasis_degrees_matches_pair():
     assert again.algebra == ca.algebra
     assert again.algebra.labels == ca.algebra.labels
     assert again.degrees == ca.degrees
+
+
+@settings(max_examples=25, deadline=None)
+@given(grading_operator_samples(), grading_operator_samples(matrix_lie_algebras(min_class=3)), st.data())
+def test_carnot_pair_moves_with_the_basis(sample, extra, data):
+    # p carries each eigenspace of D' = p^-1 D p onto that of D, so the
+    # eigenbases E, E' differ by M = E^-1 p E', block-diagonal by degree,
+    # and the pair of (g', D') is the pair of (g, D) moved by M
+    for g, _, rows in (sample, extra):
+        p = data.draw(invertible_matrices(g.dim))
+        d = GradingOperator.from_rows(rows)
+        moved, d_moved = moved_by(g, p), GradingOperator.from_rows(mat_mul(mat_mul(mat_inv(p), rows), p))
+        grading, grading_moved = grading_from_operator(g, d), grading_from_operator(moved, d_moved)
+        e_inv = mat_inv(columns_matrix(grading.eigenbasis))
+        m = mat_mul(mat_mul(e_inv, p), columns_matrix(grading_moved.eigenbasis))
+        degrees = grading.degrees
+        assert grading_moved.degrees == degrees
+        assert all(m[a][b] == 0 for a in range(g.dim) for b in range(g.dim) if degrees[a] != degrees[b])
+        (g_eig, ca), (g_eig_moved, ca_moved) = carnot_pair(g, d), carnot_pair(moved, d_moved)
+        assert ca.degrees == ca_moved.degrees == degrees
+        assert moved_by(g_eig, m) == g_eig_moved
+        assert moved_by(ca.algebra, m) == ca_moved.algebra
+        direct = carnot_algebra(g, d)
+        assert direct == ca and direct.algebra.labels == ca.algebra.labels
 
 
 def test_carnot_algebra_rejects_bad_degrees():

@@ -272,11 +272,24 @@ def test_invalid_condition_is_named(capsys, cond, named, reason):
     assert err == f"error: condition {named}: {reason}\n"
 
 
-def test_bad_vector_is_usage_error(capsys):
-    code, _, err = run_capture(
-        capsys, ["bch", "catalog:heisenberg", "--x", "1,0", "--y", "0,1,0"]
-    )
+def test_bad_vector_is_usage_error(capsys, monkeypatch):
+    # the point is read before the e-scan that --carnot needs
+    monkeypatch.setattr(derivability, "e_invariant", None)
+    for carnot in ([], ["--carnot"]):
+        code, _, err = run_capture(
+            capsys, ["bch", "catalog:heisenberg", "--x", "1,0", "--y", "0,1,0", *carnot]
+        )
+        assert code == 2
+        assert err == "error: expected 3 coordinates, got 2\n"
+
+
+def test_label_the_bracket_grammar_cannot_name_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "label.alg"
+    path.write_text("dim 3\nbasis a b 3c\nbracket a b = 3c\n")
+    code, out, err = run_capture(capsys, ["check", str(path)])
     assert code == 2
+    assert out == ""
+    assert err == f"error: parse error in {str(path)!r}: basis label '3c' must match [A-Za-z_]\\w* (line 2)\n"
 
 
 def test_usage_error_exit_code(capsys):

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import adapted_basis_echelon, dense_bracket, jacobi_violations_dense
+from oracles import adapted_basis_echelon, dense_bracket, jacobi_violations_dense, lcs_rref
 
 from nilgrade import catalog
 from nilgrade.derivability import e_invariant
@@ -59,6 +60,21 @@ def test_parse_rejects_unknown_label():
 def test_parse_rejects_malformed_rational():
     with pytest.raises(AlgebraFormatError):
         parse_algebra("dim 2\nbracket e1 e2 = 1/0 e2\n")
+
+
+@pytest.mark.parametrize("label", ["3c", "c.d", "x-1", "2"])
+def test_parse_rejects_label_the_bracket_grammar_cannot_name(label):
+    # "3c" in a bracket would read as 3 times c, so reject it where it is declared
+    text = f"dim 3\nbasis a b {label}\nbracket a b = {label}\n"
+    with pytest.raises(AlgebraFormatError, match=rf"basis label '{re.escape(label)}' .*\(line 2\)"):
+        parse_algebra(text)
+
+
+@pytest.mark.parametrize("label", ["e1", "X", "v1_1", "_a"])
+def test_parse_accepts_named_labels(label):
+    g = parse_algebra(f"dim 3\nbasis a b {label}\nbracket a b = 2 {label}\n")
+    assert g.labels == ("a", "b", label)
+    assert g.brackets[(0, 1)] == (F(0), F(0), F(2))
 
 
 def test_parse_reversed_pair_gets_sign():
@@ -310,9 +326,43 @@ def test_lcs_g6_17():
 
 
 def test_lcs_not_nilpotent():
-    g = parse_algebra("dim 2\nbracket e1 e2 = e2\n")
-    with pytest.raises(NotNilpotentError):
-        lower_central_series(g)
+    # stalls at once; stalls at F_2 = F_3 = span(e3) after one strict step
+    for text in ("dim 2\nbracket e1 e2 = e2\n", "dim 3\nbracket e1 e2 = e3\nbracket e1 e3 = e3\n"):
+        with pytest.raises(NotNilpotentError):
+            lower_central_series(parse_algebra(text))
+
+
+@st.composite
+def integer_tables(draw):
+    """An algebra of dim 2 to 6 with random integer structure constants,
+    Jacobi not required; half of them bracket only into later basis
+    vectors, which makes them nilpotent."""
+    n = draw(st.integers(2, 6))
+    upper = draw(st.booleans())
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    brackets = {}
+    for i, j in draw(st.lists(st.sampled_from(pairs), unique=True)):
+        v = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        brackets[(i, j)] = [F(x) if k > j or not upper else F(0) for k, x in enumerate(v)]
+    return LieAlgebra(n, brackets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_tables())
+def test_lcs_raises_or_shrinks_strictly_to_zero(g):
+    # [g, F_k] ⊆ [g, F_{k-1}] needs bilinearity only, so the chain stalls
+    # (and raises) or strictly shrinks to 0 within dim + 1 terms; the dense
+    # oracle stops after dim + 1 terms either way
+    chain = lcs_rref(g)
+    if chain[-1]:
+        with pytest.raises(NotNilpotentError):
+            lower_central_series(g)
+        return
+    f = lower_central_series(g)
+    dims = [len(f.basis(k)) for k in range(1, f.nilpotency_class + 2)]
+    assert [f.basis(k) for k in range(1, f.nilpotency_class + 2)] == chain
+    assert dims[0] == g.dim and dims[-1] == 0 and len(dims) <= g.dim + 1
+    assert all(a > b for a, b in zip(dims, dims[1:]))
 
 
 def test_lcs_equals_bracket_span():

@@ -14,7 +14,8 @@ left entry (never a grading operator: the free directions have trace 0),
 that `e_of_operator` raises OperatorNotInDError on the latter,
 `is_A_derivable` on the catalog's recorded condition sets and on
 conditions drawn from `enumerate_S(c)` with a fixed seed, the Carnot
-pair, the lower central series of the Carnot companion, and
+pair, `carnot_algebra` of the witness, the lower central series of the
+Carnot companion, and
 `check_jacobi` of the algebra with 1 added to the e_1 component of its
 first nonzero bracket (most such tables violate Jacobi).  All of these
 share one algebra instance, and with it the adapted setup cached on it;
@@ -130,6 +131,7 @@ def algebra_lines(name: str, rng: random.Random) -> list[str]:
     g_eig, ca = carnot.carnot_pair(g, result.witness)
     out.append("eigenbasis " + lie.serialize_algebra(g_eig))
     out.append("carnot " + carnot.serialize_carnot(ca))
+    out.append("carnot_algebra " + carnot.serialize_carnot(carnot.carnot_algebra(g, result.witness)))
     f_ca = lie.lower_central_series(ca.algebra)
     out.append("carnot lcs " + " | ".join(_rows(f_ca.basis(k)) for k in range(1, f_ca.nilpotency_class + 2)))
     out.append("jacobi perturbed " + repr(lie.check_jacobi(perturbed(g))))
