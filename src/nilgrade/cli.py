@@ -15,6 +15,7 @@ strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,7 +24,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bch, carnot, catalog, derivability, goodman, lie
-from .derivability import GradingOperator
 from .lie import LieAlgebra
 
 
@@ -191,14 +191,9 @@ def _bch_filtration(g: LieAlgebra) -> lie.Filtration:
     return f
 
 
-def _auto_operator(g: LieAlgebra) -> GradingOperator:
-    return derivability.e_invariant(g).witness
-
-
 def _cmd_carnot(args) -> int:
     g = _load_algebra(args.source)
-    d = _auto_operator(g)
-    ca = carnot.carnot_algebra(g, d)
+    ca = carnot.carnot_algebra(g, derivability.e_invariant(g).witness)
     text = carnot.serialize_carnot(ca)
     payload = {
         "command": "carnot",
@@ -215,7 +210,7 @@ def _cmd_bch(args) -> int:
     x = _parse_vec(args.x, g.dim)
     y = _parse_vec(args.y, g.dim)
     if args.carnot:
-        _, ca = carnot.carnot_pair(g, _auto_operator(g))
+        _, ca = carnot.carnot_pair(g, derivability.e_invariant(g).witness)
         product = bch.carnot_product(ca, x, y)
         note = "coordinates: grading eigenbasis; law: graded bracket"
     else:
@@ -229,10 +224,9 @@ def _cmd_bch(args) -> int:
 def _cmd_diff(args) -> int:
     g = _load_algebra(args.source)
     _bch_filtration(g)
-    d = _auto_operator(g)
-    g_eig, ca = carnot.carnot_pair(g, d)
     x = _parse_vec(args.x, g.dim)
     y = _parse_vec(args.y, g.dim)
+    g_eig, ca = carnot.carnot_pair(g, derivability.e_invariant(g).witness)
     diff = bch.law_difference(g_eig, ca, x, y)
     payload = {
         "command": "diff",
@@ -250,7 +244,7 @@ def _cmd_goodman(args) -> int:
         raise CliError("--tmax must be at least 0")
     g = _load_algebra(args.source)
     _bch_filtration(g)
-    d = _auto_operator(g)
+    d = derivability.e_invariant(g).witness
     ladder = [Fraction(2) ** k for k in range(args.tmax + 1)]
     report = goodman.goodman_check(g, d, args.samples, ladder, args.seed)
     payload = {"command": "goodman", "report": report.to_json_dict()}
@@ -314,6 +308,7 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache  # one tree per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nilgrade",

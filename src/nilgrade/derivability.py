@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from . import lie
@@ -258,11 +259,12 @@ class _Setup:
     `roots[b]` is the path trie rooted at index b (see `_Node`), filled in
     on first visit and kept as long as the algebra instance, so every call,
     condition and candidate reuses it.  Threads may share it, as they may
-    share a `LieAlgebra`: each fill is idempotent.  It holds `dim`, not the
-    algebra, so no reference cycle keeps a dropped algebra's setup alive.
+    share a `LieAlgebra`: each fill is idempotent.  It holds g by weak reference
+    only, so no reference cycle keeps a dropped algebra's setup alive.
     """
 
     def __init__(self, g: LieAlgebra):
+        self._g = weakref.ref(g)
         self.dim = n = g.dim
         self.f = lie.lower_central_series(g)
         self.c = self.f.nilpotency_class
@@ -270,8 +272,6 @@ class _Setup:
         self.degrees = degrees = self.ab.degrees
         self.p = self.ab.change_of_basis
         self.p_inv = mat_inv(self.p)
-        # sigma * [e_i, v] in adapted coordinates, set by the first solve (see `_setup`)
-        self.ad = None
         # free positions (a, b), column-major: degree(a) > degree(b), so a grading operator
         # may differ from diag(degrees) there; N e_b = e_a; col_vars[b] lists (var, a)
         self.positions = [(a, b) for b in range(n) for a in range(n) if degrees[a] > degrees[b]]
@@ -286,6 +286,11 @@ class _Setup:
             _Node({b: 1}, {var: {a: 1} for var, a in self.col_vars[b]}, self.degrees[b], b, {})
             for b in range(n)
         ]
+
+    @cached_property
+    def ad(self):
+        """sigma * [e_i, v] in adapted coordinates, built by the first row stream to read it."""
+        return lie.change_of_basis(self._g(), [list(v) for v in self.ab.vectors]).ad
 
     def extend(self, node: _Node, b: int) -> _Node | None:
         """Compute and store the child of `node` at index b (see `_Node`)."""
@@ -319,16 +324,11 @@ class _Setup:
         return GradingOperator.from_rows(mat_mul(mat_mul(self.p, d_ad), self.p_inv))
 
 
-def _setup(g: LieAlgebra, solve: bool = False) -> _Setup:
-    """g's `_Setup`, built on first use and kept on the instance.  Only a
-    solve reads `ad`, so the first one builds it; its bound method keeps
-    the algebra in the adapted basis alive, and the setup still holds no g."""
-    setup = g._setup_cache
-    if setup is None:
-        setup = g._setup_cache = _Setup(g)
-    if solve and setup.ad is None:
-        setup.ad = lie.change_of_basis(g, [list(v) for v in setup.ab.vectors]).ad
-    return setup
+def _setup(g: LieAlgebra) -> _Setup:
+    """g's `_Setup`, built on first use and kept on the instance."""
+    if g._setup_cache is None:
+        g._setup_cache = _Setup(g)
+    return g._setup_cache
 
 
 class _PointCheck:
@@ -476,7 +476,7 @@ def is_A_derivable(g: LieAlgebra, conditions: Iterable[DerivCondition]) -> Gradi
     the deterministic particular solution with all free coefficients
     zero.
     """
-    setup = _setup(g, solve=True)
+    setup = _setup(g)
     return _feasibility(setup, _clamp_conditions(conditions, setup.c))
 
 
@@ -499,9 +499,7 @@ def e_of_operator(g: LieAlgebra, d: GradingOperator) -> Fraction:
     d_ad = _adapted_operator(d, setup)
     if d_ad is None:
         raise OperatorNotInDError("matrix is not a grading operator of the lower central series")
-    if setup.c < 3:
-        return Fraction(0)
-    _setup(g, solve=True)
+    c = max(setup.c, 2)  # at class <= 2 every antichain is empty: e is 0 and `ad` is never read
     scale, point = lie.clear_denominators([d_ad[a][b] for a, b in setup.positions])
     met: dict[DerivCondition, bool] = {}
 
@@ -512,8 +510,8 @@ def e_of_operator(g: LieAlgebra, d: GradingOperator) -> Fraction:
             met[cond] = not check.infeasible
         return met[cond]
 
-    for r in candidate_values(setup.c):
-        if all(meets(cond) for cond in _antichain(setup.c, r)):
+    for r in candidate_values(c):
+        if all(meets(cond) for cond in _antichain(c, r)):
             return r
     raise AssertionError("the top candidate has no conditions")
 
@@ -530,7 +528,7 @@ def e_invariant(g: LieAlgebra) -> EInvariantResult:
     Feasibility is monotone in r, so the scan stops at the first
     success; the witness is the deterministic particular solution.
     """
-    setup = _setup(g, solve=True)
+    setup = _setup(g)
     c = max(setup.c, 2)  # below class 2, as at class 2, there are no conditions
     for r in candidate_values(c):
         witness = _feasibility(setup, _antichain(c, r))

@@ -21,7 +21,6 @@ from .linalg import (
     ZERO,
     columns_matrix,
     mat_inv,
-    mat_vec,
     q,
     unit_vec,
     vec_scale,
@@ -276,16 +275,23 @@ def change_of_basis(
     g: LieAlgebra, new_vectors: Sequence[Sequence[Fraction]], labels: Sequence[str] | None = None
 ) -> LieAlgebra:
     """Structure constants of g in the basis given by `new_vectors`."""
-    if len(new_vectors) != g.dim:
+    n = g.dim
+    if len(new_vectors) != n:
         raise ValueError("need dim basis vectors")
     p = columns_matrix(new_vectors)
-    p_inv = mat_inv(p)
+    # p = P/dp and p^-1 = Q/dq, P and Q integral (P e_i is p_ints[i::n]), so the
+    # new constants p^-1 [p e_i, p e_j] are Q sigma[P e_i, P e_j] / (sigma dp^2 dq)
+    dp, p_ints = clear_denominators([x for row in p for x in row])
+    dq, q_ints = clear_denominators([x for row in mat_inv(p) for x in row])
+    q_rows = [q_ints[k * n : (k + 1) * n] for k in range(n)]
+    den = g.sigma * dp * dp * dq
     brackets: dict[tuple[int, int], Vec] = {}
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            w = bracket(g, list(new_vectors[i]), list(new_vectors[j]))
-            brackets[(i, j)] = mat_vec(p_inv, w)
-    return LieAlgebra(g.dim, brackets, labels)
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = [(m, x) for m, x in enumerate(scaled_bracket(g, p_ints[i::n], p_ints[j::n])) if x]
+            if w:
+                brackets[(i, j)] = _divide([sum(row[m] * x for m, x in w) for row in q_rows], den)
+    return LieAlgebra(n, brackets, labels)
 
 
 _LABEL = r"[A-Za-z_]\w*"  # a basis label: anything else misreads in a bracket's terms

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from nilgrade import derivability
+from nilgrade import cli, derivability
 from nilgrade.cli import run
 
 
@@ -273,7 +274,7 @@ def test_invalid_condition_is_named(capsys, cond, named, reason):
 
 
 def test_bad_vector_is_usage_error(capsys, monkeypatch):
-    # the point is read before the e-scan that --carnot needs
+    # the point is read before the e-scan that `bch --carnot` and `diff` need
     monkeypatch.setattr(derivability, "e_invariant", None)
     for carnot in ([], ["--carnot"]):
         code, _, err = run_capture(
@@ -281,6 +282,9 @@ def test_bad_vector_is_usage_error(capsys, monkeypatch):
         )
         assert code == 2
         assert err == "error: expected 3 coordinates, got 2\n"
+    code, _, err = run_capture(capsys, ["diff", "catalog:g6_11", "--x", "1,0", "--y", "0,1,0,0,0,0"])
+    assert code == 2
+    assert err == "error: expected 6 coordinates, got 2\n"
 
 
 def test_label_the_bracket_grammar_cannot_name_is_usage_error(tmp_path, capsys):
@@ -294,6 +298,29 @@ def test_label_the_bracket_grammar_cannot_name_is_usage_error(tmp_path, capsys):
 
 def test_usage_error_exit_code(capsys):
     assert run(["frobnicate"]) == 2
+
+
+def test_runs_in_one_process_share_one_parser_tree(capsys, monkeypatch):
+    # the tree is built by the first run and reused: a usage error, --help
+    # and a valid verb answer on the reused tree exactly as on a fresh one
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "add_subparsers", lambda self, **kw: built.append(self) or add_subparsers(self, **kw)
+    )
+    cli._build_parser.cache_clear()
+    try:
+        cases = [["frobnicate"], ["--help"], ["check", "catalog:heisenberg"]]
+        fresh = [run_capture(capsys, argv) for argv in cases]
+        assert [code for code, _, _ in fresh] == [2, 0, 0]
+        assert "invalid choice: 'frobnicate'" in fresh[0][2]
+        assert fresh[1][1].startswith("usage: nilgrade")
+        assert "nilpotency class = 2" in fresh[2][1]
+        for _ in range(2):
+            assert [run_capture(capsys, argv) for argv in cases] == fresh
+        assert len(built) == 1
+    finally:
+        cli._build_parser.cache_clear()
 
 
 def test_file_input(tmp_path, capsys):

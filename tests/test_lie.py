@@ -423,6 +423,22 @@ def test_adapted_basis_spans_filtration():
                 assert subspace_contains(f.basis(level), v)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_ENTRIES).map(lambda name: catalog.get(name).algebra) | matrix_lie_algebras(), st.data())
+def test_change_of_basis_matches_dense_oracle(g, data):
+    # p's entries have denominators up to 3, and so in general do p^-1's, so
+    # both enter the scale change_of_basis clears; mapped back through p, each
+    # new constant must be the dense Fraction bracket of the new basis vectors
+    n = g.dim
+    p = data.draw(invertible_matrices(n))
+    cols = [[p[k][i] for k in range(n)] for i in range(n)]
+    moved = change_of_basis(g, cols)
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = moved.brackets.get((i, j), [F(0)] * n)
+            assert [sum(p[k][m] * v[m] for m in range(n)) for k in range(n)] == dense_bracket(g, cols[i], cols[j])
+
+
 def test_change_of_basis_round_trip():
     g = catalog.get("g6_12").algebra
     p = [unit_vec(6, i) for i in range(6)]

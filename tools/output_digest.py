@@ -5,7 +5,9 @@
 The algebras are the 13 catalog fixtures, filiform(6..12) and the five
 central products of the benchmark.  For each one the script records, as
 exact text: the lower central series, the adapted basis and its degrees,
-the algebra in the adapted basis (`change_of_basis`), the e-invariant
+the algebra in the adapted basis and in a fixed rational shear of the
+original basis (`change_of_basis`; the shear and its inverse both have
+denominators, so both enter the scale that it clears), the e-invariant
 and its witness, `e_of_operator` of the witness, of the base point of
 `grading_operator_space` and of the witness plus a third of each of 3
 free directions spread over that space, `is_grading_operator` on the
@@ -70,6 +72,11 @@ def _conditions(conds) -> str:
     return ",".join(str(c) for c in sorted(conds))
 
 
+def shear(n: int) -> list[list[Fraction]]:
+    """Basis vectors v_j = sum over i >= j of (j+1)/(2 + j%2)/(i-j+1) e_i."""
+    return [[Fraction(j + 1, 2 + j % 2) / (i - j + 1) if i >= j else Fraction(0) for i in range(n)] for j in range(n)]
+
+
 def perturbed(g: lie.LieAlgebra) -> lie.LieAlgebra:
     """g with 1 added to the e_1 component of its first nonzero bracket."""
     brackets = {pair: list(v) for pair, v in g.brackets.items()}
@@ -88,6 +95,7 @@ def algebra_lines(name: str, rng: random.Random) -> list[str]:
         "lcs " + " | ".join(_rows(f.basis(k)) for k in range(1, f.nilpotency_class + 2)),
         f"adapted {_rows(ab.vectors)} degrees {_vec(ab.degrees)}",
         "change_of_basis " + lie.serialize_algebra(lie.change_of_basis(g, ab.vectors)),
+        "change_of_basis shear " + lie.serialize_algebra(lie.change_of_basis(g, shear(g.dim))),
         f"e {result.e} witness {_operator(result.witness)}",
         f"e_of_operator {derivability.e_of_operator(g, result.witness)}",
     ]
