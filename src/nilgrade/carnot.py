@@ -15,7 +15,7 @@ from typing import Sequence
 from . import lie
 from .derivability import GradingOperator, OperatorNotInDError, is_grading_operator
 from .lie import LieAlgebra
-from .linalg import Vec, ZERO, nullspace, q
+from .linalg import Vec, ZERO, nullspace
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,11 @@ def grading_from_operator(g: LieAlgebra, d: GradingOperator) -> LinearGrading:
     f = lie.lower_central_series(g)
     if not is_grading_operator(g, f, d):
         raise OperatorNotInDError("matrix is not a grading operator (filtration invariants fail)")
-    rows = d.rows
     layers: list[list[Vec]] = []
     for i in range(1, f.nilpotency_class + 1):
-        shifted = [[rows[a][b] - (q(i) if a == b else ZERO) for b in range(g.dim)] for a in range(g.dim)]
+        shifted = d.rows
+        for a in range(g.dim):
+            shifted[a][a] -= i
         layers.append(nullspace(shifted))
     return LinearGrading(tuple(tuple(tuple(v) for v in layer) for layer in layers))
 

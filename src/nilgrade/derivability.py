@@ -70,22 +70,22 @@ class GradingOperator:
         return mat_vec(self.rows, v)
 
 
-_COND_RE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)+)\s*\|\s*(\d+)\s*\)")
+_COND_RE = re.compile(r"\((\d+(?:,\d+)+)\|(\d+)\)")
 
 
 def parse_condition_set(text: str) -> ConditionSet:
-    """Parse condition-set syntax like "(1,1|3),(1,2|4)" (whitespace-free-form).
+    """Parse condition-set syntax like "(1,1|3),(1,2|4)".
 
-    A tuple whose last two entries are decreasing is normalized by
-    swapping them (the constraint is alternating in those slots).  An
-    invalid condition raises ValueError naming it as written.
+    Whitespace may surround the punctuation but not split a number.  A
+    tuple whose last two entries are decreasing is normalized by swapping
+    them (the constraint is alternating in those slots).  An invalid
+    condition raises ValueError naming it as written.
     """
-    stripped = re.sub(r"\s+", "", text)
-    if not stripped:
+    compact = re.sub(r"\s*([(),|])\s*", r"\1", text.strip())
+    if not compact:
         return frozenset()
-    matched = _COND_RE.findall(stripped)
-    rebuilt = ",".join(f"({tup}|{lev})" for tup, lev in matched)
-    if re.sub(r"\s+", "", rebuilt) != stripped:
+    matched = _COND_RE.findall(compact)
+    if ",".join(f"({tup}|{lev})" for tup, lev in matched) != compact:
         raise ValueError(f"malformed condition set: {text!r}")
     conditions = set()
     for tup_text, level_text in matched:
@@ -290,7 +290,7 @@ class _Setup:
     @cached_property
     def ad(self):
         """sigma * [e_i, v] in adapted coordinates, built by the first row stream to read it."""
-        return lie.change_of_basis(self._g(), [list(v) for v in self.ab.vectors]).ad
+        return lie.algebra_in_basis(self._g(), self.p, self.p_inv).ad
 
     def extend(self, node: _Node, b: int) -> _Node | None:
         """Compute and store the child of `node` at index b (see `_Node`)."""

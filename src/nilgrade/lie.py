@@ -23,7 +23,6 @@ from .linalg import (
     mat_inv,
     q,
     unit_vec,
-    vec_scale,
     zero_vec,
 )
 
@@ -217,21 +216,23 @@ def lower_central_series(g: LieAlgebra) -> Filtration:
     """F_1 = g, F_{k+1} = span[g, F_k]; raises NotNilpotentError if it stalls."""
     if g._lcs_cache is not None:
         return g._lcs_cache
-    # scaled brackets of e_i with integer multiples of F_k's basis vectors
-    # span the same space as the brackets themselves, so they run on ints
+    # the integer images sigma * [e_i, v] that raised the rank of a level's
+    # echelon span that level, so the next level brackets them
     chain: list[list[Vec]] = [[unit_vec(g.dim, i) for i in range(g.dim)]]
-    while chain[-1]:
-        prev = chain[-1]
-        scaled = [{k: x for k, x in enumerate(clear_denominators(v)[1]) if x} for v in prev]
+    spanning = [{i: 1} for i in range(g.dim)]
+    while spanning:
         ech = Echelon(g.dim)
+        images = []
         for i in range(g.dim):
-            for v in scaled:
-                ech.add(g.ad(i, v))
-        nxt = ech.basis
+            for v in spanning:
+                w = g.ad(i, v)
+                if w and ech.add(w):
+                    images.append(w)
         # [g, F_k] ⊆ [g, F_{k-1}] by bilinearity, so equal dims mean a stall
-        if len(nxt) == len(prev):
+        if len(images) == len(spanning):
             raise NotNilpotentError("lower central series does not reach zero")
-        chain.append(nxt)
+        chain.append(ech.basis)
+        spanning = images
     filtration = Filtration(
         subspaces=tuple(tuple(tuple(v) for v in basis) for basis in chain),
         nilpotency_class=len(chain) - 1,
@@ -275,14 +276,21 @@ def change_of_basis(
     g: LieAlgebra, new_vectors: Sequence[Sequence[Fraction]], labels: Sequence[str] | None = None
 ) -> LieAlgebra:
     """Structure constants of g in the basis given by `new_vectors`."""
-    n = g.dim
-    if len(new_vectors) != n:
+    if len(new_vectors) != g.dim:
         raise ValueError("need dim basis vectors")
     p = columns_matrix(new_vectors)
+    return algebra_in_basis(g, p, mat_inv(p), labels)
+
+
+def algebra_in_basis(
+    g: LieAlgebra, p: Matrix, p_inv: Matrix, labels: Sequence[str] | None = None
+) -> LieAlgebra:
+    """g in the basis of p's columns, p_inv being p^-1 (see `change_of_basis`)."""
+    n = g.dim
     # p = P/dp and p^-1 = Q/dq, P and Q integral (P e_i is p_ints[i::n]), so the
     # new constants p^-1 [p e_i, p e_j] are Q sigma[P e_i, P e_j] / (sigma dp^2 dq)
     dp, p_ints = clear_denominators([x for row in p for x in row])
-    dq, q_ints = clear_denominators([x for row in mat_inv(p) for x in row])
+    dq, q_ints = clear_denominators([x for row in p_inv for x in row])
     q_rows = [q_ints[k * n : (k + 1) * n] for k in range(n)]
     den = g.sigma * dp * dp * dq
     brackets: dict[tuple[int, int], Vec] = {}
@@ -411,7 +419,7 @@ def parse_algebra(text: str) -> LieAlgebra:
         declared.add(key)
         value = _parse_terms(rhs, label_index, dim, where)
         if i > j:
-            value = vec_scale(Fraction(-1), value)
+            value = [-x for x in value]
         brackets[key] = value
 
     return LieAlgebra(dim, brackets, labels)

@@ -42,18 +42,6 @@ def unit_vec(n: int, i: int) -> Vec:
     return v
 
 
-def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    return [x + y for x, y in zip(a, b)]
-
-
-def vec_scale(c: Fraction, a: Sequence[Fraction]) -> Vec:
-    return [c * x for x in a]
-
-
-def is_zero_vec(a: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in a)
-
-
 def matrix(rows: Iterable[Iterable]) -> Matrix:
     m = [[q(x) for x in row] for row in rows]
     if m and any(len(row) != len(m[0]) for row in m):
@@ -89,7 +77,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [vec_add(x, y) for x, y in zip(a, b)]
+    return [[x + y for x, y in zip(u, v)] for u, v in zip(a, b)]
 
 
 def columns_matrix(vectors: Sequence[Sequence[Fraction]]) -> Matrix:
@@ -332,7 +320,7 @@ def filtration_depth(
     The chain must be decreasing and end with the zero space; the zero
     vector has depth +infinity.
     """
-    if is_zero_vec(v):
+    if not any(v):
         return math.inf
     depth = 0
     for k, basis in enumerate(filtration_bases, start=1):

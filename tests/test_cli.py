@@ -252,10 +252,12 @@ def test_undecodable_file_is_usage_error(capsys, tmp_path):
 
 
 def test_malformed_condition_is_usage_error(capsys):
-    code, _, err = run_capture(
-        capsys, ["derivable", "catalog:g6_11", "--cond", "(1|banana)"]
-    )
-    assert code == 2
+    # "1 0" is not the level 10: whitespace never joins two numbers
+    for cond in ("(1|banana)", "(1, 2 | 1 0)"):
+        code, out, err = run_capture(capsys, ["derivable", "catalog:g6_11", "--cond", cond])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: malformed condition set: {cond!r}\n"
 
 
 @pytest.mark.parametrize(

@@ -39,6 +39,7 @@ from nilgrade.derivability import (
 )
 from nilgrade.lie import (
     adapted_basis,
+    algebra_in_basis,
     change_of_basis,
     iterated_bracket,
     lower_central_series,
@@ -117,6 +118,11 @@ def test_condition_parsing():
         parse_condition_set("(1|3)")
     with pytest.raises(ValueError):
         parse_condition_set("(1,2|4) junk")
+    # whitespace may surround the punctuation but never joins two numbers
+    assert parse_condition_set("( 1 , 1 | 3 )") == frozenset({DerivCondition((1, 1), 3)})
+    for text in ("(1,1 1|15)", "(1, 2 | 1 0)", "(1 2,3|9)"):
+        with pytest.raises(ValueError, match="malformed condition set"):
+            parse_condition_set(text)
 
 
 def test_condition_validation():
@@ -647,7 +653,7 @@ def test_grading_only_calls_do_not_build_the_adapted_algebra(monkeypatch):
     # basis is built by the first row stream and serves every later one.
     # At class 2 there are no conditions, so no solve streams a row
     built = []
-    monkeypatch.setattr("nilgrade.lie.change_of_basis", lambda *args: built.append(args) or change_of_basis(*args))
+    monkeypatch.setattr("nilgrade.lie.algebra_in_basis", lambda *args: built.append(args) or algebra_in_basis(*args))
     for name, builds in (("heisenberg", 0), ("g6_11", 1), ("filiform(7)", 1)):
         witness = e_invariant(catalog.get(name).algebra).witness
         g = catalog.get(name).algebra
@@ -660,6 +666,19 @@ def test_grading_only_calls_do_not_build_the_adapted_algebra(monkeypatch):
         is_A_derivable(g, enumerate_S(f.nilpotency_class))
         e_invariant(g)
         assert len(built) == builds, name
+
+
+def test_setup_and_its_adapted_algebra_invert_p_once(monkeypatch):
+    # the adapted algebra is built from the p and p^-1 the setup holds, so
+    # a fresh class >= 3 instance inverts its change of basis once
+    inverted = []
+    counting = lambda m: inverted.append(m) or mat_inv(m)  # noqa: E731
+    monkeypatch.setattr("nilgrade.lie.mat_inv", counting)
+    monkeypatch.setattr("nilgrade.derivability.mat_inv", counting)
+    g = catalog.get("g6_11").algebra
+    assert lower_central_series(g).nilpotency_class >= 3
+    e_invariant(g)
+    assert len(inverted) == 1
 
 
 def test_foreign_filtration_or_adapted_basis_is_rejected():

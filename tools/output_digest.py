@@ -7,7 +7,8 @@ central products of the benchmark.  For each one the script records, as
 exact text: the lower central series, the adapted basis and its degrees,
 the algebra in the adapted basis and in a fixed rational shear of the
 original basis (`change_of_basis`; the shear and its inverse both have
-denominators, so both enter the scale that it clears), the e-invariant
+denominators, so both enter the scale that it clears) with the lower
+central series of that sheared algebra, the e-invariant
 and its witness, `e_of_operator` of the witness, of the base point of
 `grading_operator_space` and of the witness plus a third of each of 3
 free directions spread over that space, `is_grading_operator` on the
@@ -64,6 +65,10 @@ def _rows(rows) -> str:
     return "/".join(_vec(r) for r in rows)
 
 
+def _chain(f) -> str:
+    return " | ".join(_rows(f.basis(k)) for k in range(1, f.nilpotency_class + 2))
+
+
 def _operator(d) -> str:
     return "NotDerivable" if d is None else _rows(d.matrix)
 
@@ -90,12 +95,14 @@ def algebra_lines(name: str, rng: random.Random) -> list[str]:
     f = lie.lower_central_series(g)
     ab = lie.adapted_basis(g, f)
     result = derivability.e_invariant(g)
+    sheared = lie.change_of_basis(g, shear(g.dim))
     out = [
         f"algebra {name}",
-        "lcs " + " | ".join(_rows(f.basis(k)) for k in range(1, f.nilpotency_class + 2)),
+        "lcs " + _chain(f),
         f"adapted {_rows(ab.vectors)} degrees {_vec(ab.degrees)}",
         "change_of_basis " + lie.serialize_algebra(lie.change_of_basis(g, ab.vectors)),
-        "change_of_basis shear " + lie.serialize_algebra(lie.change_of_basis(g, shear(g.dim))),
+        "change_of_basis shear " + lie.serialize_algebra(sheared),
+        "lcs shear " + _chain(lie.lower_central_series(sheared)),
         f"e {result.e} witness {_operator(result.witness)}",
         f"e_of_operator {derivability.e_of_operator(g, result.witness)}",
     ]
@@ -140,8 +147,7 @@ def algebra_lines(name: str, rng: random.Random) -> list[str]:
     out.append("eigenbasis " + lie.serialize_algebra(g_eig))
     out.append("carnot " + carnot.serialize_carnot(ca))
     out.append("carnot_algebra " + carnot.serialize_carnot(carnot.carnot_algebra(g, result.witness)))
-    f_ca = lie.lower_central_series(ca.algebra)
-    out.append("carnot lcs " + " | ".join(_rows(f_ca.basis(k)) for k in range(1, f_ca.nilpotency_class + 2)))
+    out.append("carnot lcs " + _chain(lie.lower_central_series(ca.algebra)))
     out.append("jacobi perturbed " + repr(lie.check_jacobi(perturbed(g))))
     if c <= bch.MAX_SUPPORTED_CLASS:
         ladder = [Fraction(2) ** k for k in range(GOODMAN_TMAX + 1)]
