@@ -24,6 +24,7 @@ from .linalg import AffineSystem, Vec, ZERO, q
 
 LEFT, RIGHT = 0, 1
 Word = tuple[int, ...]
+_Parts = dict[int, list[int]]
 
 MAX_SUPPORTED_CLASS = 8
 
@@ -177,41 +178,72 @@ def bch_table(c: int) -> BCHTermTable:
     return BCHTermTable(coeffs)
 
 
+def _weighted_parts(g: LieAlgebra, c: int, degrees: Sequence[int], x: Vec, y: Vec) -> tuple[_Parts, int]:
+    """Every word of `bch_table(c)` run once over integers, split by weight.
+
+    x and y are split by `degrees`; a bracket of weight-a and weight-b
+    parts has weight a + b, and only weights below c are kept, so a word
+    is kept iff len(word) * min(degrees) < c.  Returns (weighted, common):
+    weighted[w][k] / common, with common = lcd * den^c * sigma^(c-1), is
+    the weight-w part of coordinate k of sum_word coeff * [word](x, y).
+    """
+    cut = min(degrees)
+    words = [(w, coeff) for w, coeff in bch_table(c).nonzero if len(w) * cut < c]
+    lcd = lcm(1, *(coeff.denominator for _, coeff in words))
+    den, ints = lie.clear_denominators([*x, *y])
+    dens = den * g.sigma
+    parts: tuple[_Parts, _Parts] = ({}, {})
+    for side, vec in enumerate((ints[: g.dim], ints[g.dim :])):
+        for k, v in enumerate(vec):
+            if v:
+                parts[side].setdefault(degrees[k], [0] * g.dim)[k] = v
+    suffix_cache: dict[Word, _Parts] = {(LEFT,): parts[LEFT], (RIGHT,): parts[RIGHT]}
+
+    def eval_word(word: Word) -> _Parts:
+        split = suffix_cache.get(word)
+        if split is None:
+            split = {}
+            for b, v in eval_word(word[1:]).items():
+                for a, u in parts[word[0]].items():
+                    if a + b < c:
+                        acc = split.setdefault(a + b, [0] * g.dim)
+                        for k, s in enumerate(lie.scaled_bracket(g, u, v)):
+                            acc[k] += s
+            suffix_cache[word] = split
+        return split
+
+    weighted: _Parts = {}
+    for word, coeff in words:
+        scale = coeff.numerator * (lcd // coeff.denominator) * dens ** (c - len(word))
+        for w, vec in eval_word(word).items():
+            acc = weighted.setdefault(w, [0] * g.dim)
+            for k, s in enumerate(vec):
+                if s:
+                    acc[k] += scale * s
+    return weighted, lcd * den**c * g.sigma ** (c - 1)
+
+
 def bch_product(g: LieAlgebra, f: Filtration, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
     """x * y = log(exp x . exp y), exact, truncated by the nilpotency class.
 
-    Evaluation clears denominators first so the bracket words run over
-    plain integers; rationals reappear only in the final combination.
+    f must be `lower_central_series(g)`, else ValueError.  The words run
+    once over integers as a single weight-0 part (`_weighted_parts`), so
+    rationals reappear only in one division per coordinate.
     """
     if len(x) != g.dim or len(y) != g.dim:
         raise ValueError("dimension mismatch")
+    if f is not lie.lower_central_series(g) and f != lie.lower_central_series(g):
+        raise ValueError("f must be the lower central series of g")
     c = f.nilpotency_class
     xs = [q(v) for v in x]
     ys = [q(v) for v in y]
     result = [a + b for a, b in zip(xs, ys)]
     if c < 2:
         return result
-    table = bch_table(c)
-    sigma = g.sigma
-    den, ints = lie.clear_denominators(xs + ys)
-    ix, iy = ints[: g.dim], ints[g.dim :]
-    gens = (ix, iy)
-    suffix_cache: dict[Word, list[int]] = {(LEFT,): ix, (RIGHT,): iy}
-
-    def eval_word(word: Word) -> list[int]:
-        vec = suffix_cache.get(word)
-        if vec is None:
-            vec = lie.scaled_bracket(g, gens[word[0]], eval_word(word[1:]))
-            suffix_cache[word] = vec
-        return vec
-
-    for word, coeff in table.nonzero:
-        n = len(word)
-        vec = eval_word(word)
-        scale = coeff / (den**n * sigma ** (n - 1))
-        for k, entry in enumerate(vec):
-            if entry:
-                result[k] += scale * entry
+    weighted, common = _weighted_parts(g, c, [0] * g.dim, xs, ys)
+    for k, s in enumerate(weighted.get(0, ())):
+        if s:
+            result[k] += Fraction(s, common)
     return result
 
 
@@ -253,14 +285,12 @@ def law_difference_ladder(
     """`law_difference(g, ca, δ_t x, δ_t y)` for every t in ts, from one evaluation.
 
     g is written in the grading eigenbasis of its Carnot companion ca, and
-    δ_t multiplies each degree-i coordinate by t^i.  Split x and y by
-    degree: a bracket of weight-a and weight-b parts lands in degrees
-    >= a + b, so each word's value splits into weight-W parts and
-    P_{k,W}(δ_t x, δ_t y) = t^W P_{k,W}(x, y).  In a degree-d coordinate
-    the top-weight part W = d is the Carnot law and parts W > d vanish, so
-    the difference there is sum_{W<d} t^W P_{k,W}: the words are evaluated
-    once over integers (weights below the class only), and each rung costs
-    one Fraction per coordinate.  Raises ValueError on t <= 0, as `dilate`
+    δ_t multiplies each degree-i coordinate by t^i.  A bracket of weight-a
+    and weight-b parts lands in degrees >= a + b, so the weight-W part
+    P_{k,W} (`_weighted_parts` on ca.degrees) scales as t^W.  In a degree-d
+    coordinate the top-weight part W = d is the Carnot law and parts W > d
+    vanish, so the difference there is sum_{W<d} t^W P_{k,W}: one Fraction
+    per coordinate and rung.  Raises ValueError on t <= 0, as `dilate`
     does, and on a class above 8, as `bch_table` does.
     """
     degrees = ca.degrees
@@ -272,41 +302,8 @@ def law_difference_ladder(
     c = lie.lower_central_series(g).nilpotency_class
     if c < 2:
         return [[ZERO] * g.dim for _ in ts]
-    words = [(w, coeff) for w, coeff in bch_table(c).nonzero if len(w) < c]
-    lcd = lcm(1, *(coeff.denominator for _, coeff in words))
-    den, ints = lie.clear_denominators([q(v) for v in (*x, *y)])
-    dens = den * g.sigma
-    parts: tuple[dict[int, list[int]], ...] = ({}, {})
-    for side, vec in enumerate((ints[: g.dim], ints[g.dim :])):
-        for k, v in enumerate(vec):
-            if v:
-                parts[side].setdefault(degrees[k], [0] * g.dim)[k] = v
-    suffix_cache: dict[Word, dict[int, list[int]]] = {(LEFT,): parts[LEFT], (RIGHT,): parts[RIGHT]}
-
-    def eval_word(word: Word) -> dict[int, list[int]]:
-        split = suffix_cache.get(word)
-        if split is None:
-            split = {}
-            for b, v in eval_word(word[1:]).items():
-                for a, u in parts[word[0]].items():
-                    if a + b < c:
-                        acc = split.setdefault(a + b, [0] * g.dim)
-                        for k, s in enumerate(lie.scaled_bracket(g, u, v)):
-                            acc[k] += s
-            suffix_cache[word] = split
-        return split
-
-    # weighted[w][k] * t^w / (lcd * den^c * sigma^(c-1)) is coordinate k's weight-w part
-    weighted: dict[int, list[int]] = {}
-    for word, coeff in words:
-        n = len(word)
-        scale = coeff.numerator * (lcd // coeff.denominator) * dens ** (c - n)
-        for w, vec in eval_word(word).items():
-            acc = weighted.setdefault(w, [0] * g.dim)
-            for k, s in enumerate(vec):
-                if s:
-                    acc[k] += scale * s
-    common = lcd * den**c * g.sigma ** (c - 1)
+    # weighted[w][k] * t^w / common is coordinate k's weight-w part
+    weighted, common = _weighted_parts(g, c, degrees, [q(v) for v in x], [q(v) for v in y])
     out: list[Vec] = []
     for t in ts:
         num, tden = t.numerator, t.denominator

@@ -16,10 +16,14 @@ from oracles import (
     filiform5_matrix,
     heisenberg_coords,
     heisenberg_matrix,
+    mat_exp_nilpotent,
+    mat_log_unitriangular,
     matrix_group_product,
+    naive_mat_mul,
+    rref_mat_inv,
 )
 from test_derivability import GRADED_ENTRIES, grading_operator_samples
-from test_lie import matrix_lie_algebras
+from test_lie import matrix_lie_algebras, matrix_lie_algebras_with_matrices
 
 from nilgrade import catalog
 from nilgrade.bch import (
@@ -34,7 +38,7 @@ from nilgrade.carnot import carnot_pair
 from nilgrade.derivability import GradingOperator, e_invariant
 from nilgrade.goodman import GuivarchContext, dilate
 from nilgrade.lie import bracket, lower_central_series
-from nilgrade.linalg import unit_vec, vec, zero_vec
+from nilgrade.linalg import rref, unit_vec, vec, zero_vec
 
 L, R = 0, 1
 
@@ -125,6 +129,21 @@ def test_heisenberg_product_example():
     assert bch_product(g, f, unit_vec(3, 0), unit_vec(3, 1)) == vec([1, 1, F(1, 2)])
 
 
+def test_product_rejects_a_filtration_of_another_algebra():
+    # the class, and with it the truncation, comes from f: heisenberg's
+    # series would cut filiform(5)'s product at degree 2 and lose 1/12
+    g = catalog.get("filiform(5)").algebra
+    e1, e2 = unit_vec(5, 0), unit_vec(5, 1)
+    with pytest.raises(ValueError, match="^f must be the lower central series of g$"):
+        bch_product(g, lower_central_series(catalog.get("heisenberg").algebra), e1, e2)
+    expected = vec([1, 1, F(1, 2), F(1, 12), 0])
+    assert bch_product(g, lower_central_series(g), e1, e2) == expected
+    # an equal series of another instance of the same algebra is accepted
+    other = catalog.filiform(5)
+    assert other is not g and lower_central_series(other) == lower_central_series(g)
+    assert bch_product(g, lower_central_series(other), e1, e2) == expected
+
+
 def test_three_step_closed_form():
     # x*y = x + y + [x,y]/2 + ([x,[x,y]] + [y,[y,x]])/12 for class <= 3
     rng = random.Random(1)
@@ -162,6 +181,33 @@ def test_matrix_oracle_filiform5():
         x, y = rand_vec(rng, 5), rand_vec(rng, 5)
         expected = matrix_group_product(filiform5_matrix, filiform5_coords, x, y)
         assert bch_product(g, f, x, y) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrix_lie_algebras_with_matrices(min_class=2), st.data())
+def test_product_matches_matrix_oracle_on_random_algebras(sample, data):
+    # log(exp X . exp Y) of the basis matrices, read back in the randomly
+    # moved basis (so sigma > 1 in general), shares no code with the BCH
+    # word evaluator; the points are also drawn scaled by 2^8 and 2^16
+    g, matrices = sample
+    n, m = g.dim, len(matrices[0])
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    scale = F(2) ** data.draw(st.sampled_from([0, 8, 16]))
+    x, y = ([scale * v for v in data.draw(st.lists(coord, min_size=n, max_size=n))] for _ in range(2))
+
+    def matrix(v):
+        return [[sum(a * mk[r][c] for a, mk in zip(v, matrices)) for c in range(m)] for r in range(m)]
+
+    z = mat_log_unitriangular(naive_mat_mul(mat_exp_nilpotent(matrix(x)), mat_exp_nilpotent(matrix(y))))
+    # the basis matrices are independent, so their entries at the pivots of
+    # the dense RREF of their span form an invertible matrix
+    flat = [[e for row in mk for e in row] for mk in matrices]
+    _, pivots, _ = rref(flat)
+    inverse = rref_mat_inv([[row[p] for row in flat] for p in pivots])
+    z_flat = [e for row in z for e in row]
+    expected = [sum(a * z_flat[p] for a, p in zip(inv_row, pivots)) for inv_row in inverse]
+    assert matrix(expected) == z
+    assert bch_product(g, lower_central_series(g), x, y) == expected
 
 
 def test_group_axioms_catalog_entries():

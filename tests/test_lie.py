@@ -170,12 +170,14 @@ def invertible_matrices(draw, n: int):
 
 
 @st.composite
-def matrix_lie_algebras(draw, min_class: int = 1):
+def matrix_lie_algebras_with_matrices(draw, min_class: int = 1):
     """The Lie algebra of dim <= 8 generated by 2-3 random strictly upper
     triangular integer matrices of size <= 5, moved by a random change of
-    basis.  The span of the generators is closed under commutators and the
-    structure constants are read at the pivots of its RREF basis, so
-    Jacobi and nilpotency hold by construction."""
+    basis, and the matrix of each of its basis vectors.  The span of the
+    generators is closed under commutators and the structure constants are
+    read at the pivots of its RREF basis, so Jacobi and nilpotency hold by
+    construction, and the bracket of two basis vectors is the commutator
+    of their matrices."""
     m = draw(st.integers(3, 5))
     slots = [(r, c) for r in range(m) for c in range(r + 1, m)]
     generator = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=len(slots), max_size=len(slots))
@@ -204,7 +206,19 @@ def matrix_lie_algebras(draw, min_class: int = 1):
     g = LieAlgebra(n, brackets)
     assume(lower_central_series(g).nilpotency_class >= min_class)
     p = draw(invertible_matrices(n))
-    return change_of_basis(g, [[p[i][k] for i in range(n)] for k in range(n)])
+    matrices = []
+    for k in range(n):
+        entries = [sum(p[i][k] * basis[i][s] for i in range(n)) for s in range(len(slots))]
+        matrix = [[F(0)] * m for _ in range(m)]
+        for (r, c), x in zip(slots, entries):
+            matrix[r][c] = x
+        matrices.append(matrix)
+    return change_of_basis(g, [[p[i][k] for i in range(n)] for k in range(n)]), matrices
+
+
+def matrix_lie_algebras(min_class: int = 1):
+    """The algebras of `matrix_lie_algebras_with_matrices`, without the matrices."""
+    return matrix_lie_algebras_with_matrices(min_class).map(lambda pair: pair[0])
 
 
 @settings(max_examples=25, deadline=None)

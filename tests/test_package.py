@@ -57,3 +57,19 @@ def test_one_sparse_bracket_kernel_and_one_affine_system():
                 assert node.id != "Echelon", (path.name, node.lineno)
             elif isinstance(node, ast.Attribute):
                 assert node.attr != "Echelon", (path.name, node.lineno)
+
+
+def test_one_bch_word_evaluator():
+    # every BCH law runs its words through one integer evaluator, so in
+    # `bch` the dense bracket kernel is called from one top-level function
+    path = SRC / "bch.py"
+    callers = set()
+    for top in ast.parse(path.read_text(), str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "scaled_bracket":
+                    assert isinstance(top, ast.FunctionDef), node.lineno
+                    callers.add(top.name)
+    assert len(callers) == 1, sorted(callers)

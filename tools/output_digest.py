@@ -28,7 +28,10 @@ parsed instance, so that an unshared setup is covered too.  One more
 freshly parsed instance answers `is_grading_operator` on the witness,
 the base point and the perturbed base point before any solve has run on
 it, and then `e_of_operator` of the three moved operators.  Algebras
-within the BCH cap also get a short goodman report as JSON.  Last come
+within the BCH cap also get a short goodman report as JSON and the three
+group laws on the grading eigenbasis (`bch_product`, `carnot_product` and
+`law_difference`) at 2 fixed grid pairs, each dilated to the rungs 2^0,
+2^8 and 2^16.  Last come
 the nonzero BCH word coefficients of `bch_table(c)` for c = 2..8, the
 largest exact solves the package makes.  Two checkouts print
 the same hash exactly when all of these outputs agree, so running it on
@@ -55,6 +58,7 @@ ALGEBRAS = (
 )
 DRAWN_PER_ALGEBRA = 6
 GOODMAN_SAMPLES, GOODMAN_TMAX, GOODMAN_SEED = 2, 4, 7
+PRODUCT_PAIRS, PRODUCT_RUNGS, PRODUCT_SEED = 2, (0, 8, 16), 11
 
 
 def _vec(v) -> str:
@@ -153,6 +157,23 @@ def algebra_lines(name: str, rng: random.Random) -> list[str]:
         ladder = [Fraction(2) ** k for k in range(GOODMAN_TMAX + 1)]
         report = goodman.goodman_check(g, result.witness, GOODMAN_SAMPLES, ladder, GOODMAN_SEED)
         out.append("goodman " + report.to_json())
+        out += product_lines(g_eig, ca)
+    return out
+
+
+def product_lines(g_eig: lie.LieAlgebra, ca: carnot.CarnotAlgebra) -> list[str]:
+    f_eig = lie.lower_central_series(g_eig)
+    ctx = goodman.GuivarchContext.for_carnot(ca)
+    sampler = goodman.GridSampler(PRODUCT_SEED)
+    out = []
+    for _ in range(PRODUCT_PAIRS):
+        x, y = sampler.vector(g_eig.dim), sampler.vector(g_eig.dim)
+        for k in PRODUCT_RUNGS:
+            u, v = (goodman.dilate(ctx, Fraction(2) ** k, w) for w in (x, y))
+            out.append(
+                f"products {_vec(x)} ; {_vec(y)} at 2^{k}: bch {_vec(bch.bch_product(g_eig, f_eig, u, v))}"
+                f" carnot {_vec(bch.carnot_product(ca, u, v))} diff {_vec(bch.law_difference(g_eig, ca, u, v))}"
+            )
     return out
 
 
