@@ -178,57 +178,90 @@ def bch_table(c: int) -> BCHTermTable:
     return BCHTermTable(coeffs)
 
 
-def _weighted_parts(g: LieAlgebra, c: int, degrees: Sequence[int], x: Vec, y: Vec) -> tuple[_Parts, int]:
-    """Every word of `bch_table(c)` run once over integers, split by weight.
+@lru_cache(maxsize=None)
+def _plan(c: int, cut: int) -> tuple[int, tuple[Word, ...], tuple[tuple[int, Word, int, int], ...]]:
+    """(lcd, suffixes, words) for `_weighted_parts` at class c and least degree cut.
 
-    x and y are split by `degrees`; a bracket of weight-a and weight-b
-    parts has weight a + b, and only weights below c are kept, so a word
-    is kept iff len(word) * min(degrees) < c.  Returns (weighted, common):
-    weighted[w][k] / common, with common = lcd * den^c * sigma^(c-1), is
-    the weight-w part of coordinate k of sum_word coeff * [word](x, y).
+    words are those of `bch_table(c)` with len(word) * cut < c, each as
+    (first letter, rest, lcd * coeff as an integer, c - len(word)); lcd is
+    the least common denominator of their coefficients.  suffixes are the
+    distinct proper suffixes of length >= 2 of the words, shortest first,
+    so that each comes after its own rest.
     """
-    cut = min(degrees)
-    words = [(w, coeff) for w, coeff in bch_table(c).nonzero if len(w) * cut < c]
-    lcd = lcm(1, *(coeff.denominator for _, coeff in words))
+    kept = [(w, coeff) for w, coeff in bch_table(c).nonzero if len(w) * cut < c]
+    lcd = lcm(1, *(coeff.denominator for _, coeff in kept))
+    suffixes = {w[i:] for w, _ in kept for i in range(1, len(w) - 1)}
+    words = tuple(
+        (w[0], w[1:], coeff.numerator * (lcd // coeff.denominator), c - len(w)) for w, coeff in kept
+    )
+    return lcd, tuple(sorted(suffixes, key=lambda s: (len(s), s))), words
+
+
+def _weighted_parts(g: LieAlgebra, c: int, degrees: Sequence[int], x: Vec, y: Vec) -> tuple[_Parts, int]:
+    """x + y plus every word of `bch_table(c)`, run once over integers, split by weight.
+
+    x and y are split into parts by `degrees` and enter at their own
+    weights; a bracket of weight-a and weight-b parts has weight a + b,
+    and only bracket weights below c are kept, so a word is kept iff
+    len(word) * min(degrees) < c.  Returns (weighted, common):
+    weighted[w][k] / common, with common = lcd * den^c * sigma^(c-1), is
+    the weight-w part of coordinate k of x + y + sum_word coeff * [word](x, y).
+
+    Each proper suffix of the words is bracketed once, and the outermost
+    bracket is folded: sum_word s_word [word_0, rest] is
+    [x, sum_{word_0 = x} s_word rest] + [y, sum_{word_0 = y} s_word rest],
+    so each letter's scaled rests are summed per weight and bracketed once
+    against that letter's parts.  On nonzero x and y at one weight (as
+    `bch_product` calls it) that is 2 + len(suffixes) brackets.
+    """
+    lcd, suffixes, words = _plan(c, min(degrees))
     den, ints = lie.clear_denominators([*x, *y])
+    dim = g.dim
     dens = den * g.sigma
+    powers = [1]  # powers[e] = dens^e
+    for _ in range(c - 1):
+        powers.append(powers[-1] * dens)
+    top = lcd * powers[c - 1]
     parts: tuple[_Parts, _Parts] = ({}, {})
-    for side, vec in enumerate((ints[: g.dim], ints[g.dim :])):
-        for k, v in enumerate(vec):
-            if v:
-                parts[side].setdefault(degrees[k], [0] * g.dim)[k] = v
-    suffix_cache: dict[Word, _Parts] = {(LEFT,): parts[LEFT], (RIGHT,): parts[RIGHT]}
-
-    def eval_word(word: Word) -> _Parts:
-        split = suffix_cache.get(word)
-        if split is None:
-            split = {}
-            for b, v in eval_word(word[1:]).items():
-                for a, u in parts[word[0]].items():
-                    if a + b < c:
-                        acc = split.setdefault(a + b, [0] * g.dim)
-                        for k, s in enumerate(lie.scaled_bracket(g, u, v)):
-                            acc[k] += s
-            suffix_cache[word] = split
-        return split
-
     weighted: _Parts = {}
-    for word, coeff in words:
-        scale = coeff.numerator * (lcd // coeff.denominator) * dens ** (c - len(word))
-        for w, vec in eval_word(word).items():
-            acc = weighted.setdefault(w, [0] * g.dim)
-            for k, s in enumerate(vec):
-                if s:
-                    acc[k] += scale * s
+    for side, vec in enumerate((ints[:dim], ints[dim:])):
+        for k, s in enumerate(vec):
+            if s:
+                parts[side].setdefault(degrees[k], [0] * dim)[k] = s
+                weighted.setdefault(degrees[k], [0] * dim)[k] += top * s
+
+    def bracket_into(dest: _Parts, letter: int, split: _Parts) -> _Parts:
+        # dest += [letter's parts, split], weights below c only
+        for b, v in split.items():
+            for a, u in parts[letter].items():
+                if a + b < c:
+                    vec = lie.scaled_bracket(g, u, v)
+                    acc = dest.get(a + b)
+                    dest[a + b] = vec if acc is None else [t + s for t, s in zip(acc, vec)]
+        return dest
+
+    memo: dict[Word, _Parts] = {(LEFT,): parts[LEFT], (RIGHT,): parts[RIGHT]}
+    for word in suffixes:
+        memo[word] = bracket_into({}, word[0], memo[word[1:]])
+    folded: tuple[_Parts, _Parts] = ({}, {})
+    for first, rest, num, e in words:
+        scale = num * powers[e]
+        sums = folded[first]
+        for b, v in memo[rest].items():
+            acc = sums.get(b)
+            sums[b] = [scale * s for s in v] if acc is None else [t + scale * s for t, s in zip(acc, v)]
+    for letter, sums in enumerate(folded):
+        bracket_into(weighted, letter, sums)
     return weighted, lcd * den**c * g.sigma ** (c - 1)
 
 
 def bch_product(g: LieAlgebra, f: Filtration, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
     """x * y = log(exp x . exp y), exact, truncated by the nilpotency class.
 
-    f must be `lower_central_series(g)`, else ValueError.  The words run
-    once over integers as a single weight-0 part (`_weighted_parts`), so
-    rationals reappear only in one division per coordinate.
+    f must be `lower_central_series(g)`, else ValueError.  x, y and every
+    word run once over integers as a single weight-0 part
+    (`_weighted_parts`), so rationals reappear only in one division per
+    coordinate.
     """
     if len(x) != g.dim or len(y) != g.dim:
         raise ValueError("dimension mismatch")
@@ -237,14 +270,10 @@ def bch_product(g: LieAlgebra, f: Filtration, x: Sequence[Fraction], y: Sequence
     c = f.nilpotency_class
     xs = [q(v) for v in x]
     ys = [q(v) for v in y]
-    result = [a + b for a, b in zip(xs, ys)]
     if c < 2:
-        return result
+        return [a + b for a, b in zip(xs, ys)]
     weighted, common = _weighted_parts(g, c, [0] * g.dim, xs, ys)
-    for k, s in enumerate(weighted.get(0, ())):
-        if s:
-            result[k] += Fraction(s, common)
-    return result
+    return [Fraction(s, common) if s else ZERO for s in weighted.get(0, [0] * g.dim)]
 
 
 def carnot_product(ca: CarnotAlgebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:

@@ -352,8 +352,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("goodman", _cmd_goodman, help="sample the difference-law inequality")
     p.add_argument("source")
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--tmax", type=int, default=10, help="ladder 2^0..2^tmax")
+    p.add_argument(
+        "--samples", type=int, default=50,
+        help="base pairs to draw; no upper bound: the report holds samples * (tmax+1) rungs",
+    )
+    p.add_argument(
+        "--tmax", type=int, default=10,
+        help="ladder 2^0..2^tmax; no upper bound: at class c dilated coordinates reach 2^(tmax*c)",
+    )
     p.add_argument("--seed", type=int, default=0)
 
     p = add("grading", _cmd_grading, help="verify an explicit positive grading")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +26,9 @@ from oracles import (
 from test_derivability import GRADED_ENTRIES, grading_operator_samples
 from test_lie import matrix_lie_algebras, matrix_lie_algebras_with_matrices
 
-from nilgrade import catalog
+from nilgrade import catalog, lie
 from nilgrade.bch import (
+    _weighted_parts,
     bch_product,
     bch_table,
     carnot_product,
@@ -303,6 +305,97 @@ def test_g7_0_8_vs_g7_1_21_difference_formula():
         expected = zero_vec(7)
         expected[6] = F(1, 2) * (x[0] * y[2] - x[2] * y[0])
         assert law_difference(ga, gb, x, y) == expected
+
+
+# --- the integer word evaluator
+
+
+@lru_cache(maxsize=None)
+def eigenbasis_algebra(name):
+    g = catalog.get(name).algebra
+    return carnot_pair(g, e_invariant(g).witness)[0]
+
+
+def naive_weighted_parts(g, c, degrees, x, y):
+    """x + y + sum_word coeff * [word](x, y) split by weight, in Fractions.
+
+    Every word of `bch_table(c)` is expanded over every choice of one part
+    per letter; a bracket's weight is the sum of its parts' weights, and
+    only bracket weights below c are kept.  x and y enter at their own
+    weights.
+    """
+    parts = []
+    for v in (x, y):
+        split = {}
+        for k, (d, s) in enumerate(zip(degrees, v)):
+            split.setdefault(d, zero_vec(g.dim))[k] = s
+        parts.append(split)
+    out = {}
+
+    def add(w, v):
+        out[w] = [a + b for a, b in zip(out.get(w, zero_vec(g.dim)), v)]
+
+    for side in parts:
+        for w, v in side.items():
+            add(w, v)
+    for word, coeff in bch_table(c).nonzero:
+        terms = list(parts[word[-1]].items())
+        for letter in reversed(word[:-1]):
+            terms = [(a + b, bracket(g, u, v)) for a, u in parts[letter].items() for b, v in terms if a + b < c]
+        for w, v in terms:
+            add(w, [coeff * s for s in v])
+    return out
+
+
+def nonzero_parts(parts):
+    return {w: v for w, v in parts.items() if any(v)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        # dim <= 8 and matrices of size <= 5, so class <= 4
+        matrix_lie_algebras(min_class=2),
+        st.sampled_from(GRADED_ENTRIES).map(eigenbasis_algebra),
+    ),
+    st.data(),
+)
+def test_weighted_parts_match_a_naive_per_word_expansion(g, data):
+    # the degrees need not be a grading: all zeros (as bch_product calls
+    # it), any entries in 0..3, and a least degree > 0, so that the length
+    # cut drops words
+    n = g.dim
+    degrees = data.draw(
+        st.one_of(
+            st.just([0] * n),
+            st.lists(st.integers(0, 3), min_size=n, max_size=n),
+            st.lists(st.integers(1, 3), min_size=n, max_size=n),
+        )
+    )
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    x, y = (data.draw(st.lists(coord, min_size=n, max_size=n)) for _ in range(2))
+    c = lower_central_series(g).nilpotency_class
+    weighted, common = _weighted_parts(g, c, degrees, x, y)
+    got = {w: [F(s, common) for s in v] for w, v in weighted.items()}
+    assert nonzero_parts(got) == nonzero_parts(naive_weighted_parts(g, c, degrees, x, y))
+
+
+def test_class_eight_product_brackets_each_rest_once_and_folds_the_outer_bracket(monkeypatch):
+    # one bracket per distinct proper suffix of length >= 2 of the words,
+    # and one per letter for the folded outermost bracket
+    g = eigenbasis_algebra("central_product(5,8)")
+    f = lower_central_series(g)
+    assert f.nilpotency_class == 8
+    x = [F(k + 1, 3) for k in range(g.dim)]
+    y = [F(-2, k + 1) for k in range(g.dim)]
+    expected = bch_product(g, f, x, y)
+    words = [w for w, _ in bch_table(8).nonzero]
+    suffixes = {w[i:] for w in words for i in range(1, len(w) - 1)}
+    calls = []
+    kernel = lie.scaled_bracket
+    monkeypatch.setattr(lie, "scaled_bracket", lambda *args: calls.append(args) or kernel(*args))
+    assert bch_product(g, f, x, y) == expected
+    assert len(calls) == 2 + len(suffixes) == 58
 
 
 # --- the law difference along a dilation ladder

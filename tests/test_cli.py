@@ -99,6 +99,14 @@ def test_negative_first_coordinate_takes_the_equals_form(capsys, monkeypatch):
         assert code == 0 and "--x=-1,1,0" in out and "--y=-1,1,0" in out
 
 
+def test_goodman_help_states_the_cost_of_samples_and_tmax(capsys):
+    # neither option has an upper bound, so the help says what each costs
+    code, out, _ = run_capture(capsys, ["goodman", "--help"])
+    text = " ".join(out.split())
+    assert code == 0
+    assert "samples * (tmax+1) rungs" in text and "2^(tmax*c)" in text
+
+
 def test_e_text_and_json_agree(capsys):
     code, text_out, _ = run_capture(capsys, ["e", "catalog:g6_17"])
     code2, json_out, _ = run_capture(capsys, ["e", "catalog:g6_17", "--json"])
