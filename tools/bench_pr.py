@@ -1,24 +1,26 @@
 """Benchmark this checkout against a parent commit and write BENCH_<PR>.json.
 
-    python3 tools/bench_pr.py --pr N [--parent REV] [--pairs 5] [--seconds 16]
-        [--seed 1] [--workload NAME ...] [--scratch DIR]
+    python3 tools/bench_pr.py --pr N --parent REV [--pairs 10] [--seed 1]
 
-The change is this checkout's working tree; the parent is REV (default
-HEAD) unpacked with `git archive` into a fresh directory under --scratch
-(default: the system temporary directory), which is removed at the end.
-Every workload of BENCHMARK.json (or each --workload given) runs --pairs
-alternated pairs of `perfbench/run.py --seconds S --trace 0`: pair i uses
-seed SEED + i on both sides, and the parent runs first in even pairs, the
-change first in odd ones.  Then each side makes one `--trace 1` run at
-SEED for the per-layer numbers.
+The change is this checkout's working tree; the parent is REV unpacked
+with `git archive` into a fresh directory under the system temporary
+directory, which is removed at the end.  Every workload of BENCHMARK.json
+runs --pairs alternated pairs of `perfbench/run.py --trace 0` at the
+benchmark's own run length: pair i uses seed SEED + i on both sides, and
+the parent runs first in even pairs, the change first in odd ones.  Then
+each side makes one `--trace 1` run at SEED for the per-layer numbers.
 
 The file holds every run (its metrics, host slowdown, attempted and failed
 counts), and per end-to-end metric each side's median and quartiles, the
 change's median relative to the parent's, the parent's interquartile
 range and the pairs the change won, lost and tied; the metric's bound
-from BENCHMARK.json is copied beside it.  It also records the parent's
-`tools/output_digest.py` hash on both trees: the parent's unmodified tool
-is run once on each side's `src/`.  Only the standard library is used.
+from BENCHMARK.json is copied beside it.  Both sides are pinned by the git
+tree ids of their `src/` and `perfbench/` directories; the change's ids
+are those of the working tree, untracked files included, so
+`git rev-parse COMMIT:src` on the commit that lands it gives the same id.
+It also records the parent's `tools/output_digest.py` hash on both trees:
+the parent's unmodified tool is run once on each side's `src/`.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -38,11 +40,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 RUN_TIMEOUT_S = 600
+MEASURED = ("src", "perfbench")
 SLOWDOWN = re.compile(r"^host slowdown \(median probe / reference probe\): ([0-9.]+)$", re.M)
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+def git(*args: str, env: dict | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, env=env, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def worktree_ids() -> dict:
+    """The git tree id of each MEASURED directory as it stands in the working tree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        git("add", "--all", "--", *MEASURED, env=env)
+        return {d: git("rev-parse", f"{git('write-tree', env=env)}:{d}") for d in MEASURED}
 
 
 def unpack(rev: str, dest: Path) -> None:
@@ -61,20 +73,22 @@ def digest(tool: Path, src: Path, work: Path) -> str:
     return out.strip().splitlines()[-1]
 
 
-def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def bench(tree: Path, workload: str, seed: int, trace: int) -> dict:
     """One `perfbench/run.py` run in `tree`: its last JSON line plus the host slowdown."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SPEC["run_seconds"]), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     slowdown = SLOWDOWN.search(proc.stdout)
+    if slowdown is None:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} printed no host slowdown line:\n{proc.stdout}")
     return {
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
-        "host_slowdown": float(slowdown.group(1)) if slowdown else None,
+        "host_slowdown": float(slowdown.group(1)),
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
 
@@ -111,33 +125,30 @@ def summarize(pairs: list[dict]) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--pr", type=int, required=True, help="N in the BENCH_N.json written at the repo root")
-    parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--pairs", type=int, default=10, help="10 is the fewest a claimed gain rests on")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", action="append", choices=[w["name"] for w in SPEC["workloads"]])
-    parser.add_argument("--scratch", type=Path, default=None, help="directory for the parent tree")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    workloads = args.workload or [w["name"] for w in SPEC["workloads"]]
-    work = Path(tempfile.mkdtemp(prefix="bench_pr-", dir=args.scratch))
+    parent_rev = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    work = Path(tempfile.mkdtemp(prefix="bench_pr-"))
     try:
         parent = work / "parent"
-        unpack(args.parent, parent)
+        unpack(parent_rev, parent)
         tool = parent / "tools" / "output_digest.py"
         report = {
             "pr": args.pr,
-            "parent": git("rev-parse", args.parent),
-            "change": {"head": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))},
+            "parent": {"commit": parent_rev, **{d: git("rev-parse", f"{parent_rev}:{d}") for d in MEASURED}},
+            "change": {"head": git("rev-parse", "HEAD"), **worktree_ids()},
             "python": platform.python_version(),
             "cpus": os.cpu_count(),
-            "seconds": args.seconds,
+            "seconds": SPEC["run_seconds"],
             "pairs": args.pairs,
             "seeds": [args.seed + i for i in range(args.pairs)],
             "trace_seed": args.seed,
             "digest": {
-                "tool": f"tools/output_digest.py at {args.parent}",
+                "tool": f"tools/output_digest.py at {parent_rev}",
                 "parent": digest(tool, parent / "src", work / "digest-parent"),
                 "change": digest(tool, ROOT / "src", work / "digest-change"),
             },
@@ -145,17 +156,17 @@ def main() -> int:
         }
         report["digest"]["equal"] = report["digest"]["parent"] == report["digest"]["change"]
         sides = {"parent": parent, "change": ROOT}
-        for workload in workloads:
+        for workload in (w["name"] for w in SPEC["workloads"]):
             pairs = []
             for i, seed in enumerate(report["seeds"]):
                 order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = bench(sides[side], workload, seed, args.seconds, 0)
+                    pair[side] = bench(sides[side], workload, seed, 0)
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{side} {pair[side]['metrics']['throughput_rps']:.1f} rps" for side in order), flush=True)
                 pairs.append(pair)
-            trace = {side: bench(tree, workload, args.seed, args.seconds, 1) for side, tree in sides.items()}
+            trace = {side: bench(tree, workload, args.seed, 1) for side, tree in sides.items()}
             report["workloads"][workload] = {"summary": summarize(pairs), "pairs": pairs, "trace": trace}
         out = ROOT / f"BENCH_{args.pr}.json"
         out.write_text(json.dumps(report, indent=1) + "\n")
