@@ -244,13 +244,18 @@ class _Node(NamedTuple):
     [e_bk, [..., e_blast]], the replacement brackets per free variable and
     the degree sum, none of which depends on a condition.  The next index
     stays below `limit` (b_last at a root: Delta alternates in the last two
-    slots); `children` maps it to the extended node, or to None if empty."""
+    slots); `children` maps it to the extended node, or to None if empty.
+    `brackets` maps an index i to `ad`(i, suffix), filled on first use: its
+    entry at b is the suffix of the child at b, and its entry at a is the new
+    term of each free variable (a, b) in that child, so the node brackets its
+    suffix once per index."""
 
     suffix: SparseVec
     repl: dict[int, SparseVec]
     degsum: int
     limit: int
     children: dict[int, "_Node | None"]
+    brackets: dict[int, SparseVec]
 
 
 class _Setup:
@@ -283,7 +288,7 @@ class _Setup:
             next((i for i in range(n) if self.degrees[i] >= d), n) for d in range(self.c + 2)
         ]
         self.roots = [
-            _Node({b: 1}, {var: {a: 1} for var, a in self.col_vars[b]}, self.degrees[b], b, {})
+            _Node({b: 1}, {var: {a: 1} for var, a in self.col_vars[b]}, self.degrees[b], b, {}, {})
             for b in range(n)
         ]
 
@@ -296,12 +301,17 @@ class _Setup:
         """Compute and store the child of `node` at index b (see `_Node`)."""
         ad = self.ad
         suffix = node.suffix
-        new_suffix = ad(b, suffix) if suffix else {}
         new_repl = {var: bw for var, w in node.repl.items() if (bw := ad(b, w))}
+        new_suffix: SparseVec = {}
         if suffix:
+            brackets = node.brackets
+            for i in (b, *(a for _, a in self.col_vars[b])):
+                if i not in brackets:
+                    brackets[i] = ad(i, suffix)
+            new_suffix = brackets[b]
             for var, a in self.col_vars[b]:
                 merged = new_repl.setdefault(var, {})
-                for k, x in ad(a, suffix).items():
+                for k, x in brackets[a].items():
                     t = merged.get(k, 0) + x
                     if t:
                         merged[k] = t
@@ -311,7 +321,7 @@ class _Setup:
                     del new_repl[var]
         kid = None
         if new_suffix or new_repl:
-            kid = _Node(new_suffix, new_repl, node.degsum + self.degrees[b], self.dim, {})
+            kid = _Node(new_suffix, new_repl, node.degsum + self.degrees[b], self.dim, {}, {})
         node.children[b] = kid
         return kid
 
@@ -387,7 +397,14 @@ def _condition_rows(setup: _Setup, cond: DerivCondition, system) -> None:
     direction is an elementary matrix, walking the setup's path trie over
     tuple slots from the right: the condition only picks the children
     (degrees >= wp) and the depth, so each bracket is computed once per
-    `_Setup`, while the rows are emitted per condition.  The brackets run
+    `_Setup`, while the rows are emitted per condition.  The walk enters
+    only paths whose degree sum, plus wp's entries for the slots still to
+    fill, stays below the level; since degrees are nondecreasing that is an
+    upper index bound per slot.  It is exact: on a path of degree sum
+    s >= level the suffix lies in F_s, where D0 acts as s, and the free
+    entries of N and the replacement brackets reach only F_{s+1}, beyond
+    `max_coord`; so the path emits no row, and the stream is the unbounded
+    walk's, row for row.  The brackets run
     on integers: a vector at trie depth k carries the scale sigma^k, so
     each row is the true row times sigma^(n-1), which leaves the echelon
     form, with its unit pivots, unchanged.
@@ -396,15 +413,22 @@ def _condition_rows(setup: _Setup, cond: DerivCondition, system) -> None:
     degrees = setup.degrees
     col_vars = setup.col_vars
     extend = setup.extend
-    max_coord = setup.first_at_least[min(cond.level + 1, setup.c + 1)]
-    starts = [setup.first_at_least[p] for p in cond.wp]
+    first_at_least = setup.first_at_least
+    top = setup.c + 1
+    max_coord = first_at_least[min(cond.level + 1, top)]
+    starts = [first_at_least[p] for p in cond.wp]
+    rest = [sum(cond.wp[:slot]) for slot in range(n)]  # least degree sum of slots 0..slot-1
+
+    def end(degsum: int, slot: int) -> int:
+        # first index whose degree takes the path's least sum, slots below `slot` included, to the level
+        return first_at_least[max(0, min(cond.level - degsum - rest[slot], top))]
 
     def recurse(slot: int, node: _Node):
         if slot == 0:
             _emit_rows(node.suffix, node.repl, node.degsum)
             return
         children = node.children
-        for b in range(starts[slot - 1], node.limit):
+        for b in range(starts[slot - 1], min(node.limit, end(node.degsum, slot - 1))):
             kid = children[b] if b in children else extend(node, b)
             if kid is not None:
                 recurse(slot - 1, kid)
@@ -444,7 +468,7 @@ def _condition_rows(setup: _Setup, cond: DerivCondition, system) -> None:
 
     # outermost slot is the last one so suffixes can be built right-to-left;
     # substituting into that slot replaces it by a single basis vector
-    for root in setup.roots[starts[n - 1] :]:
+    for root in setup.roots[starts[n - 1] : end(0, n - 1)]:
         recurse(n - 1, root)
         if system.infeasible:
             return

@@ -285,20 +285,39 @@ def change_of_basis(
 def algebra_in_basis(
     g: LieAlgebra, p: Matrix, p_inv: Matrix, labels: Sequence[str] | None = None
 ) -> LieAlgebra:
-    """g in the basis of p's columns, p_inv being p^-1 (see `change_of_basis`)."""
+    """g in the basis of p's columns, p_inv being p^-1 (see `change_of_basis`).
+
+    With p = P/dp and p^-1 = Q/dq, P and Q integral, the new constants
+    p^-1 [p e_i, p e_j] are Q sigma[P e_i, P e_j] / (sigma dp^2 dq).  Both
+    products run on sparse integer columns: sigma[P e_i, P e_j] is the sum of
+    P_ai * `ad`(a, P e_j) over the support of P e_i, each `ad` image computed
+    once, and Q is applied column by column over that bracket's support.  So
+    a permutation p costs one table lookup per pair.
+    """
     n = g.dim
-    # p = P/dp and p^-1 = Q/dq, P and Q integral (P e_i is p_ints[i::n]), so the
-    # new constants p^-1 [p e_i, p e_j] are Q sigma[P e_i, P e_j] / (sigma dp^2 dq)
     dp, p_ints = clear_denominators([x for row in p for x in row])
     dq, q_ints = clear_denominators([x for row in p_inv for x in row])
-    q_rows = [q_ints[k * n : (k + 1) * n] for k in range(n)]
+    p_cols = [{m: x for m in range(n) if (x := p_ints[m * n + i])} for i in range(n)]
+    q_cols = [{k: x for k in range(n) if (x := q_ints[k * n + m])} for m in range(n)]
     den = g.sigma * dp * dp * dq
+    images: dict[tuple[int, int], dict[int, int]] = {}  # (a, j) -> sigma [e_a, P e_j]
     brackets: dict[tuple[int, int], Vec] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            w = [(m, x) for m, x in enumerate(scaled_bracket(g, p_ints[i::n], p_ints[j::n])) if x]
-            if w:
-                brackets[(i, j)] = _divide([sum(row[m] * x for m, x in w) for row in q_rows], den)
+            w: dict[int, int] = {}
+            for a, x in p_cols[i].items():
+                image = images.get((a, j))
+                if image is None:
+                    image = images[(a, j)] = g.ad(a, p_cols[j])
+                for m, s in image.items():
+                    w[m] = w.get(m, 0) + x * s
+            out = [0] * n
+            for m, s in w.items():
+                if s:
+                    for k, y in q_cols[m].items():
+                        out[k] += s * y
+            if any(out):
+                brackets[(i, j)] = _divide(out, den)
     return LieAlgebra(n, brackets, labels)
 
 

@@ -22,7 +22,12 @@ the code `adapted_basis` and `carnot_algebra`'s generation check replaced:
 a membership test of every unit vector against an echelon form of each
 F_i, and a bracket-closure loop from the degree-1 layer.  So is
 `antichain_by_pruning`, the pairwise domination pass over all of
-`r_condition_set` that the closed-form `_antichain` replaced.
+`r_condition_set` that the closed-form `_antichain` replaced, and
+`condition_rows_unbounded`, the walk `_condition_rows` made before it was
+bounded by the condition's level, with every bracket recomputed along its
+path instead of read from the trie.  `algebra_in_basis_dense` writes g in a
+new basis as p^-1 applied to `dense_bracket` of p's columns in plain
+Fraction loops, not through `LieAlgebra.ad` or `clear_denominators`.
 `layer_component` and `four_step_components` write the 4-step law
 difference as four bracket pieces of layer components, through
 `lie.bracket`, not through any BCH word.
@@ -217,6 +222,19 @@ def dense_bracket(g, x: Vec, y: Vec) -> Vec:
             c = x[i] * y[j] if i < j else -x[i] * y[j]
             out = [o + c * s for o, s in zip(out, v)]
     return out
+
+
+def algebra_in_basis_dense(g, p: Matrix, p_inv: Matrix) -> LieAlgebra:
+    """g in the basis of p's columns: [P e_i, P e_j] through `dense_bracket`,
+    then p^-1 applied entry by entry."""
+    n = g.dim
+    cols = [[p[k][i] for k in range(n)] for i in range(n)]
+    brackets = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = dense_bracket(g, cols[i], cols[j])
+            brackets[(i, j)] = [sum(p_inv[k][m] * w[m] for m in range(n)) for k in range(n)]
+    return LieAlgebra(n, brackets)
 
 
 def jacobi_violations_dense(g) -> list:
@@ -546,6 +564,88 @@ def antichain_by_pruning(c: int, r: Fraction) -> tuple[DerivCondition, ...]:
         if not any(_dominates(k, cond) for k in kept):
             kept.append(cond)
     return tuple(kept)
+
+
+class RowRecorder:
+    """A row sink that never turns infeasible and keeps every row, in order."""
+
+    infeasible = False
+
+    def __init__(self):
+        self.rows: list[tuple[dict, int]] = []
+
+    def add(self, coeffs: dict, rhs: int) -> None:
+        self.rows.append((dict(coeffs), rhs))
+
+
+def condition_rows_unbounded(setup, cond: DerivCondition, sink) -> None:
+    """The rows of `cond` over every index path of degrees >= wp, whatever its
+    degree sum, into a sink that never turns infeasible.
+
+    It reads only `setup`'s adapted `ad`, degrees, free variables and
+    `first_at_least`.  Each path's suffix and replacement brackets are
+    recomputed along the path, in the order the solver computes them, so
+    the sparse vectors, and with them the rows, come out in the same order.
+    """
+    n = len(cond.wp)
+    degrees, col_vars, ad = setup.degrees, setup.col_vars, setup.ad
+    max_coord = setup.first_at_least[min(cond.level + 1, setup.c + 1)]
+    starts = [setup.first_at_least[p] for p in cond.wp]
+
+    def step(suffix: dict, repl: dict, b: int) -> tuple[dict, dict]:
+        new_suffix = ad(b, suffix) if suffix else {}
+        new_repl = {var: bw for var, w in repl.items() if (bw := ad(b, w))}
+        if suffix:
+            for var, a in col_vars[b]:
+                merged = new_repl.setdefault(var, {})
+                for k, x in ad(a, suffix).items():
+                    t = merged.get(k, 0) + x
+                    if t:
+                        merged[k] = t
+                    else:
+                        merged.pop(k, None)
+                if not merged:
+                    del new_repl[var]
+        return new_suffix, new_repl
+
+    def emit(value: dict, repl: dict, degsum: int) -> None:
+        rows: dict = {}
+        rhs: dict = {}
+        for coord, val in value.items():
+            if coord < max_coord:
+                diff = (degrees[coord] - degsum) * val
+                if diff:
+                    rhs[coord] = -diff
+            for var, a in col_vars[coord]:
+                if a < max_coord:
+                    entry = rows.setdefault(a, {})
+                    entry[var] = entry.get(var, 0) + val
+        for var, w in repl.items():
+            for coord, val in w.items():
+                if coord < max_coord and val:
+                    entry = rows.setdefault(coord, {})
+                    t = entry.get(var, 0) - val
+                    if t:
+                        entry[var] = t
+                    else:
+                        entry.pop(var, None)
+        for coord in set(rows) | set(rhs):
+            coeffs = rows.get(coord, {})
+            b = rhs.get(coord, 0)
+            if coeffs or b:
+                sink.add(coeffs, b)
+
+    def walk(slot: int, suffix: dict, repl: dict, degsum: int, limit: int) -> None:
+        if slot == 0:
+            emit(suffix, repl, degsum)
+            return
+        for b in range(starts[slot - 1], limit):
+            new_suffix, new_repl = step(suffix, repl, b)
+            if new_suffix or new_repl:
+                walk(slot - 1, new_suffix, new_repl, degsum + degrees[b], setup.dim)
+
+    for b in range(starts[n - 1], setup.dim):
+        walk(n - 1, {b: 1}, {var: {a: 1} for var, a in col_vars[b]}, degrees[b], b)
 
 
 # --- the 4-step law difference in closed form, by layer components

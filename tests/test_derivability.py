@@ -10,11 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    RowRecorder,
+    algebra_in_basis_dense,
     antichain_by_pruning,
+    condition_rows_unbounded,
     delta_depth,
     e_of_operator_dense,
     e_of_operator_tuples,
     is_grading_operator_echelon,
+    rref_mat_inv,
 )
 from test_lie import SMALL_ENTRIES, invertible_matrices, matrix_lie_algebras
 
@@ -36,6 +40,9 @@ from nilgrade.derivability import (
     parse_condition_set,
     r_condition_set,
     _antichain,
+    _condition_rows,
+    _setup,
+    _Setup,
 )
 from nilgrade.lie import (
     adapted_basis,
@@ -702,18 +709,30 @@ def test_foreign_filtration_or_adapted_basis_is_rejected():
     )
 
 
-@pytest.mark.parametrize("name", [n for n in catalog.names() if "(" not in n])
-def test_solver_on_rescaled_and_sheared_bases(name):
-    # every catalog table is integral; both bases below make sigma > 1.
-    # Under each, the e-value and the witness's own e_of_operator are
-    # unchanged, and under the scaling the witness moves as P^-1 W P.
-    g = catalog.get(name).algebra
-    n = g.dim
-    result = e_invariant(g)
+FIXTURES = [n for n in catalog.names() if "(" not in n]
+
+
+def rescaled_and_sheared(n: int):
+    """A diagonal rescaling, a lower triangular shear with it on the diagonal
+    and that shear's transpose, as matrices whose columns are the new basis
+    vectors; all three have denominators.  The lower shear keeps each F_k
+    spanned by unit vectors, the upper one does not, so the adapted basis
+    of an algebra moved by it is no permutation."""
     scales = [F(i + 1, 2 if i % 2 else 3) for i in range(n)]
     diag = [[scales[i] if i == j else F(0) for j in range(n)] for i in range(n)]
     shear = [[F(1, i - j + 1) * scales[j] if i >= j else F(0) for j in range(n)] for i in range(n)]
-    for p in (diag, shear):
+    return diag, shear, [list(row) for row in zip(*shear)]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_solver_on_rescaled_and_sheared_bases(name):
+    # every catalog table is integral; the bases below make sigma > 1.
+    # Under each, the e-value and the witness's own e_of_operator are
+    # unchanged, and under the scaling the witness moves as P^-1 W P.
+    g = catalog.get(name).algebra
+    result = e_invariant(g)
+    diag, *shears = rescaled_and_sheared(g.dim)
+    for p in (diag, *shears):
         moved_g = change_of_basis(g, [list(col) for col in zip(*p)])
         assert moved_g.sigma > 1
         moved = e_invariant(moved_g)
@@ -721,6 +740,88 @@ def test_solver_on_rescaled_and_sheared_bases(name):
         assert e_of_operator(moved_g, moved.witness) == result.e
         if p is diag:
             assert moved.witness.rows == mat_mul(mat_mul(mat_inv(p), result.witness.rows), p)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_sparse_basis_change_matches_dense_oracle_on_sheared_fixtures(name):
+    # both shears, and the adapted basis that the setup of the algebra moved
+    # by the upper one changes to: no permutation, so the sparse columns of
+    # p and p^-1 carry several entries each
+    g = catalog.get(name).algebra
+    _, lower, upper = rescaled_and_sheared(g.dim)
+    for p in (lower, upper):
+        assert algebra_in_basis(g, p, mat_inv(p)) == algebra_in_basis_dense(g, p, rref_mat_inv(p))
+    moved = algebra_in_basis(g, upper, mat_inv(upper))
+    p = adapted_basis(moved, lower_central_series(moved)).change_of_basis
+    assert any(sum(1 for x in col if x) > 1 for col in zip(*p))
+    assert algebra_in_basis(moved, p, mat_inv(p)) == algebra_in_basis_dense(moved, p, rref_mat_inv(p))
+
+
+# --- the path trie: level-bounded walk, one bracket per node and index
+
+ROW_STREAM_ALGEBRAS = FIXTURES + [f"filiform({n})" for n in range(6, 13)] + ["central_product(4,7)"]
+
+
+def assert_same_row_stream(g, conditions) -> int:
+    setup = _setup(g)
+    emitted = 0
+    for cond in conditions:
+        bounded, unbounded = RowRecorder(), RowRecorder()
+        _condition_rows(setup, cond, bounded)
+        condition_rows_unbounded(setup, cond, unbounded)
+        assert bounded.rows == unbounded.rows, cond
+        emitted += len(bounded.rows)
+    return emitted
+
+
+@pytest.mark.parametrize("name", ROW_STREAM_ALGEBRAS)
+def test_level_bounded_walk_emits_the_unbounded_rows(name):
+    # every condition any candidate's antichain asks for, row for row and
+    # in the same order as the walk over every path of degrees >= wp
+    g = catalog.get(name).algebra
+    c = max(lower_central_series(g).nilpotency_class, 2)
+    conditions = dict.fromkeys(cond for r in candidate_values(c) for cond in _antichain(c, r))
+    assert assert_same_row_stream(g, conditions) > 0 or c < 3
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrix_lie_algebras(min_class=3), st.data())
+def test_level_bounded_walk_on_random_algebras_and_conditions(g, data):
+    universe = sorted(enumerate_S(lower_central_series(g).nilpotency_class))
+    assert_same_row_stream(g, data.draw(st.lists(st.sampled_from(universe), min_size=1, max_size=5)))
+
+
+@pytest.mark.parametrize("name", ["filiform(12)", "central_product(6,10)"])
+def test_trie_brackets_each_vector_once_per_index(name):
+    # a cold e-scan and the witness's e_of_operator never bracket the same
+    # vector with the same index twice; each bracketed vector is kept, so
+    # its id is not reused by a later one
+    g = catalog.get(name).algebra
+    setup = _setup(g)
+    ad = setup.ad
+    seen: dict[tuple[int, int], dict] = {}
+
+    def once(i, v):
+        assert (i, id(v)) not in seen, (i, v)
+        seen[(i, id(v))] = v
+        return ad(i, v)
+
+    setup.ad = once
+    e_of_operator(g, e_invariant(g).witness)
+    assert seen
+
+
+def test_cold_e_of_operator_extends_few_nodes(monkeypatch):
+    # a fresh instance checks filiform(12)'s witness on the trie paths its
+    # conditions' levels admit only: 185 nodes, against 243 if paths of
+    # degree sum equal to the level were walked and 690 with no bound
+    witness = e_invariant(catalog.get("filiform(12)").algebra).witness
+    g = catalog.get("filiform(12)").algebra
+    extend = _Setup.extend
+    extended = []
+    monkeypatch.setattr(_Setup, "extend", lambda self, node, b: extended.append(b) or extend(self, node, b))
+    e_of_operator(g, witness)
+    assert 0 < len(extended) <= 200
 
 
 @settings(max_examples=25, deadline=None)

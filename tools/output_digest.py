@@ -31,7 +31,12 @@ it, and then `e_of_operator` of the three moved operators.  Algebras
 within the BCH cap also get a short goodman report as JSON and the three
 group laws on the grading eigenbasis (`bch_product`, `carnot_product` and
 `law_difference`) at 2 fixed grid pairs, each dilated to the rungs 2^0,
-2^8 and 2^16.  Last come
+2^8 and 2^16.  Each catalog fixture is then moved by a lower triangular
+shear of rescaled basis vectors and by its transpose (`fixture_shears`),
+and the moved algebra's e-invariant, witness and `e_of_operator` of the
+witness are recorded: the adapted basis of the transposed shear's algebra
+is no permutation, so these are the solves whose setup changes basis
+through general sparse columns.  Last come
 the nonzero BCH word coefficients of `bch_table(c)` for c = 2..8, the
 largest exact solves the package makes.  Two checkouts print
 the same hash exactly when all of these outputs agree, so running it on
@@ -84,6 +89,27 @@ def _conditions(conds) -> str:
 def shear(n: int) -> list[list[Fraction]]:
     """Basis vectors v_j = sum over i >= j of (j+1)/(2 + j%2)/(i-j+1) e_i."""
     return [[Fraction(j + 1, 2 + j % 2) / (i - j + 1) if i >= j else Fraction(0) for i in range(n)] for j in range(n)]
+
+
+def fixture_shears(n: int) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """The lower triangular shear with entries (j+1)/(2 or 3)/(i-j+1), and its
+    transpose, as matrices whose columns are the new basis vectors."""
+    scales = [Fraction(i + 1, 2 if i % 2 else 3) for i in range(n)]
+    lower = [[Fraction(1, i - j + 1) * scales[j] if i >= j else Fraction(0) for j in range(n)] for i in range(n)]
+    return lower, [list(row) for row in zip(*lower)]
+
+
+def sheared_lines(name: str) -> list[str]:
+    g = catalog.get(name).algebra
+    out = []
+    for kind, p in zip(("lower", "upper"), fixture_shears(g.dim)):
+        moved = lie.change_of_basis(g, [list(col) for col in zip(*p)])
+        result = derivability.e_invariant(moved)
+        out.append(
+            f"sheared {kind} {name}: e {result.e} witness {_operator(result.witness)}"
+            f" e_of_operator {derivability.e_of_operator(moved, result.witness)}"
+        )
+    return out
 
 
 def perturbed(g: lie.LieAlgebra) -> lie.LieAlgebra:
@@ -187,7 +213,9 @@ def bch_lines() -> list[str]:
 def main() -> int:
     rng = random.Random("output_digest")
     digest = hashlib.sha256()
-    lines = [line for name in ALGEBRAS for line in algebra_lines(name, rng)] + bch_lines()
+    lines = [line for name in ALGEBRAS for line in algebra_lines(name, rng)]
+    lines += [line for entry in catalog.entries() for line in sheared_lines(entry.name)]
+    lines += bch_lines()
     for line in lines:
         digest.update(line.encode() + b"\n")
     print(digest.hexdigest())
