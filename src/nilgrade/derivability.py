@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 import re
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from . import lie
@@ -264,12 +263,10 @@ class _Setup:
     `roots[b]` is the path trie rooted at index b (see `_Node`), filled in
     on first visit and kept as long as the algebra instance, so every call,
     condition and candidate reuses it.  Threads may share it, as they may
-    share a `LieAlgebra`: each fill is idempotent.  It holds g by weak reference
-    only, so no reference cycle keeps a dropped algebra's setup alive.
+    share a `LieAlgebra`: each fill is idempotent.
     """
 
     def __init__(self, g: LieAlgebra):
-        self._g = weakref.ref(g)
         self.dim = n = g.dim
         self.f = lie.lower_central_series(g)
         self.c = self.f.nilpotency_class
@@ -277,6 +274,8 @@ class _Setup:
         self.degrees = degrees = self.ab.degrees
         self.p = self.ab.change_of_basis
         self.p_inv = mat_inv(self.p)
+        # sigma * [e_i, v] in adapted coordinates; bound to the adapted algebra, not to g
+        self.ad = lie.algebra_in_basis(g, self.p, self.p_inv).ad
         # free positions (a, b), column-major: degree(a) > degree(b), so a grading operator
         # may differ from diag(degrees) there; N e_b = e_a; col_vars[b] lists (var, a)
         self.positions = [(a, b) for b in range(n) for a in range(n) if degrees[a] > degrees[b]]
@@ -291,11 +290,6 @@ class _Setup:
             _Node({b: 1}, {var: {a: 1} for var, a in self.col_vars[b]}, self.degrees[b], b, {}, {})
             for b in range(n)
         ]
-
-    @cached_property
-    def ad(self):
-        """sigma * [e_i, v] in adapted coordinates, built by the first row stream to read it."""
-        return lie.algebra_in_basis(self._g(), self.p, self.p_inv).ad
 
     def extend(self, node: _Node, b: int) -> _Node | None:
         """Compute and store the child of `node` at index b (see `_Node`)."""
@@ -523,7 +517,7 @@ def e_of_operator(g: LieAlgebra, d: GradingOperator) -> Fraction:
     d_ad = _adapted_operator(d, setup)
     if d_ad is None:
         raise OperatorNotInDError("matrix is not a grading operator of the lower central series")
-    c = max(setup.c, 2)  # at class <= 2 every antichain is empty: e is 0 and `ad` is never read
+    c = max(setup.c, 2)  # at class <= 2 every antichain is empty: e is 0 and no row is streamed
     scale, point = lie.clear_denominators([d_ad[a][b] for a, b in setup.positions])
     met: dict[DerivCondition, bool] = {}
 

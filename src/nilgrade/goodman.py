@@ -155,7 +155,11 @@ def goodman_check(
     ladder; the law difference is exact.  Its weight-w part P_{k,w} has
     P_{k,w}(δ_t x, δ_t y) = t^w P_{k,w}(x, y) and the Carnot law is the
     top-weight part, so `bch.law_difference_ladder` evaluates each pair
-    once for the whole ladder.  The report carries the fitted exponent
+    once for the whole ladder.  The radius max(|δ_t x|, |δ_t y|) is the norm
+    of δ_t applied to the coordinatewise larger magnitudes of x and y: δ_t
+    scales a coordinate of both by the same t^k > 0, and distinct grid
+    magnitudes differ by a factor >= 16/15, which the float roots keep in
+    order.  The report carries the fitted exponent
     plus the best constant for diff <= C * max(1, r)^(e_D).  The exponent
     is 0 when the difference is identically zero and None when it is not
     but fewer than two distinct r > 1 carry a nonzero difference.  Raises
@@ -168,19 +172,16 @@ def goodman_check(
     e_d = e_of_operator(g, d)
     e_float = float(e_d)
     sampler = GridSampler(seed)
-    pairs = [
-        (sampler.vector(g.dim), sampler.vector(g.dim)) for _ in range(n_samples)
-    ]
     samples: list[GoodmanSample] = []
     constant = 0.0
     fit_points: list[tuple[float, float]] = []
     all_zero = True
-    for index, (z1, z2) in enumerate(pairs):
+    for index in range(n_samples):
+        z1, z2 = sampler.vector(g.dim), sampler.vector(g.dim)
         diffs = bch.law_difference_ladder(g_eig, ca, z1, z2, t_ladder)
+        top = [max(abs(a), abs(b)) for a, b in zip(z1, z2)]
         for t, diff in zip(t_ladder, diffs):
-            z1t = dilate(ctx, t, z1)
-            z2t = dilate(ctx, t, z2)
-            r = max(guivarch_norm(ctx, z1t), guivarch_norm(ctx, z2t))
+            r = guivarch_norm(ctx, dilate(ctx, t, top))
             dn = guivarch_norm(ctx, diff)
             samples.append(GoodmanSample(index, q(t), r, dn))
             if dn > 0:

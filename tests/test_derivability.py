@@ -654,25 +654,23 @@ def test_dropped_algebra_is_freed_by_refcounting():
         gc.enable()
 
 
-def test_grading_only_calls_do_not_build_the_adapted_algebra(monkeypatch):
-    # is_grading_operator and grading_operator_space read only p, p^-1 and
-    # the degrees of a fresh instance's setup; the algebra in the adapted
-    # basis is built by the first row stream and serves every later one.
-    # At class 2 there are no conditions, so no solve streams a row
+def test_setup_builds_the_adapted_algebra_once(monkeypatch):
+    # a fresh instance builds its algebra in the adapted basis once, with
+    # the rest of its setup, and every later call on it reuses that one
     built = []
     monkeypatch.setattr("nilgrade.lie.algebra_in_basis", lambda *args: built.append(args) or algebra_in_basis(*args))
-    for name, builds in (("heisenberg", 0), ("g6_11", 1), ("filiform(7)", 1)):
+    for name in ("heisenberg", "g6_11", "filiform(7)"):
         witness = e_invariant(catalog.get(name).algebra).witness
         g = catalog.get(name).algebra
         f = lower_central_series(g)
         built.clear()
         assert is_grading_operator(g, f, witness)
+        assert len(built) == 1, name
         grading_operator_space(g, f, adapted_basis(g, f))
-        assert built == [], name
         e_of_operator(g, witness)
         is_A_derivable(g, enumerate_S(f.nilpotency_class))
         e_invariant(g)
-        assert len(built) == builds, name
+        assert len(built) == 1, name
 
 
 def test_setup_and_its_adapted_algebra_invert_p_once(monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import four_step_components, grid_vectors, layer_component
 
-from nilgrade import bch, catalog
+from nilgrade import bch, catalog, goodman
 from nilgrade.bch import law_difference
 from nilgrade.carnot import carnot_pair
 from nilgrade.derivability import e_invariant
@@ -161,19 +161,27 @@ def test_sample_ordering():
     assert keys == [(p, t) for p in range(3) for t in ladder]
 
 
-def test_goodman_samples_match_per_rung_law_difference(monkeypatch):
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize(
+    "name", [e.name for e in catalog.entries()] + ["filiform(8)", "central_product(4,7)"]
+)
+def test_goodman_samples_match_per_rung_law_difference(monkeypatch, name, seed):
     # each pair's law difference is evaluated once for its whole ladder,
-    # never rung by rung, and every sample is still the norm of the
-    # per-rung difference of the dilated pair
-    g = catalog.get("g6_11").algebra
+    # never rung by rung, and each rung dilates one vector; every sample is
+    # still the norm of the per-rung difference of the dilated pair, at the
+    # larger of the two dilated norms
+    g = catalog.get(name).algebra
     d = e_invariant(g).witness
     ladder = [F(1), F(3, 7), F(2), F(5, 2), F(2), F(64)]
+    dilated = []
     monkeypatch.setattr(bch, "law_difference", None)
-    report = goodman_check(g, d, 6, ladder, seed=3)
+    monkeypatch.setattr(goodman, "dilate", lambda *args: dilated.append(args) or dilate(*args))
+    report = goodman_check(g, d, 6, ladder, seed=seed)
     monkeypatch.undo()
+    assert len(dilated) == 6 * len(ladder)
     g_eig, ca = carnot_pair(g, d)
     ctx = GuivarchContext.for_carnot(ca)
-    sampler = GridSampler(3)
+    sampler = GridSampler(seed)
     expected = []
     for index in range(6):
         z1, z2 = sampler.vector(g.dim), sampler.vector(g.dim)

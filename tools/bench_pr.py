@@ -8,19 +8,26 @@ directory, which is removed at the end.  Every workload of BENCHMARK.json
 runs --pairs alternated pairs of `perfbench/run.py --trace 0` at the
 benchmark's own run length: pair i uses seed SEED + i on both sides, and
 the parent runs first in even pairs, the change first in odd ones.  Then
-each side makes one `--trace 1` run at SEED for the per-layer numbers.
+3 more pairs, at seeds SEED..SEED + 2 and alternated the same way, run
+with `--trace 1` for the per-layer numbers.
 
 The file holds every run (its metrics, host slowdown, attempted and failed
 counts), and per end-to-end metric each side's median and quartiles, the
 change's median relative to the parent's, the parent's interquartile
 range and the pairs the change won, lost and tied; the metric's bound
-from BENCHMARK.json is copied beside it.  Both sides are pinned by the git
-tree ids of their `src/` and `perfbench/` directories; the change's ids
-are those of the working tree, untracked files included, so
-`git rev-parse COMMIT:src` on the commit that lands it gives the same id.
+from BENCHMARK.json is copied beside it.  Per per-layer metric it holds
+each side's median over the traced runs, with every `*_s` time divided
+by its own run's host slowdown first: span times are raw wall clock,
+while the end-to-end times are already corrected inside perfbench.
+Both sides are pinned by the git tree ids of their `src/` and
+`perfbench/` directories; the change's ids are those of the working
+tree, untracked files included, so `git rev-parse COMMIT:src` on the
+commit that lands it gives the same id.
 It also records the parent's `tools/output_digest.py` hash on both trees:
-the parent's unmodified tool is run once on each side's `src/`.  Only the
-standard library is used.
+the parent's unmodified tool is run once on each side's `src/`.  Once the
+file is written the script exits 1, naming each cause, if the two hashes
+differ or any run reports `correct: false` or a failed operation.  Only
+the standard library is used.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 RUN_TIMEOUT_S = 600
+TRACED_PAIRS = 3
 MEASURED = ("src", "perfbench")
 SLOWDOWN = re.compile(r"^host slowdown \(median probe / reference probe\): ([0-9.]+)$", re.M)
 
@@ -98,6 +106,50 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def alternated(sides: dict, workload: str, seeds: list[int], trace: int) -> list[dict]:
+    """One run per side at each seed; the parent goes first at even positions."""
+    pairs = []
+    for i, seed in enumerate(seeds):
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = bench(sides[side], workload, seed, trace)
+        print(f"{workload} seed {seed} trace {trace}: " + ", ".join(
+            f"{side} {pair[side]['host_slowdown']:.2f} slowdown" for side in order), flush=True)
+        pairs.append(pair)
+    return pairs
+
+
+def per_layer(traces: list[dict]) -> dict:
+    """Each side's median of every per-layer metric, `*_s` times host-corrected per run."""
+    out = {}
+    for metric in SPEC["per_layer"]:
+        name = metric["name"]
+        out[name] = {"unit": metric["unit"], "better": metric["better"]}
+        for side in ("parent", "change"):
+            out[name][side] = statistics.median(
+                run[side]["metrics"][name] / (run[side]["host_slowdown"] if name.endswith("_s") else 1)
+                for run in traces)
+    return out
+
+
+def failures(report: dict) -> list[str]:
+    """Why the two sides cannot be compared: unequal digests, incorrect or failed runs."""
+    causes = []
+    if not report["digest"]["equal"]:
+        causes.append(f"output digests differ: parent {report['digest']['parent']}, "
+                      f"change {report['digest']['change']}")
+    for workload, result in report["workloads"].items():
+        for kind in ("pairs", "traces"):
+            for pair in result[kind]:
+                for side in ("parent", "change"):
+                    run = pair[side]
+                    if not run["correct"] or run["failed"]:
+                        causes.append(f"{workload} {kind} seed {pair['seed']} {side}: correct "
+                                      f"{run['correct']}, failed {run['failed']}/{run['attempted']}")
+    return causes
+
+
 def summarize(pairs: list[dict]) -> dict:
     out = {}
     for metric in SPEC["end_to_end"]:
@@ -146,7 +198,7 @@ def main() -> int:
             "seconds": SPEC["run_seconds"],
             "pairs": args.pairs,
             "seeds": [args.seed + i for i in range(args.pairs)],
-            "trace_seed": args.seed,
+            "trace_seeds": [args.seed + i for i in range(TRACED_PAIRS)],
             "digest": {
                 "tool": f"tools/output_digest.py at {parent_rev}",
                 "parent": digest(tool, parent / "src", work / "digest-parent"),
@@ -157,23 +209,19 @@ def main() -> int:
         report["digest"]["equal"] = report["digest"]["parent"] == report["digest"]["change"]
         sides = {"parent": parent, "change": ROOT}
         for workload in (w["name"] for w in SPEC["workloads"]):
-            pairs = []
-            for i, seed in enumerate(report["seeds"]):
-                order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    pair[side] = bench(sides[side], workload, seed, 0)
-                print(f"{workload} seed {seed}: " + ", ".join(
-                    f"{side} {pair[side]['metrics']['throughput_rps']:.1f} rps" for side in order), flush=True)
-                pairs.append(pair)
-            trace = {side: bench(tree, workload, args.seed, 1) for side, tree in sides.items()}
-            report["workloads"][workload] = {"summary": summarize(pairs), "pairs": pairs, "trace": trace}
+            pairs = alternated(sides, workload, report["seeds"], 0)
+            traces = alternated(sides, workload, report["trace_seeds"], 1)
+            report["workloads"][workload] = {"summary": summarize(pairs), "pairs": pairs,
+                                             "per_layer": per_layer(traces), "traces": traces}
         out = ROOT / f"BENCH_{args.pr}.json"
         out.write_text(json.dumps(report, indent=1) + "\n")
         print(f"wrote {out}")
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    return 0
+    causes = failures(report)
+    for cause in causes:
+        print(f"error: {cause}", file=sys.stderr)
+    return 1 if causes else 0
 
 
 if __name__ == "__main__":
