@@ -87,9 +87,10 @@ def _series_mul(a: list[dict[Word, Fraction]], b: list[dict[Word, Fraction]], ca
 
 
 @lru_cache(maxsize=None)
-def _log_components(cap: int) -> tuple[dict[Word, Fraction], ...]:
-    """Homogeneous components of log(exp x . exp y) up to degree cap, each
-    exact, so the series at MAX_SUPPORTED_CLASS serves every degree."""
+def _log_components() -> tuple[dict[Word, Fraction], ...]:
+    """Homogeneous components of log(exp x . exp y) up to degree
+    MAX_SUPPORTED_CLASS, each exact, so the one series serves every degree."""
+    cap = MAX_SUPPORTED_CLASS
     fact = [1]
     for k in range(1, cap + 1):
         fact.append(fact[-1] * k)
@@ -151,7 +152,7 @@ def _word_order(n: int) -> list[Word]:
 @lru_cache(maxsize=None)
 def _degree_coeffs(n: int) -> tuple[tuple[Word, Fraction], ...]:
     """Word coefficients b_{n,q} with sum_q b_{n,q} [q_1,...,q_n] = BCH_n."""
-    target = _log_components(MAX_SUPPORTED_CLASS)[n]
+    target = _log_components()[n]
     order = _word_order(n)
     # one equation per associative word w: sum_q b_q * beta(q)[w] = BCH_n[w]
     equations: dict[Word, dict[int, Fraction]] = {w: {} for w in target}

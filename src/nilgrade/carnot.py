@@ -25,9 +25,6 @@ class LinearGrading:
 
     layers: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
-    def layer(self, i: int) -> list[Vec]:
-        return [list(v) for v in self.layers[i - 1]]
-
     @property
     def degrees(self) -> tuple[int, ...]:
         """Layer degree of each eigenbasis vector, layer-major order."""

@@ -216,7 +216,8 @@ def central_product_filiform(i: int, j: int) -> LieAlgebra:
     return LieAlgebra(dim, brackets, labels)
 
 
-_PARAM_RE = re.compile(r"^(abelian|filiform)\s*\(?\s*(\d+)\s*\)?$")
+# the closing parenthesis is required iff the opening one is there
+_PARAM_RE = re.compile(r"^(abelian|filiform)\s*(\()?\s*(\d+)\s*(?(2)\))$")
 _CP_RE = re.compile(r"^(?:cp|central_product(?:_filiform)?)\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)$")
 
 
@@ -232,13 +233,11 @@ def get(name: str) -> CatalogEntry:
         return _BY_NAME[key]
     m = _PARAM_RE.match(key)
     if m:
-        kind, n_text = m.group(1), m.group(2)
-        n = int(n_text)
-        algebra = abelian(n) if kind == "abelian" else filiform(n)
-        expected = None
+        kind, n = m.group(1), int(m.group(3))
         if kind == "abelian":
-            expected = Expected(1, (n,), e_value=Fraction(0))
-        elif kind == "filiform":
+            algebra, expected = abelian(n), Expected(1, (n,), e_value=Fraction(0))
+        else:
+            algebra = filiform(n)
             expected = Expected(n - 1, (2,) + (1,) * (n - 2), e_value=Fraction(0))
         return CatalogEntry(f"{kind}({n})", (), serialize_algebra(algebra), expected)
     m = _CP_RE.match(key)

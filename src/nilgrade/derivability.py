@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import lie
 from .lie import AdaptedBasis, Filtration, LieAlgebra
@@ -335,19 +335,6 @@ def _setup(g: LieAlgebra) -> _Setup:
     return g._setup_cache
 
 
-class _PointCheck:
-    """Row sink that flags the first row coeffs . x = rhs violated at x = point / scale."""
-
-    def __init__(self, point: list[int], scale: int):
-        self.point = point
-        self.scale = scale
-        self.infeasible = False
-
-    def add(self, coeffs: SparseVec, rhs: int) -> None:
-        if sum(c * self.point[var] for var, c in coeffs.items()) != rhs * self.scale:
-            self.infeasible = True
-
-
 def _clamp_conditions(conditions: Iterable[DerivCondition], c: int) -> set[DerivCondition]:
     """Project conditions to nilpotency class c and drop trivial ones.
 
@@ -383,9 +370,9 @@ def _antichain(c: int, r: Fraction) -> tuple[DerivCondition, ...]:
     return tuple(out)
 
 
-def _condition_rows(setup: _Setup, cond: DerivCondition, system) -> None:
-    """Stream the affine rows of one condition into an `AffineSystem` or a
-    `_PointCheck`, stopping once it is infeasible.
+def _condition_rows(setup: _Setup, cond: DerivCondition) -> Iterator[tuple[SparseVec, int]]:
+    """Yield the affine rows (coeffs, rhs) of one condition, lazily: a
+    consumer that stops pulling stops the walk.
 
     Works in adapted coordinates where D0 is diagonal and each free
     direction is an elementary matrix, walking the setup's path trie over
@@ -419,15 +406,13 @@ def _condition_rows(setup: _Setup, cond: DerivCondition, system) -> None:
 
     def recurse(slot: int, node: _Node):
         if slot == 0:
-            _emit_rows(node.suffix, node.repl, node.degsum)
+            yield from _emit_rows(node.suffix, node.repl, node.degsum)
             return
         children = node.children
         for b in range(starts[slot - 1], min(node.limit, end(node.degsum, slot - 1))):
             kid = children[b] if b in children else extend(node, b)
             if kid is not None:
-                recurse(slot - 1, kid)
-                if system.infeasible:
-                    return
+                yield from recurse(slot - 1, kid)
 
     def _emit_rows(value: SparseVec, repl: dict[int, SparseVec], degsum: int):
         # affine value: (D0 - degsum) v + sum_m x_m (v_{col(m)} e_{row(m)}) - repl
@@ -454,18 +439,13 @@ def _condition_rows(setup: _Setup, cond: DerivCondition, system) -> None:
         for coord in set(rows) | set(rhs):
             coeffs = rows.get(coord, {})
             b = rhs.get(coord, 0)
-            if not coeffs and b == 0:
-                continue
-            system.add(coeffs, b)
-            if system.infeasible:
-                return
+            if coeffs or b:
+                yield coeffs, b
 
     # outermost slot is the last one so suffixes can be built right-to-left;
     # substituting into that slot replaces it by a single basis vector
     for root in setup.roots[starts[n - 1] : end(0, n - 1)]:
-        recurse(n - 1, root)
-        if system.infeasible:
-            return
+        yield from recurse(n - 1, root)
 
 
 def _feasibility(setup: _Setup, clamped: Iterable[DerivCondition]) -> GradingOperator | None:
@@ -479,12 +459,11 @@ def _feasibility(setup: _Setup, clamped: Iterable[DerivCondition]) -> GradingOpe
 
     system = AffineSystem(len(setup.positions))
     for cond in sorted(clamped, key=cost):
-        _condition_rows(setup, cond, system)
-        if system.infeasible:
-            return None
-    x = system.particular()
-    assert x is not None
-    return setup.operator(x)
+        for coeffs, rhs in _condition_rows(setup, cond):
+            system.add(coeffs, rhs)
+            if system.infeasible:
+                return None
+    return setup.operator(system.particular())
 
 
 def is_A_derivable(g: LieAlgebra, conditions: Iterable[DerivCondition]) -> GradingOperator | None:
@@ -523,9 +502,10 @@ def e_of_operator(g: LieAlgebra, d: GradingOperator) -> Fraction:
 
     def meets(cond: DerivCondition) -> bool:
         if cond not in met:
-            check = _PointCheck(point, scale)
-            _condition_rows(setup, cond, check)
-            met[cond] = not check.infeasible
+            met[cond] = all(
+                sum(c * point[var] for var, c in coeffs.items()) == rhs * scale
+                for coeffs, rhs in _condition_rows(setup, cond)
+            )
         return met[cond]
 
     for r in candidate_values(c):

@@ -23,11 +23,12 @@ a membership test of every unit vector against an echelon form of each
 F_i, and a bracket-closure loop from the degree-1 layer.  So is
 `antichain_by_pruning`, the pairwise domination pass over all of
 `r_condition_set` that the closed-form `_antichain` replaced, and
-`condition_rows_unbounded`, the walk `_condition_rows` made before it was
-bounded by the condition's level, with every bracket recomputed along its
-path instead of read from the trie.  `algebra_in_basis_dense` writes g in a
-new basis as p^-1 applied to `dense_bracket` of p's columns in plain
-Fraction loops, not through `LieAlgebra.ad` or `clear_denominators`.
+`condition_rows_unbounded`, which returns as a list the rows of the walk
+`_condition_rows` made before it was bounded by the condition's level, with
+every bracket recomputed along its path instead of read from the trie.
+`algebra_in_basis_dense` writes g in a new basis as p^-1 applied to
+`dense_bracket` of p's columns in plain Fraction loops, not through
+`LieAlgebra.ad` or `clear_denominators`.
 `layer_component` and `four_step_components` write the 4-step law
 difference as four bracket pieces of layer components, through
 `lie.bracket`, not through any BCH word.
@@ -566,21 +567,9 @@ def antichain_by_pruning(c: int, r: Fraction) -> tuple[DerivCondition, ...]:
     return tuple(kept)
 
 
-class RowRecorder:
-    """A row sink that never turns infeasible and keeps every row, in order."""
-
-    infeasible = False
-
-    def __init__(self):
-        self.rows: list[tuple[dict, int]] = []
-
-    def add(self, coeffs: dict, rhs: int) -> None:
-        self.rows.append((dict(coeffs), rhs))
-
-
-def condition_rows_unbounded(setup, cond: DerivCondition, sink) -> None:
-    """The rows of `cond` over every index path of degrees >= wp, whatever its
-    degree sum, into a sink that never turns infeasible.
+def condition_rows_unbounded(setup, cond: DerivCondition) -> list[tuple[dict, int]]:
+    """The rows (coeffs, rhs) of `cond` over every index path of degrees >= wp,
+    whatever its degree sum, in order.
 
     It reads only `setup`'s adapted `ad`, degrees, free variables and
     `first_at_least`.  Each path's suffix and replacement brackets are
@@ -591,6 +580,7 @@ def condition_rows_unbounded(setup, cond: DerivCondition, sink) -> None:
     degrees, col_vars, ad = setup.degrees, setup.col_vars, setup.ad
     max_coord = setup.first_at_least[min(cond.level + 1, setup.c + 1)]
     starts = [setup.first_at_least[p] for p in cond.wp]
+    out: list[tuple[dict, int]] = []
 
     def step(suffix: dict, repl: dict, b: int) -> tuple[dict, dict]:
         new_suffix = ad(b, suffix) if suffix else {}
@@ -633,7 +623,7 @@ def condition_rows_unbounded(setup, cond: DerivCondition, sink) -> None:
             coeffs = rows.get(coord, {})
             b = rhs.get(coord, 0)
             if coeffs or b:
-                sink.add(coeffs, b)
+                out.append((coeffs, b))
 
     def walk(slot: int, suffix: dict, repl: dict, degsum: int, limit: int) -> None:
         if slot == 0:
@@ -646,6 +636,7 @@ def condition_rows_unbounded(setup, cond: DerivCondition, sink) -> None:
 
     for b in range(starts[n - 1], setup.dim):
         walk(n - 1, {b: 1}, {var: {a: 1} for var, a in col_vars[b]}, degrees[b], b)
+    return out
 
 
 # --- the 4-step law difference in closed form, by layer components

@@ -46,8 +46,8 @@ def diag_operator(degrees) -> GradingOperator:
 def test_grading_heisenberg():
     g = catalog.get("heisenberg").algebra
     grading = grading_from_operator(g, diag_operator([1, 1, 2]))
-    assert grading.layer(1) == [unit_vec(3, 0), unit_vec(3, 1)]
-    assert grading.layer(2) == [unit_vec(3, 2)]
+    e1, e2, e3 = (tuple(unit_vec(3, i)) for i in range(3))
+    assert grading.layers == ((e1, e2), (e3,))
 
 
 def test_grading_filiform_nondiagonal_operator():
@@ -64,7 +64,7 @@ def test_grading_filiform_nondiagonal_operator():
     }
     rows = [[cols.get(b, {}).get(a, F(0)) for b in range(5)] for a in range(5)]
     grading = grading_from_operator(fil, GradingOperator.from_rows(rows))
-    layer1 = grading.layer(1)
+    layer1 = grading.layers[0]
     assert len(layer1) == 2
     assert subspace_contains(layer1, unit_vec(5, 0))
     e2_prime = vec([0, 1, -x, (x * x - 1) / 2, 0])

@@ -220,10 +220,12 @@ def _catalog_argv(verb: list[str], name: str) -> list[str]:
 
 @pytest.mark.parametrize("verb", CATALOG_VERBS)
 def test_unknown_catalog_name_prints_one_unquoted_line(capsys, verb):
-    code, out, err = run_capture(capsys, _catalog_argv(verb, "nope"))
-    assert code == 2
-    assert out == ""
-    assert err == "error: unknown catalog entry: 'nope'\n"
+    # a family name needs both parentheses or neither
+    for name in ("nope", "filiform(6", "abelian 4)"):
+        code, out, err = run_capture(capsys, _catalog_argv(verb, name))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: unknown catalog entry: {name!r}\n"
 
 
 @pytest.mark.parametrize(

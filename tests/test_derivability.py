@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
-    RowRecorder,
     algebra_in_basis_dense,
     antichain_by_pruning,
     condition_rows_unbounded,
@@ -22,7 +21,7 @@ from oracles import (
 )
 from test_lie import SMALL_ENTRIES, invertible_matrices, matrix_lie_algebras
 
-from nilgrade import catalog
+from nilgrade import catalog, derivability
 from nilgrade.carnot import carnot_pair
 from nilgrade.derivability import (
     DerivCondition,
@@ -53,7 +52,7 @@ from nilgrade.lie import (
     parse_algebra,
     serialize_algebra,
 )
-from nilgrade.linalg import mat_add, mat_inv, mat_mul, mat_vec, unit_vec
+from nilgrade.linalg import AffineSystem, mat_add, mat_inv, mat_mul, mat_vec, unit_vec
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -764,11 +763,9 @@ def assert_same_row_stream(g, conditions) -> int:
     setup = _setup(g)
     emitted = 0
     for cond in conditions:
-        bounded, unbounded = RowRecorder(), RowRecorder()
-        _condition_rows(setup, cond, bounded)
-        condition_rows_unbounded(setup, cond, unbounded)
-        assert bounded.rows == unbounded.rows, cond
-        emitted += len(bounded.rows)
+        rows = list(_condition_rows(setup, cond))
+        assert rows == condition_rows_unbounded(setup, cond), cond
+        emitted += len(rows)
     return emitted
 
 
@@ -820,6 +817,67 @@ def test_cold_e_of_operator_extends_few_nodes(monkeypatch):
     monkeypatch.setattr(_Setup, "extend", lambda self, node, b: extended.append(b) or extend(self, node, b))
     e_of_operator(g, witness)
     assert 0 < len(extended) <= 200
+
+
+def count_pulled_rows(monkeypatch) -> dict[DerivCondition, list]:
+    """Wrap `_condition_rows` in a pass-through that records, per condition,
+    the rows its consumer has pulled so far."""
+    rows = derivability._condition_rows
+    pulled: dict[DerivCondition, list] = {}
+
+    def counting(setup, cond):
+        for row in rows(setup, cond):
+            pulled.setdefault(cond, []).append(row)
+            yield row
+
+    monkeypatch.setattr(derivability, "_condition_rows", counting)
+    return pulled
+
+
+@pytest.mark.parametrize("text", ["(1,1|3),(1,2|4)", "(1,1,1|4)"])
+def test_solver_stops_pulling_rows_at_the_first_infeasible_one(monkeypatch, text):
+    # the row stream is lazy: the solver pulls and adds rows up to the one
+    # that makes its system infeasible and no further, so fewer rows reach
+    # it than the conditions emit (20 of 24 and 10 of 12 on counterexample11)
+    g = catalog.get("counterexample11").algebra
+    conditions = parse_condition_set(text)
+    setup = _setup(g)
+    emitted = sum(len(list(_condition_rows(setup, cond))) for cond in conditions)
+    add = AffineSystem.add
+    after_add = []
+
+    def counted(self, coeffs, rhs):
+        add(self, coeffs, rhs)
+        after_add.append(self.infeasible)
+
+    monkeypatch.setattr(AffineSystem, "add", counted)
+    pulled = count_pulled_rows(monkeypatch)
+    assert is_A_derivable(g, conditions) is None
+    assert after_add[-1] and not any(after_add[:-1])
+    assert sum(len(got) for got in pulled.values()) == len(after_add) < emitted
+
+
+@pytest.mark.parametrize("name", ["counterexample11", "g6_20", "central_product(4,7)"])
+def test_e_of_operator_stops_pulling_rows_at_the_first_violated_one(monkeypatch, name):
+    # the witness fails every condition of ratio below e; each condition's
+    # rows are pulled up to its first row violated at x_D and no further
+    g = catalog.get(name).algebra
+    witness = e_invariant(g).witness
+    setup = _setup(g)
+    d_ad = mat_mul(mat_mul(setup.p_inv, witness.rows), setup.p)
+    x = [d_ad[a][b] for a, b in setup.positions]
+    pulled = count_pulled_rows(monkeypatch)
+    assert e_of_operator(g, witness) > 0
+    cut_short = 0
+    for cond, got in pulled.items():
+        holds = [sum(c * x[var] for var, c in coeffs.items()) == rhs for coeffs, rhs in got]
+        assert all(holds[:-1]), cond
+        everything = list(_condition_rows(setup, cond))
+        assert got == everything[: len(got)]
+        if len(got) < len(everything):
+            assert not holds[-1], cond
+            cut_short += 1
+    assert cut_short > 0
 
 
 @settings(max_examples=25, deadline=None)
