@@ -13,12 +13,12 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import lie
 from .lie import AdaptedBasis, Filtration, LieAlgebra
-from .linalg import AffineSystem, Matrix, Vec, ZERO, mat_inv, mat_mul, mat_vec, q
+from .linalg import AffineSystem, Matrix, Vec, ZERO, integer_inverse, mat_vec, q, sparse_mul
 
 SparseVec = dict[int, int]
 
@@ -189,17 +189,25 @@ def delta_n(g: LieAlgebra, d: GradingOperator, xs: Sequence[Sequence[Fraction]])
     return value
 
 
-def _adapted_operator(d: GradingOperator, setup: _Setup) -> Matrix | None:
-    """p^-1 D p if D is a grading operator (see `is_grading_operator`), else None."""
+def _adapted_operator(d: GradingOperator, setup: _Setup) -> tuple[int, list[SparseVec]] | None:
+    """p^-1 D p as (den, rows), the matrix being rows / den for its sparse
+    integer rows, if D is a grading operator (see `is_grading_operator`), else
+    None.  With D = M/dd, p = P/dp and p^-1 = dp Q/L, it is Q M P / (L dd).
+    """
     n, degrees = setup.dim, setup.degrees
     if [len(row) for row in d.matrix] != [n] * n:
         return None
-    d_ad = mat_mul(mat_mul(setup.p_inv, d.rows), setup.p)
-    free = set(setup.positions)
-    for a, row in enumerate(d_ad):
-        if any(x != (degrees[a] if a == b else 0) for b, x in enumerate(row) if (a, b) not in free):
+    dd, ints = lie.clear_denominators([x for row in d.matrix for x in row])
+    m_rows = [{j: x for j in range(n) if (x := ints[i * n + j])} for i in range(n)]
+    rows = sparse_mul(sparse_mul(setup.q_rows, m_rows), setup.p_rows)
+    den = setup.q_den * dd
+    free = setup.free
+    for a, row in enumerate(rows):
+        if row.get(a, 0) != degrees[a] * den:
             return None
-    return d_ad
+        if any(b != a and (a, b) not in free for b in row):
+            return None
+    return den, rows
 
 
 def is_grading_operator(g: LieAlgebra, f: Filtration, d: GradingOperator) -> bool:
@@ -260,6 +268,12 @@ class _Node(NamedTuple):
 class _Setup:
     """An algebra's adapted coordinates, built once per instance by `_setup`.
 
+    The change of basis runs on integers: p = P/dp and p^-1 = dp Q/L, with
+    P's columns the adapted basis's `int_rows` brought to the common pivot
+    value dp, Q/L = P^-1 from one integer elimination, and both held by
+    their sparse rows (`p_rows`, `q_rows`).  The Fraction `p` and `p_inv`
+    are built on first read.
+
     `roots[b]` is the path trie rooted at index b (see `_Node`), filled in
     on first visit and kept as long as the algebra instance, so every call,
     condition and candidate reuses it.  Threads may share it, as they may
@@ -272,13 +286,23 @@ class _Setup:
         self.c = self.f.nilpotency_class
         self.ab = lie.adapted_basis(g, self.f)
         self.degrees = degrees = self.ab.degrees
-        self.p = self.ab.change_of_basis
-        self.p_inv = mat_inv(self.p)
-        # sigma * [e_i, v] in adapted coordinates; bound to the adapted algebra, not to g
-        self.ad = lie.algebra_in_basis(g, self.p, self.p_inv).ad
+        # the adapted vector b is its integer row over that row's pivot value
+        pivots = [row[min(row)] for row in self.ab.int_rows]
+        self.dp = dp = math.lcm(*pivots)
+        p_cols = [{i: x * (dp // s) for i, x in row.items()} for row, s in zip(self.ab.int_rows, pivots)]
+        self.p_rows: list[SparseVec] = [{} for _ in range(n)]
+        for b, col in enumerate(p_cols):
+            for i, x in col.items():
+                self.p_rows[i][b] = x
+        self.q_den, self.q_rows = integer_inverse(p_cols)  # P^-1 = Q/L, L being q_den
+        # sigma * [e_i, v] in adapted coordinates, p^-1 [p e_i, p e_j] being Q [P e_i, P e_j] / (dp L);
+        # bound to the adapted algebra, not to g
+        self.adapted = lie.algebra_in_integer_basis(g, p_cols, self.q_rows, dp * self.q_den)
+        self.ad = self.adapted.ad
         # free positions (a, b), column-major: degree(a) > degree(b), so a grading operator
         # may differ from diag(degrees) there; N e_b = e_a; col_vars[b] lists (var, a)
         self.positions = [(a, b) for b in range(n) for a in range(n) if degrees[a] > degrees[b]]
+        self.free = set(self.positions)
         self.col_vars: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for var, (a, b) in enumerate(self.positions):
             self.col_vars[b].append((var, a))
@@ -290,6 +314,17 @@ class _Setup:
             _Node({b: 1}, {var: {a: 1} for var, a in self.col_vars[b]}, self.degrees[b], b, {}, {})
             for b in range(n)
         ]
+
+    @cached_property
+    def p(self) -> Matrix:
+        """The change of basis, the adapted vectors as columns."""
+        return self.ab.change_of_basis
+
+    @cached_property
+    def p_inv(self) -> Matrix:
+        """p^-1 = dp Q/L."""
+        n, dp, den = self.dim, self.dp, self.q_den
+        return [[Fraction(dp * row[j], den) if j in row else ZERO for j in range(n)] for row in self.q_rows]
 
     def extend(self, node: _Node, b: int) -> _Node | None:
         """Compute and store the child of `node` at index b (see `_Node`)."""
@@ -320,12 +355,21 @@ class _Setup:
         return kid
 
     def operator(self, x: Sequence[Fraction]) -> GradingOperator:
-        """diag(degrees) plus x[var] at each free position, in original coordinates."""
+        """diag(degrees) plus x[var] at each free position, in original coordinates.
+
+        That is p (M/dx) p^-1 = P M Q / (dx L) for M = dx diag(degrees) + dx x, on integers.
+        """
         n = self.dim
-        d_ad = [[Fraction(self.degrees[i]) if i == j else ZERO for j in range(n)] for i in range(n)]
-        for (a, b), value in zip(self.positions, x):
-            d_ad[a][b] += value
-        return GradingOperator.from_rows(mat_mul(mat_mul(self.p, d_ad), self.p_inv))
+        dx, xs = lie.clear_denominators(x)
+        m_rows = [{i: dx * d} for i, d in enumerate(self.degrees)]
+        for (a, b), value in zip(self.positions, xs):
+            if value:
+                m_rows[a][b] = value
+        den = dx * self.q_den
+        rows = sparse_mul(sparse_mul(self.p_rows, m_rows), self.q_rows)
+        return GradingOperator(
+            tuple(tuple(Fraction(row[j], den) if j in row else ZERO for j in range(n)) for row in rows)
+        )
 
 
 def _setup(g: LieAlgebra) -> _Setup:
@@ -497,7 +541,8 @@ def e_of_operator(g: LieAlgebra, d: GradingOperator) -> Fraction:
     if d_ad is None:
         raise OperatorNotInDError("matrix is not a grading operator of the lower central series")
     c = max(setup.c, 2)  # at class <= 2 every antichain is empty: e is 0 and no row is streamed
-    scale, point = lie.clear_denominators([d_ad[a][b] for a, b in setup.positions])
+    scale, rows = d_ad
+    point = [rows[a].get(b, 0) for a, b in setup.positions]
     met: dict[DerivCondition, bool] = {}
 
     def meets(cond: DerivCondition) -> bool:

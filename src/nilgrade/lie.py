@@ -8,13 +8,14 @@ identity is checked explicitly (`check_jacobi`), never assumed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .linalg import (
+    ONE,
     Echelon,
     Matrix,
     Vec,
@@ -22,7 +23,6 @@ from .linalg import (
     columns_matrix,
     mat_inv,
     q,
-    unit_vec,
     zero_vec,
 )
 
@@ -35,6 +35,15 @@ class NotNilpotentError(ValueError):
     """Raised when the lower central series does not reach zero."""
 
 
+def _labels(dim: int, labels: Sequence[str] | None) -> tuple[str, ...]:
+    """The given labels, or e1..e_dim; ValueError unless there are dim of them."""
+    if labels is None:
+        return tuple(f"e{k}" for k in range(1, dim + 1))
+    if len(labels) != dim:
+        raise ValueError("label count must equal dim")
+    return tuple(labels)
+
+
 class LieAlgebra:
     """Finite-dimensional Lie algebra with rational structure constants.
 
@@ -45,7 +54,9 @@ class LieAlgebra:
     (i, j, ((k, s), ...)) with nonzero [e_i, e_j], sorted, where the s are
     the integers sigma * [e_i, e_j]_k for the least common denominator
     `sigma` of all structure constants.  `scaled_bracket` is the dense
-    kernel over it and `ad` the sparse one.
+    kernel over it and `ad` the sparse one.  An algebra that a basis change
+    builds from its table (`algebra_in_integer_basis`) reads `brackets` off
+    the table on first use.
     """
 
     def __init__(
@@ -54,10 +65,7 @@ class LieAlgebra:
         brackets: dict[tuple[int, int], Sequence[Fraction]],
         labels: Sequence[str] | None = None,
     ):
-        if labels is None:
-            labels = tuple(f"e{k}" for k in range(1, dim + 1))
-        if len(labels) != dim:
-            raise ValueError("label count must equal dim")
+        labels = _labels(dim, labels)
         clean: dict[tuple[int, int], tuple[Fraction, ...]] = {}
         for (i, j), value in brackets.items():
             if not (0 <= i < j < dim):
@@ -67,16 +75,39 @@ class LieAlgebra:
                 raise ValueError("bracket value has wrong length")
             if any(x != 0 for x in v):
                 clean[(i, j)] = v
-        self.dim = dim
-        self.labels = tuple(labels)
-        self.brackets = clean
-        self._lcs_cache: Filtration | None = None
-        self._setup_cache = None  # derivability._setup fills it, idempotently
-        self.sigma = lcm(1, *(x.denominator for v in clean.values() for x in v))
-        self.table = tuple(
-            (i, j, tuple((k, int(x * self.sigma)) for k, x in enumerate(v) if x != 0))
+        sigma = lcm(1, *(x.denominator for v in clean.values() for x in v))
+        table = tuple(
+            (i, j, tuple((k, int(x * sigma)) for k, x in enumerate(v) if x != 0))
             for (i, j), v in sorted(clean.items())
         )
+        self._set(dim, sigma, table, labels)
+        self.brackets = clean
+
+    @classmethod
+    def _from_table(cls, dim: int, sigma: int, table: tuple, labels: Sequence[str] | None) -> "LieAlgebra":
+        """The algebra of a canonical `table` and its `sigma`; `brackets` follows on first read."""
+        g = cls.__new__(cls)
+        g._set(dim, sigma, table, _labels(dim, labels))
+        return g
+
+    def _set(self, dim: int, sigma: int, table: tuple, labels: tuple[str, ...]) -> None:
+        self.dim = dim
+        self.labels = labels
+        self.sigma = sigma
+        self.table = table
+        self._lcs_cache: Filtration | None = None
+        self._setup_cache = None  # derivability._setup fills it, idempotently
+
+    @cached_property
+    def brackets(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+        """The nonzero [e_i, e_j], i < j, as dense tuples of Fractions: `table` over sigma."""
+        out = {}
+        for i, j, entries in self.table:
+            v = [ZERO] * self.dim
+            for k, s in entries:
+                v[k] = Fraction(s, self.sigma)
+            out[(i, j)] = tuple(v)
+        return out
 
     @cached_property
     def _signed_rows(self) -> list[dict[int, dict[int, int]]]:
@@ -104,23 +135,28 @@ class LieAlgebra:
         return out
 
     def __eq__(self, other) -> bool:
+        # the table and sigma determine the brackets and are determined by them
         return (
             isinstance(other, LieAlgebra)
             and self.dim == other.dim
-            and self.brackets == other.brackets
+            and self.sigma == other.sigma
+            and self.table == other.table
         )
 
     def __repr__(self) -> str:
-        return f"LieAlgebra(dim={self.dim}, nonzero_brackets={len(self.brackets)})"
+        return f"LieAlgebra(dim={self.dim}, nonzero_brackets={len(self.table)})"
 
 
 @dataclass(frozen=True)
 class Filtration:
     """Lower central series F_1 ⊇ F_2 ⊇ ... ⊇ F_{c+1} = 0, each F_k given by
-    the canonical RREF basis of its span (`Echelon.basis`)."""
+    the canonical RREF basis of its span (`Echelon.basis`).  `int_rows[k-1]`
+    holds the same basis as F_k's `Echelon.int_rows`, primitive integer rows in
+    pivot order; they are read-only."""
 
     subspaces: tuple[tuple[tuple[Fraction, ...], ...], ...]
     nilpotency_class: int
+    int_rows: tuple[tuple[dict[int, int], ...], ...] = field(compare=False, repr=False)
 
     def basis(self, k: int) -> list[Vec]:
         """RREF basis of F_k (1-indexed); empty list for k > c."""
@@ -136,10 +172,16 @@ class Filtration:
 
 @dataclass(frozen=True)
 class AdaptedBasis:
-    """Basis adapted to a filtration: degree-≥i vectors span F_i."""
+    """Basis adapted to a filtration: degree-≥i vectors span F_i.
+
+    `int_rows[b]` is vectors[b] times the least positive integer that clears it,
+    as a sparse {index: int} dict (the `Filtration.int_rows` row it was
+    picked from); they are read-only.
+    """
 
     vectors: tuple[tuple[Fraction, ...], ...]
     degrees: tuple[int, ...]
+    int_rows: tuple[dict[int, int], ...] = field(default=(), compare=False, repr=False)
 
     @property
     def change_of_basis(self) -> Matrix:
@@ -212,14 +254,23 @@ def check_jacobi(g: LieAlgebra) -> list[tuple[int, int, int, Vec]]:
     return violations
 
 
+def _rref_row(row: dict[int, int], dim: int) -> tuple[Fraction, ...]:
+    """The RREF row of a primitive integer echelon row: row over its pivot value."""
+    out = [ZERO] * dim
+    d = row[min(row)]
+    for k, x in row.items():
+        out[k] = ONE if x == d else Fraction(x, d)
+    return tuple(out)
+
+
 def lower_central_series(g: LieAlgebra) -> Filtration:
     """F_1 = g, F_{k+1} = span[g, F_k]; raises NotNilpotentError if it stalls."""
     if g._lcs_cache is not None:
         return g._lcs_cache
     # the integer images sigma * [e_i, v] that raised the rank of a level's
     # echelon span that level, so the next level brackets them
-    chain: list[list[Vec]] = [[unit_vec(g.dim, i) for i in range(g.dim)]]
-    spanning = [{i: 1} for i in range(g.dim)]
+    chain: list[tuple[dict[int, int], ...]] = [tuple({i: 1} for i in range(g.dim))]
+    spanning = list(chain[0])
     while spanning:
         ech = Echelon(g.dim)
         images = []
@@ -231,11 +282,12 @@ def lower_central_series(g: LieAlgebra) -> Filtration:
         # [g, F_k] ⊆ [g, F_{k-1}] by bilinearity, so equal dims mean a stall
         if len(images) == len(spanning):
             raise NotNilpotentError("lower central series does not reach zero")
-        chain.append(ech.basis)
+        chain.append(tuple(ech.int_rows[p] for p in ech.pivots))
         spanning = images
     filtration = Filtration(
-        subspaces=tuple(tuple(tuple(v) for v in basis) for basis in chain),
+        subspaces=tuple(tuple(_rref_row(row, g.dim) for row in level) for level in chain),
         nilpotency_class=len(chain) - 1,
+        int_rows=tuple(chain),
     )
     g._lcs_cache = filtration
     return filtration
@@ -249,16 +301,17 @@ def adapted_basis(g: LieAlgebra, f: Filtration) -> AdaptedBasis:
     falling back to the basis of F_i.  F_i's basis is its canonical RREF
     (see `Filtration`), and a unit vector lies in an RREF span iff it is
     one of the rows, so those vectors are the rows with a single nonzero
-    entry.
+    entry.  The choice runs on F_i's integer rows, which span what the RREF
+    rows span, one by one.
     """
     c = f.nilpotency_class
     ech = Echelon(g.dim)
-    chosen: list[tuple[int, Vec]] = []
+    chosen: list[tuple[int, dict[int, int]]] = []
     for level in range(c, 0, -1):
-        level_basis = f.basis(level)
-        target = len(level_basis)
-        units = [v for v in level_basis if sum(1 for x in v if x) == 1]
-        for v in units + level_basis:
+        level_rows = f.int_rows[level - 1]
+        target = len(level_rows)
+        units = [v for v in level_rows if len(v) == 1]
+        for v in units + list(level_rows):
             if ech.rank == target:
                 break
             if ech.add(v):
@@ -267,8 +320,9 @@ def adapted_basis(g: LieAlgebra, f: Filtration) -> AdaptedBasis:
             raise RuntimeError("failed to complete adapted basis (internal error)")
     chosen.sort(key=lambda t: t[0])
     return AdaptedBasis(
-        vectors=tuple(tuple(v) for _, v in chosen),
+        vectors=tuple(_rref_row(v, g.dim) for _, v in chosen),
         degrees=tuple(d for d, _ in chosen),
+        int_rows=tuple(v for _, v in chosen),
     )
 
 
@@ -287,21 +341,46 @@ def algebra_in_basis(
 ) -> LieAlgebra:
     """g in the basis of p's columns, p_inv being p^-1 (see `change_of_basis`).
 
-    With p = P/dp and p^-1 = Q/dq, P and Q integral, the new constants
-    p^-1 [p e_i, p e_j] are Q sigma[P e_i, P e_j] / (sigma dp^2 dq).  Both
-    products run on sparse integer columns: sigma[P e_i, P e_j] is the sum of
-    P_ai * `ad`(a, P e_j) over the support of P e_i, each `ad` image computed
-    once, and Q is applied column by column over that bracket's support.  So
-    a permutation p costs one table lookup per pair.
+    With p = P/dp and p^-1 = Q/dq, P and Q integral, this is
+    `algebra_in_integer_basis` of P's columns and Q with scale dp^2 dq.
     """
     n = g.dim
     dp, p_ints = clear_denominators([x for row in p for x in row])
     dq, q_ints = clear_denominators([x for row in p_inv for x in row])
     p_cols = [{m: x for m in range(n) if (x := p_ints[m * n + i])} for i in range(n)]
-    q_cols = [{k: x for k in range(n) if (x := q_ints[k * n + m])} for m in range(n)]
-    den = g.sigma * dp * dp * dq
+    q_rows = [{m: x for m in range(n) if (x := q_ints[k * n + m])} for k in range(n)]
+    return algebra_in_integer_basis(g, p_cols, q_rows, dp * dp * dq, labels)
+
+
+def algebra_in_integer_basis(
+    g: LieAlgebra,
+    p_cols: Sequence[dict[int, int]],
+    q_rows: Sequence[dict[int, int]],
+    scale: int,
+    labels: Sequence[str] | None = None,
+) -> LieAlgebra:
+    """g in the basis of p's columns, given on integers: P's sparse columns and
+    Q's sparse rows with p^-1 [p e_i, p e_j] = Q [P e_i, P e_j] / scale.
+
+    So for p = P/dp and p^-1 = Q/dq, scale is dp^2 dq.  The new constants
+    are Q sigma[P e_i, P e_j] / (sigma scale).  Both products run on sparse
+    integer columns: sigma[P e_i, P e_j] is the sum of P_ai * `ad`(a, P e_j)
+    over the support of P e_i, each `ad` image computed once, and Q is
+    applied column by column over that bracket's support.  So a permutation
+    p costs one table lookup per pair.  The new table is those integer
+    vectors divided once by the gcd of all their entries and sigma * scale,
+    and the new sigma is sigma * scale over that gcd: the least common
+    denominator of the constants, as `LieAlgebra` would find it.
+    """
+    n = g.dim
+    q_cols: list[dict[int, int]] = [{} for _ in range(n)]
+    for k, row in enumerate(q_rows):
+        for m, y in row.items():
+            q_cols[m][k] = y
+    den = g.sigma * scale
+    common = den
     images: dict[tuple[int, int], dict[int, int]] = {}  # (a, j) -> sigma [e_a, P e_j]
-    brackets: dict[tuple[int, int], Vec] = {}
+    products: list[tuple[int, int, dict[int, int]]] = []
     for i in range(n):
         for j in range(i + 1, n):
             w: dict[int, int] = {}
@@ -311,14 +390,17 @@ def algebra_in_basis(
                     image = images[(a, j)] = g.ad(a, p_cols[j])
                 for m, s in image.items():
                     w[m] = w.get(m, 0) + x * s
-            out = [0] * n
+            out: dict[int, int] = {}
             for m, s in w.items():
                 if s:
                     for k, y in q_cols[m].items():
-                        out[k] += s * y
-            if any(out):
-                brackets[(i, j)] = _divide(out, den)
-    return LieAlgebra(n, brackets, labels)
+                        out[k] = out.get(k, 0) + s * y
+            out = {k: x for k, x in out.items() if x}
+            if out:
+                products.append((i, j, out))
+                common = gcd(common, *out.values())
+    table = tuple((i, j, tuple((k, out[k] // common) for k in sorted(out))) for i, j, out in products)
+    return LieAlgebra._from_table(n, den // common, table, labels)
 
 
 _LABEL = r"[A-Za-z_]\w*"  # a basis label: anything else misreads in a bracket's terms

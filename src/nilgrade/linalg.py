@@ -1,12 +1,17 @@
 """Exact rational vectors, matrices, echelon forms and affine solving.
 
-Everything here works over `fractions.Fraction` and is deterministic:
-pivots are always the first nonzero entry in column order, so reduced
-forms, particular solutions and nullspace bases are reproducible.
+Inputs and results are exact: ints and `fractions.Fraction`, never floats.
+Everything is deterministic: pivots are always the first nonzero entry in
+column order, so reduced forms, particular solutions and nullspace bases
+are reproducible.
 
-Every solve, inverse and span runs on `Echelon`, which keeps reduced
-sparse rows ({column: value} over the nonzero entries), and `mat_mul`
-skips zero entries.  The dense `rref` is the tests' reference only.
+Every solve, inverse and span runs on `Echelon`, a fraction-free
+elimination: it keeps each reduced row as a sparse primitive integer row
+({column: value} over the nonzero entries) and clears a Fraction input
+once, so Fractions are made only for the results that leave it.
+`integer_inverse` and `sparse_mul` stay on integers throughout; `mat_mul`
+multiplies Fraction matrices and skips zero entries.  The dense `rref` is
+the tests' reference only.
 """
 
 from __future__ import annotations
@@ -76,8 +81,16 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(u, v)] for u, v in zip(a, b)]
+def sparse_mul(a: Sequence[dict], b: Sequence[dict]) -> list[dict]:
+    """a·b for matrices given by their sparse rows {column: nonzero value}."""
+    out = []
+    for row in a:
+        acc: dict = {}
+        for m, x in row.items():
+            for k, y in b[m].items():
+                acc[k] = acc.get(k, 0) + x * y
+        out.append({k: v for k, v in acc.items() if v})
+    return out
 
 
 def columns_matrix(vectors: Sequence[Sequence[Fraction]]) -> Matrix:
@@ -166,12 +179,37 @@ def mat_inv(m: Matrix) -> Matrix:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("not square")
+    rows = _invert([_support(row) for row in m], n)
+    return [[Fraction(row.get(n + j, 0), row[i]) for j in range(n)] for i, row in enumerate(rows)]
+
+
+def integer_inverse(cols: Sequence[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
+    """(den, inv) with inv / den the inverse of the integer matrix whose columns
+    are the sparse {row: value} dicts `cols`; inv's rows are sparse too.
+
+    The same elimination as `mat_inv`, read off its integer rows: den is the
+    least common denominator of the inverse.  ValueError if singular.
+    """
+    n = len(cols)
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    for b, col in enumerate(cols):
+        for i, x in col.items():
+            rows[i][b] = x
+    rows = _invert(rows, n)
+    den = math.lcm(*(row[i] for i, row in enumerate(rows)))
+    return den, [{k - n: x * (den // row[i]) for k, x in row.items() if k >= n} for i, row in enumerate(rows)]
+
+
+def _invert(rows: list[dict], n: int) -> list[dict[int, int]]:
+    """The integer rows of the echelon form of [m | I], m given by its n sparse
+    rows, in pivot order: row i is c_i (e_i | m^-1 row i) for the least c_i > 0
+    that makes it integral.  The one elimination under every inverse."""
     ech = Echelon(2 * n)
-    for i, row in enumerate(m):
-        ech.add(list(row) + unit_vec(n, i))
+    for i, row in enumerate(rows):
+        ech.add({**row, n + i: 1})
     if ech.pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in ech.rows]
+    return [ech.int_rows[i] for i in range(n)]
 
 
 SparseRow = dict[int, Fraction]
@@ -183,81 +221,138 @@ def _support(v: Sequence | SparseRow) -> dict:
     return {k: x for k, x in items if x}
 
 
+def _integral(w: dict) -> tuple[int, dict[int, int]]:
+    """(den, den * w) for the least den > 0 that makes every entry of w an
+    integer; w itself, with den 1, if its entries are ints."""
+    for x in w.values():
+        if type(x) is not int:
+            den = math.lcm(*(x.denominator for x in w.values()))
+            return den, {k: x.numerator * (den // x.denominator) for k, x in w.items()}
+    return 1, w
+
+
+def _primitive(w: dict[int, int], pivot: int) -> dict[int, int]:
+    """w divided by the gcd of its entries, with the sign that makes w[pivot] > 0."""
+    g = math.gcd(*w.values())
+    if w[pivot] < 0:
+        g = -g
+    if g != 1:
+        for k in w:
+            w[k] //= g
+    return w
+
+
 class Echelon:
     """Incrementally maintained reduced echelon basis of a subspace.
 
-    Rows are stored sparsely, as {column: Fraction} over their nonzero
-    entries in `sparse_rows`, keyed by pivot column.  They are kept fully
-    reduced with unit pivots, so `basis` is the canonical RREF basis of
-    the span regardless of insertion order, and a reduction or an
-    insertion touches only the support of the rows it meets.
+    The elimination is fraction-free: each row is stored in `int_rows`,
+    keyed by its pivot column, as a sparse {column: int} dict over its
+    nonzero entries, primitive (its entries have gcd 1) and with a positive
+    pivot, and zero at every other pivot column.  So row p is the canonical
+    RREF row of pivot p times the least positive integer that clears it, the
+    same rows whatever the insertion order, and a reduction or an insertion
+    touches only the support of the rows it meets.  A Fraction input is
+    cleared once, on entry.
 
     `add`, `reduce` and `contains` take a dense sequence or a sparse
-    {column: value} dict; `reduce`, `rows` and `basis` return dense lists
-    of Fractions, rows ordered by pivot.  `sparse_rows` is read-only.
+    {column: value} dict of ints or Fractions.  Fractions appear only where
+    a result leaves the class: `reduce`, `rows` and `basis` return dense
+    lists of Fractions, rows ordered by pivot, and `sparse_rows` the RREF
+    rows as {pivot: {column: Fraction}}.  `int_rows` is read-only.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.sparse_rows: dict[int, SparseRow] = {}
+        self.int_rows: dict[int, dict[int, int]] = {}
 
-    def _reduce(self, w: dict) -> dict:
+    def _reduce(self, w: dict[int, int]) -> int:
+        """Clear every pivot column of the integer w in place; w is then s
+        times the reduced vector, for the returned s > 0."""
         # each row is zero on every other pivot column, so subtracting it
         # clears its own pivot in w and creates no entry at another pivot
-        rows = self.sparse_rows
+        rows = self.int_rows
+        scale = 1
         for p in [p for p in w if p in rows]:
-            f = w[p]
-            for k, y in rows[p].items():
+            row = rows[p]
+            f, d = w[p], row[p]
+            g = math.gcd(f, d)
+            f //= g
+            d //= g
+            if d != 1:
+                scale *= d
+                for k in w:
+                    w[k] *= d
+            for k, y in row.items():
                 t = w.get(k, 0) - f * y
                 if t:
                     w[k] = t
                 else:
                     del w[k]
-        return w
+        return scale
 
     def reduce(self, v: Sequence | SparseRow) -> Vec:
-        w = zero_vec(self.dim)
-        for k, x in self._reduce(_support(v)).items():
-            w[k] = q(x)
-        return w
+        den, w = _integral(_support(v))
+        den *= self._reduce(w)
+        out = zero_vec(self.dim)
+        for k, x in w.items():
+            out[k] = Fraction(x, den)
+        return out
 
     def add(self, v: Sequence | SparseRow) -> bool:
-        w = self._reduce(_support(v))
+        return self._insert(_integral(_support(v))[1])
+
+    def _insert(self, w: dict[int, int]) -> bool:
+        self._reduce(w)
         if not w:
             return False
         p = min(w)
-        inv = ONE / w[p]
-        w = {k: x * inv for k, x in w.items()}
-        for row in self.sparse_rows.values():
+        w = _primitive(w, p)
+        d = w[p]
+        for r, row in self.int_rows.items():
             f = row.get(p)
             if f:
+                g = math.gcd(d, f)
+                a, f = d // g, f // g
+                if a != 1:
+                    for k in row:
+                        row[k] *= a
                 for k, y in w.items():
                     t = row.get(k, 0) - f * y
                     if t:
                         row[k] = t
                     else:
                         del row[k]
-        self.sparse_rows[p] = w
+                _primitive(row, r)
+        self.int_rows[p] = w
         return True
 
     def contains(self, v: Sequence | SparseRow) -> bool:
-        return not self._reduce(_support(v))
+        w = _integral(_support(v))[1]
+        self._reduce(w)
+        return not w
 
     @property
     def rank(self) -> int:
-        return len(self.sparse_rows)
+        return len(self.int_rows)
 
     @property
     def pivots(self) -> list[int]:
-        return sorted(self.sparse_rows)
+        return sorted(self.int_rows)
+
+    @property
+    def sparse_rows(self) -> dict[int, SparseRow]:
+        return {
+            p: {k: Fraction(x, row[p]) for k, x in row.items()} for p, row in self.int_rows.items()
+        }
 
     @property
     def rows(self) -> list[Vec]:
         out = []
         for p in self.pivots:
+            row = self.int_rows[p]
             w = zero_vec(self.dim)
-            for k, x in self.sparse_rows[p].items():
-                w[k] = x
+            for k, x in row.items():
+                w[k] = Fraction(x, row[p])
             out.append(w)
         return out
 
@@ -282,17 +377,19 @@ class AffineSystem(Echelon):
     def add(self, coeffs: Sequence | SparseRow, rhs) -> None:
         """Add coeffs·x = rhs, coeffs dense or a sparse {variable: value} dict."""
         row = _support(coeffs)
-        row[self.nvars] = rhs
-        super().add(row)
-        self.infeasible = self.nvars in self.sparse_rows
+        if rhs:
+            row[self.nvars] = rhs
+        self._insert(_integral(row)[1])
+        self.infeasible = self.nvars in self.int_rows
 
     def particular(self) -> Vec | None:
         """The solution with every free variable 0, or None if infeasible."""
         if self.infeasible:
             return None
         x = zero_vec(self.nvars)
-        for p, row in self.sparse_rows.items():
-            x[p] = row.get(self.nvars, ZERO)
+        for p, row in self.int_rows.items():
+            if self.nvars in row:
+                x[p] = Fraction(row[self.nvars], row[p])
         return x
 
 

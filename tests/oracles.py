@@ -435,6 +435,11 @@ def naive_mat_mul(a: Matrix, b: Matrix) -> Matrix:
     ]
 
 
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    """The entrywise sum."""
+    return [[x + y for x, y in zip(u, v)] for u, v in zip(a, b)]
+
+
 def rref_span(vectors: list[Vec]) -> tuple[list[Vec], list[int]]:
     """Nonzero rows and pivot columns of the dense RREF of `vectors`."""
     red, pivots, rank = rref([[F(x) for x in v] for v in vectors])

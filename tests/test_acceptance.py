@@ -27,6 +27,7 @@ from oracles import (
     filiform5_matrix,
     heisenberg_coords,
     heisenberg_matrix,
+    mat_add,
     matrix_group_product,
 )
 
@@ -45,7 +46,7 @@ from nilgrade.derivability import (
 )
 from nilgrade.goodman import GridSampler, goodman_check, segment_constants
 from nilgrade.lie import bracket, check_jacobi, lower_central_series
-from nilgrade.linalg import mat_add, zero_vec
+from nilgrade.linalg import zero_vec
 
 GOODMAN_SEED = 20260811
 TABLE_E_VALUES = {

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import graded_truncation, layer_one_generates, rref_span
+from oracles import graded_truncation, layer_one_generates, mat_add, rref_span
 from test_derivability import grading_operator_samples, moved_by
 from test_lie import SMALL_ENTRIES, invertible_matrices, matrix_lie_algebras
 
@@ -33,7 +33,7 @@ from nilgrade.lie import (
     lower_central_series,
     parse_algebra,
 )
-from nilgrade.linalg import columns_matrix, mat_add, mat_inv, mat_mul, subspace_contains, unit_vec, vec
+from nilgrade.linalg import columns_matrix, mat_inv, mat_mul, subspace_contains, unit_vec, vec
 
 
 def diag_operator(degrees) -> GradingOperator:

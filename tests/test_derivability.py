@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import random
 import weakref
 from fractions import Fraction as F
 
@@ -17,11 +18,12 @@ from oracles import (
     e_of_operator_dense,
     e_of_operator_tuples,
     is_grading_operator_echelon,
+    mat_add,
     rref_mat_inv,
 )
 from test_lie import SMALL_ENTRIES, invertible_matrices, matrix_lie_algebras
 
-from nilgrade import catalog, derivability
+from nilgrade import catalog, derivability, linalg
 from nilgrade.carnot import carnot_pair
 from nilgrade.derivability import (
     DerivCondition,
@@ -38,6 +40,7 @@ from nilgrade.derivability import (
     is_grading_operator,
     parse_condition_set,
     r_condition_set,
+    _adapted_operator,
     _antichain,
     _condition_rows,
     _setup,
@@ -46,13 +49,14 @@ from nilgrade.derivability import (
 from nilgrade.lie import (
     adapted_basis,
     algebra_in_basis,
+    algebra_in_integer_basis,
     change_of_basis,
     iterated_bracket,
     lower_central_series,
     parse_algebra,
     serialize_algebra,
 )
-from nilgrade.linalg import AffineSystem, mat_add, mat_inv, mat_mul, mat_vec, unit_vec
+from nilgrade.linalg import AffineSystem, mat_inv, mat_mul, mat_vec, unit_vec
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -655,9 +659,13 @@ def test_dropped_algebra_is_freed_by_refcounting():
 
 def test_setup_builds_the_adapted_algebra_once(monkeypatch):
     # a fresh instance builds its algebra in the adapted basis once, with
-    # the rest of its setup, and every later call on it reuses that one
+    # the rest of its setup, and every later call on it reuses that one;
+    # `algebra_in_integer_basis` is the one kernel under every basis change,
+    # `algebra_in_basis` and `change_of_basis` included
     built = []
-    monkeypatch.setattr("nilgrade.lie.algebra_in_basis", lambda *args: built.append(args) or algebra_in_basis(*args))
+    monkeypatch.setattr(
+        "nilgrade.lie.algebra_in_integer_basis", lambda *args: built.append(args) or algebra_in_integer_basis(*args)
+    )
     for name in ("heisenberg", "g6_11", "filiform(7)"):
         witness = e_invariant(catalog.get(name).algebra).witness
         g = catalog.get(name).algebra
@@ -673,15 +681,20 @@ def test_setup_builds_the_adapted_algebra_once(monkeypatch):
 
 
 def test_setup_and_its_adapted_algebra_invert_p_once(monkeypatch):
-    # the adapted algebra is built from the p and p^-1 the setup holds, so
-    # a fresh class >= 3 instance inverts its change of basis once
+    # the setup inverts its change of basis once, on integers, and builds its
+    # adapted algebra and the Fraction p^-1 from that one inverse; `_invert`
+    # is the one elimination under `integer_inverse` and `mat_inv`, so a
+    # fresh class >= 3 instance runs it once however many calls read p^-1
     inverted = []
-    counting = lambda m: inverted.append(m) or mat_inv(m)  # noqa: E731
-    monkeypatch.setattr("nilgrade.lie.mat_inv", counting)
-    monkeypatch.setattr("nilgrade.derivability.mat_inv", counting)
+    invert = linalg._invert
+    monkeypatch.setattr("nilgrade.linalg._invert", lambda *args: inverted.append(args) or invert(*args))
     g = catalog.get("g6_11").algebra
-    assert lower_central_series(g).nilpotency_class >= 3
-    e_invariant(g)
+    f = lower_central_series(g)
+    assert f.nilpotency_class >= 3
+    witness = e_invariant(g).witness
+    assert is_grading_operator(g, f, witness)
+    assert e_of_operator(g, witness) == e_invariant(g).e
+    grading_operator_space(g, f, adapted_basis(g, f))
     assert len(inverted) == 1
 
 
@@ -752,6 +765,77 @@ def test_sparse_basis_change_matches_dense_oracle_on_sheared_fixtures(name):
     p = adapted_basis(moved, lower_central_series(moved)).change_of_basis
     assert any(sum(1 for x in col if x) > 1 for col in zip(*p))
     assert algebra_in_basis(moved, p, mat_inv(p)) == algebra_in_basis_dense(moved, p, rref_mat_inv(p))
+
+
+# --- the setup's integer frame against the public Fraction route
+
+FRAME_ALGEBRAS = (
+    [e.name for e in catalog.entries()]
+    + [f"filiform({n})" for n in range(6, 13)]
+    + [f"central_product({i},{j})" for i, j in ((2, 3), (3, 5), (4, 7), (5, 8), (6, 10))]
+)
+
+
+def assert_frame_matches_fraction_route(g, xs) -> None:
+    """The setup's integer p, p^-1, adapted algebra and operators against
+    `adapted_basis`, `mat_inv`, `algebra_in_basis` and `mat_mul`; xs are
+    values of the free entries to build operators from."""
+    setup = _setup(g)
+    f = lower_central_series(g)
+    ab = adapted_basis(g, f)
+    assert setup.degrees == ab.degrees
+    assert setup.ab == ab
+    p = ab.change_of_basis
+    p_inv = mat_inv(p)
+    assert setup.p == p
+    assert setup.p_inv == p_inv
+    public = algebra_in_basis(g, p, p_inv)
+    assert setup.adapted == public == algebra_in_basis_dense(g, p, rref_mat_inv(p))
+    assert setup.adapted.brackets == public.brackets == algebra_in_basis_dense(g, p, p_inv).brackets
+    n = g.dim
+    for x in xs:
+        d_ad = [[F(setup.degrees[i]) if i == j else F(0) for j in range(n)] for i in range(n)]
+        for (a, b), value in zip(setup.positions, x):
+            d_ad[a][b] += value
+        d = setup.operator(x)
+        assert d.rows == mat_mul(mat_mul(p, d_ad), p_inv)
+        den, rows = _adapted_operator(d, setup)
+        assert [[F(row.get(j, 0), den) for j in range(n)] for row in rows] == d_ad
+
+
+def random_free_values(setup, seed: str, count: int = 3) -> list[list[F]]:
+    rng = random.Random(seed)
+    return [
+        [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in setup.positions] for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("name", FRAME_ALGEBRAS)
+def test_integer_frame_matches_fraction_route(name):
+    g = catalog.get(name).algebra
+    assert_frame_matches_fraction_route(g, random_free_values(_setup(g), name) + [[]])
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_integer_frame_matches_fraction_route_on_sheared_fixtures(name):
+    # the upper shear's adapted basis is no permutation: P has columns with
+    # several entries and P^-1 has denominators
+    g = catalog.get(name).algebra
+    _, lower, upper = rescaled_and_sheared(g.dim)
+    for shear in (lower, upper):
+        moved = change_of_basis(g, [list(col) for col in zip(*shear)])
+        setup = _setup(moved)
+        if shear is upper:
+            assert any(len(row) > 1 for row in setup.ab.int_rows) and setup.q_den > 1
+        assert_frame_matches_fraction_route(moved, random_free_values(setup, name))
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrix_lie_algebras(), st.data())
+def test_integer_frame_matches_fraction_route_on_random_algebras(g, data):
+    n_free = len(_setup(g).positions)
+    xs = data.draw(st.lists(st.lists(coords, min_size=n_free, max_size=n_free), min_size=1, max_size=3))
+    assert_frame_matches_fraction_route(g, xs)
 
 
 # --- the path trie: level-bounded walk, one bracket per node and index

@@ -19,6 +19,7 @@ from nilgrade.linalg import (
     Echelon,
     filtration_depth,
     identity,
+    integer_inverse,
     mat_inv,
     mat_mul,
     mat_vec,
@@ -26,6 +27,7 @@ from nilgrade.linalg import (
     nullspace,
     rref,
     solve_affine,
+    sparse_mul,
     subspace_contains,
     vec,
 )
@@ -288,3 +290,170 @@ def test_mat_inv_matches_dense_oracle(m):
     assert inv == _outcome(rref_mat_inv, m)
     if isinstance(inv, list):
         assert mat_mul(matrix(m), inv) == identity(len(m))
+
+
+# --- the fraction-free elimination against the dense oracles, at large sizes
+
+# mostly zeros, with ints up to 10^12 and Fractions with denominators up to 10^6
+large_entries = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.integers(-(10**12), 10**12),
+    st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**6),
+)
+
+
+def as_input(v, sparse: bool):
+    return {k: x for k, x in enumerate(v) if x} if sparse else v
+
+
+def assert_canonical_int_rows(ech: Echelon, rows, pivots) -> None:
+    """Each integer row is primitive, has a positive pivot, is zero at every
+    other pivot and is its RREF row times that pivot."""
+    assert sorted(ech.int_rows) == pivots
+    for p, rref_row in zip(pivots, rows):
+        row = ech.int_rows[p]
+        assert all(type(x) is int and x for x in row.values())
+        assert row[p] > 0 and math.gcd(*row.values()) == 1
+        assert not any(k in row for k in pivots if k != p)
+        assert [F(row.get(k, 0), row[p]) for k in range(ech.dim)] == rref_row
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_fraction_free_echelon_matches_dense_rref_at_large_entries(dim, data):
+    vectors = data.draw(st.lists(st.lists(large_entries, min_size=dim, max_size=dim), max_size=6))
+    sparse = data.draw(st.lists(st.booleans(), min_size=len(vectors), max_size=len(vectors)))
+    ech = Echelon(dim)
+    for v, as_dict in zip(vectors, sparse):
+        ech.add(as_input(v, as_dict))
+    rows, pivots = rref_span(vectors)
+    assert ech.rows == ech.basis == rows
+    assert ech.sparse_rows == {p: {k: x for k, x in enumerate(row) if x} for p, row in zip(pivots, rows)}
+    assert_canonical_int_rows(ech, rows, pivots)
+    for v in data.draw(st.lists(st.lists(large_entries, min_size=dim, max_size=dim), max_size=3)) + vectors:
+        for as_dict in (False, True):
+            reduced = ech.reduce(as_input(v, as_dict))
+            assert reduced == rref_reduce(rows, pivots, v)
+            assert all(isinstance(x, F) for x in reduced)
+            assert ech.contains(as_input(v, as_dict)) == (len(rref_span(vectors + [v])[0]) == len(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_reduce_against_rows_whose_integer_pivot_is_not_one(dim, data):
+    # each row's entries are coprime to its pivot entry, so the RREF rows have
+    # denominators and the stored integer pivots exceed 1
+    nrows = data.draw(st.integers(1, dim - 1))
+    pivots = sorted(data.draw(st.lists(st.integers(0, dim - 2), min_size=nrows, max_size=nrows, unique=True)))
+    vectors = []
+    for p in pivots:
+        d = data.draw(st.integers(2, 10**6))
+        tail = [data.draw(large_entries) for _ in range(dim - p - 2)]
+        last = d * data.draw(st.integers(-(10**6), 10**6)) + 1
+        vectors.append([0] * p + [d] + tail + [last])
+    ech = Echelon(dim)
+    for v in vectors:
+        assert ech.add(v)
+    rows, found = rref_span(vectors)
+    assert found == pivots
+    assert_canonical_int_rows(ech, rows, pivots)
+    # the last column is never a pivot and no pivot follows the last row's, so
+    # that RREF row is the row over d, with a last entry of denominator d > 1
+    assert any(row[p] != 1 for p, row in ech.int_rows.items())
+    for v in data.draw(st.lists(st.lists(large_entries, min_size=dim, max_size=dim), min_size=1, max_size=4)):
+        assert ech.reduce(v) == rref_reduce(rows, pivots, v)
+        assert ech.reduce(as_input(v, True)) == rref_reduce(rows, pivots, v)
+
+
+def test_reduce_against_a_row_with_pivot_two():
+    ech = Echelon(3)
+    assert ech.add([2, 3, 0])
+    assert ech.int_rows == {0: {0: 2, 1: 3}}
+    assert ech.rows == [[F(1), F(3, 2), F(0)]]
+    assert ech.reduce([1, 0, 5]) == [F(0), F(-3, 2), F(5)]
+    assert ech.reduce({0: F(1, 3)}) == [F(0), F(-1, 2), F(0)]
+    assert not ech.contains([1, 1, 0]) and ech.contains([F(2, 7), F(3, 7), 0])
+    assert ech.add({1: 4, 2: 6})
+    assert ech.int_rows == {0: {0: 4, 2: -9}, 1: {1: 2, 2: 3}}
+
+
+@st.composite
+def large_linear_systems(draw, max_dim: int = 5):
+    """(a, b) with large int and Fraction entries, rhs random or a·x."""
+    nrows = draw(st.integers(0, max_dim))
+    ncols = draw(st.integers(0, max_dim))
+    a = [draw(st.lists(large_entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if a and draw(st.booleans()):
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        s, t = draw(large_entries), draw(large_entries)
+        a.append([F(s) * x + F(t) * y for x, y in zip(a[i], a[j])])
+    if draw(st.booleans()):
+        b = draw(st.lists(large_entries, min_size=len(a), max_size=len(a)))
+    else:
+        x = draw(st.lists(large_entries, min_size=ncols, max_size=ncols))
+        b = [sum((F(r) * F(y) for r, y in zip(row, x)), F(0)) for row in a]
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(large_linear_systems(), st.data())
+def test_fraction_free_affine_system_matches_dense_oracle_at_large_entries(system, data):
+    a, b = system
+    oracle = rref_solve_affine(a, b)
+    assert solve_affine(a, b) == oracle
+    sparse = data.draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
+    built = AffineSystem(len(a[0]) if a else 0)
+    for r in data.draw(st.permutations(range(len(a)))):
+        built.add(as_input(a[r], sparse[r]), b[r])
+    assert built.infeasible == (oracle is None)
+    particular = built.particular()
+    assert particular == (None if oracle is None else oracle.particular)
+    assert particular is None or all(isinstance(x, F) for x in particular)
+
+
+@st.composite
+def large_invertible_or_singular(draw, max_dim: int = 5):
+    """A square matrix of large entries, often singular, or an invertible L U
+    with L unit lower triangular and U upper triangular with nonzero diagonal."""
+    n = draw(st.integers(0, max_dim))
+    m = [draw(st.lists(large_entries, min_size=n, max_size=n)) for _ in range(n)]
+    if n and draw(st.booleans()):
+        upper = [[F(x) if i <= j else F(0) for j, x in enumerate(row)] for i, row in enumerate(m)]
+        for i in range(n):
+            upper[i][i] = upper[i][i] or F(draw(st.integers(1, 10**12)))
+        lower = [[F(1) if i == j else F(draw(st.integers(-3, 3))) if i > j else F(0) for j in range(n)]
+                 for i in range(n)]
+        m = naive_mat_mul(lower, upper)
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(large_invertible_or_singular())
+def test_mat_inv_and_integer_inverse_match_dense_oracle_at_large_entries(m):
+    inv = _outcome(mat_inv, m)
+    assert inv == _outcome(rref_mat_inv, m)
+    if not isinstance(inv, list) or not all(F(x).denominator == 1 for row in m for x in row):
+        return
+    cols = [{i: int(m[i][j]) for i in range(len(m)) if m[i][j]} for j in range(len(m))]
+    den, rows = integer_inverse(cols)
+    assert [[F(row.get(j, 0), den) for j in range(len(m))] for row in rows] == inv
+    assert den == math.lcm(*(x.denominator for row in inv for x in row))
+
+
+def test_integer_inverse_of_a_singular_matrix_raises():
+    with pytest.raises(ValueError, match="singular"):
+        integer_inverse([{0: 2, 1: 4}, {0: 1, 1: 2}])
+    assert integer_inverse([]) == (1, [])
+    assert integer_inverse([{0: 2}]) == (2, [{0: 1}])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_sparse_mul_matches_triple_loop(m, k, n, data):
+    # k >= 1: the triple loop reads the column count off b's first row
+    a = data.draw(matrices(m, k))
+    b = data.draw(matrices(k, n))
+    product = sparse_mul([as_input(row, True) for row in a], [as_input(row, True) for row in b])
+    assert [[row.get(j, 0) for j in range(n)] for row in product] == naive_mat_mul(matrix(a), matrix(b))
+    assert all(x for row in product for x in row.values())
