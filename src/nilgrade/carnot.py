@@ -104,7 +104,7 @@ def carnot_algebra(g: LieAlgebra, d: GradingOperator | Sequence[int]) -> CarnotA
         raise AssertionError("graded bracket failed the Jacobi identity")
     f = lie.lower_central_series(algebra)
     for k in range(2, max(degrees, default=1) + 1):
-        if len(f.basis(k)) != sum(deg >= k for deg in degrees):
+        if sum(f.quotient_dims[k - 1 :]) != sum(deg >= k for deg in degrees):
             raise ValueError("degree-1 layer does not generate the graded algebra")
     return CarnotAlgebra(algebra, degrees)
 

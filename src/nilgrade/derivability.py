@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import lie
@@ -239,10 +239,12 @@ def grading_operator_space(
     setup = _setup(g)
     if f != setup.f or ab != setup.ab:
         raise ValueError("ab must be the adapted basis of the lower central series of g")
-    p, p_inv, n = setup.p, setup.p_inv, setup.dim
-    directions = [
-        [[p[i][a] * p_inv[b][j] for j in range(n)] for i in range(n)] for a, b in setup.positions
-    ]
+    n, den = setup.dim, setup.q_den
+    directions = []
+    for a, b in setup.positions:
+        # p E_ab p^-1 = (P column a)(Q row b) / L, on integers
+        q_row = [setup.q_rows[b].get(j, 0) for j in range(n)]
+        directions.append([[Fraction(row.get(a, 0) * y, den) for y in q_row] for row in setup.p_rows])
     return setup.operator([]), directions
 
 
@@ -271,8 +273,7 @@ class _Setup:
     The change of basis runs on integers: p = P/dp and p^-1 = dp Q/L, with
     P's columns the adapted basis's `int_rows` brought to the common pivot
     value dp, Q/L = P^-1 from one integer elimination, and both held by
-    their sparse rows (`p_rows`, `q_rows`).  The Fraction `p` and `p_inv`
-    are built on first read.
+    their sparse rows (`p_rows`, `q_rows`).
 
     `roots[b]` is the path trie rooted at index b (see `_Node`), filled in
     on first visit and kept as long as the algebra instance, so every call,
@@ -288,7 +289,7 @@ class _Setup:
         self.degrees = degrees = self.ab.degrees
         # the adapted vector b is its integer row over that row's pivot value
         pivots = [row[min(row)] for row in self.ab.int_rows]
-        self.dp = dp = math.lcm(*pivots)
+        dp = math.lcm(*pivots)
         p_cols = [{i: x * (dp // s) for i, x in row.items()} for row, s in zip(self.ab.int_rows, pivots)]
         self.p_rows: list[SparseVec] = [{} for _ in range(n)]
         for b, col in enumerate(p_cols):
@@ -314,17 +315,6 @@ class _Setup:
             _Node({b: 1}, {var: {a: 1} for var, a in self.col_vars[b]}, self.degrees[b], b, {}, {})
             for b in range(n)
         ]
-
-    @cached_property
-    def p(self) -> Matrix:
-        """The change of basis, the adapted vectors as columns."""
-        return self.ab.change_of_basis
-
-    @cached_property
-    def p_inv(self) -> Matrix:
-        """p^-1 = dp Q/L."""
-        n, dp, den = self.dim, self.dp, self.q_den
-        return [[Fraction(dp * row[j], den) if j in row else ZERO for j in range(n)] for row in self.q_rows]
 
     def extend(self, node: _Node, b: int) -> _Node | None:
         """Compute and store the child of `node` at index b (see `_Node`)."""

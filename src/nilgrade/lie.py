@@ -21,7 +21,7 @@ from .linalg import (
     Vec,
     ZERO,
     columns_matrix,
-    mat_inv,
+    integer_inverse,
     q,
     zero_vec,
 )
@@ -54,9 +54,8 @@ class LieAlgebra:
     (i, j, ((k, s), ...)) with nonzero [e_i, e_j], sorted, where the s are
     the integers sigma * [e_i, e_j]_k for the least common denominator
     `sigma` of all structure constants.  `scaled_bracket` is the dense
-    kernel over it and `ad` the sparse one.  An algebra that a basis change
-    builds from its table (`algebra_in_integer_basis`) reads `brackets` off
-    the table on first use.
+    kernel over it and `ad` the sparse one.  `brackets` is read off the
+    table on first use.
     """
 
     def __init__(
@@ -81,7 +80,6 @@ class LieAlgebra:
             for (i, j), v in sorted(clean.items())
         )
         self._set(dim, sigma, table, labels)
-        self.brackets = clean
 
     @classmethod
     def _from_table(cls, dim: int, sigma: int, table: tuple, labels: Sequence[str] | None) -> "LieAlgebra":
@@ -149,24 +147,30 @@ class LieAlgebra:
 
 @dataclass(frozen=True)
 class Filtration:
-    """Lower central series F_1 ⊇ F_2 ⊇ ... ⊇ F_{c+1} = 0, each F_k given by
-    the canonical RREF basis of its span (`Echelon.basis`).  `int_rows[k-1]`
-    holds the same basis as F_k's `Echelon.int_rows`, primitive integer rows in
-    pivot order; they are read-only."""
+    """Lower central series F_1 ⊇ F_2 ⊇ ... ⊇ F_{c+1} = 0 of a dim-dimensional
+    algebra.  `int_rows[k-1]` holds F_k's `Echelon.int_rows`: primitive integer
+    rows in pivot order, read-only.  They are canonical for the span, so two
+    filtrations are equal, and hash equal, iff their spans are; `basis` makes
+    the RREF rows from them on read."""
 
-    subspaces: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    int_rows: tuple[tuple[dict[int, int], ...], ...]
     nilpotency_class: int
-    int_rows: tuple[tuple[dict[int, int], ...], ...] = field(compare=False, repr=False)
+    dim: int
+
+    def __hash__(self) -> int:
+        return hash(tuple(tuple(tuple(sorted(row.items())) for row in level) for level in self.int_rows))
 
     def basis(self, k: int) -> list[Vec]:
         """RREF basis of F_k (1-indexed); empty list for k > c."""
-        if k > len(self.subspaces):
+        if k < 1:
+            raise ValueError("filtration index must be at least 1")
+        if k > len(self.int_rows):
             return []
-        return [list(v) for v in self.subspaces[k - 1]]
+        return [list(_rref_row(row, self.dim)) for row in self.int_rows[k - 1]]
 
     @property
     def quotient_dims(self) -> tuple[int, ...]:
-        dims = [len(s) for s in self.subspaces]
+        dims = [len(level) for level in self.int_rows]
         return tuple(dims[k] - dims[k + 1] for k in range(self.nilpotency_class))
 
 
@@ -284,11 +288,7 @@ def lower_central_series(g: LieAlgebra) -> Filtration:
             raise NotNilpotentError("lower central series does not reach zero")
         chain.append(tuple(ech.int_rows[p] for p in ech.pivots))
         spanning = images
-    filtration = Filtration(
-        subspaces=tuple(tuple(_rref_row(row, g.dim) for row in level) for level in chain),
-        nilpotency_class=len(chain) - 1,
-        int_rows=tuple(chain),
-    )
+    filtration = Filtration(tuple(chain), len(chain) - 1, g.dim)
     g._lcs_cache = filtration
     return filtration
 
@@ -329,27 +329,19 @@ def adapted_basis(g: LieAlgebra, f: Filtration) -> AdaptedBasis:
 def change_of_basis(
     g: LieAlgebra, new_vectors: Sequence[Sequence[Fraction]], labels: Sequence[str] | None = None
 ) -> LieAlgebra:
-    """Structure constants of g in the basis given by `new_vectors`."""
-    if len(new_vectors) != g.dim:
-        raise ValueError("need dim basis vectors")
-    p = columns_matrix(new_vectors)
-    return algebra_in_basis(g, p, mat_inv(p), labels)
+    """Structure constants of g in the basis given by `new_vectors`.
 
-
-def algebra_in_basis(
-    g: LieAlgebra, p: Matrix, p_inv: Matrix, labels: Sequence[str] | None = None
-) -> LieAlgebra:
-    """g in the basis of p's columns, p_inv being p^-1 (see `change_of_basis`).
-
-    With p = P/dp and p^-1 = Q/dq, P and Q integral, this is
-    `algebra_in_integer_basis` of P's columns and Q with scale dp^2 dq.
+    With p the matrix of those columns, p = P/dp for the integer P and
+    P^-1 = Q/dq from `integer_inverse`, so p^-1 [p e_i, p e_j] is
+    Q [P e_i, P e_j] / (dp dq): `algebra_in_integer_basis` at scale dp dq.
     """
     n = g.dim
-    dp, p_ints = clear_denominators([x for row in p for x in row])
-    dq, q_ints = clear_denominators([x for row in p_inv for x in row])
-    p_cols = [{m: x for m in range(n) if (x := p_ints[m * n + i])} for i in range(n)]
-    q_rows = [{m: x for m in range(n) if (x := q_ints[k * n + m])} for k in range(n)]
-    return algebra_in_integer_basis(g, p_cols, q_rows, dp * dp * dq, labels)
+    if len(new_vectors) != n or any(len(v) != n for v in new_vectors):
+        raise ValueError("need dim basis vectors, each of length dim")
+    dp, ints = clear_denominators([q(x) for v in new_vectors for x in v])
+    p_cols = [{i: x for i in range(n) if (x := ints[b * n + i])} for b in range(n)]
+    dq, q_rows = integer_inverse(p_cols)
+    return algebra_in_integer_basis(g, p_cols, q_rows, dp * dq, labels)
 
 
 def algebra_in_integer_basis(
@@ -362,7 +354,7 @@ def algebra_in_integer_basis(
     """g in the basis of p's columns, given on integers: P's sparse columns and
     Q's sparse rows with p^-1 [p e_i, p e_j] = Q [P e_i, P e_j] / scale.
 
-    So for p = P/dp and p^-1 = Q/dq, scale is dp^2 dq.  The new constants
+    So for p = P/dp and P^-1 = Q/dq, scale is dp dq.  The new constants
     are Q sigma[P e_i, P e_j] / (sigma scale).  Both products run on sparse
     integer columns: sigma[P e_i, P e_j] is the sum of P_ai * `ad`(a, P e_j)
     over the support of P e_i, each `ad` image computed once, and Q is

@@ -9,9 +9,9 @@ Every solve, inverse and span runs on `Echelon`, a fraction-free
 elimination: it keeps each reduced row as a sparse primitive integer row
 ({column: value} over the nonzero entries) and clears a Fraction input
 once, so Fractions are made only for the results that leave it.
-`integer_inverse` and `sparse_mul` stay on integers throughout; `mat_mul`
-multiplies Fraction matrices and skips zero entries.  The dense `rref` is
-the tests' reference only.
+`integer_inverse`, the one inverse, and `sparse_mul`, the one matrix
+product, stay on integers throughout.  The dense `rref` is the tests'
+reference only.
 """
 
 from __future__ import annotations
@@ -63,22 +63,6 @@ def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vec:
         raise ValueError("dimension mismatch")
     support = [(j, x) for j, x in enumerate(v) if x]
     return [sum((r[j] * x for j, x in support), ZERO) for r in m]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and len(a[0]) != len(b):
-        raise ValueError("dimension mismatch")
-    cols = len(b[0]) if b else 0
-    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        acc = [ZERO] * cols
-        for x, b_row in zip(row, sparse_b):
-            if x:
-                for j, y in b_row:
-                    acc[j] += x * y
-        out.append(acc)
-    return out
 
 
 def sparse_mul(a: Sequence[dict], b: Sequence[dict]) -> list[dict]:
@@ -174,42 +158,28 @@ def nullspace(a: Matrix) -> list[Vec]:
     return sol.nullspace_basis
 
 
-def mat_inv(m: Matrix) -> Matrix:
-    """Right half of the RREF of [m | I], which has rank n: singular iff a pivot is >= n."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("not square")
-    rows = _invert([_support(row) for row in m], n)
-    return [[Fraction(row.get(n + j, 0), row[i]) for j in range(n)] for i, row in enumerate(rows)]
-
-
 def integer_inverse(cols: Sequence[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
-    """(den, inv) with inv / den the inverse of the integer matrix whose columns
-    are the sparse {row: value} dicts `cols`; inv's rows are sparse too.
+    """(den, inv) with inv / den the inverse of the integer matrix m whose
+    columns are the sparse {row: value} dicts `cols`; inv's rows are sparse too.
 
-    The same elimination as `mat_inv`, read off its integer rows: den is the
-    least common denominator of the inverse.  ValueError if singular.
+    One elimination of [m | I]: its integer row i is c_i (e_i | m^-1 row i)
+    for the least c_i > 0 that makes it integral, so den, the lcm of the c_i,
+    is the least common denominator of the inverse.  ValueError if singular.
     """
     n = len(cols)
     rows: list[dict[int, int]] = [{} for _ in range(n)]
     for b, col in enumerate(cols):
         for i, x in col.items():
             rows[i][b] = x
-    rows = _invert(rows, n)
-    den = math.lcm(*(row[i] for i, row in enumerate(rows)))
-    return den, [{k - n: x * (den // row[i]) for k, x in row.items() if k >= n} for i, row in enumerate(rows)]
-
-
-def _invert(rows: list[dict], n: int) -> list[dict[int, int]]:
-    """The integer rows of the echelon form of [m | I], m given by its n sparse
-    rows, in pivot order: row i is c_i (e_i | m^-1 row i) for the least c_i > 0
-    that makes it integral.  The one elimination under every inverse."""
     ech = Echelon(2 * n)
     for i, row in enumerate(rows):
-        ech.add({**row, n + i: 1})
+        row[n + i] = 1
+        ech.add(row)
     if ech.pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [ech.int_rows[i] for i in range(n)]
+    rows = [ech.int_rows[i] for i in range(n)]
+    den = math.lcm(*(row[i] for i, row in enumerate(rows)))
+    return den, [{k - n: x * (den // row[i]) for k, x in row.items() if k >= n} for i, row in enumerate(rows)]
 
 
 SparseRow = dict[int, Fraction]

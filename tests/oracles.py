@@ -13,11 +13,12 @@ recursion of their own (on a signed row table of their own, not
 `LieAlgebra.ad`), never through the solver's row stream they check.
 `jacobi_violations_dense` sums the Jacobi identity of every basis triple
 through `dense_bracket`, not through `ad` or `check_jacobi`'s choice of
-triples.  The linear algebra oracles (`rref_solve_affine`, `rref_mat_inv`
-and the helpers beside them) use only the dense `rref` and plain loops, never the sparse
-`Echelon` or `mat_mul` they check; they are the dense bodies `solve_affine`
-and `mat_inv` had before every elimination in the package ran on
-`Echelon`.  `adapted_basis_echelon` and `layer_one_generates` are likewise
+triples.  The linear algebra oracles (`rref_solve_affine`, `rref_mat_inv`,
+`naive_mat_mul` and the helpers beside them) use only the dense `rref` and
+plain loops, never the sparse `Echelon` or `sparse_mul` they check;
+`rref_solve_affine` and `rref_mat_inv` are the dense bodies `solve_affine`
+and the package's Fraction inverse had before every elimination in the
+package ran on `Echelon`.  `adapted_basis_echelon` and `layer_one_generates` are likewise
 the code `adapted_basis` and `carnot_algebra`'s generation check replaced:
 a membership test of every unit vector against an echelon form of each
 F_i, and a bracket-closure loop from the degree-1 layer.  So is
@@ -59,7 +60,6 @@ from nilgrade.linalg import (
     Vec,
     echelon_of,
     identity,
-    mat_mul,
     mat_vec,
     q,
     rref,
@@ -93,7 +93,7 @@ def mat_log_unitriangular(u: Matrix) -> Matrix:
     while any(any(c != 0 for c in row) for row in power):
         coeff = F((-1) ** (k + 1), k)
         out = [[out[i][j] + coeff * power[i][j] for j in range(n)] for i in range(n)]
-        power = mat_mul(power, nil)
+        power = naive_mat_mul(power, nil)
         k += 1
     return out
 
@@ -130,7 +130,7 @@ def filiform5_coords(m: Matrix) -> Vec:
 
 def matrix_group_product(to_matrix, from_matrix, x: Vec, y: Vec) -> Vec:
     z = mat_log_unitriangular(
-        mat_mul(mat_exp_nilpotent(to_matrix(x)), mat_exp_nilpotent(to_matrix(y)))
+        naive_mat_mul(mat_exp_nilpotent(to_matrix(x)), mat_exp_nilpotent(to_matrix(y)))
     )
     return from_matrix(z)
 
@@ -345,7 +345,7 @@ def e_of_operator_tuples(g, d) -> Fraction:
         return out
 
     basis = ab.change_of_basis
-    d_ad = mat_mul(mat_mul(rref_mat_inv(basis), d.rows), basis)
+    d_ad = naive_mat_mul(naive_mat_mul(rref_mat_inv(basis), d.rows), basis)
     _, scaled = clear_denominators([x for row in d_ad for x in row])
     d_cols: list[dict] = [
         {i: scaled[i * dim + b] for i in range(dim) if scaled[i * dim + b]} for b in range(dim)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction as F
@@ -19,6 +20,7 @@ from oracles import (
     e_of_operator_tuples,
     is_grading_operator_echelon,
     mat_add,
+    naive_mat_mul,
     rref_mat_inv,
 )
 from test_lie import SMALL_ENTRIES, invertible_matrices, matrix_lie_algebras
@@ -48,7 +50,6 @@ from nilgrade.derivability import (
 )
 from nilgrade.lie import (
     adapted_basis,
-    algebra_in_basis,
     algebra_in_integer_basis,
     change_of_basis,
     iterated_bracket,
@@ -56,7 +57,7 @@ from nilgrade.lie import (
     parse_algebra,
     serialize_algebra,
 )
-from nilgrade.linalg import AffineSystem, mat_inv, mat_mul, mat_vec, unit_vec
+from nilgrade.linalg import AffineSystem, mat_vec, unit_vec
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -281,7 +282,7 @@ def test_is_grading_operator_matches_echelon_oracle(sample, data):
     f_moved = lower_central_series(moved)
     cases = []
     for m in (rows, perturbed):
-        m_moved = mat_mul(mat_mul(mat_inv(p), m), p)
+        m_moved = naive_mat_mul(naive_mat_mul(rref_mat_inv(p), m), p)
         cases.append((g, f, GradingOperator.from_rows(m)))
         cases.append((moved, f_moved, GradingOperator.from_rows(m_moved)))
     verdicts = [is_grading_operator(*case) for case in cases]
@@ -661,7 +662,7 @@ def test_setup_builds_the_adapted_algebra_once(monkeypatch):
     # a fresh instance builds its algebra in the adapted basis once, with
     # the rest of its setup, and every later call on it reuses that one;
     # `algebra_in_integer_basis` is the one kernel under every basis change,
-    # `algebra_in_basis` and `change_of_basis` included
+    # `change_of_basis` included
     built = []
     monkeypatch.setattr(
         "nilgrade.lie.algebra_in_integer_basis", lambda *args: built.append(args) or algebra_in_integer_basis(*args)
@@ -682,12 +683,13 @@ def test_setup_builds_the_adapted_algebra_once(monkeypatch):
 
 def test_setup_and_its_adapted_algebra_invert_p_once(monkeypatch):
     # the setup inverts its change of basis once, on integers, and builds its
-    # adapted algebra and the Fraction p^-1 from that one inverse; `_invert`
-    # is the one elimination under `integer_inverse` and `mat_inv`, so a
-    # fresh class >= 3 instance runs it once however many calls read p^-1
+    # adapted algebra, its operators and the free directions from that one
+    # inverse; `integer_inverse` is the package's one inverse, so a fresh
+    # class >= 3 instance runs it once however many calls read p^-1
     inverted = []
-    invert = linalg._invert
-    monkeypatch.setattr("nilgrade.linalg._invert", lambda *args: inverted.append(args) or invert(*args))
+    invert = linalg.integer_inverse
+    for module in ("nilgrade.linalg", "nilgrade.lie", "nilgrade.derivability"):
+        monkeypatch.setattr(f"{module}.integer_inverse", lambda *args: inverted.append(args) or invert(*args))
     g = catalog.get("g6_11").algebra
     f = lower_central_series(g)
     assert f.nilpotency_class >= 3
@@ -749,7 +751,7 @@ def test_solver_on_rescaled_and_sheared_bases(name):
         assert moved.e == result.e
         assert e_of_operator(moved_g, moved.witness) == result.e
         if p is diag:
-            assert moved.witness.rows == mat_mul(mat_mul(mat_inv(p), result.witness.rows), p)
+            assert moved.witness.rows == naive_mat_mul(naive_mat_mul(rref_mat_inv(p), result.witness.rows), p)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -760,11 +762,11 @@ def test_sparse_basis_change_matches_dense_oracle_on_sheared_fixtures(name):
     g = catalog.get(name).algebra
     _, lower, upper = rescaled_and_sheared(g.dim)
     for p in (lower, upper):
-        assert algebra_in_basis(g, p, mat_inv(p)) == algebra_in_basis_dense(g, p, rref_mat_inv(p))
-    moved = algebra_in_basis(g, upper, mat_inv(upper))
+        assert moved_by(g, p) == algebra_in_basis_dense(g, p, rref_mat_inv(p))
+    moved = moved_by(g, upper)
     p = adapted_basis(moved, lower_central_series(moved)).change_of_basis
     assert any(sum(1 for x in col if x) > 1 for col in zip(*p))
-    assert algebra_in_basis(moved, p, mat_inv(p)) == algebra_in_basis_dense(moved, p, rref_mat_inv(p))
+    assert moved_by(moved, p) == algebra_in_basis_dense(moved, p, rref_mat_inv(p))
 
 
 # --- the setup's integer frame against the public Fraction route
@@ -777,30 +779,43 @@ FRAME_ALGEBRAS = (
 
 
 def assert_frame_matches_fraction_route(g, xs) -> None:
-    """The setup's integer p, p^-1, adapted algebra and operators against
-    `adapted_basis`, `mat_inv`, `algebra_in_basis` and `mat_mul`; xs are
-    values of the free entries to build operators from."""
+    """The setup's integer P and Q, adapted algebra, operators and free
+    directions against the public Fraction route, `adapted_basis` and
+    `change_of_basis`, and the dense oracles `rref_mat_inv`, `naive_mat_mul`
+    and `algebra_in_basis_dense`; xs are values of the free entries to build
+    operators from."""
     setup = _setup(g)
     f = lower_central_series(g)
     ab = adapted_basis(g, f)
     assert setup.degrees == ab.degrees
     assert setup.ab == ab
-    p = ab.change_of_basis
-    p_inv = mat_inv(p)
-    assert setup.p == p
-    assert setup.p_inv == p_inv
-    public = algebra_in_basis(g, p, p_inv)
-    assert setup.adapted == public == algebra_in_basis_dense(g, p, rref_mat_inv(p))
-    assert setup.adapted.brackets == public.brackets == algebra_in_basis_dense(g, p, p_inv).brackets
     n = g.dim
+    p = ab.change_of_basis
+    p_inv = rref_mat_inv(p)
+    # p = P/dp for the least dp that clears it, and P Q = L I
+    dp = math.lcm(*(x.denominator for row in p for x in row))
+    big_p = [[row.get(b, 0) for b in range(n)] for row in setup.p_rows]
+    big_q = [[row.get(j, 0) for j in range(n)] for row in setup.q_rows]
+    assert big_p == [[x * dp for x in row] for row in p]
+    assert naive_mat_mul(big_p, big_q) == [[setup.q_den if i == j else 0 for j in range(n)] for i in range(n)]
+    public = change_of_basis(g, [list(v) for v in ab.vectors])
+    assert setup.adapted == public == algebra_in_basis_dense(g, p, p_inv)
+    assert setup.adapted.brackets == public.brackets == algebra_in_basis_dense(g, p, p_inv).brackets
+    diag = [[F(setup.degrees[i]) if i == j else F(0) for j in range(n)] for i in range(n)]
     for x in xs:
-        d_ad = [[F(setup.degrees[i]) if i == j else F(0) for j in range(n)] for i in range(n)]
+        d_ad = [list(row) for row in diag]
         for (a, b), value in zip(setup.positions, x):
             d_ad[a][b] += value
         d = setup.operator(x)
-        assert d.rows == mat_mul(mat_mul(p, d_ad), p_inv)
+        assert d.rows == naive_mat_mul(naive_mat_mul(p, d_ad), p_inv)
         den, rows = _adapted_operator(d, setup)
         assert [[F(row.get(j, 0), den) for j in range(n)] for row in rows] == d_ad
+    base, directions = grading_operator_space(g, f, ab)
+    assert base.rows == naive_mat_mul(naive_mat_mul(p, diag), p_inv)
+    assert len(directions) == len(setup.positions)
+    for (a, b), direction in zip(setup.positions, directions):
+        e_ab = [[F(1) if (i, j) == (a, b) else F(0) for j in range(n)] for i in range(n)]
+        assert direction == naive_mat_mul(naive_mat_mul(p, e_ab), p_inv)
 
 
 def random_free_values(setup, seed: str, count: int = 3) -> list[list[F]]:
@@ -948,7 +963,8 @@ def test_e_of_operator_stops_pulling_rows_at_the_first_violated_one(monkeypatch,
     g = catalog.get(name).algebra
     witness = e_invariant(g).witness
     setup = _setup(g)
-    d_ad = mat_mul(mat_mul(setup.p_inv, witness.rows), setup.p)
+    p = setup.ab.change_of_basis
+    d_ad = naive_mat_mul(naive_mat_mul(rref_mat_inv(p), witness.rows), p)
     x = [d_ad[a][b] for a, b in setup.positions]
     pulled = count_pulled_rows(monkeypatch)
     assert e_of_operator(g, witness) > 0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import adapted_basis_echelon, dense_bracket, jacobi_violations_dense, lcs_rref
+from oracles import adapted_basis_echelon, dense_bracket, jacobi_violations_dense, lcs_rref, naive_mat_mul
 
 from nilgrade import catalog
 from nilgrade.derivability import e_invariant
@@ -27,7 +27,7 @@ from nilgrade.lie import (
     scaled_bracket,
     serialize_algebra,
 )
-from nilgrade.linalg import Echelon, mat_mul, subspace_contains, unit_vec, vec
+from nilgrade.linalg import Echelon, subspace_contains, unit_vec, vec
 
 coords = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 
@@ -166,7 +166,7 @@ def invertible_matrices(draw, n: int):
         [draw(entry.filter(bool)) if i == j else draw(entry) if i < j else F(0) for j in range(n)]
         for i in range(n)
     ]
-    return mat_mul(lower, upper)
+    return naive_mat_mul(lower, upper)
 
 
 @st.composite
@@ -461,3 +461,65 @@ def test_change_of_basis_round_trip():
     moved = change_of_basis(g, p)
     back = change_of_basis(moved, [vec([1, -1, 0, 0, 0, 0])] + p[1:])
     assert back == g
+
+
+def test_change_of_basis_needs_dim_vectors_of_length_dim():
+    # a vector too long or too short is refused, not truncated or misread
+    g = catalog.get("heisenberg").algebra
+    for vectors in (
+        [[1, 0, 0], [0, 1, 0, 5], [0, 0, 1]],
+        [[1, 0, 0], [0, 1], [0, 0, 1]],
+        [[1, 0, 0], [0, 1, 0]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],
+    ):
+        with pytest.raises(ValueError, match="need dim basis vectors, each of length dim"):
+            change_of_basis(g, vectors)
+    with pytest.raises(ValueError, match="singular"):
+        change_of_basis(g, [[1, 0, 0], [2, 0, 0], [0, 0, 1]])
+    assert change_of_basis(g, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == g
+
+
+def test_filtration_basis_needs_a_positive_index():
+    f = lower_central_series(catalog.get("g6_17").algebra)
+    for k in (0, -1, -f.nilpotency_class - 1):
+        with pytest.raises(ValueError, match="at least 1"):
+            f.basis(k)
+    assert f.basis(1) == [unit_vec(6, i) for i in range(6)]
+    assert f.basis(f.nilpotency_class + 1) == f.basis(f.nilpotency_class + 2) == []
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog.entries()])
+def test_filtration_equality_and_hash_follow_the_spans(name):
+    # two separately parsed copies give equal filtrations with equal hashes,
+    # whatever order their integer rows' entries were stored in; the basis
+    # e_b + e_{b-1} gives rows with several entries
+    g = catalog.get(name).algebra
+    n = g.dim
+    moved = change_of_basis(g, [[int(i in (b - 1, b)) for i in range(n)] for b in range(n)])
+    for h in (g, moved):
+        f = lower_central_series(h)
+        copy = lower_central_series(parse_algebra(serialize_algebra(h)))
+        assert copy is not f and copy == f and hash(copy) == hash(f)
+        assert len({f, copy}) == 1
+        reordered = type(f)(
+            tuple(tuple(dict(reversed(row.items())) for row in level) for level in f.int_rows),
+            f.nilpotency_class,
+            f.dim,
+        )
+        assert reordered == f and hash(reordered) == hash(f)
+    assert any(len(row) > 1 for level in lower_central_series(moved).int_rows for row in level)
+
+
+def test_filtrations_of_different_spans_differ():
+    # each pair has the same dimension, class and quotient dims, but
+    # different spans
+    pairs = [
+        ("dim 3\nbracket e1 e2 = e3\n", "dim 3\nbracket e1 e3 = e2\n"),
+        ("dim 4\nbracket e1 e2 = e3\n", "dim 4\nbracket e1 e2 = e3 + e4\n"),
+    ]
+    for text_a, text_b in pairs:
+        f_a = lower_central_series(parse_algebra(text_a))
+        f_b = lower_central_series(parse_algebra(text_b))
+        assert f_a.nilpotency_class == f_b.nilpotency_class and f_a.quotient_dims == f_b.quotient_dims
+        assert f_a != f_b
+        assert f_a.basis(2) != f_b.basis(2)

@@ -20,8 +20,6 @@ from nilgrade.linalg import (
     filtration_depth,
     identity,
     integer_inverse,
-    mat_inv,
-    mat_mul,
     mat_vec,
     matrix,
     nullspace,
@@ -182,38 +180,21 @@ def matrices(rows: int, cols: int):
     return st.lists(st.lists(sparse_entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 4), st.integers(0, 4), st.integers(1, 4), st.data())
-def test_mat_mul_matches_triple_loop(m, k, n, data):
-    a = matrix(data.draw(matrices(m, k)))
-    b = matrix(data.draw(matrices(k, n)))
-    assert mat_mul(a, b) == naive_mat_mul(a, b)
-
-
-def test_mat_mul_empty_and_mismatch():
-    assert mat_mul([], identity(2)) == []
-    assert mat_mul([[], []], []) == [[], []]
-    assert mat_mul(matrix([[0, 0], [0, 0]]), matrix([[0], [0]])) == [[F(0)], [F(0)]]
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        mat_mul(matrix([[1, 2]]), matrix([[1]]))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        mat_mul(matrix([[1]]), [])
-
-
 @pytest.mark.parametrize(
     "name", [e.name for e in catalog.entries()] + ["filiform(12)", "central_product(6,10)"]
 )
 def test_lower_central_series_matches_rref_oracle(name):
+    # F_k for every k up to c + 2, one past the zero space F_{c+1}
     g = catalog.get(name).algebra
     f = lower_central_series(g)
-    assert [f.basis(k) for k in range(1, f.nilpotency_class + 2)] == lcs_rref(g)
+    assert [f.basis(k) for k in range(1, f.nilpotency_class + 3)] == lcs_rref(g) + [[]]
 
 
 @settings(max_examples=40, deadline=None)
 @given(matrix_lie_algebras())
 def test_lower_central_series_matches_rref_oracle_on_matrix_algebras(g):
     f = lower_central_series(g)
-    assert [f.basis(k) for k in range(1, f.nilpotency_class + 2)] == lcs_rref(g)
+    assert [f.basis(k) for k in range(1, f.nilpotency_class + 3)] == lcs_rref(g) + [[]]
 
 
 # --- elimination on Echelon against the dense bodies it replaced
@@ -224,6 +205,19 @@ def _outcome(fn, *args):
         return fn(*args)
     except ValueError as exc:
         return ("ValueError", str(exc))
+
+
+def inverse_through_integers(m: list) -> list:
+    """m^-1 as Fractions through `integer_inverse`: m = M/d for the integer M,
+    so m^-1 = d M^-1.  ValueError, as `rref_mat_inv` words it, unless m is
+    square."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("not square")
+    d = math.lcm(1, *(F(x).denominator for row in m for x in row))
+    cols = [{i: x for i in range(n) if (x := int(F(m[i][j]) * d))} for j in range(n)]
+    den, rows = integer_inverse(cols)
+    return [[F(d * row.get(j, 0), den) for j in range(n)] for row in rows]
 
 
 @st.composite
@@ -285,11 +279,11 @@ def near_square_matrices(draw, max_dim: int = 5):
 
 @settings(max_examples=200, deadline=None)
 @given(near_square_matrices())
-def test_mat_inv_matches_dense_oracle(m):
-    inv = _outcome(mat_inv, m)
+def test_integer_inverse_matches_dense_oracle(m):
+    inv = _outcome(inverse_through_integers, m)
     assert inv == _outcome(rref_mat_inv, m)
     if isinstance(inv, list):
-        assert mat_mul(matrix(m), inv) == identity(len(m))
+        assert naive_mat_mul(matrix(m), inv) == identity(len(m))
 
 
 # --- the fraction-free elimination against the dense oracles, at large sizes
@@ -430,15 +424,13 @@ def large_invertible_or_singular(draw, max_dim: int = 5):
 
 @settings(max_examples=150, deadline=None)
 @given(large_invertible_or_singular())
-def test_mat_inv_and_integer_inverse_match_dense_oracle_at_large_entries(m):
-    inv = _outcome(mat_inv, m)
+def test_integer_inverse_matches_dense_oracle_at_large_entries(m):
+    inv = _outcome(inverse_through_integers, m)
     assert inv == _outcome(rref_mat_inv, m)
-    if not isinstance(inv, list) or not all(F(x).denominator == 1 for row in m for x in row):
-        return
-    cols = [{i: int(m[i][j]) for i in range(len(m)) if m[i][j]} for j in range(len(m))]
-    den, rows = integer_inverse(cols)
-    assert [[F(row.get(j, 0), den) for j in range(len(m))] for row in rows] == inv
-    assert den == math.lcm(*(x.denominator for row in inv for x in row))
+    if isinstance(inv, list) and all(F(x).denominator == 1 for row in m for x in row):
+        # for an integer m, den is the least common denominator of m^-1
+        cols = [{i: int(m[i][j]) for i in range(len(m)) if m[i][j]} for j in range(len(m))]
+        assert integer_inverse(cols)[0] == math.lcm(*(x.denominator for row in inv for x in row))
 
 
 def test_integer_inverse_of_a_singular_matrix_raises():

@@ -76,3 +76,23 @@ def test_one_bch_word_evaluator():
                     assert isinstance(top, ast.FunctionDef), node.lineno
                     callers.add(top.name)
     assert len(callers) == 1, sorted(callers)
+
+
+def test_one_inverse_and_one_fraction_entry_to_the_integer_basis_change():
+    # `linalg.integer_inverse` is the one matrix inverse, and the integer
+    # basis-change kernel is entered from `lie.change_of_basis`, the one
+    # Fraction entry point, and from the derivability setup, which passes the
+    # P and Q of its own elimination
+    inverses, callers = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            if path.name in ("linalg.py", "lie.py") and isinstance(top, ast.FunctionDef) and "inv" in top.name:
+                inverses.add(top.name)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name == "algebra_in_integer_basis":
+                        callers.add((path.name, top.name))
+    assert inverses == {"integer_inverse"}
+    assert callers == {("lie.py", "change_of_basis"), ("derivability.py", "_Setup")}
