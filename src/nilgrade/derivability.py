@@ -300,6 +300,7 @@ class _Setup:
         # bound to the adapted algebra, not to g
         self.adapted = lie.algebra_in_integer_basis(g, p_cols, self.q_rows, dp * self.q_den)
         self.ad = self.adapted.ad
+        self.rows = self.adapted._signed_rows  # [e_i, w] = 0 when rows[i] misses w's support
         # free positions (a, b), column-major: degree(a) > degree(b), so a grading operator
         # may differ from diag(degrees) there; N e_b = e_a; col_vars[b] lists (var, a)
         self.positions = [(a, b) for b in range(n) for a in range(n) if degrees[a] > degrees[b]]
@@ -319,14 +320,16 @@ class _Setup:
     def extend(self, node: _Node, b: int) -> _Node | None:
         """Compute and store the child of `node` at index b (see `_Node`)."""
         ad = self.ad
+        rows = self.rows
         suffix = node.suffix
-        new_repl = {var: bw for var, w in node.repl.items() if (bw := ad(b, w))}
+        row_b = rows[b].keys()
+        new_repl = {var: bw for var, w in node.repl.items() if not row_b.isdisjoint(w) and (bw := ad(b, w))}
         new_suffix: SparseVec = {}
         if suffix:
             brackets = node.brackets
             for i in (b, *(a for _, a in self.col_vars[b])):
                 if i not in brackets:
-                    brackets[i] = ad(i, suffix)
+                    brackets[i] = {} if rows[i].keys().isdisjoint(suffix) else ad(i, suffix)
             new_suffix = brackets[b]
             for var, a in self.col_vars[b]:
                 merged = new_repl.setdefault(var, {})

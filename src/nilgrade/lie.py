@@ -14,17 +14,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Sequence
 
-from .linalg import (
-    ONE,
-    Echelon,
-    Matrix,
-    Vec,
-    ZERO,
-    columns_matrix,
-    integer_inverse,
-    q,
-    zero_vec,
-)
+from .linalg import ONE, ZERO, Echelon, Vec, integer_inverse, q
 
 
 class AlgebraFormatError(ValueError):
@@ -42,6 +32,18 @@ def _labels(dim: int, labels: Sequence[str] | None) -> tuple[str, ...]:
     if len(labels) != dim:
         raise ValueError("label count must equal dim")
     return tuple(labels)
+
+
+def _sparse_table(brackets: dict[tuple[int, int], dict[int, Fraction]]) -> tuple[int, tuple]:
+    """(sigma, table) of the sparse brackets {(i, j): {k: nonzero rational}}, i < j; ints
+    may stand for integral rationals, and empty brackets are dropped.  See `LieAlgebra`."""
+    sigma = lcm(1, *(x.denominator for v in brackets.values() for x in v.values()))
+    table = tuple(
+        (i, j, tuple((k, v[k].numerator * (sigma // v[k].denominator)) for k in sorted(v)))
+        for (i, j), v in sorted(brackets.items())
+        if v
+    )
+    return sigma, table
 
 
 class LieAlgebra:
@@ -65,21 +67,15 @@ class LieAlgebra:
         labels: Sequence[str] | None = None,
     ):
         labels = _labels(dim, labels)
-        clean: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+        sparse: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), value in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket pair ({i},{j}) must satisfy 0 <= i < j < dim")
-            v = tuple(q(x) for x in value)
+            v = [q(x) for x in value]
             if len(v) != dim:
                 raise ValueError("bracket value has wrong length")
-            if any(x != 0 for x in v):
-                clean[(i, j)] = v
-        sigma = lcm(1, *(x.denominator for v in clean.values() for x in v))
-        table = tuple(
-            (i, j, tuple((k, int(x * sigma)) for k, x in enumerate(v) if x != 0))
-            for (i, j), v in sorted(clean.items())
-        )
-        self._set(dim, sigma, table, labels)
+            sparse[(i, j)] = {k: x for k, x in enumerate(v) if x}
+        self._set(dim, *_sparse_table(sparse), labels)
 
     @classmethod
     def _from_table(cls, dim: int, sigma: int, table: tuple, labels: Sequence[str] | None) -> "LieAlgebra":
@@ -187,11 +183,6 @@ class AdaptedBasis:
     degrees: tuple[int, ...]
     int_rows: tuple[dict[int, int], ...] = field(default=(), compare=False, repr=False)
 
-    @property
-    def change_of_basis(self) -> Matrix:
-        """New basis vectors as the columns, in original coordinates."""
-        return columns_matrix([list(v) for v in self.vectors])
-
 
 def scaled_bracket(g: LieAlgebra, u: Sequence, v: Sequence) -> list:
     """sigma * [u, v] over `g.table`: integer vectors give integer results.
@@ -240,21 +231,26 @@ def iterated_bracket(g: LieAlgebra, xs: Sequence[Sequence[Fraction]]) -> Vec:
 def check_jacobi(g: LieAlgebra) -> list[tuple[int, int, int, Vec]]:
     """All basis triples i<j<k violating the Jacobi identity, with values.
 
-    Only triples with a nonzero bracket among their pairs can violate it,
-    so only those are visited; they are reported in increasing order.
+    A triple's Jacobi sum is [e_a, [e_b, e_c]] summed over its cyclic
+    rotations (a, b, c).  So it is summed from the table: each nonzero
+    [e_b, e_c] = v, b < c, meets each a outside {b, c} that brackets
+    nontrivially with v's support, with sign - when (a, b, c) is not a
+    rotation of the sorted triple, that is when b < a < c; every other term
+    is zero.  The violations are reported in increasing order.
     """
-    n = g.dim
-    triples = sorted(
-        {tuple(sorted((i, j, k))) for i, j, _ in g.table for k in range(n) if k not in (i, j)}
-    )
+    rows = g._signed_rows
+    totals: dict[tuple[int, int, int], dict[int, int]] = {}
+    for b, c, _ in g.table:
+        v = rows[b][c]
+        for a in {a for k in v for a in rows[k]} - {b, c}:
+            sign = -1 if b < a < c else 1
+            total = totals.setdefault(tuple(sorted((a, b, c))), {})
+            for m, x in g.ad(a, v).items():
+                total[m] = total.get(m, 0) + sign * x
     violations = []
-    for i, j, k in triples:
-        total = [0] * n
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, x in g.ad(a, g.ad(b, {c: 1})).items():
-                total[m] += x
-        if any(total):
-            violations.append((i, j, k, _divide(total, g.sigma**2)))
+    for (i, j, k), total in sorted(totals.items()):
+        if any(total.values()):
+            violations.append((i, j, k, _divide([total.get(m, 0) for m in range(g.dim)], g.sigma**2)))
     return violations
 
 
@@ -272,14 +268,16 @@ def lower_central_series(g: LieAlgebra) -> Filtration:
     if g._lcs_cache is not None:
         return g._lcs_cache
     # the integer images sigma * [e_i, v] that raised the rank of a level's
-    # echelon span that level, so the next level brackets them
+    # echelon span that level, so the next level brackets them; [e_i, v] is
+    # zero unless e_i brackets nontrivially with some e_j in v's support
+    rows = g._signed_rows
     chain: list[tuple[dict[int, int], ...]] = [tuple({i: 1} for i in range(g.dim))]
     spanning = list(chain[0])
     while spanning:
         ech = Echelon(g.dim)
         images = []
-        for i in range(g.dim):
-            for v in spanning:
+        for v in spanning:
+            for i in sorted({i for j in v for i in rows[j]}):
                 w = g.ad(i, v)
                 if w and ech.add(w):
                     images.append(w)
@@ -358,8 +356,11 @@ def algebra_in_integer_basis(
     are Q sigma[P e_i, P e_j] / (sigma scale).  Both products run on sparse
     integer columns: sigma[P e_i, P e_j] is the sum of P_ai * `ad`(a, P e_j)
     over the support of P e_i, each `ad` image computed once, and Q is
-    applied column by column over that bracket's support.  So a permutation
-    p costs one table lookup per pair.  The new table is those integer
+    applied column by column over that bracket's support.  Only the pairs
+    (i, j) where some a in the support of P e_i brackets nontrivially with
+    some b in that of P e_j are visited, in (i, j) order, and only such a
+    meet `ad`: every other bracket is zero.  So a permutation p costs one
+    table lookup per nonzero bracket.  The new table is those integer
     vectors divided once by the gcd of all their entries and sigma * scale,
     and the new sigma is sigma * scale over that gcd: the least common
     denominator of the constants, as `LieAlgebra` would find it.
@@ -369,14 +370,21 @@ def algebra_in_integer_basis(
     for k, row in enumerate(q_rows):
         for m, y in row.items():
             q_cols[m][k] = y
+    rows = g._signed_rows
+    holders: list[list[int]] = [[] for _ in range(n)]  # holders[b]: the j with b in the support of P e_j
+    for j, col in enumerate(p_cols):
+        for b in col:
+            holders[b].append(j)
     den = g.sigma * scale
     common = den
     images: dict[tuple[int, int], dict[int, int]] = {}  # (a, j) -> sigma [e_a, P e_j]
     products: list[tuple[int, int, dict[int, int]]] = []
     for i in range(n):
-        for j in range(i + 1, n):
+        for j in sorted({j for a in p_cols[i] for b in rows[a] for j in holders[b] if j > i}):
             w: dict[int, int] = {}
             for a, x in p_cols[i].items():
+                if rows[a].keys().isdisjoint(p_cols[j]):
+                    continue
                 image = images.get((a, j))
                 if image is None:
                     image = images[(a, j)] = g.ad(a, p_cols[j])
@@ -401,9 +409,10 @@ _TERM_RE = re.compile(
 )
 
 
-def _parse_terms(rhs: str, label_index: dict[str, int], dim: int, where: str) -> Vec:
+def _parse_terms(rhs: str, label_index: dict[str, int], where: str) -> dict[int, Fraction]:
+    """The right-hand side as a sparse {index: nonzero rational}; ints stand for integers."""
     rhs = rhs.strip()
-    out = zero_vec(dim)
+    out: dict[int, Fraction] = {}
     if rhs == "0":
         return out
     pos = 0
@@ -415,18 +424,20 @@ def _parse_terms(rhs: str, label_index: dict[str, int], dim: int, where: str) ->
         sign, coeff, label = m.group("sign"), m.group("coeff"), m.group("label")
         if not first and sign is None:
             raise AlgebraFormatError(f"missing +/- between terms in {where}")
+        num, _, den = (coeff or "1").partition("/")
         try:
-            c = Fraction(coeff) if coeff else Fraction(1)
+            c = Fraction(int(num), int(den)) if den else int(num)
         except (ValueError, ZeroDivisionError) as exc:
             raise AlgebraFormatError(f"malformed rational {coeff!r} in {where}") from exc
         if sign == "-":
             c = -c
         if label not in label_index:
             raise AlgebraFormatError(f"unknown basis label {label!r} in {where}")
-        out[label_index[label]] += c
+        k = label_index[label]
+        out[k] = out.get(k, 0) + c
         pos = m.end()
         first = False
-    return out
+    return {k: x for k, x in out.items() if x}
 
 
 def parse_algebra(text: str) -> LieAlgebra:
@@ -448,7 +459,7 @@ def parse_algebra(text: str) -> LieAlgebra:
     label_index: dict[str, int] = {}
     pending: list[tuple[str, str, str, str]] = []
     declared: set[tuple[int, int]] = set()
-    brackets: dict[tuple[int, int], Vec] = {}
+    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -510,12 +521,12 @@ def parse_algebra(text: str) -> LieAlgebra:
                 "each unordered pair may be declared once"
             )
         declared.add(key)
-        value = _parse_terms(rhs, label_index, dim, where)
+        value = _parse_terms(rhs, label_index, where)
         if i > j:
-            value = [-x for x in value]
+            value = {k: -x for k, x in value.items()}
         brackets[key] = value
 
-    return LieAlgebra(dim, brackets, labels)
+    return LieAlgebra._from_table(dim, *_sparse_table(brackets), labels)
 
 
 def serialize_algebra(g: LieAlgebra, degrees: Sequence[int] | None = None) -> str:

@@ -77,14 +77,6 @@ def sparse_mul(a: Sequence[dict], b: Sequence[dict]) -> list[dict]:
     return out
 
 
-def columns_matrix(vectors: Sequence[Sequence[Fraction]]) -> Matrix:
-    """Matrix whose columns are the given vectors."""
-    if not vectors:
-        return []
-    n = len(vectors[0])
-    return [[q(v[i]) for v in vectors] for i in range(n)]
-
-
 def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
     """Reduced row echelon form.
 

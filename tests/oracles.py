@@ -14,7 +14,7 @@ recursion of their own (on a signed row table of their own, not
 `jacobi_violations_dense` sums the Jacobi identity of every basis triple
 through `dense_bracket`, not through `ad` or `check_jacobi`'s choice of
 triples.  The linear algebra oracles (`rref_solve_affine`, `rref_mat_inv`,
-`naive_mat_mul` and the helpers beside them) use only the dense `rref` and
+`naive_mat_mul`, `columns_matrix` and the helpers beside them) use only the dense `rref` and
 plain loops, never the sparse `Echelon` or `sparse_mul` they check;
 `rref_solve_affine` and `rref_mat_inv` are the dense bodies `solve_affine`
 and the package's Fraction inverse had before every elimination in the
@@ -344,7 +344,7 @@ def e_of_operator_tuples(g, d) -> Fraction:
                     out.pop(k, None)
         return out
 
-    basis = ab.change_of_basis
+    basis = columns_matrix(ab.vectors)
     d_ad = naive_mat_mul(naive_mat_mul(rref_mat_inv(basis), d.rows), basis)
     _, scaled = clear_denominators([x for row in d_ad for x in row])
     d_cols: list[dict] = [
@@ -424,6 +424,14 @@ def e_of_operator_dense(g, d) -> Fraction:
 
 
 # --- dense linear algebra, for checking the sparse kernels
+
+
+def columns_matrix(vectors: Sequence[Sequence[Fraction]]) -> Matrix:
+    """The matrix whose columns are the given vectors, as Fractions; of an
+    adapted basis's `vectors`, the change of basis to it."""
+    if not vectors:
+        return []
+    return [[F(v[i]) for v in vectors] for i in range(len(vectors[0]))]
 
 
 def naive_mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -7,7 +7,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import graded_truncation, layer_one_generates, mat_add, naive_mat_mul, rref_mat_inv, rref_span
+from oracles import (
+    columns_matrix,
+    graded_truncation,
+    layer_one_generates,
+    mat_add,
+    naive_mat_mul,
+    rref_mat_inv,
+    rref_span,
+)
 from test_derivability import grading_operator_samples, moved_by
 from test_lie import SMALL_ENTRIES, invertible_matrices, matrix_lie_algebras
 
@@ -33,7 +41,7 @@ from nilgrade.lie import (
     lower_central_series,
     parse_algebra,
 )
-from nilgrade.linalg import columns_matrix, subspace_contains, unit_vec, vec
+from nilgrade.linalg import subspace_contains, unit_vec, vec
 
 
 def diag_operator(degrees) -> GradingOperator:

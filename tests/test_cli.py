@@ -351,6 +351,16 @@ def test_jacobi_violation_exit_code(tmp_path, capsys):
     assert "violated" in out
 
 
+def test_check_rejects_a_lie_algebra_that_is_not_nilpotent(tmp_path, capsys):
+    # sl2 ⊕ ℝ satisfies Jacobi, but its lower central series stalls at sl2
+    path = tmp_path / "sl2r.alg"
+    path.write_text("dim 4\nbasis h e f z\nbracket h e = 2 e\nbracket h f = -2 f\nbracket e f = h\n")
+    code, out, err = run_capture(capsys, ["check", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: lower central series does not reach zero\n"
+
+
 def test_byte_identical_reruns(capsys):
     args = ["goodman", "catalog:g6_11", "--samples", "4", "--tmax", "3", "--seed", "11", "--json"]
     code1, out1, _ = run_capture(capsys, args)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import (
     algebra_in_basis_dense,
     antichain_by_pruning,
+    columns_matrix,
     condition_rows_unbounded,
     delta_depth,
     e_of_operator_dense,
@@ -23,7 +24,7 @@ from oracles import (
     naive_mat_mul,
     rref_mat_inv,
 )
-from test_lie import SMALL_ENTRIES, invertible_matrices, matrix_lie_algebras
+from test_lie import DECIDE_ALGEBRAS, SMALL_ENTRIES, invertible_matrices, matrix_lie_algebras
 
 from nilgrade import catalog, derivability, linalg
 from nilgrade.carnot import carnot_pair
@@ -764,18 +765,12 @@ def test_sparse_basis_change_matches_dense_oracle_on_sheared_fixtures(name):
     for p in (lower, upper):
         assert moved_by(g, p) == algebra_in_basis_dense(g, p, rref_mat_inv(p))
     moved = moved_by(g, upper)
-    p = adapted_basis(moved, lower_central_series(moved)).change_of_basis
+    p = columns_matrix(adapted_basis(moved, lower_central_series(moved)).vectors)
     assert any(sum(1 for x in col if x) > 1 for col in zip(*p))
     assert moved_by(moved, p) == algebra_in_basis_dense(moved, p, rref_mat_inv(p))
 
 
 # --- the setup's integer frame against the public Fraction route
-
-FRAME_ALGEBRAS = (
-    [e.name for e in catalog.entries()]
-    + [f"filiform({n})" for n in range(6, 13)]
-    + [f"central_product({i},{j})" for i, j in ((2, 3), (3, 5), (4, 7), (5, 8), (6, 10))]
-)
 
 
 def assert_frame_matches_fraction_route(g, xs) -> None:
@@ -790,7 +785,7 @@ def assert_frame_matches_fraction_route(g, xs) -> None:
     assert setup.degrees == ab.degrees
     assert setup.ab == ab
     n = g.dim
-    p = ab.change_of_basis
+    p = columns_matrix(ab.vectors)
     p_inv = rref_mat_inv(p)
     # p = P/dp for the least dp that clears it, and P Q = L I
     dp = math.lcm(*(x.denominator for row in p for x in row))
@@ -825,7 +820,7 @@ def random_free_values(setup, seed: str, count: int = 3) -> list[list[F]]:
     ]
 
 
-@pytest.mark.parametrize("name", FRAME_ALGEBRAS)
+@pytest.mark.parametrize("name", DECIDE_ALGEBRAS)
 def test_integer_frame_matches_fraction_route(name):
     g = catalog.get(name).algebra
     assert_frame_matches_fraction_route(g, random_free_values(_setup(g), name) + [[]])
@@ -963,7 +958,7 @@ def test_e_of_operator_stops_pulling_rows_at_the_first_violated_one(monkeypatch,
     g = catalog.get(name).algebra
     witness = e_invariant(g).witness
     setup = _setup(g)
-    p = setup.ab.change_of_basis
+    p = columns_matrix(setup.ab.vectors)
     d_ad = naive_mat_mul(naive_mat_mul(rref_mat_inv(p), witness.rows), p)
     x = [d_ad[a][b] for a, b in setup.positions]
     pulled = count_pulled_rows(monkeypatch)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from oracles import adapted_basis_echelon, dense_bracket, jacobi_violations_dense, lcs_rref, naive_mat_mul
 
 from nilgrade import catalog
-from nilgrade.derivability import e_invariant
+from nilgrade.derivability import _setup, e_invariant
 from nilgrade.lie import (
     AlgebraFormatError,
     LieAlgebra,
@@ -119,6 +120,62 @@ def test_serialize_round_trip():
         again = parse_algebra(serialize_algebra(g))
         assert again == g
         assert again.labels == g.labels
+
+
+@st.composite
+def declarations(draw):
+    """Algebra text with random rational coefficients, written with or
+    without a denominator or a '*', zero coefficients (`0 e3`, `0/5 e3`),
+    labels repeated in one right-hand side, cancelling terms (`e3 - e3`)
+    and reversed pairs (`e2 e1`); with its dim, dense brackets and labels."""
+    n = draw(st.integers(2, 6))
+    labels = draw(st.sampled_from([[f"e{k}" for k in range(1, n + 1)], [f"x_{k}" for k in range(n)]]))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    forms = st.sampled_from(["", "/", "*"])
+    term = st.tuples(st.integers(0, n - 1), st.integers(-4, 4), st.integers(1, 5), forms, st.booleans())
+    lines = [f"dim {n}", "basis " + " ".join(labels)]
+    dense = {}
+    for i, j in draw(st.lists(st.sampled_from(pairs), unique=True)):
+        value = [F(0)] * n
+        terms = []
+        for k, num, den, form, cancel in draw(st.lists(term, max_size=5)):
+            for x in (num, -num) if cancel else (num,):
+                value[k] += F(x, den)
+                if form == "/" or den > 1:
+                    coeff = f"{abs(x)}/{den} "
+                else:
+                    coeff = "" if abs(x) == 1 else f"{abs(x)} "
+                star = "* " if form == "*" and coeff else ""
+                terms.append(("-" if x < 0 else "+", f"{coeff}{star}{labels[k]}"))
+        rhs = " ".join(f"{sign} {term}" if t else f"{sign}{term}" for t, (sign, term) in enumerate(terms)) or "0"
+        reverse = draw(st.booleans())
+        a, b = (j, i) if reverse else (i, j)
+        lines.append(f"bracket {labels[a]} {labels[b]} = {rhs}")
+        dense[(i, j)] = [-x for x in value] if reverse else value
+    return "\n".join(lines) + "\n", n, dense, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(declarations())
+def test_parse_equals_the_dense_constructor_and_round_trips(declared):
+    text, n, dense, labels = declared
+    g = parse_algebra(text)
+    expected = LieAlgebra(n, dense, labels)
+    assert (g.sigma, g.table, g.labels) == (expected.sigma, expected.table, expected.labels)
+    again = parse_algebra(serialize_algebra(g))
+    assert (again.sigma, again.table, again.labels) == (g.sigma, g.table, g.labels)
+
+
+def test_parse_and_lcs_of_a_large_sparse_algebra_are_fast():
+    # parsing and the lower central series visit only the declared brackets,
+    # not the dim^2 index pairs: about 3 ms on a 2-vCPU x86 host, where
+    # bracketing every index with every spanning vector took 1.2 s
+    text = "dim 2000\nbracket e1 e2 = e3\nbracket e1 e3 = e4\nbracket e4 e5 = 1/2 e2000\n"
+    start = time.perf_counter()
+    f = lower_central_series(parse_algebra(text))
+    elapsed = time.perf_counter() - start
+    assert f.nilpotency_class == 4 and f.quotient_dims == (1997, 1, 1, 1)
+    assert elapsed < 0.25, elapsed
 
 
 def test_bracket_heisenberg():
@@ -346,6 +403,19 @@ def test_lcs_not_nilpotent():
             lower_central_series(parse_algebra(text))
 
 
+SL2_PLUS_LINE = "dim 4\nbasis h e f z\nbracket h e = 2 e\nbracket h f = -2 f\nbracket e f = h\n"
+
+
+def test_lcs_of_sl2_plus_a_line_raises():
+    # sl2 ⊕ ℝ is a Lie algebra with F_2 = F_3 = sl2.  Bracketing F_2 only with
+    # the basis vectors that span g/F_2 (here z, which is central) would
+    # give F_3 = 0 and class 2: that shortcut needs g nilpotent to begin with
+    g = parse_algebra(SL2_PLUS_LINE)
+    assert check_jacobi(g) == []
+    with pytest.raises(NotNilpotentError):
+        lower_central_series(g)
+
+
 @st.composite
 def rational_tables(draw):
     """An algebra of dim 2 to 6 with random structure constants x/d, |x| <= 2
@@ -523,3 +593,53 @@ def test_filtrations_of_different_spans_differ():
         assert f_a.nilpotency_class == f_b.nilpotency_class and f_a.quotient_dims == f_b.quotient_dims
         assert f_a != f_b
         assert f_a.basis(2) != f_b.basis(2)
+
+
+# the 25 algebras of perfbench's decide workload
+DECIDE_ALGEBRAS = (
+    [e.name for e in catalog.entries()]
+    + [f"filiform({n})" for n in range(6, 13)]
+    + [f"central_product({i},{j})" for i, j in ((2, 3), (3, 5), (4, 7), (5, 8), (6, 10))]
+)
+
+
+def record_ad_calls(monkeypatch) -> tuple[list[tuple[str, bool]], list[str]]:
+    """Patch `LieAlgebra.ad` to record, per call, the stage in `stage[0]` and
+    whether e_i brackets nontrivially with some e_j in v's support."""
+    calls: list[tuple[str, bool]] = []
+    stage = [""]
+    ad = LieAlgebra.ad
+
+    def recording(self, i, v):
+        calls.append((stage[0], not self._signed_rows[i].keys().isdisjoint(v)))
+        return ad(self, i, v)
+
+    monkeypatch.setattr(LieAlgebra, "ad", recording)
+    return calls, stage
+
+
+def test_setup_brackets_only_index_pairs_that_meet(monkeypatch):
+    # a cold setup of each decide algebra brackets, in the lower central
+    # series and the basis change, only e_i with a v whose support meets
+    # e_i's nonzero brackets (675 and 166 calls; 6511 and 846 when every
+    # index met every spanning vector and every pair of columns was visited)
+    calls, stage = record_ad_calls(monkeypatch)
+    for name in DECIDE_ALGEBRAS:
+        g = parse_algebra(catalog.get(name).definition)
+        stage[0] = "lcs"
+        lower_central_series(g)
+        stage[0] = "basis"
+        _setup(g)
+    for where, bound in (("lcs", 4348), ("basis", 1086)):
+        made = [meets for s, meets in calls if s == where]
+        assert 0 < len(made) <= bound, (where, len(made))
+        assert all(made), where
+
+
+def test_check_jacobi_brackets_only_index_pairs_that_meet(monkeypatch):
+    calls, _ = record_ad_calls(monkeypatch)
+    bad = parse_algebra("dim 3\nbracket e1 e2 = e1\nbracket e1 e3 = e2\n")
+    assert check_jacobi(bad)
+    for name in DECIDE_ALGEBRAS:
+        assert check_jacobi(catalog.get(name).algebra) == []
+    assert calls and all(meets for _, meets in calls)
