@@ -1,9 +1,10 @@
 """Linear gradings from grading operators and the associated graded algebra.
 
-The layers of the grading are exact nullspaces of D - i, which for a
-grading operator fill the space and recover the lower central series; the
-graded bracket keeps, for inputs of degrees i and j, only the degree-(i+j)
-component of the original bracket.
+The layers of the grading are the exact kernels of D - i, read off one
+integer `Echelon` each, which for a grading operator fill the space and
+recover the lower central series; the graded bracket keeps, for inputs of
+degrees i and j, only the degree-(i+j) component of the original bracket
+(`lie.graded_part`, on the structure table).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 from . import lie
 from .derivability import GradingOperator, OperatorNotInDError, is_grading_operator
 from .lie import LieAlgebra
-from .linalg import Vec, ZERO, nullspace
+from .linalg import Echelon, Vec
 
 
 @dataclass(frozen=True)
@@ -60,12 +61,15 @@ def grading_from_operator(g: LieAlgebra, d: GradingOperator) -> LinearGrading:
     f = lie.lower_central_series(g)
     if not is_grading_operator(g, f, d):
         raise OperatorNotInDError("matrix is not a grading operator (filtration invariants fail)")
+    n = g.dim
+    dd, ints = lie.clear_denominators([x for row in d.matrix for x in row])  # D = M / dd
+    m_rows = [{j: x for j in range(n) if (x := ints[a * n + j])} for a in range(n)]
     layers: list[list[Vec]] = []
     for i in range(1, f.nilpotency_class + 1):
-        shifted = d.rows
-        for a in range(g.dim):
-            shifted[a][a] -= i
-        layers.append(nullspace(shifted))
+        ech = Echelon(n)  # ker(D - i) = ker(M - i dd)
+        for a, row in enumerate(m_rows):
+            ech.add({**row, a: row.get(a, 0) - i * dd})
+        layers.append(ech.kernel(n))
     return LinearGrading(tuple(tuple(tuple(v) for v in layer) for layer in layers))
 
 
@@ -91,15 +95,7 @@ def carnot_algebra(g: LieAlgebra, d: GradingOperator | Sequence[int]) -> CarnotA
     degrees = tuple(d)
     if len(degrees) != g.dim or any(k < 1 for k in degrees):
         raise ValueError("need one positive degree per basis vector")
-    brackets: dict[tuple[int, int], Vec] = {}
-    for (a, b), v in g.brackets.items():
-        target = degrees[a] + degrees[b]
-        if any(x != 0 and degrees[k] < target for k, x in enumerate(v)):
-            raise ValueError(
-                f"[{g.labels[a]}, {g.labels[b]}] has a component of degree below {target}"
-            )
-        brackets[(a, b)] = [x if degrees[k] == target else ZERO for k, x in enumerate(v)]
-    algebra = LieAlgebra(g.dim, brackets, g.labels)
+    algebra = lie.graded_part(g, degrees)
     if lie.check_jacobi(algebra):
         raise AssertionError("graded bracket failed the Jacobi identity")
     f = lie.lower_central_series(algebra)

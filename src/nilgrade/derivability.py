@@ -254,10 +254,11 @@ class _Node(NamedTuple):
     the degree sum, none of which depends on a condition.  The next index
     stays below `limit` (b_last at a root: Delta alternates in the last two
     slots); `children` maps it to the extended node, or to None if empty.
-    `brackets` maps an index i to `ad`(i, suffix), filled on first use: its
-    entry at b is the suffix of the child at b, and its entry at a is the new
-    term of each free variable (a, b) in that child, so the node brackets its
-    suffix once per index."""
+    `brackets` holds the nonzero `ad`(i, suffix), by increasing i, filled on
+    the first extension for every i whose signed row meets the suffix's
+    support (any other bracket is zero): its entry at b is the suffix of the
+    child at b, and its entry at a is the new term of the free variable
+    (a, b) in that child, so the node brackets its suffix once per index."""
 
     suffix: SparseVec
     repl: dict[int, SparseVec]
@@ -301,19 +302,17 @@ class _Setup:
         self.adapted = lie.algebra_in_integer_basis(g, p_cols, self.q_rows, dp * self.q_den)
         self.ad = self.adapted.ad
         self.rows = self.adapted._signed_rows  # [e_i, w] = 0 when rows[i] misses w's support
-        # free positions (a, b), column-major: degree(a) > degree(b), so a grading operator
-        # may differ from diag(degrees) there; N e_b = e_a; col_vars[b] lists (var, a)
-        self.positions = [(a, b) for b in range(n) for a in range(n) if degrees[a] > degrees[b]]
-        self.free = set(self.positions)
-        self.col_vars: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for var, (a, b) in enumerate(self.positions):
-            self.col_vars[b].append((var, a))
         # first adapted index of each degree (degrees are nondecreasing)
-        self.first_at_least = [
-            next((i for i in range(n) if self.degrees[i] >= d), n) for d in range(self.c + 2)
-        ]
+        self.first_at_least = [next((i for i in range(n) if degrees[i] >= d), n) for d in range(self.c + 2)]
+        # free positions (a, b), column-major: degree(a) > degree(b), so a grading operator
+        # may differ from diag(degrees) there; N e_b = e_a; var_at[b] maps a to the variable
+        self.positions = [(a, b) for b in range(n) for a in range(self.first_at_least[degrees[b] + 1], n)]
+        self.free = set(self.positions)
+        self.var_at: list[dict[int, int]] = [{} for _ in range(n)]
+        for var, (a, b) in enumerate(self.positions):
+            self.var_at[b][a] = var
         self.roots = [
-            _Node({b: 1}, {var: {a: 1} for var, a in self.col_vars[b]}, self.degrees[b], b, {}, {})
+            _Node({b: 1}, {var: {a: 1} for a, var in self.var_at[b].items()}, degrees[b], b, {}, {})
             for b in range(n)
         ]
 
@@ -321,26 +320,26 @@ class _Setup:
         """Compute and store the child of `node` at index b (see `_Node`)."""
         ad = self.ad
         rows = self.rows
-        suffix = node.suffix
+        suffix, brackets = node.suffix, node.brackets
         row_b = rows[b].keys()
         new_repl = {var: bw for var, w in node.repl.items() if not row_b.isdisjoint(w) and (bw := ad(b, w))}
-        new_suffix: SparseVec = {}
-        if suffix:
-            brackets = node.brackets
-            for i in (b, *(a for _, a in self.col_vars[b])):
-                if i not in brackets:
-                    brackets[i] = {} if rows[i].keys().isdisjoint(suffix) else ad(i, suffix)
-            new_suffix = brackets[b]
-            for var, a in self.col_vars[b]:
-                merged = new_repl.setdefault(var, {})
-                for k, x in brackets[a].items():
-                    t = merged.get(k, 0) + x
-                    if t:
-                        merged[k] = t
-                    else:
-                        merged.pop(k, None)
-                if not merged:
-                    del new_repl[var]
+        if suffix and not node.children:
+            brackets.update({i: w for i in sorted({i for j in suffix for i in rows[j]}) if (w := ad(i, suffix))})
+        var_at = self.var_at[b]
+        for a, w in brackets.items():
+            var = var_at.get(a)
+            if var is None:
+                continue
+            merged = new_repl.setdefault(var, {})
+            for k, x in w.items():
+                t = merged.get(k, 0) + x
+                if t:
+                    merged[k] = t
+                else:
+                    merged.pop(k, None)
+            if not merged:
+                del new_repl[var]
+        new_suffix = brackets.get(b, {})
         kid = None
         if new_suffix or new_repl:
             kid = _Node(new_suffix, new_repl, node.degsum + self.degrees[b], self.dim, {}, {})
@@ -429,7 +428,7 @@ def _condition_rows(setup: _Setup, cond: DerivCondition) -> Iterator[tuple[Spars
     """
     n = len(cond.wp)
     degrees = setup.degrees
-    col_vars = setup.col_vars
+    var_at = setup.var_at
     extend = setup.extend
     first_at_least = setup.first_at_least
     top = setup.c + 1
@@ -460,7 +459,7 @@ def _condition_rows(setup: _Setup, cond: DerivCondition) -> Iterator[tuple[Spars
                 diff = (degrees[coord] - degsum) * val
                 if diff:
                     rhs[coord] = -diff
-            for var, a in col_vars[coord]:
+            for a, var in var_at[coord].items():
                 if a < max_coord:
                     entry = rows.setdefault(a, {})
                     entry[var] = entry.get(var, 0) + val

@@ -155,11 +155,12 @@ def goodman_check(
     ladder; the law difference is exact.  Its weight-w part P_{k,w} has
     P_{k,w}(δ_t x, δ_t y) = t^w P_{k,w}(x, y) and the Carnot law is the
     top-weight part, so `bch.law_difference_ladder` evaluates each pair
-    once for the whole ladder.  The radius max(|δ_t x|, |δ_t y|) is the norm
-    of δ_t applied to the coordinatewise larger magnitudes of x and y: δ_t
-    scales a coordinate of both by the same t^k > 0, and distinct grid
-    magnitudes differ by a factor >= 16/15, which the float roots keep in
-    order.  The report carries the fitted exponent
+    once for the whole ladder.  The radius max(|δ_t x|, |δ_t y|) takes one
+    root per nonempty layer i: that of t^i times the largest magnitude of a
+    layer-i coordinate of x or y, exactly.  δ_t scales the whole layer by
+    the same t^i > 0, and distinct grid magnitudes differ by a factor
+    >= 16/15, which the float roots keep in order, so this is the larger
+    norm of the two dilated vectors, bit for bit.  The report carries the fitted exponent
     plus the best constant for diff <= C * max(1, r)^(e_D).  The exponent
     is 0 when the difference is identically zero and None when it is not
     but fewer than two distinct r > 1 carry a nonzero difference.  Raises
@@ -179,11 +180,16 @@ def goodman_check(
     for index in range(n_samples):
         z1, z2 = sampler.vector(g.dim), sampler.vector(g.dim)
         diffs = bch.law_difference_ladder(g_eig, ca, z1, z2, t_ladder)
-        top = [max(abs(a), abs(b)) for a, b in zip(z1, z2)]
+        peaks: dict[int, Fraction] = {}  # layer -> largest coordinate magnitude, if nonzero
+        for deg, a, b in zip(ctx.degrees, z1, z2):
+            m = max(abs(a), abs(b))
+            if m > peaks.get(deg, 0):
+                peaks[deg] = m
         for t, diff in zip(t_ladder, diffs):
-            r = guivarch_norm(ctx, dilate(ctx, t, top))
+            t = q(t)
+            r = max((_root_float(m * t**i, i) for i, m in peaks.items()), default=0.0)
             dn = guivarch_norm(ctx, diff)
-            samples.append(GoodmanSample(index, q(t), r, dn))
+            samples.append(GoodmanSample(index, t, r, dn))
             if dn > 0:
                 all_zero = False
                 constant = max(constant, dn / max(1.0, r) ** e_float)

@@ -184,6 +184,28 @@ class AdaptedBasis:
     int_rows: tuple[dict[int, int], ...] = field(default=(), compare=False, repr=False)
 
 
+def graded_part(g: LieAlgebra, degrees: Sequence[int]) -> LieAlgebra:
+    """g with each [e_a, e_b] cut to its components of degree deg(a) + deg(b).
+
+    The kept table entries are divided once by their gcd with sigma, so the
+    new sigma is the least common denominator, as `LieAlgebra` would find
+    it.  ValueError names the first pair, in table order, with a component
+    of lower degree.
+    """
+    kept = []
+    common = g.sigma
+    for a, b, entries in g.table:
+        target = degrees[a] + degrees[b]
+        if any(degrees[k] < target for k, _ in entries):
+            raise ValueError(f"[{g.labels[a]}, {g.labels[b]}] has a component of degree below {target}")
+        top = [(k, s) for k, s in entries if degrees[k] == target]
+        if top:
+            kept.append((a, b, top))
+            common = gcd(common, *(s for _, s in top))
+    table = tuple((a, b, tuple((k, s // common) for k, s in top)) for a, b, top in kept)
+    return LieAlgebra._from_table(g.dim, g.sigma // common, table, g.labels)
+
+
 def scaled_bracket(g: LieAlgebra, u: Sequence, v: Sequence) -> list:
     """sigma * [u, v] over `g.table`: integer vectors give integer results.
 

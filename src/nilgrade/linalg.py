@@ -2,7 +2,7 @@
 
 Inputs and results are exact: ints and `fractions.Fraction`, never floats.
 Everything is deterministic: pivots are always the first nonzero entry in
-column order, so reduced forms, particular solutions and nullspace bases
+column order, so reduced forms, particular solutions and kernel bases
 are reproducible.
 
 Every solve, inverse and span runs on `Echelon`, a fraction-free
@@ -120,8 +120,7 @@ def solve_affine(a: Matrix, b: Sequence[Fraction]) -> AffineSolution | None:
     """Solve a·x = b exactly; None when the system is infeasible.
 
     One `AffineSystem` of the rows of a with b.  Free variables are 0 in
-    the particular solution, and each free column, in increasing order,
-    gives one nullspace vector with that variable 1.
+    the particular solution, and the nullspace basis is `Echelon.kernel`.
     """
     if len(a) != len(b):
         raise ValueError("dimension mismatch between matrix and rhs")
@@ -132,22 +131,7 @@ def solve_affine(a: Matrix, b: Sequence[Fraction]) -> AffineSolution | None:
     particular = system.particular()
     if particular is None:
         return None
-    rows = system.sparse_rows
-    basis: list[Vec] = []
-    for f in range(ncols):
-        if f not in rows:
-            v = unit_vec(ncols, f)
-            for c, row in rows.items():
-                v[c] = -row.get(f, ZERO)
-            basis.append(v)
-    return AffineSolution(particular, basis)
-
-
-def nullspace(a: Matrix) -> list[Vec]:
-    """Basis of {x : a·x = 0}, free variables set one at a time."""
-    sol = solve_affine(a, zero_vec(len(a)))
-    assert sol is not None
-    return sol.nullspace_basis
+    return AffineSolution(particular, system.kernel(ncols))
 
 
 def integer_inverse(cols: Sequence[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
@@ -218,9 +202,8 @@ class Echelon:
 
     `add`, `reduce` and `contains` take a dense sequence or a sparse
     {column: value} dict of ints or Fractions.  Fractions appear only where
-    a result leaves the class: `reduce`, `rows` and `basis` return dense
-    lists of Fractions, rows ordered by pivot, and `sparse_rows` the RREF
-    rows as {pivot: {column: Fraction}}.  `int_rows` is read-only.
+    a result leaves the class: `reduce`, `rows`, `basis` and `kernel` return
+    dense lists of Fractions, rows ordered by pivot.  `int_rows` is read-only.
     """
 
     def __init__(self, dim: int):
@@ -293,6 +276,23 @@ class Echelon:
         self._reduce(w)
         return not w
 
+    def kernel(self, ncols: int) -> list[Vec]:
+        """Basis of the x in Q^ncols at which every row vanishes, for rows with
+        their pivots below ncols (later columns, such as an `AffineSystem`'s
+        right-hand side, are ignored): each free column f < ncols, in
+        increasing order, gives the vector with x_f = 1 and every other free
+        entry 0."""
+        rows = self.int_rows
+        basis: list[Vec] = []
+        for f in range(ncols):
+            if f not in rows:
+                v = unit_vec(ncols, f)
+                for p, row in rows.items():
+                    if f in row:
+                        v[p] = Fraction(-row[f], row[p])
+                basis.append(v)
+        return basis
+
     @property
     def rank(self) -> int:
         return len(self.int_rows)
@@ -300,12 +300,6 @@ class Echelon:
     @property
     def pivots(self) -> list[int]:
         return sorted(self.int_rows)
-
-    @property
-    def sparse_rows(self) -> dict[int, SparseRow]:
-        return {
-            p: {k: Fraction(x, row[p]) for k, x in row.items()} for p, row in self.int_rows.items()
-        }
 
     @property
     def rows(self) -> list[Vec]:

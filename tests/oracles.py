@@ -529,12 +529,27 @@ def adapted_basis_echelon(g, f) -> AdaptedBasis:
 
 
 def graded_truncation(g, degrees) -> LieAlgebra:
-    """Keep, in each [e_a, e_b], only the components of degree deg a + deg b."""
-    brackets = {
-        (a, b): [x if degrees[k] == degrees[a] + degrees[b] else 0 for k, x in enumerate(v)]
-        for (a, b), v in g.brackets.items()
-    }
+    """Keep, in each dense [e_a, e_b], only the components of degree
+    deg a + deg b; ValueError, naming the first pair of `g.brackets` with a
+    nonzero component of lower degree, as `carnot_algebra` words it."""
+    brackets = {}
+    for (a, b), v in g.brackets.items():
+        target = degrees[a] + degrees[b]
+        if any(x != 0 and degrees[k] < target for k, x in enumerate(v)):
+            raise ValueError(f"[{g.labels[a]}, {g.labels[b]}] has a component of degree below {target}")
+        brackets[(a, b)] = [x if degrees[k] == target else 0 for k, x in enumerate(v)]
     return LieAlgebra(g.dim, brackets, g.labels)
+
+
+def grading_layers_dense(d, c: int) -> tuple:
+    """ker(D - i) for i = 1..c, each the nullspace basis of the dense RREF of
+    the Fraction matrix D - i: one vector per free column, in order."""
+    n = len(d.matrix)
+    layers = []
+    for i in range(1, c + 1):
+        shifted = [[x - i if a == b else x for b, x in enumerate(row)] for a, row in enumerate(d.matrix)]
+        layers.append(tuple(tuple(v) for v in rref_solve_affine(shifted, [F(0)] * n).nullspace_basis))
+    return tuple(layers)
 
 
 def layer_one_generates(algebra, degrees) -> bool:
@@ -584,13 +599,16 @@ def condition_rows_unbounded(setup, cond: DerivCondition) -> list[tuple[dict, in
     """The rows (coeffs, rhs) of `cond` over every index path of degrees >= wp,
     whatever its degree sum, in order.
 
-    It reads only `setup`'s adapted `ad`, degrees, free variables and
+    It reads only `setup`'s adapted `ad`, degrees, free positions and
     `first_at_least`.  Each path's suffix and replacement brackets are
     recomputed along the path, in the order the solver computes them, so
     the sparse vectors, and with them the rows, come out in the same order.
     """
     n = len(cond.wp)
-    degrees, col_vars, ad = setup.degrees, setup.col_vars, setup.ad
+    degrees, ad = setup.degrees, setup.ad
+    col_vars: list[list[tuple[int, int]]] = [[] for _ in range(setup.dim)]  # col_vars[b]: (var, a)
+    for var, (a, b) in enumerate(setup.positions):
+        col_vars[b].append((var, a))
     max_coord = setup.first_at_least[min(cond.level + 1, setup.c + 1)]
     starts = [setup.first_at_least[p] for p in cond.wp]
     out: list[tuple[dict, int]] = []

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     columns_matrix,
     graded_truncation,
+    grading_layers_dense,
     layer_one_generates,
     mat_add,
     naive_mat_mul,
@@ -38,6 +39,7 @@ from nilgrade.lie import (
     adapted_basis,
     change_of_basis,
     check_jacobi,
+    graded_part,
     lower_central_series,
     parse_algebra,
 )
@@ -231,6 +233,50 @@ def test_generation_check_matches_closure_oracle(name, data):
     else:
         with pytest.raises(ValueError, match="^degree-1 layer does not generate the graded algebra$"):
             carnot_algebra(g, degrees)
+
+
+CATALOG_ALGEBRAS = st.sampled_from([e.name for e in catalog.entries()]).map(lambda n: catalog.get(n).algebra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(grading_operator_samples(CATALOG_ALGEBRAS), grading_operator_samples(matrix_lie_algebras(min_class=2)))
+)
+def test_integer_carnot_path_matches_dense_construction(sample):
+    # the layers are read off one integer Echelon per eigenvalue and the
+    # graded table off `lie.graded_part`; both equal the dense Fraction
+    # construction (the RREF nullspaces of D - i, and the truncation of the
+    # dense brackets) bit for bit, for D the base point plus a random
+    # rational combination of the free directions, N != 0
+    g, f, rows = sample
+    base, dirs = grading_operator_space(g, f, adapted_basis(g, f))
+    assume(not dirs or rows != base.rows)
+    d = GradingOperator.from_rows(rows)
+    grading = grading_from_operator(g, d)
+    assert grading.layers == grading_layers_dense(d, f.nilpotency_class)
+    g_eig, ca = carnot_pair(g, d)
+    dense = graded_truncation(g_eig, grading.degrees)
+    assert ca.algebra == dense and ca.algebra.labels == dense.labels
+    assert ca.algebra.sigma == dense.sigma and ca.algebra.brackets == dense.brackets
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(CATALOG_ALGEBRAS, matrix_lie_algebras()), st.data())
+def test_graded_table_and_its_error_match_dense_construction(g, data):
+    # explicit degrees, random or raised until every bracket respects them:
+    # carnot_algebra names the same violating pair as the dense truncation
+    # did, and otherwise the graded table is that truncation's
+    random_degrees = st.lists(st.integers(1, 4), min_size=g.dim, max_size=g.dim)
+    degrees = data.draw(st.one_of(random_degrees, filtered_degrees(g)))
+    try:
+        dense = graded_truncation(g, degrees)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            carnot_algebra(g, degrees)
+        assert str(got.value) == str(exc)
+        return
+    graded = graded_part(g, degrees)
+    assert graded == dense and graded.labels == dense.labels and graded.brackets == dense.brackets
 
 
 def test_carnot_algebra_passes_jacobi_and_is_graded():

@@ -167,18 +167,16 @@ def test_sample_ordering():
 )
 def test_goodman_samples_match_per_rung_law_difference(monkeypatch, name, seed):
     # each pair's law difference is evaluated once for its whole ladder,
-    # never rung by rung, and each rung dilates one vector; every sample is
-    # still the norm of the per-rung difference of the dilated pair, at the
-    # larger of the two dilated norms
+    # never rung by rung, and no rung dilates a vector: its radius takes one
+    # root per layer; every sample is still the norm of the per-rung
+    # difference of the dilated pair, at the larger of the two dilated norms
     g = catalog.get(name).algebra
     d = e_invariant(g).witness
     ladder = [F(1), F(3, 7), F(2), F(5, 2), F(2), F(64)]
-    dilated = []
     monkeypatch.setattr(bch, "law_difference", None)
-    monkeypatch.setattr(goodman, "dilate", lambda *args: dilated.append(args) or dilate(*args))
+    monkeypatch.setattr(goodman, "dilate", None)
     report = goodman_check(g, d, 6, ladder, seed=seed)
     monkeypatch.undo()
-    assert len(dilated) == 6 * len(ladder)
     g_eig, ca = carnot_pair(g, d)
     ctx = GuivarchContext.for_carnot(ca)
     sampler = GridSampler(seed)
@@ -191,6 +189,39 @@ def test_goodman_samples_match_per_rung_law_difference(monkeypatch, name, seed):
             diff = law_difference(g_eig, ca, z1t, z2t)
             expected.append(GoodmanSample(index, t, r, guivarch_norm(ctx, diff)))
     assert list(report.samples) == expected
+
+
+RADIUS_ALGEBRAS = ["heisenberg", "g6_2", "g6_11", "g7_0_8", "filiform(8)", "central_product(4,7)"]
+rungs = st.fractions(min_value=F(1, 1000), max_value=70000, max_denominator=1000)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(RADIUS_ALGEBRAS),
+    st.integers(0, 2**64 - 1),
+    st.lists(rungs, max_size=4).flatmap(lambda ts: st.permutations(ts + [F(3, 7), F(5, 2)])),
+    st.integers(1, 3),
+)
+def test_goodman_radius_is_the_larger_dilated_norm_bit_for_bit(name, seed, ladder, n_samples):
+    # on random grid pairs (any seed) and rational ladders, the radius taken
+    # from one root per layer is the float the dilated vectors' norms give
+    g = catalog.get(name).algebra
+    d = e_invariant(g).witness
+    report = goodman_check(g, d, n_samples, ladder, seed=seed)
+    ctx = GuivarchContext.for_carnot(carnot_pair(g, d)[1])
+    sampler = GridSampler(seed)
+    radii = []
+    for _ in range(n_samples):
+        z1, z2 = sampler.vector(g.dim), sampler.vector(g.dim)
+        radii += [max(guivarch_norm(ctx, dilate(ctx, t, z1)), guivarch_norm(ctx, dilate(ctx, t, z2))) for t in ladder]
+    assert [s.r for s in report.samples] == radii
+
+
+@pytest.mark.parametrize("ladder", [[F(1), F(0)], [F(-1, 2)], [F(2), F(-3)]])
+def test_goodman_check_rejects_a_rung_that_is_not_positive(ladder):
+    g = catalog.get("g6_11").algebra
+    with pytest.raises(ValueError, match="dilation parameter must be positive"):
+        goodman_check(g, e_invariant(g).witness, 2, ladder, seed=1)
 
 
 def test_three_step_diff_norm_matches_closed_form():

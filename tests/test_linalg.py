@@ -17,12 +17,12 @@ from nilgrade.lie import lower_central_series
 from nilgrade.linalg import (
     AffineSystem,
     Echelon,
+    echelon_of,
     filtration_depth,
     identity,
     integer_inverse,
     mat_vec,
     matrix,
-    nullspace,
     rref,
     solve_affine,
     sparse_mul,
@@ -252,9 +252,10 @@ def test_solve_affine_and_nullspace_match_dense_oracle(system, data):
     assert sol == oracle
     if sol is not None:
         assert all(isinstance(x, F) for v in [sol.particular, *sol.nullspace_basis] for x in v)
-    assert nullspace(a) == rref_solve_affine(a, [0] * len(a)).nullspace_basis
+    ncols = len(a[0]) if a else 0
+    assert echelon_of(a, ncols).kernel(ncols) == rref_solve_affine(a, [0] * len(a)).nullspace_basis
     # the same equations as sparse dicts, added in a shuffled order
-    shuffled = AffineSystem(len(a[0]) if a else 0)
+    shuffled = AffineSystem(ncols)
     for r in data.draw(st.permutations(range(len(a)))):
         shuffled.add({c: x for c, x in enumerate(a[r]) if x}, b[r])
     assert shuffled.infeasible == (oracle is None)
@@ -323,7 +324,8 @@ def test_fraction_free_echelon_matches_dense_rref_at_large_entries(dim, data):
         ech.add(as_input(v, as_dict))
     rows, pivots = rref_span(vectors)
     assert ech.rows == ech.basis == rows
-    assert ech.sparse_rows == {p: {k: x for k, x in enumerate(row) if x} for p, row in zip(pivots, rows)}
+    kernel = rref_solve_affine(vectors, [0] * len(vectors)).nullspace_basis if vectors else identity(dim)
+    assert ech.kernel(dim) == kernel
     assert_canonical_int_rows(ech, rows, pivots)
     for v in data.draw(st.lists(st.lists(large_entries, min_size=dim, max_size=dim), max_size=3)) + vectors:
         for as_dict in (False, True):
