@@ -14,13 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
 from typing import Sequence
 
 from . import lie
 from .carnot import CarnotAlgebra
 from .lie import Filtration, LieAlgebra
-from .linalg import AffineSystem, Vec, ZERO, q
+from .linalg import AffineSystem, Vec, ZERO, clear_denominators, q
 
 LEFT, RIGHT = 0, 1
 Word = tuple[int, ...]
@@ -154,14 +153,16 @@ def _degree_coeffs(n: int) -> tuple[tuple[Word, Fraction], ...]:
     """Word coefficients b_{n,q} with sum_q b_{n,q} [q_1,...,q_n] = BCH_n."""
     target = _log_components()[n]
     order = _word_order(n)
-    # one equation per associative word w: sum_q b_q * beta(q)[w] = BCH_n[w]
+    # one equation per associative word w: sum_q b_q * beta(q)[w] = BCH_n[w], cleared with its rhs
     equations: dict[Word, dict[int, Fraction]] = {w: {} for w in target}
     for col, cand in enumerate(order):
         for w, c in _beta_assoc(cand).items():
             equations.setdefault(w, {})[col] = c
     system = AffineSystem(len(order))
     for w in sorted(equations):
-        system.add(equations[w], target.get(w, ZERO))
+        cols = equations[w]
+        ints = clear_denominators([*cols.values(), target.get(w, ZERO)])[1]
+        system.add(dict(zip(cols, ints)), ints[-1])
     x = system.particular()
     if x is None:
         raise AssertionError("BCH component is not a combination of nested brackets")
@@ -190,11 +191,9 @@ def _plan(c: int, cut: int) -> tuple[int, tuple[Word, ...], tuple[tuple[int, Wor
     so that each comes after its own rest.
     """
     kept = [(w, coeff) for w, coeff in bch_table(c).nonzero if len(w) * cut < c]
-    lcd = lcm(1, *(coeff.denominator for _, coeff in kept))
+    lcd, ints = clear_denominators([coeff for _, coeff in kept])
     suffixes = {w[i:] for w, _ in kept for i in range(1, len(w) - 1)}
-    words = tuple(
-        (w[0], w[1:], coeff.numerator * (lcd // coeff.denominator), c - len(w)) for w, coeff in kept
-    )
+    words = tuple((w[0], w[1:], s, c - len(w)) for (w, _), s in zip(kept, ints))
     return lcd, tuple(sorted(suffixes, key=lambda s: (len(s), s))), words
 
 
@@ -216,7 +215,7 @@ def _weighted_parts(g: LieAlgebra, c: int, degrees: Sequence[int], x: Vec, y: Ve
     `bch_product` calls it) that is 2 + len(suffixes) brackets.
     """
     lcd, suffixes, words = _plan(c, min(degrees))
-    den, ints = lie.clear_denominators([*x, *y])
+    den, ints = clear_denominators([*x, *y])
     dim = g.dim
     dens = den * g.sigma
     powers = [1]  # powers[e] = dens^e

@@ -16,7 +16,7 @@ from typing import Sequence
 from . import lie
 from .derivability import GradingOperator, OperatorNotInDError, is_grading_operator
 from .lie import LieAlgebra
-from .linalg import Echelon, Vec
+from .linalg import Echelon, Vec, integer_rows
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,13 @@ def grading_from_operator(g: LieAlgebra, d: GradingOperator) -> LinearGrading:
     if not is_grading_operator(g, f, d):
         raise OperatorNotInDError("matrix is not a grading operator (filtration invariants fail)")
     n = g.dim
-    dd, ints = lie.clear_denominators([x for row in d.matrix for x in row])  # D = M / dd
-    m_rows = [{j: x for j in range(n) if (x := ints[a * n + j])} for a in range(n)]
+    dd, m_rows = integer_rows(d.matrix)  # D = M / dd
     layers: list[list[Vec]] = []
     for i in range(1, f.nilpotency_class + 1):
         ech = Echelon(n)  # ker(D - i) = ker(M - i dd)
         for a, row in enumerate(m_rows):
-            ech.add({**row, a: row.get(a, 0) - i * dd})
+            w = {**row, a: row.get(a, 0) - i * dd}
+            ech.add(w if w[a] else {k: x for k, x in row.items() if k != a})
         layers.append(ech.kernel(n))
     return LinearGrading(tuple(tuple(tuple(v) for v in layer) for layer in layers))
 

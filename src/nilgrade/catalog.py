@@ -171,10 +171,17 @@ for _entry in _STATIC:
         _BY_NAME[_alias.lower()] = _entry
 
 
+def _check_dim(dim: int) -> None:
+    """A family member is built in memory, so its dimension is capped."""
+    if dim > 1000:
+        raise ValueError("dimension must be at most 1000")
+
+
 def abelian(n: int) -> LieAlgebra:
     """The abelian algebra of dimension n."""
     if n < 1:
         raise ValueError("dimension must be positive")
+    _check_dim(n)
     return LieAlgebra(n, {})
 
 
@@ -182,12 +189,8 @@ def filiform(n: int) -> LieAlgebra:
     """Standard filiform algebra of dimension n: [e1, ek] = e(k+1)."""
     if n < 3:
         raise ValueError("standard filiform needs dimension >= 3")
-    brackets = {}
-    for k in range(2, n):
-        v = [Fraction(0)] * n
-        v[k] = Fraction(1)
-        brackets[(0, k - 1)] = v
-    return LieAlgebra(n, brackets)
+    _check_dim(n)
+    return LieAlgebra(n, {(0, k - 1): [int(m == k) for m in range(n)] for k in range(2, n)})
 
 
 def central_product_filiform(i: int, j: int) -> LieAlgebra:
@@ -199,13 +202,12 @@ def central_product_filiform(i: int, j: int) -> LieAlgebra:
     if not 2 <= i < j:
         raise ValueError("need 2 <= i < j")
     dim = i + j + 1
+    _check_dim(dim)
     labels = ["X"] + [f"Y{p}" for p in range(1, i)] + ["U"] + [f"V{q}" for q in range(1, j + 1)]
     index = {lab: k for k, lab in enumerate(labels)}
 
-    def unit(lab: str):
-        v = [Fraction(0)] * dim
-        v[index[lab]] = Fraction(1)
-        return v
+    def unit(lab: str) -> list[int]:
+        return [int(k == index[lab]) for k in range(dim)]
 
     brackets = {}
     for p in range(1, i - 1):

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import lie
 from .lie import AdaptedBasis, Filtration, LieAlgebra
-from .linalg import AffineSystem, Matrix, Vec, ZERO, integer_inverse, mat_vec, q, sparse_mul
+from .linalg import AffineSystem, Matrix, Vec, ZERO, integer_inverse, integer_rows, mat_vec, q, sparse_mul
 
 SparseVec = dict[int, int]
 
@@ -197,8 +197,7 @@ def _adapted_operator(d: GradingOperator, setup: _Setup) -> tuple[int, list[Spar
     n, degrees = setup.dim, setup.degrees
     if [len(row) for row in d.matrix] != [n] * n:
         return None
-    dd, ints = lie.clear_denominators([x for row in d.matrix for x in row])
-    m_rows = [{j: x for j in range(n) if (x := ints[i * n + j])} for i in range(n)]
+    dd, m_rows = integer_rows(d.matrix)
     rows = sparse_mul(sparse_mul(setup.q_rows, m_rows), setup.p_rows)
     den = setup.q_den * dd
     free = setup.free
@@ -352,11 +351,11 @@ class _Setup:
         That is p (M/dx) p^-1 = P M Q / (dx L) for M = dx diag(degrees) + dx x, on integers.
         """
         n = self.dim
-        dx, xs = lie.clear_denominators(x)
+        dx, (xs,) = integer_rows([x])
         m_rows = [{i: dx * d} for i, d in enumerate(self.degrees)]
-        for (a, b), value in zip(self.positions, xs):
-            if value:
-                m_rows[a][b] = value
+        for var, value in xs.items():
+            a, b = self.positions[var]
+            m_rows[a][b] = value
         den = dx * self.q_den
         rows = sparse_mul(sparse_mul(self.p_rows, m_rows), self.q_rows)
         return GradingOperator(

@@ -11,10 +11,10 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
-from .linalg import ONE, ZERO, Echelon, Vec, integer_inverse, q
+from .linalg import ONE, ZERO, Echelon, Vec, clear_denominators, integer_inverse, integer_rows, q
 
 
 class AlgebraFormatError(ValueError):
@@ -37,13 +37,10 @@ def _labels(dim: int, labels: Sequence[str] | None) -> tuple[str, ...]:
 def _sparse_table(brackets: dict[tuple[int, int], dict[int, Fraction]]) -> tuple[int, tuple]:
     """(sigma, table) of the sparse brackets {(i, j): {k: nonzero rational}}, i < j; ints
     may stand for integral rationals, and empty brackets are dropped.  See `LieAlgebra`."""
-    sigma = lcm(1, *(x.denominator for v in brackets.values() for x in v.values()))
-    table = tuple(
-        (i, j, tuple((k, v[k].numerator * (sigma // v[k].denominator)) for k in sorted(v)))
-        for (i, j), v in sorted(brackets.items())
-        if v
-    )
-    return sigma, table
+    pairs = [(i, j, sorted(v)) for (i, j), v in sorted(brackets.items()) if v]
+    sigma, ints = clear_denominators([brackets[i, j][k] for i, j, ks in pairs for k in ks])
+    it = iter(ints)
+    return sigma, tuple((i, j, tuple((k, next(it)) for k in ks)) for i, j, ks in pairs)
 
 
 class LieAlgebra:
@@ -113,7 +110,7 @@ class LieAlgebra:
         return rows
 
     def ad(self, i: int, v: dict[int, int]) -> dict[int, int]:
-        """sigma * [e_i, v] over `table`; v and the result are sparse {index: nonzero value}."""
+        """sigma * [e_i, v] over `table`, for a sparse {index: int} v; the result has no zero entry."""
         out: dict[int, int] = {}
         row = self._signed_rows[i]
         for j, coeff in v.items():
@@ -125,7 +122,7 @@ class LieAlgebra:
                 if t:
                     out[k] = t
                 else:
-                    del out[k]
+                    out.pop(k, None)
         return out
 
     def __eq__(self, other) -> bool:
@@ -219,12 +216,6 @@ def scaled_bracket(g: LieAlgebra, u: Sequence, v: Sequence) -> list:
             for k, s in entries:
                 out[k] += c * s
     return out
-
-
-def clear_denominators(x: Sequence) -> tuple[int, list[int]]:
-    """(den, den * x) for the least den that makes every entry an integer."""
-    den = lcm(1, *(a.denominator for a in x))
-    return den, [a.numerator * (den // a.denominator) for a in x]
 
 
 def _divide(v: list[int], den: int) -> Vec:
@@ -358,8 +349,7 @@ def change_of_basis(
     n = g.dim
     if len(new_vectors) != n or any(len(v) != n for v in new_vectors):
         raise ValueError("need dim basis vectors, each of length dim")
-    dp, ints = clear_denominators([q(x) for v in new_vectors for x in v])
-    p_cols = [{i: x for i in range(n) if (x := ints[b * n + i])} for b in range(n)]
+    dp, p_cols = integer_rows([[q(x) for x in v] for v in new_vectors])
     dq, q_rows = integer_inverse(p_cols)
     return algebra_in_integer_basis(g, p_cols, q_rows, dp * dq, labels)
 

@@ -5,13 +5,12 @@ Everything is deterministic: pivots are always the first nonzero entry in
 column order, so reduced forms, particular solutions and kernel bases
 are reproducible.
 
-Every solve, inverse and span runs on `Echelon`, a fraction-free
-elimination: it keeps each reduced row as a sparse primitive integer row
-({column: value} over the nonzero entries) and clears a Fraction input
-once, so Fractions are made only for the results that leave it.
-`integer_inverse`, the one inverse, and `sparse_mul`, the one matrix
-product, stay on integers throughout.  The dense `rref` is the tests'
-reference only.
+Rationals become integers here only: `clear_denominators` for a vector,
+`integer_rows` for a matrix.  Every solve, inverse and span runs on
+`Echelon`, a fraction-free elimination of sparse integer rows (`SparseRow`),
+which makes Fractions only for the results that leave it; `integer_inverse`,
+the one inverse, and `sparse_mul`, the one matrix product, stay on
+integers.  The dense `rref` is the tests' reference only.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from typing import Iterable, Sequence
 
 Vec = list[Fraction]
 Matrix = list[list[Fraction]]
+SparseRow = dict[int, int]  # {column: nonzero int}
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -63,6 +63,20 @@ def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vec:
         raise ValueError("dimension mismatch")
     support = [(j, x) for j, x in enumerate(v) if x]
     return [sum((r[j] * x for j, x in support), ZERO) for r in m]
+
+
+def clear_denominators(x: Sequence) -> tuple[int, list[int]]:
+    """(den, den * x) for the least den that makes every entry an integer."""
+    den = math.lcm(1, *(a.denominator for a in x))
+    return den, [a.numerator * (den // a.denominator) for a in x]
+
+
+def integer_rows(rows: Sequence[Sequence]) -> tuple[int, list[SparseRow]]:
+    """(den, den * rows) for the least den that makes every entry of the rational
+    matrix given by its rows an integer, each row a sparse {column: nonzero int}."""
+    den, ints = clear_denominators([x for row in rows for x in row])
+    it = iter(ints)
+    return den, [{j: x for j in range(len(row)) if (x := next(it))} for row in rows]
 
 
 def sparse_mul(a: Sequence[dict], b: Sequence[dict]) -> list[dict]:
@@ -119,15 +133,16 @@ class AffineSolution:
 def solve_affine(a: Matrix, b: Sequence[Fraction]) -> AffineSolution | None:
     """Solve a·x = b exactly; None when the system is infeasible.
 
-    One `AffineSystem` of the rows of a with b.  Free variables are 0 in
-    the particular solution, and the nullspace basis is `Echelon.kernel`.
+    One `AffineSystem` of [a | b] through `integer_rows`.  Free variables are
+    0 in the particular solution, and the nullspace basis is `Echelon.kernel`.
     """
     if len(a) != len(b):
         raise ValueError("dimension mismatch between matrix and rhs")
     ncols = len(a[0]) if a else 0
     system = AffineSystem(ncols)
-    for row, bb in zip(a, b):
-        system.add(row, q(bb))
+    for row in integer_rows([[*row, q(bb)] for row, bb in zip(a, b)])[1]:
+        rhs = row.pop(ncols, 0)
+        system.add(row, rhs)
     particular = system.particular()
     if particular is None:
         return None
@@ -158,23 +173,11 @@ def integer_inverse(cols: Sequence[dict[int, int]]) -> tuple[int, list[dict[int,
     return den, [{k - n: x * (den // row[i]) for k, x in row.items() if k >= n} for i, row in enumerate(rows)]
 
 
-SparseRow = dict[int, Fraction]
-
-
-def _support(v: Sequence | SparseRow) -> dict:
-    """The nonzero entries of a dense sequence or a {column: value} dict, as a new dict."""
-    items = v.items() if isinstance(v, dict) else enumerate(v)
-    return {k: x for k, x in items if x}
-
-
-def _integral(w: dict) -> tuple[int, dict[int, int]]:
-    """(den, den * w) for the least den > 0 that makes every entry of w an
-    integer; w itself, with den 1, if its entries are ints."""
-    for x in w.values():
-        if type(x) is not int:
-            den = math.lcm(*(x.denominator for x in w.values()))
-            return den, {k: x.numerator * (den // x.denominator) for k, x in w.items()}
-    return 1, w
+def _copy(v: SparseRow) -> SparseRow:
+    """A copy of the sparse integer row v; ValueError if it holds a zero entry."""
+    if 0 in (w := dict(v)).values():
+        raise ValueError("a sparse row holds no zero entry")
+    return w
 
 
 def _primitive(w: dict[int, int], pivot: int) -> dict[int, int]:
@@ -197,13 +200,14 @@ class Echelon:
     pivot, and zero at every other pivot column.  So row p is the canonical
     RREF row of pivot p times the least positive integer that clears it, the
     same rows whatever the insertion order, and a reduction or an insertion
-    touches only the support of the rows it meets.  A Fraction input is
-    cleared once, on entry.
+    touches only the support of the rows it meets.
 
-    `add`, `reduce` and `contains` take a dense sequence or a sparse
-    {column: value} dict of ints or Fractions.  Fractions appear only where
-    a result leaves the class: `reduce`, `rows`, `basis` and `kernel` return
-    dense lists of Fractions, rows ordered by pivot.  `int_rows` is read-only.
+    `add`, `reduce` and `contains` take a `SparseRow` and copy it: a zero
+    entry raises ValueError and a dense list TypeError, and a Fraction entry
+    raises TypeError at its first gcd, so no Fraction is ever stored.
+    Fractions appear only where a result leaves the class: `reduce`, `rows`,
+    `basis` and `kernel` return dense Fraction lists, rows ordered by pivot.
+    `int_rows` is read-only.
     """
 
     def __init__(self, dim: int):
@@ -235,16 +239,16 @@ class Echelon:
                     del w[k]
         return scale
 
-    def reduce(self, v: Sequence | SparseRow) -> Vec:
-        den, w = _integral(_support(v))
-        den *= self._reduce(w)
+    def reduce(self, v: SparseRow) -> Vec:
+        w = _copy(v)
+        den = self._reduce(w)
         out = zero_vec(self.dim)
         for k, x in w.items():
             out[k] = Fraction(x, den)
         return out
 
-    def add(self, v: Sequence | SparseRow) -> bool:
-        return self._insert(_integral(_support(v))[1])
+    def add(self, v: SparseRow) -> bool:
+        return self._insert(_copy(v))
 
     def _insert(self, w: dict[int, int]) -> bool:
         self._reduce(w)
@@ -271,8 +275,8 @@ class Echelon:
         self.int_rows[p] = w
         return True
 
-    def contains(self, v: Sequence | SparseRow) -> bool:
-        w = _integral(_support(v))[1]
+    def contains(self, v: SparseRow) -> bool:
+        w = _copy(v)
         self._reduce(w)
         return not w
 
@@ -312,9 +316,7 @@ class Echelon:
             out.append(w)
         return out
 
-    @property
-    def basis(self) -> list[Vec]:
-        return self.rows
+    basis = rows
 
 
 class AffineSystem(Echelon):
@@ -330,12 +332,12 @@ class AffineSystem(Echelon):
         self.nvars = nvars
         self.infeasible = False
 
-    def add(self, coeffs: Sequence | SparseRow, rhs) -> None:
-        """Add coeffs·x = rhs, coeffs dense or a sparse {variable: value} dict."""
-        row = _support(coeffs)
+    def add(self, coeffs: SparseRow, rhs: int) -> None:
+        """Add coeffs·x = rhs, coeffs a sparse {variable: nonzero int} row."""
+        row = _copy(coeffs)
         if rhs:
             row[self.nvars] = rhs
-        self._insert(_integral(row)[1])
+        self._insert(row)
         self.infeasible = self.nvars in self.int_rows
 
     def particular(self) -> Vec | None:
@@ -352,17 +354,16 @@ class AffineSystem(Echelon):
 def echelon_of(vectors: Sequence[Sequence[Fraction]], dim: int) -> Echelon:
     """Echelon form of the span of `vectors`."""
     ech = Echelon(dim)
-    for v in vectors:
-        ech.add(v)
+    for row in integer_rows(vectors)[1]:
+        ech.add(row)
     return ech
 
 
 def subspace_contains(basis: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> bool:
     """True iff v lies in the span of `basis` (the empty span is {0})."""
-    for b in basis:
-        if len(b) != len(v):
-            raise ValueError("dimension mismatch")
-    return echelon_of(basis, len(v)).contains(v)
+    if any(len(b) != len(v) for b in basis):
+        raise ValueError("dimension mismatch")
+    return echelon_of(basis, len(v)).contains(integer_rows([v])[1][0])
 
 
 def filtration_depth(

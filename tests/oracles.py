@@ -60,6 +60,7 @@ from nilgrade.linalg import (
     Vec,
     echelon_of,
     identity,
+    integer_rows,
     mat_vec,
     q,
     rref,
@@ -68,6 +69,12 @@ from nilgrade.linalg import (
 )
 
 F = Fraction
+
+
+def integer_row(v) -> dict[int, int]:
+    """The rational vector v times the least integer that clears it, as the
+    sparse integer row `Echelon` takes."""
+    return integer_rows([v])[1][0]
 
 
 def mat_exp_nilpotent(m: Matrix) -> Matrix:
@@ -264,10 +271,10 @@ def is_grading_operator_echelon(g, f, d) -> bool:
     for i in range(1, c + 1):
         for v in f.basis(i):
             dv = mat_vec(rows, v)
-            if not levels[i - 1].contains(dv):
+            if not levels[i - 1].contains(integer_row(dv)):
                 return False
             shifted = [x - i * y for x, y in zip(dv, v)]
-            if not levels[i].contains(shifted):
+            if not levels[i].contains(integer_row(shifted)):
                 return False
     return True
 
@@ -289,7 +296,8 @@ def delta_depth(g, d, wp: tuple) -> int | None:
     for xs in product(*slots):
         value = delta_n(g, d, xs)
         if any(value):
-            depth = max(k for k, level in enumerate(levels, start=1) if level.contains(value))
+            row = integer_row(value)
+            depth = max(k for k, level in enumerate(levels, start=1) if level.contains(row))
             best = depth if best is None else min(best, depth)
             if best == sum(wp) + 1:
                 break
@@ -518,11 +526,11 @@ def adapted_basis_echelon(g, f) -> AdaptedBasis:
     for level in range(f.nilpotency_class, 0, -1):
         level_basis = f.basis(level)
         level_ech = echelon_of(level_basis, g.dim)
-        units = [unit_vec(g.dim, i) for i in range(g.dim) if level_ech.contains(unit_vec(g.dim, i))]
+        units = [unit_vec(g.dim, i) for i in range(g.dim) if level_ech.contains({i: 1})]
         for v in units + level_basis:
             if ech.rank == len(level_basis):
                 break
-            if ech.add(v):
+            if ech.add(integer_row(v)):
                 chosen.append((level, v))
     chosen.sort(key=lambda t: t[0])
     return AdaptedBasis(tuple(tuple(v) for _, v in chosen), tuple(d for d, _ in chosen))
@@ -564,7 +572,7 @@ def layer_one_generates(algebra, degrees) -> bool:
         for v in frontier:
             for base in units:
                 w = bracket(algebra, base, v)
-                if ech.add(w):
+                if ech.add(integer_row(w)):
                     new_frontier.append(w)
         frontier = new_frontier
     return ech.rank == n

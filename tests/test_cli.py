@@ -235,6 +235,10 @@ def test_unknown_catalog_name_prints_one_unquoted_line(capsys, verb):
         ("abelian(0)", "dimension must be positive"),
         ("central_product(3,2)", "need 2 <= i < j"),
         ("cp(1,2)", "need 2 <= i < j"),
+        # built in memory, so a family member's dimension is capped
+        ("filiform(100000000000000000000)", "dimension must be at most 1000"),
+        ("abelian(100000000000000000000)", "dimension must be at most 1000"),
+        ("central_product(2,100000000000000000000)", "dimension must be at most 1000"),
     ],
 )
 @pytest.mark.parametrize("verb", CATALOG_VERBS)

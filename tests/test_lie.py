@@ -10,7 +10,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import adapted_basis_echelon, dense_bracket, jacobi_violations_dense, lcs_rref, naive_mat_mul
+from oracles import (
+    adapted_basis_echelon,
+    dense_bracket,
+    integer_row,
+    jacobi_violations_dense,
+    lcs_rref,
+    naive_mat_mul,
+)
 
 from nilgrade import catalog
 from nilgrade.derivability import _setup, e_invariant
@@ -246,10 +253,10 @@ def matrix_lie_algebras_with_matrices(draw, min_class: int = 1):
         return [sum(a[r][k] * b[k][c] - b[r][k] * a[k][c] for k in range(m)) for r, c in slots]
 
     span = Echelon(len(slots))
-    new = [v for v in draw(st.lists(generator, min_size=2, max_size=3)) if span.add(v)]
+    new = [v for v in draw(st.lists(generator, min_size=2, max_size=3)) if span.add(integer_row(v))]
     spanning = list(new)
     while new:
-        new = [w for u in new for v in spanning if span.add(w := commutator(u, v))]
+        new = [w for u in new for v in spanning if span.add(integer_row(w := commutator(u, v)))]
         spanning += new
     basis, pivots = span.basis, span.pivots
     n = len(basis)
@@ -360,6 +367,18 @@ def test_ad_matches_scaled_bracket_under_change_of_basis(name, data):
     assert [out.get(k, 0) for k in range(n)] == scaled_bracket(moved, unit, [v.get(k, 0) for k in range(n)])
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_ENTRIES), st.data())
+def test_ad_ignores_explicit_zero_entries(name, data):
+    # the zero entries come first, where no term of the result is set yet
+    g = catalog.get(name).algebra
+    n = g.dim
+    i = data.draw(st.integers(0, n - 1))
+    v = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(-9, 9).filter(bool)))
+    zeros = data.draw(st.sets(st.integers(0, n - 1)))
+    assert g.ad(i, {**dict.fromkeys(zeros, 0), **v}) == g.ad(i, v)
+
+
 def test_jacobi_invariant_under_basis_permutation():
     # same algebra presented with the basis listed in another order
     original = catalog.get("g6_17").algebra
@@ -458,7 +477,7 @@ def test_lcs_equals_bracket_span():
             ech = Echelon(g.dim)
             for i in range(g.dim):
                 for v in f.basis(k):
-                    ech.add(bracket(g, unit_vec(g.dim, i), v))
+                    ech.add(integer_row(bracket(g, unit_vec(g.dim, i), v)))
             assert ech.basis == f.basis(k + 1), entry.name
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lcs_rref, naive_mat_mul, rref_mat_inv, rref_reduce, rref_solve_affine, rref_span
+from oracles import integer_row, lcs_rref, naive_mat_mul, rref_mat_inv, rref_reduce, rref_solve_affine, rref_span
 from test_lie import matrix_lie_algebras
 
 from nilgrade import catalog
@@ -21,6 +21,7 @@ from nilgrade.linalg import (
     filtration_depth,
     identity,
     integer_inverse,
+    integer_rows,
     mat_vec,
     matrix,
     rref,
@@ -126,6 +127,12 @@ def test_subspace_contains_matches_solver(rows, data):
     assert subspace_contains(basis, v) == (solve_affine(cols, v) is not None)
 
 
+def test_integer_rows_clears_a_matrix_with_its_least_denominator():
+    assert integer_rows([[F(1, 2), 0], [F(1, 3), 2]]) == (6, [{0: 3}, {0: 2, 1: 12}])
+    assert integer_rows([[0, 0], []]) == (1, [{}, {}])
+    assert integer_rows([]) == (1, [])
+
+
 def test_filtration_depth():
     chain = [[vec([1, 0]), vec([0, 1])], [vec([0, 1])], []]
     assert filtration_depth(chain, vec([0, 0])) == math.inf
@@ -148,11 +155,9 @@ def sparse_vectors(dim: int, max_count: int = 6):
 def test_echelon_matches_dense_rref(dim, data):
     vectors = data.draw(sparse_vectors(dim))
     order = data.draw(st.permutations(range(len(vectors))))
-    as_dict = data.draw(st.lists(st.booleans(), min_size=len(vectors), max_size=len(vectors)))
     ech = Echelon(dim)
     for i in order:
-        v = vectors[i]
-        ech.add({k: x for k, x in enumerate(v) if x} if as_dict[i] else v)
+        ech.add(integer_row(vectors[i]))
     rows, pivots = rref_span(vectors)
     assert ech.basis == rows
     assert ech.rows == rows
@@ -160,20 +165,54 @@ def test_echelon_matches_dense_rref(dim, data):
     assert ech.rank == len(rows)
     assert all(isinstance(x, F) for row in ech.basis for x in row)
     for v in data.draw(sparse_vectors(dim, 3)) + vectors:
-        assert ech.reduce(v) == rref_reduce(rows, pivots, v)
-        assert ech.contains(v) == (len(rref_span(vectors + [v])[0]) == len(rows))
-        assert ech.contains({k: x for k, x in enumerate(v) if x}) == ech.contains(v)
+        assert reduce_rational(ech, v) == rref_reduce(rows, pivots, v)
+        assert ech.contains(integer_row(v)) == (len(rref_span(vectors + [v])[0]) == len(rows))
+
+
+def reduce_rational(ech: Echelon, v) -> list:
+    """The reduced rational vector v, through `Echelon.reduce` of its integer row."""
+    den, (row,) = integer_rows([v])
+    return [x / den for x in ech.reduce(row)]
+
+
+def integer_equation(coeffs, rhs) -> tuple[dict[int, int], int]:
+    """coeffs·x = rhs cleared together, as `AffineSystem.add` takes it."""
+    row = integer_row([*coeffs, rhs])
+    rhs = row.pop(len(coeffs), 0)
+    return row, rhs
 
 
 def test_echelon_zero_vectors_and_dim_one():
     ech = Echelon(1)
-    assert not ech.add([0])
     assert not ech.add({})
-    assert ech.rank == 0 and ech.basis == [] and ech.contains([0])
-    assert ech.add([F(-3, 4)])
+    assert ech.rank == 0 and ech.basis == [] and ech.contains({})
+    assert ech.add({0: -3})
     assert ech.basis == [[F(1)]] and ech.pivots == [0]
     assert not ech.add({0: 5})
-    assert ech.reduce([7]) == [F(0)]
+    assert ech.reduce({0: 7}) == [F(0)]
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ({0: 1, 1: 0}, ValueError),  # a zero entry
+        ({0: F(1, 2)}, TypeError),  # a Fraction entry off the pivots
+        ({1: F(1, 2)}, TypeError),  # a Fraction entry at a pivot
+        ([1, 2], TypeError),  # a dense list
+    ],
+)
+def test_echelon_and_affine_system_take_only_sparse_integer_rows(row, error):
+    # anything else fails loudly and leaves the rows as they were
+    ech = Echelon(2)
+    ech.add({1: 3})
+    with pytest.raises(error):
+        ech.add(row)
+    assert ech.int_rows == {1: {1: 1}}
+    system = AffineSystem(2)
+    system.add({1: 3}, 1)
+    with pytest.raises(error):
+        system.add(row, 1)
+    assert system.int_rows == {1: {1: 3, 2: 1}}
 
 
 def matrices(rows: int, cols: int):
@@ -257,7 +296,7 @@ def test_solve_affine_and_nullspace_match_dense_oracle(system, data):
     # the same equations as sparse dicts, added in a shuffled order
     shuffled = AffineSystem(ncols)
     for r in data.draw(st.permutations(range(len(a)))):
-        shuffled.add({c: x for c, x in enumerate(a[r]) if x}, b[r])
+        shuffled.add(*integer_equation(a[r], b[r]))
     assert shuffled.infeasible == (oracle is None)
     assert shuffled.particular() == (None if oracle is None else oracle.particular)
 
@@ -298,8 +337,8 @@ large_entries = st.one_of(
 )
 
 
-def as_input(v, sparse: bool):
-    return {k: x for k, x in enumerate(v) if x} if sparse else v
+def sparse(v) -> dict:
+    return {k: x for k, x in enumerate(v) if x}
 
 
 def assert_canonical_int_rows(ech: Echelon, rows, pivots) -> None:
@@ -318,21 +357,19 @@ def assert_canonical_int_rows(ech: Echelon, rows, pivots) -> None:
 @given(st.integers(1, 6), st.data())
 def test_fraction_free_echelon_matches_dense_rref_at_large_entries(dim, data):
     vectors = data.draw(st.lists(st.lists(large_entries, min_size=dim, max_size=dim), max_size=6))
-    sparse = data.draw(st.lists(st.booleans(), min_size=len(vectors), max_size=len(vectors)))
     ech = Echelon(dim)
-    for v, as_dict in zip(vectors, sparse):
-        ech.add(as_input(v, as_dict))
+    for v in vectors:
+        ech.add(integer_row(v))
     rows, pivots = rref_span(vectors)
     assert ech.rows == ech.basis == rows
     kernel = rref_solve_affine(vectors, [0] * len(vectors)).nullspace_basis if vectors else identity(dim)
     assert ech.kernel(dim) == kernel
     assert_canonical_int_rows(ech, rows, pivots)
     for v in data.draw(st.lists(st.lists(large_entries, min_size=dim, max_size=dim), max_size=3)) + vectors:
-        for as_dict in (False, True):
-            reduced = ech.reduce(as_input(v, as_dict))
-            assert reduced == rref_reduce(rows, pivots, v)
-            assert all(isinstance(x, F) for x in reduced)
-            assert ech.contains(as_input(v, as_dict)) == (len(rref_span(vectors + [v])[0]) == len(rows))
+        reduced = reduce_rational(ech, v)
+        assert reduced == rref_reduce(rows, pivots, v)
+        assert all(isinstance(x, F) for x in reduced)
+        assert ech.contains(integer_row(v)) == (len(rref_span(vectors + [v])[0]) == len(rows))
 
 
 @settings(max_examples=100, deadline=None)
@@ -350,7 +387,7 @@ def test_reduce_against_rows_whose_integer_pivot_is_not_one(dim, data):
         vectors.append([0] * p + [d] + tail + [last])
     ech = Echelon(dim)
     for v in vectors:
-        assert ech.add(v)
+        assert ech.add(integer_row(v))
     rows, found = rref_span(vectors)
     assert found == pivots
     assert_canonical_int_rows(ech, rows, pivots)
@@ -358,18 +395,17 @@ def test_reduce_against_rows_whose_integer_pivot_is_not_one(dim, data):
     # that RREF row is the row over d, with a last entry of denominator d > 1
     assert any(row[p] != 1 for p, row in ech.int_rows.items())
     for v in data.draw(st.lists(st.lists(large_entries, min_size=dim, max_size=dim), min_size=1, max_size=4)):
-        assert ech.reduce(v) == rref_reduce(rows, pivots, v)
-        assert ech.reduce(as_input(v, True)) == rref_reduce(rows, pivots, v)
+        assert reduce_rational(ech, v) == rref_reduce(rows, pivots, v)
 
 
 def test_reduce_against_a_row_with_pivot_two():
     ech = Echelon(3)
-    assert ech.add([2, 3, 0])
+    assert ech.add({0: 2, 1: 3})
     assert ech.int_rows == {0: {0: 2, 1: 3}}
     assert ech.rows == [[F(1), F(3, 2), F(0)]]
-    assert ech.reduce([1, 0, 5]) == [F(0), F(-3, 2), F(5)]
-    assert ech.reduce({0: F(1, 3)}) == [F(0), F(-1, 2), F(0)]
-    assert not ech.contains([1, 1, 0]) and ech.contains([F(2, 7), F(3, 7), 0])
+    assert ech.reduce({0: 1, 2: 5}) == [F(0), F(-3, 2), F(5)]
+    assert reduce_rational(ech, [F(1, 3), 0, 0]) == [F(0), F(-1, 2), F(0)]
+    assert not ech.contains({0: 1, 1: 1}) and ech.contains(integer_row([F(2, 7), F(3, 7), 0]))
     assert ech.add({1: 4, 2: 6})
     assert ech.int_rows == {0: {0: 4, 2: -9}, 1: {1: 2, 2: 3}}
 
@@ -398,10 +434,9 @@ def test_fraction_free_affine_system_matches_dense_oracle_at_large_entries(syste
     a, b = system
     oracle = rref_solve_affine(a, b)
     assert solve_affine(a, b) == oracle
-    sparse = data.draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
     built = AffineSystem(len(a[0]) if a else 0)
     for r in data.draw(st.permutations(range(len(a)))):
-        built.add(as_input(a[r], sparse[r]), b[r])
+        built.add(*integer_equation(a[r], b[r]))
     assert built.infeasible == (oracle is None)
     particular = built.particular()
     assert particular == (None if oracle is None else oracle.particular)
@@ -448,6 +483,6 @@ def test_sparse_mul_matches_triple_loop(m, k, n, data):
     # k >= 1: the triple loop reads the column count off b's first row
     a = data.draw(matrices(m, k))
     b = data.draw(matrices(k, n))
-    product = sparse_mul([as_input(row, True) for row in a], [as_input(row, True) for row in b])
+    product = sparse_mul([sparse(row) for row in a], [sparse(row) for row in b])
     assert [[row.get(j, 0) for j in range(n)] for row in product] == naive_mat_mul(matrix(a), matrix(b))
     assert all(x for row in product for x in row.values())

@@ -96,3 +96,18 @@ def test_one_inverse_and_one_fraction_entry_to_the_integer_basis_change():
                         callers.add((path.name, top.name))
     assert inverses == {"integer_inverse"}
     assert callers == {("lie.py", "change_of_basis"), ("derivability.py", "_Setup")}
+
+
+def test_one_way_from_rationals_to_integers():
+    # rationals become integers in `linalg` (`clear_denominators` for a
+    # vector, `integer_rows` for a matrix); elsewhere a denominator is read
+    # only to split one rational, a dilation or a value under a float root
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "denominator":
+                    readers.add((path.name, getattr(top, "name", None)))
+    assert readers == {("bch.py", "law_difference_ladder"), ("goodman.py", "_root_float")}
