@@ -13,7 +13,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .derivability import ConditionSet, parse_condition_set
-from .lie import LieAlgebra, parse_algebra, serialize_algebra
+from .lie import _MAX_DIM, LieAlgebra, _sparse_table, parse_algebra, serialize_algebra
 
 
 class UnknownEntryError(KeyError):
@@ -173,8 +173,8 @@ for _entry in _STATIC:
 
 def _check_dim(dim: int) -> None:
     """A family member is built in memory, so its dimension is capped."""
-    if dim > 1000:
-        raise ValueError("dimension must be at most 1000")
+    if dim > _MAX_DIM:
+        raise ValueError(f"dimension must be at most {_MAX_DIM}")
 
 
 def abelian(n: int) -> LieAlgebra:
@@ -182,7 +182,7 @@ def abelian(n: int) -> LieAlgebra:
     if n < 1:
         raise ValueError("dimension must be positive")
     _check_dim(n)
-    return LieAlgebra(n, {})
+    return LieAlgebra._from_table(n, *_sparse_table({}), None)
 
 
 def filiform(n: int) -> LieAlgebra:
@@ -190,7 +190,7 @@ def filiform(n: int) -> LieAlgebra:
     if n < 3:
         raise ValueError("standard filiform needs dimension >= 3")
     _check_dim(n)
-    return LieAlgebra(n, {(0, k - 1): [int(m == k) for m in range(n)] for k in range(2, n)})
+    return LieAlgebra._from_table(n, *_sparse_table({(0, k - 1): {k: 1} for k in range(2, n)}), None)
 
 
 def central_product_filiform(i: int, j: int) -> LieAlgebra:
@@ -205,17 +205,13 @@ def central_product_filiform(i: int, j: int) -> LieAlgebra:
     _check_dim(dim)
     labels = ["X"] + [f"Y{p}" for p in range(1, i)] + ["U"] + [f"V{q}" for q in range(1, j + 1)]
     index = {lab: k for k, lab in enumerate(labels)}
-
-    def unit(lab: str) -> list[int]:
-        return [int(k == index[lab]) for k in range(dim)]
-
     brackets = {}
     for p in range(1, i - 1):
-        brackets[(index["X"], index[f"Y{p}"])] = unit(f"Y{p+1}")
-    brackets[(index["X"], index[f"Y{i-1}"])] = unit(f"V{j}")
+        brackets[(index["X"], index[f"Y{p}"])] = {index[f"Y{p+1}"]: 1}
+    brackets[(index["X"], index[f"Y{i-1}"])] = {index[f"V{j}"]: 1}
     for qq in range(1, j):
-        brackets[(index["U"], index[f"V{qq}"])] = unit(f"V{qq+1}")
-    return LieAlgebra(dim, brackets, labels)
+        brackets[(index["U"], index[f"V{qq}"])] = {index[f"V{qq+1}"]: 1}
+    return LieAlgebra._from_table(dim, *_sparse_table(brackets), labels)
 
 
 # the closing parenthesis is required iff the opening one is there

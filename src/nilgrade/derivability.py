@@ -200,11 +200,10 @@ def _adapted_operator(d: GradingOperator, setup: _Setup) -> tuple[int, list[Spar
     dd, m_rows = integer_rows(d.matrix)
     rows = sparse_mul(sparse_mul(setup.q_rows, m_rows), setup.p_rows)
     den = setup.q_den * dd
-    free = setup.free
     for a, row in enumerate(rows):
         if row.get(a, 0) != degrees[a] * den:
             return None
-        if any(b != a and (a, b) not in free for b in row):
+        if any(b != a and a not in setup.var_at[b] for b in row):
             return None
     return den, rows
 
@@ -306,7 +305,6 @@ class _Setup:
         # free positions (a, b), column-major: degree(a) > degree(b), so a grading operator
         # may differ from diag(degrees) there; N e_b = e_a; var_at[b] maps a to the variable
         self.positions = [(a, b) for b in range(n) for a in range(self.first_at_least[degrees[b] + 1], n)]
-        self.free = set(self.positions)
         self.var_at: list[dict[int, int]] = [{} for _ in range(n)]
         for var, (a, b) in enumerate(self.positions):
             self.var_at[b][a] = var

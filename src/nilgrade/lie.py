@@ -297,7 +297,7 @@ def lower_central_series(g: LieAlgebra) -> Filtration:
         # [g, F_k] ⊆ [g, F_{k-1}] by bilinearity, so equal dims mean a stall
         if len(images) == len(spanning):
             raise NotNilpotentError("lower central series does not reach zero")
-        chain.append(tuple(ech.int_rows[p] for p in ech.pivots))
+        chain.append(tuple(ech.int_rows.values()))
         spanning = images
     filtration = Filtration(tuple(chain), len(chain) - 1, g.dim)
     g._lcs_cache = filtration
@@ -416,6 +416,7 @@ def algebra_in_integer_basis(
 
 
 _LABEL = r"[A-Za-z_]\w*"  # a basis label: anything else misreads in a bracket's terms
+_MAX_DIM = 1000  # an algebra is built in memory, so its dimension is capped
 _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+(?:/\d+)?)\s*\*?\s*)?(?P<label>" + _LABEL + r")\s*"
 )
@@ -490,6 +491,8 @@ def parse_algebra(text: str) -> LieAlgebra:
                 raise AlgebraFormatError(f"malformed dim ({where})") from exc
             if dim <= 0:
                 raise AlgebraFormatError(f"dim must be positive ({where})")
+            if dim > _MAX_DIM:
+                raise AlgebraFormatError(f"dim must be at most {_MAX_DIM} ({where})")
         elif keyword == "basis":
             if dim is None:
                 raise AlgebraFormatError(f"basis before dim ({where})")
@@ -548,11 +551,10 @@ def serialize_algebra(g: LieAlgebra, degrees: Sequence[int] | None = None) -> st
         lines.append("# degrees: " + " ".join(str(d) for d in degrees))
     lines.append(f"dim {g.dim}")
     lines.append("basis " + " ".join(g.labels))
-    for (i, j), v in sorted(g.brackets.items()):
+    for i, j, entries in g.table:
         terms = []
-        for k, c in enumerate(v):
-            if c == 0:
-                continue
+        for k, s in entries:
+            c = Fraction(s, g.sigma)
             mag = f"{abs(c)} " if abs(c) != 1 else ""
             if not terms:
                 sign = "-" if c < 0 else ""

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 Vec = list[Fraction]
@@ -168,7 +169,7 @@ def integer_inverse(cols: Sequence[dict[int, int]]) -> tuple[int, list[dict[int,
         ech.add(row)
     if ech.pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    rows = [ech.int_rows[i] for i in range(n)]
+    rows = list(ech.int_rows.values())
     den = math.lcm(*(row[i] for i, row in enumerate(rows)))
     return den, [{k - n: x * (den // row[i]) for k, x in row.items() if k >= n} for i, row in enumerate(rows)]
 
@@ -192,48 +193,55 @@ def _primitive(w: dict[int, int], pivot: int) -> dict[int, int]:
 
 
 class Echelon:
-    """Incrementally maintained reduced echelon basis of a subspace.
+    """Incrementally built echelon basis of a subspace.
 
-    The elimination is fraction-free: each row is stored in `int_rows`,
-    keyed by its pivot column, as a sparse {column: int} dict over its
-    nonzero entries, primitive (its entries have gcd 1) and with a positive
-    pivot, and zero at every other pivot column.  So row p is the canonical
-    RREF row of pivot p times the least positive integer that clears it, the
-    same rows whatever the insertion order, and a reduction or an insertion
-    touches only the support of the rows it meets.
+    The elimination is fraction-free, with one loop, `_reduce`.  `add`
+    reduces the new row against the stored rows and stores it, keyed by its
+    pivot column, as a sparse {column: int} dict over its nonzero entries,
+    primitive (its entries have gcd 1) and with a positive pivot; no stored
+    row changes afterwards.  `int_rows` back-substitutes on read: its row p
+    is the canonical RREF row of pivot p times the least positive integer
+    that clears it, the same rows whatever the insertion order.
 
     `add`, `reduce` and `contains` take a `SparseRow` and copy it: a zero
     entry raises ValueError and a dense list TypeError, and a Fraction entry
     raises TypeError at its first gcd, so no Fraction is ever stored.
     Fractions appear only where a result leaves the class: `reduce`, `rows`,
     `basis` and `kernel` return dense Fraction lists, rows ordered by pivot.
-    `int_rows` is read-only.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.int_rows: dict[int, dict[int, int]] = {}
+        self._rows: dict[int, dict[int, int]] = {}
 
-    def _reduce(self, w: dict[int, int]) -> int:
-        """Clear every pivot column of the integer w in place; w is then s
-        times the reduced vector, for the returned s > 0."""
-        # each row is zero on every other pivot column, so subtracting it
-        # clears its own pivot in w and creates no entry at another pivot
-        rows = self.int_rows
+    @staticmethod
+    def _reduce(w: dict[int, int], rows: dict[int, dict[int, int]]) -> int:
+        """Clear every column of the integer w that is a pivot of `rows` in
+        place; w is then s times the reduced vector, for the returned s > 0."""
+        # a row is zero left of its pivot, so clearing w's pivot columns in
+        # increasing order, from a heap, adds entries only at later columns
+        heap = [p for p in w if p in rows]
+        heapify(heap)
         scale = 1
-        for p in [p for p in w if p in rows]:
+        while heap:
+            p = heappop(heap)
+            if p not in w:  # cancelled, or pushed twice
+                continue
             row = rows[p]
             f, d = w[p], row[p]
             g = math.gcd(f, d)
-            f //= g
-            d //= g
+            f, d = f // g, d // g
             if d != 1:
                 scale *= d
                 for k in w:
                     w[k] *= d
             for k, y in row.items():
-                t = w.get(k, 0) - f * y
-                if t:
+                t = w.get(k)
+                if t is None:
+                    w[k] = -f * y
+                    if k in rows:
+                        heappush(heap, k)
+                elif t := t - f * y:
                     w[k] = t
                 else:
                     del w[k]
@@ -241,7 +249,7 @@ class Echelon:
 
     def reduce(self, v: SparseRow) -> Vec:
         w = _copy(v)
-        den = self._reduce(w)
+        den = self._reduce(w, self._rows)
         out = zero_vec(self.dim)
         for k, x in w.items():
             out[k] = Fraction(x, den)
@@ -251,34 +259,31 @@ class Echelon:
         return self._insert(_copy(v))
 
     def _insert(self, w: dict[int, int]) -> bool:
-        self._reduce(w)
+        self._reduce(w, self._rows)
         if not w:
             return False
         p = min(w)
-        w = _primitive(w, p)
-        d = w[p]
-        for r, row in self.int_rows.items():
-            f = row.get(p)
-            if f:
-                g = math.gcd(d, f)
-                a, f = d // g, f // g
-                if a != 1:
-                    for k in row:
-                        row[k] *= a
-                for k, y in w.items():
-                    t = row.get(k, 0) - f * y
-                    if t:
-                        row[k] = t
-                    else:
-                        del row[k]
-                _primitive(row, r)
-        self.int_rows[p] = w
+        self._rows[p] = _primitive(w, p)
         return True
 
     def contains(self, v: SparseRow) -> bool:
         w = _copy(v)
-        self._reduce(w)
+        self._reduce(w, self._rows)
         return not w
+
+    @property
+    def int_rows(self) -> dict[int, dict[int, int]]:
+        """The canonical rows by increasing pivot, read-only: from the last
+        pivot up, a stored row with an entry at a later pivot is reduced
+        against the later canonical rows and made primitive."""
+        rows, out = self._rows, {}
+        for p in sorted(rows, reverse=True):
+            row = rows[p]
+            if any(k in out for k in row):  # out holds the later pivots only
+                self._reduce(row := dict(row), out)
+                _primitive(row, p)
+            out[p] = row
+        return dict(reversed(out.items()))
 
     def kernel(self, ncols: int) -> list[Vec]:
         """Basis of the x in Q^ncols at which every row vanishes, for rows with
@@ -299,17 +304,16 @@ class Echelon:
 
     @property
     def rank(self) -> int:
-        return len(self.int_rows)
+        return len(self._rows)
 
     @property
     def pivots(self) -> list[int]:
-        return sorted(self.int_rows)
+        return sorted(self._rows)
 
     @property
     def rows(self) -> list[Vec]:
         out = []
-        for p in self.pivots:
-            row = self.int_rows[p]
+        for p, row in self.int_rows.items():
             w = zero_vec(self.dim)
             for k, x in row.items():
                 w[k] = Fraction(x, row[p])
@@ -338,7 +342,7 @@ class AffineSystem(Echelon):
         if rhs:
             row[self.nvars] = rhs
         self._insert(row)
-        self.infeasible = self.nvars in self.int_rows
+        self.infeasible = self.nvars in self._rows
 
     def particular(self) -> Vec | None:
         """The solution with every free variable 0, or None if infeasible."""

@@ -249,6 +249,19 @@ def test_catalog_family_parameter_out_of_range_is_usage_error(capsys, verb, name
     assert err == f"error: catalog entry {name!r}: {constraint}\n"
 
 
+def test_dim_above_the_family_cap_is_a_parse_error(capsys, tmp_path):
+    # an algebra is built in memory, so a file's dim is capped like a catalog
+    # family member's dimension; the cap itself is read
+    path = tmp_path / "big.alg"
+    path.write_text("dim 1001\n")
+    code, out, err = run_capture(capsys, ["check", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: parse error in {str(path)!r}: dim must be at most 1000 (line 1)\n"
+    path.write_text("dim 1000\n")
+    assert run_capture(capsys, ["check", str(path)])[0] == 0
+
+
 def test_unreadable_file_is_usage_error(capsys):
     code, _, err = run_capture(capsys, ["check", "/no/such/file.alg"])
     assert code == 2

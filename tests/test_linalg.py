@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +14,8 @@ from oracles import integer_row, lcs_rref, naive_mat_mul, rref_mat_inv, rref_red
 from test_lie import matrix_lie_algebras
 
 from nilgrade import catalog
-from nilgrade.lie import lower_central_series
+from nilgrade.derivability import e_invariant
+from nilgrade.lie import LieAlgebra, lower_central_series
 from nilgrade.linalg import (
     AffineSystem,
     Echelon,
@@ -370,6 +372,69 @@ def test_fraction_free_echelon_matches_dense_rref_at_large_entries(dim, data):
         assert reduced == rref_reduce(rows, pivots, v)
         assert all(isinstance(x, F) for x in reduced)
         assert ech.contains(integer_row(v)) == (len(rref_span(vectors + [v])[0]) == len(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_forward_insertion_and_back_substitution_on_read_give_the_rref_rows(dim, data):
+    # `add` reduces only the new row and stores it, and `int_rows`
+    # back-substitutes on read; reads at any point between insertions see the
+    # canonical rows of the span so far, and no later `add` replaces or
+    # changes a stored row or a row that a read handed out
+    vectors = data.draw(st.lists(st.lists(sparse_entries, min_size=dim, max_size=dim), max_size=8))
+    ech = Echelon(dim)
+    added: list = []
+    seen: list = []  # (row dict, a copy of it when it was seen)
+    for v in data.draw(st.permutations(vectors)):
+        stored = dict(ech._rows)
+        ech.add(integer_row(v))
+        added.append(v)
+        assert all(ech._rows[p] is row for p, row in stored.items())
+        seen += [(row, dict(row)) for row in ech._rows.values()]
+        if data.draw(st.booleans()):
+            canonical = ech.int_rows
+            assert_canonical_int_rows(ech, *rref_span(added))
+            seen += [(row, dict(row)) for row in canonical.values()]
+        assert all(row == copy for row, copy in seen)
+    rows, pivots = rref_span(vectors)
+    assert_canonical_int_rows(ech, rows, pivots)
+    assert ech.rows == rows and ech.pivots == pivots and ech.rank == len(rows)
+    for v in data.draw(sparse_vectors(dim, 3)) + vectors:
+        assert reduce_rational(ech, v) == rref_reduce(rows, pivots, v)
+        assert ech.contains(integer_row(v)) == (len(rref_span(vectors + [v])[0]) == len(rows))
+    assert all(row == copy for row, copy in seen)
+
+
+def direct_sum(algebras: list[LieAlgebra]) -> LieAlgebra:
+    dim = sum(g.dim for g in algebras)
+    brackets, offset = {}, 0
+    for g in algebras:
+        for (i, j), v in g.brackets.items():
+            w = [0] * dim
+            w[offset : offset + g.dim] = v
+            brackets[(offset + i, offset + j)] = w
+        offset += g.dim
+    return LieAlgebra(dim, brackets)
+
+
+def test_elimination_scales_to_the_dimension_cap():
+    # an insertion reduces only the new row, so a span of rank r costs no
+    # O(r) scan per row: on a 2-vCPU x86 host the lower central series of
+    # filiform(1000) takes 1.7-2.3 s (10-14 s when each insertion rewrote the
+    # stored rows) and the e-scan of 16 copies of g7_0_8 + g6_11 (dim 208)
+    # 0.12-0.14 s (0.8-1.0 s); each bound leaves 3x headroom
+    g = catalog.filiform(1000)
+    start = time.perf_counter()
+    f = lower_central_series(g)
+    elapsed = time.perf_counter() - start
+    assert f.nilpotency_class == 999 and f.quotient_dims == (2,) + (1,) * 998
+    assert elapsed < 7.0, elapsed
+    g = direct_sum([catalog.get("g7_0_8").algebra, catalog.get("g6_11").algebra] * 16)
+    start = time.perf_counter()
+    e = e_invariant(g).e
+    elapsed = time.perf_counter() - start
+    assert g.dim == 208 and e == F(4, 5)
+    assert elapsed < 0.45, elapsed
 
 
 @settings(max_examples=100, deadline=None)
