@@ -110,12 +110,15 @@ def carnot_pair(g: LieAlgebra, d: GradingOperator) -> tuple[LieAlgebra, CarnotAl
 
     The k-th eigenbasis vector of layer i is labelled "v{i}_{k}".  Both
     algebras share these coordinates, so their group laws can be compared
-    pointwise; the grading and the eigenbasis are computed once.
+    pointwise; the grading and the eigenbasis are computed once.  The
+    layers from i on span F_i (see `grading_from_operator`), so g_eig's
+    lower central series is seeded from the layer degrees, not recomputed.
     """
     grading = grading_from_operator(g, d)
     layers = enumerate(grading.layers, start=1)
     labels = [f"v{i}_{k}" for i, layer in layers for k in range(1, len(layer) + 1)]
     g_eig = lie.change_of_basis(g, grading.eigenbasis, labels)
+    lie._seed_graded_series(g_eig, grading.degrees)
     return g_eig, carnot_algebra(g_eig, grading.degrees)
 
 

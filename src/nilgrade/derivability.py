@@ -136,15 +136,23 @@ def enumerate_S(c: int) -> ConditionSet:
     return frozenset(conditions)
 
 
+@lru_cache(maxsize=None)
+def _ratio_groups(c: int) -> tuple[tuple[Fraction, tuple[tuple[int, int], ...]], ...]:
+    """The positive candidates i/j, 2 <= i < j <= c, by decreasing value, each
+    with every (S, d) pair, 2 <= S < d <= c, of ratio S/d equal to it, by
+    increasing S.  The one definition of the candidate set at class c."""
+    groups: dict[Fraction, list[tuple[int, int]]] = {}
+    for d in range(3, c + 1):
+        for s in range(2, d):
+            groups.setdefault(Fraction(s, d), []).append((s, d))
+    return tuple((r, tuple(sorted(groups[r]))) for r in sorted(groups, reverse=True))
+
+
 def candidate_values(c: int) -> list[Fraction]:
     """{0} with all ratios i/j for 2 <= i < j <= c, sorted increasing."""
     if c < 2:
         raise ValueError("need c >= 2")
-    values = {Fraction(0)}
-    for j in range(3, c + 1):
-        for i in range(2, j):
-            values.add(Fraction(i, j))
-    return sorted(values)
+    return [Fraction(0)] + [r for r, _ in reversed(_ratio_groups(c))]
 
 
 def r_condition_set(c: int, r: Fraction) -> ConditionSet:
@@ -300,6 +308,8 @@ class _Setup:
         self.adapted = lie.algebra_in_integer_basis(g, p_cols, self.q_rows, dp * self.q_den)
         self.ad = self.adapted.ad
         self.rows = self.adapted._signed_rows  # [e_i, w] = 0 when rows[i] misses w's support
+        # the largest degree of an index whose bracket with e_b is nonzero, 0 if none
+        self.top_partner = [max((degrees[j] for j in row), default=0) for row in self.rows]
         # first adapted index of each degree (degrees are nondecreasing)
         self.first_at_least = [next((i for i in range(n) if degrees[i] >= d), n) for d in range(self.c + 2)]
         # free positions (a, b), column-major: degree(a) > degree(b), so a grading operator
@@ -319,7 +329,9 @@ class _Setup:
         rows = self.rows
         suffix, brackets = node.suffix, node.brackets
         row_b = rows[b].keys()
-        new_repl = {var: bw for var, w in node.repl.items() if not row_b.isdisjoint(w) and (bw := ad(b, w))}
+        new_repl = {}
+        if self.top_partner[b] > node.degsum:  # else row_b misses F_{degsum+1}, where every repl vector lies
+            new_repl = {var: bw for var, w in node.repl.items() if not row_b.isdisjoint(w) and (bw := ad(b, w))}
         if suffix and not node.children:
             brackets.update({i: w for i in sorted({i for j in suffix for i in rows[j]}) if (w := ad(i, suffix))})
         var_at = self.var_at[b]
@@ -371,9 +383,10 @@ def _setup(g: LieAlgebra) -> _Setup:
 def _clamp_conditions(conditions: Iterable[DerivCondition], c: int) -> set[DerivCondition]:
     """Project conditions to nilpotency class c and drop trivial ones.
 
-    Dominated conditions stay (see `_antichain`): their rows are among
-    their dominator's, so the row space, and with it the canonical RREF
-    and the witness, is the same with or without them.
+    Dominated conditions stay.  (wp'|j') dominates (wp|j) if the tuples have
+    the same length, wp' <= wp entrywise and j <= j'; then every row of
+    (wp|j) is among its dominator's, so the row space, and with it the
+    canonical RREF and the witness, is the same with or without them.
     """
     clamped = set()
     for cond in conditions:
@@ -383,24 +396,44 @@ def _clamp_conditions(conditions: Iterable[DerivCondition], c: int) -> set[Deriv
     return clamped
 
 
-@lru_cache(maxsize=None)
-def _antichain(c: int, r: Fraction) -> tuple[DerivCondition, ...]:
-    """The conditions of `r_condition_set(c, r)` that no other one dominates.
+def _path_rows(setup: _Setup, node: _Node, max_coord: int) -> Iterator[tuple[int, SparseVec, int]]:
+    """Yield the affine rows (coord, coeffs, rhs) of the trie path `node`, one
+    per adapted coordinate below max_coord at which its value is nonzero.
 
-    (wp'|j') dominates (wp|j) if the tuples have the same length, wp' <= wp
-    entrywise and j <= j'.  A dominator has the same level (`_level` grows
-    with the sum), and within one (length, level) lowering entries takes a
-    tuple to a dominator of the least admissible sum.  So the antichain is
-    the normalized tuples of that sum per (length, level), by length, sum,
-    then lexicographically.  It depends on no algebra, like `bch_table(c)`.
+    With v the path's suffix and S its degree sum, the value is
+    (D0 - S) v + sum_m x_m (v_{col(m)} e_{row(m)}) - repl, which lies in
+    F_{S+1}: v lies in F_S, where D0 acts as S, and the free entries of N
+    and the replacement brackets reach only F_{S+1}.  So every coord has
+    degree above S.
     """
-    out: list[DerivCondition] = []
-    for n in range(2, c):
-        least: dict[int, int] = {}  # level -> least sum; admissible iff any sum is
-        for total in range(n, c):
-            least.setdefault(_level(total, c, r), total)
-        out += (DerivCondition(wp, j) for j, s in least.items() if j > s for wp in _normalized(s, n))
-    return tuple(out)
+    degrees = setup.degrees
+    var_at = setup.var_at
+    degsum = node.degsum
+    rows: dict[int, SparseVec] = {}
+    rhs: SparseVec = {}
+    for coord, val in node.suffix.items():
+        if coord < max_coord:
+            diff = (degrees[coord] - degsum) * val
+            if diff:
+                rhs[coord] = -diff
+        for a, var in var_at[coord].items():
+            if a < max_coord:
+                entry = rows.setdefault(a, {})
+                entry[var] = entry.get(var, 0) + val
+    for var, w in node.repl.items():
+        for coord, val in w.items():
+            if coord < max_coord and val:
+                entry = rows.setdefault(coord, {})
+                t = entry.get(var, 0) - val
+                if t:
+                    entry[var] = t
+                else:
+                    entry.pop(var, None)
+    for coord in set(rows) | set(rhs):
+        coeffs = rows.get(coord, {})
+        b = rhs.get(coord, 0)
+        if coeffs or b:
+            yield coord, coeffs, b
 
 
 def _condition_rows(setup: _Setup, cond: DerivCondition) -> Iterator[tuple[SparseVec, int]]:
@@ -411,21 +444,18 @@ def _condition_rows(setup: _Setup, cond: DerivCondition) -> Iterator[tuple[Spars
     direction is an elementary matrix, walking the setup's path trie over
     tuple slots from the right: the condition only picks the children
     (degrees >= wp) and the depth, so each bracket is computed once per
-    `_Setup`, while the rows are emitted per condition.  The walk enters
-    only paths whose degree sum, plus wp's entries for the slots still to
-    fill, stays below the level; since degrees are nondecreasing that is an
-    upper index bound per slot.  It is exact: on a path of degree sum
-    s >= level the suffix lies in F_s, where D0 acts as s, and the free
-    entries of N and the replacement brackets reach only F_{s+1}, beyond
-    `max_coord`; so the path emits no row, and the stream is the unbounded
-    walk's, row for row.  The brackets run
-    on integers: a vector at trie depth k carries the scale sigma^k, so
-    each row is the true row times sigma^(n-1), which leaves the echelon
-    form, with its unit pivots, unchanged.
+    `_Setup`, while the rows (`_path_rows`, at the coordinates of degree
+    <= level) are emitted per condition.  The walk enters only paths whose
+    degree sum, plus wp's entries for the slots still to fill, stays below
+    the level; since degrees are nondecreasing that is an upper index bound
+    per slot.  It is exact: a path of degree sum s >= level has its rows at
+    degrees above s, beyond the level, so it emits none, and the stream is
+    the unbounded walk's, row for row.  The brackets run on integers: a
+    vector at trie depth k carries the scale sigma^k, so each row is the
+    true row times sigma^(n-1), which leaves the echelon form, with its
+    unit pivots, unchanged.
     """
     n = len(cond.wp)
-    degrees = setup.degrees
-    var_at = setup.var_at
     extend = setup.extend
     first_at_least = setup.first_at_least
     top = setup.c + 1
@@ -439,7 +469,8 @@ def _condition_rows(setup: _Setup, cond: DerivCondition) -> Iterator[tuple[Spars
 
     def recurse(slot: int, node: _Node):
         if slot == 0:
-            yield from _emit_rows(node.suffix, node.repl, node.degsum)
+            for _, coeffs, rhs in _path_rows(setup, node, max_coord):
+                yield coeffs, rhs
             return
         children = node.children
         for b in range(starts[slot - 1], min(node.limit, end(node.degsum, slot - 1))):
@@ -447,38 +478,67 @@ def _condition_rows(setup: _Setup, cond: DerivCondition) -> Iterator[tuple[Spars
             if kid is not None:
                 yield from recurse(slot - 1, kid)
 
-    def _emit_rows(value: SparseVec, repl: dict[int, SparseVec], degsum: int):
-        # affine value: (D0 - degsum) v + sum_m x_m (v_{col(m)} e_{row(m)}) - repl
-        rows: dict[int, SparseVec] = {}
-        rhs: SparseVec = {}
-        for coord, val in value.items():
-            if coord < max_coord:
-                diff = (degrees[coord] - degsum) * val
-                if diff:
-                    rhs[coord] = -diff
-            for a, var in var_at[coord].items():
-                if a < max_coord:
-                    entry = rows.setdefault(a, {})
-                    entry[var] = entry.get(var, 0) + val
-        for var, w in repl.items():
-            for coord, val in w.items():
-                if coord < max_coord and val:
-                    entry = rows.setdefault(coord, {})
-                    t = entry.get(var, 0) - val
-                    if t:
-                        entry[var] = t
-                    else:
-                        entry.pop(var, None)
-        for coord in set(rows) | set(rhs):
-            coeffs = rows.get(coord, {})
-            b = rhs.get(coord, 0)
-            if coeffs or b:
-                yield coeffs, b
-
     # outermost slot is the last one so suffixes can be built right-to-left;
     # substituting into that slot replaces it by a single basis vector
     for root in setup.roots[starts[n - 1] : end(0, n - 1)]:
         yield from recurse(n - 1, root)
+
+
+def _paths_of_sum(setup: _Setup, node: _Node, total: int) -> Iterator[_Node]:
+    """Yield the trie paths of degree sum `total` that extend `node`, lazily.
+
+    Each next index keeps the sum within total; since degrees are
+    nondecreasing that is an upper index bound per step.  It recurses as a
+    module-level function, so no closure cycle keeps the setup alive after
+    the walk.
+    """
+    room = total - node.degsum
+    if not room:
+        yield node
+        return
+    children = node.children
+    for b in range(min(node.limit, setup.first_at_least[min(room + 1, setup.c + 1)])):
+        kid = children[b] if b in children else setup.extend(node, b)
+        if kid is not None:
+            yield from _paths_of_sum(setup, kid, total)
+
+
+def _ratio_rows(setup: _Setup) -> Iterator[tuple[Fraction, SparseVec, int]]:
+    """Yield every path row as (ratio, coeffs, rhs), by decreasing ratio, lazily.
+
+    A path of degree sum S has its rows at coordinates of degree d > S
+    (`_path_rows`); the row at a degree-d coordinate has ratio S/d, a
+    candidate of `_ratio_groups`.  The conditions of ratio above r ask of
+    that path exactly the coordinates with d <= min(c, ceil(S/r) - 1), that
+    is, those with S/d > r; so the candidate-r system of `e_invariant` is
+    the rows of ratio above r, and the stream lists each candidate's rows
+    once, as a prefix.
+
+    Each S has one walk over the paths of sum S (`_paths_of_sum` from every
+    root of degree below S), at its pair (S, S + 1), the largest of its
+    ratios: it yields the degree-(S + 1) rows and keeps the
+    rows of every other degree in per-(S, d) buckets until their pair comes.
+    The buckets live as long as the generator.
+    """
+    c = max(setup.c, 2)
+    degrees = setup.degrees
+    dim = setup.dim
+    buckets: dict[int, list[list[tuple[SparseVec, int]]]] = {}  # S -> rows by degree
+    for ratio, pairs in _ratio_groups(c):
+        for s, d in pairs:
+            if d > s + 1:
+                rows, buckets[s][d] = buckets[s][d], []
+                for coeffs, rhs in rows:
+                    yield ratio, coeffs, rhs
+                continue
+            later = buckets[s] = [[] for _ in range(c + 1)]
+            for root in setup.roots[: setup.first_at_least[s]]:  # a root alone falls short of s
+                for node in _paths_of_sum(setup, root, s):
+                    for coord, coeffs, rhs in _path_rows(setup, node, dim):
+                        if degrees[coord] == d:
+                            yield ratio, coeffs, rhs
+                        else:
+                            later[degrees[coord]].append((coeffs, rhs))
 
 
 def _feasibility(setup: _Setup, clamped: Iterable[DerivCondition]) -> GradingOperator | None:
@@ -516,36 +576,22 @@ def e_of_operator(g: LieAlgebra, d: GradingOperator) -> Fraction:
     Equals the maximum of |wp| / depth(wp) over normalized tuples, where
     depth(wp) is the filtration depth of the span of all Delta values on
     adapted tuples of degrees >= wp (tuples with zero span are skipped).
-    It is computed as the least candidate r such that d meets every
-    condition of the antichain `_antichain(c, r)`, which rests on three
-    facts: |wp| / depth is always a candidate i/j; d meets (wp|j) iff
-    depth(wp) >= j + 1; and for a fixed d, meeting a condition implies
-    meeting every condition it dominates.  d meets a condition iff every
-    row `_condition_rows` emits for it holds at x_D, the free entries of d
-    in adapted coordinates.  The same p^-1 d p first runs the
-    `is_grading_operator` test, raising OperatorNotInDError if d fails.
+    The conditions of ratio above r hold at d iff every row of
+    `_ratio_rows` of ratio above r holds at x_D, the free entries of d in
+    adapted coordinates; so e_D is the ratio of the first row of that
+    stream violated at x_D, or 0 if none is.  The same p^-1 d p first runs
+    the `is_grading_operator` test, raising OperatorNotInDError if d fails.
     """
     setup = _setup(g)
     d_ad = _adapted_operator(d, setup)
     if d_ad is None:
         raise OperatorNotInDError("matrix is not a grading operator of the lower central series")
-    c = max(setup.c, 2)  # at class <= 2 every antichain is empty: e is 0 and no row is streamed
     scale, rows = d_ad
     point = [rows[a].get(b, 0) for a, b in setup.positions]
-    met: dict[DerivCondition, bool] = {}
-
-    def meets(cond: DerivCondition) -> bool:
-        if cond not in met:
-            met[cond] = all(
-                sum(c * point[var] for var, c in coeffs.items()) == rhs * scale
-                for coeffs, rhs in _condition_rows(setup, cond)
-            )
-        return met[cond]
-
-    for r in candidate_values(c):
-        if all(meets(cond) for cond in _antichain(c, r)):
-            return r
-    raise AssertionError("the top candidate has no conditions")
+    for ratio, coeffs, rhs in _ratio_rows(setup):
+        if sum(c * point[var] for var, c in coeffs.items()) != rhs * scale:
+            return ratio
+    return Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -557,13 +603,21 @@ class EInvariantResult:
 def e_invariant(g: LieAlgebra) -> EInvariantResult:
     """Smallest r in the candidate set whose condition set is feasible.
 
-    Feasibility is monotone in r, so the scan stops at the first
-    success; the witness is the deterministic particular solution.
+    The candidate-r system is the rows of `_ratio_rows` of ratio above r,
+    so one `AffineSystem` takes the stream's ratio groups in decreasing
+    order, with a copy of it (`Echelon.copy`) before each group.  The first
+    group that makes it infeasible has ratio e, and the copy before it is
+    the candidate-e system; if none does, e = 0 and the system is the full
+    one.  The witness is that system's deterministic particular solution,
+    which depends on its row space only.
     """
     setup = _setup(g)
-    c = max(setup.c, 2)  # below class 2, as at class 2, there are no conditions
-    for r in candidate_values(c):
-        witness = _feasibility(setup, _antichain(c, r))
-        if witness is not None:
-            return EInvariantResult(r, witness)
-    raise AssertionError("empty condition set at the top candidate must be feasible")
+    system = before = AffineSystem(len(setup.positions))
+    ratio = None
+    for r, coeffs, rhs in _ratio_rows(setup):
+        if r is not ratio:  # a group's rows share one ratio object
+            ratio, before = r, system.copy()
+        system.add(coeffs, rhs)
+        if system.infeasible:
+            return EInvariantResult(r, setup.operator(before.particular()))
+    return EInvariantResult(Fraction(0), setup.operator(system.particular()))

@@ -304,6 +304,19 @@ def lower_central_series(g: LieAlgebra) -> Filtration:
     return filtration
 
 
+def _seed_graded_series(g: LieAlgebra, degrees: Sequence[int]) -> None:
+    """Cache on g the lower central series F_i = span{e_b : degrees[b] >= i}.
+
+    Only for a basis where that is the series: g written in the eigenbasis
+    of a grading operator's layers, with `degrees` its layer degrees (see
+    `carnot.carnot_pair`), whose layers from i on span F_i.  The rows are
+    what `lower_central_series` computes: the unit rows, by increasing pivot.
+    """
+    c = max(degrees, default=0)
+    levels = tuple(tuple({b: 1} for b, d in enumerate(degrees) if d >= i) for i in range(1, c + 2))
+    g._lcs_cache = Filtration(levels, c, g.dim)
+
+
 def adapted_basis(g: LieAlgebra, f: Filtration) -> AdaptedBasis:
     """Deterministic adapted basis, preferring original basis vectors.
 

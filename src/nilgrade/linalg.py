@@ -15,6 +15,7 @@ integers.  The dense `rref` is the tests' reference only.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -265,6 +266,13 @@ class Echelon:
         p = min(w)
         self._rows[p] = _primitive(w, p)
         return True
+
+    def copy(self):
+        """The span as it stands, sharing the stored rows, none of which ever
+        changes: later rows added to either one leave the other as it was."""
+        other = copy.copy(self)
+        other._rows = dict(self._rows)
+        return other
 
     def contains(self, v: SparseRow) -> bool:
         w = _copy(v)

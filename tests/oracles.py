@@ -23,10 +23,17 @@ the code `adapted_basis` and `carnot_algebra`'s generation check replaced:
 a membership test of every unit vector against an echelon form of each
 F_i, and a bracket-closure loop from the degree-1 layer.  So is
 `antichain_by_pruning`, the pairwise domination pass over all of
-`r_condition_set` that the closed-form `_antichain` replaced, and
+`r_condition_set` that the closed-form `antichain` replaced, and
 `condition_rows_unbounded`, which returns as a list the rows of the walk
 `_condition_rows` made before it was bounded by the condition's level, with
 every bracket recomputed along its path instead of read from the trie.
+`antichain`, `e_invariant_by_candidates` and `e_of_operator_by_candidates`
+are the candidate-by-candidate e-scan the ratio-ordered row stream
+replaced: one `AffineSystem` per candidate r over the rows `_condition_rows`
+emits for each condition of the closed-form antichain at r, scanned
+upward from r = 0.  Unlike the oracles above they run on the package's
+per-condition row stream and `_feasibility`; what they check is which rows
+the ratio-ordered scan feeds to which candidate, and in what order.
 `algebra_in_basis_dense` writes g in a new basis as p^-1 applied to
 `dense_bracket` of p's columns in plain Fraction loops, not through
 `LieAlgebra.ad` or `clear_denominators`.
@@ -38,11 +45,27 @@ difference as four bracket pieces of layer components, through
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Sequence
 
 from nilgrade import lie
-from nilgrade.derivability import DerivCondition, delta_n, normalized_tuples, r_condition_set
+from nilgrade.derivability import (
+    DerivCondition,
+    EInvariantResult,
+    GradingOperator,
+    OperatorNotInDError,
+    _adapted_operator,
+    _condition_rows,
+    _feasibility,
+    _level,
+    _normalized,
+    _setup,
+    candidate_values,
+    delta_n,
+    normalized_tuples,
+    r_condition_set,
+)
 from nilgrade.goodman import GuivarchContext
 from nilgrade.lie import (
     AdaptedBasis,
@@ -601,6 +624,64 @@ def antichain_by_pruning(c: int, r: Fraction) -> tuple[DerivCondition, ...]:
         if not any(_dominates(k, cond) for k in kept):
             kept.append(cond)
     return tuple(kept)
+
+
+@lru_cache(maxsize=None)
+def antichain(c: int, r: Fraction) -> tuple[DerivCondition, ...]:
+    """The conditions of `r_condition_set(c, r)` that no other one dominates.
+
+    (wp'|j') dominates (wp|j) if the tuples have the same length, wp' <= wp
+    entrywise and j <= j'.  A dominator has the same level (`_level` grows
+    with the sum), and within one (length, level) lowering entries takes a
+    tuple to a dominator of the least admissible sum.  So the antichain is
+    the normalized tuples of that sum per (length, level), by length, sum,
+    then lexicographically.  It depends on no algebra.
+    """
+    out: list[DerivCondition] = []
+    for n in range(2, c):
+        least: dict[int, int] = {}  # level -> least sum; admissible iff any sum is
+        for total in range(n, c):
+            least.setdefault(_level(total, c, r), total)
+        out += (DerivCondition(wp, j) for j, s in least.items() if j > s for wp in _normalized(s, n))
+    return tuple(out)
+
+
+def e_invariant_by_candidates(g: LieAlgebra) -> EInvariantResult:
+    """The least candidate r whose antichain is feasible, scanned upward,
+    with the particular solution of that antichain's system as witness."""
+    setup = _setup(g)
+    c = max(setup.c, 2)
+    for r in candidate_values(c):
+        witness = _feasibility(setup, antichain(c, r))
+        if witness is not None:
+            return EInvariantResult(r, witness)
+    raise AssertionError("empty condition set at the top candidate must be feasible")
+
+
+def e_of_operator_by_candidates(g: LieAlgebra, d: GradingOperator) -> Fraction:
+    """The least candidate r such that d meets every condition of
+    `antichain(c, r)`, each condition judged once on its own rows at x_D."""
+    setup = _setup(g)
+    d_ad = _adapted_operator(d, setup)
+    if d_ad is None:
+        raise OperatorNotInDError("matrix is not a grading operator of the lower central series")
+    c = max(setup.c, 2)
+    scale, rows = d_ad
+    point = [rows[a].get(b, 0) for a, b in setup.positions]
+    met: dict[DerivCondition, bool] = {}
+
+    def meets(cond: DerivCondition) -> bool:
+        if cond not in met:
+            met[cond] = all(
+                sum(k * point[var] for var, k in coeffs.items()) == rhs * scale
+                for coeffs, rhs in _condition_rows(setup, cond)
+            )
+        return met[cond]
+
+    for r in candidate_values(c):
+        if all(meets(cond) for cond in antichain(c, r)):
+            return r
+    raise AssertionError("the top candidate has no conditions")
 
 
 def condition_rows_unbounded(setup, cond: DerivCondition) -> list[tuple[dict, int]]:

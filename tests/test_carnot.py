@@ -36,6 +36,7 @@ from nilgrade.derivability import (
     is_grading_operator,
 )
 from nilgrade.lie import (
+    LieAlgebra,
     adapted_basis,
     change_of_basis,
     check_jacobi,
@@ -277,6 +278,24 @@ def test_graded_table_and_its_error_match_dense_construction(g, data):
         return
     graded = graded_part(g, degrees)
     assert graded == dense and graded.labels == dense.labels and graded.brackets == dense.brackets
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(grading_operator_samples(CATALOG_ALGEBRAS), grading_operator_samples(matrix_lie_algebras())))
+def test_carnot_pair_seeds_the_lower_central_series_of_the_eigenbasis_algebra(sample):
+    # g_eig leaves carnot_pair with its series already cached, F_i spanned
+    # by the eigenbasis vectors of degree >= i; it equals the series
+    # recomputed on a fresh copy of g_eig, row for row
+    g, f, rows = sample
+    g_eig, ca = carnot_pair(g, GradingOperator.from_rows(rows))
+    seeded = g_eig._lcs_cache
+    assert seeded is not None and lower_central_series(g_eig) is seeded
+    recomputed = lower_central_series(LieAlgebra(g_eig.dim, g_eig.brackets, g_eig.labels))
+    assert seeded == recomputed and hash(seeded) == hash(recomputed)
+    assert seeded.int_rows == recomputed.int_rows and seeded.nilpotency_class == f.nilpotency_class
+    assert [seeded.basis(k) for k in range(1, f.nilpotency_class + 2)] == [
+        recomputed.basis(k) for k in range(1, f.nilpotency_class + 2)
+    ]
 
 
 def test_carnot_algebra_passes_jacobi_and_is_graded():

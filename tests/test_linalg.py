@@ -405,6 +405,28 @@ def test_forward_insertion_and_back_substitution_on_read_give_the_rref_rows(dim,
     assert all(row == copy for row, copy in seen)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_a_copied_affine_system_keeps_the_rows_it_had(nvars, data):
+    # a copy shares the stored rows, none of which ever changes, so rows
+    # added to the original or to the copy afterwards leave the other as it
+    # was: each answers like the dense oracle on its own equations
+    equation = st.lists(st.integers(-3, 3), min_size=nvars + 1, max_size=nvars + 1)
+    before, after, extra = (data.draw(st.lists(equation, max_size=4)) for _ in range(3))
+    system = AffineSystem(nvars)
+    for eq in before:
+        system.add(*integer_equation(eq[:-1], eq[-1]))
+    copied = system.copy()
+    for eq in after:
+        system.add(*integer_equation(eq[:-1], eq[-1]))
+    for eq in extra:
+        copied.add(*integer_equation(eq[:-1], eq[-1]))
+    for built, eqs in ((system, before + after), (copied, before + extra)):
+        oracle = rref_solve_affine([eq[:-1] for eq in eqs], [eq[-1] for eq in eqs]) if eqs else None
+        expected = [F(0)] * nvars if not eqs else None if oracle is None else oracle.particular
+        assert built.particular() == expected and built.infeasible == (expected is None)
+
+
 def direct_sum(algebras: list[LieAlgebra]) -> LieAlgebra:
     dim = sum(g.dim for g in algebras)
     brackets, offset = {}, 0
