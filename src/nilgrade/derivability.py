@@ -279,8 +279,10 @@ class _Setup:
 
     The change of basis runs on integers: p = P/dp and p^-1 = dp Q/L, with
     P's columns the adapted basis's `int_rows` brought to the common pivot
-    value dp, Q/L = P^-1 from one integer elimination, and both held by
-    their sparse rows (`p_rows`, `q_rows`).
+    value dp, Q/L = P^-1 from `linalg.integer_inverse` (no elimination when
+    the adapted basis is a permutation of the unit vectors, whose adapted
+    algebra `lie.algebra_in_integer_basis` then relabels), and both held
+    by their sparse rows (`p_rows`, `q_rows`).
 
     `roots[b]` is the path trie rooted at index b (see `_Node`), filled in
     on first visit and kept as long as the algebra instance, so every call,
@@ -456,32 +458,39 @@ def _condition_rows(setup: _Setup, cond: DerivCondition) -> Iterator[tuple[Spars
     unit pivots, unchanged.
     """
     n = len(cond.wp)
-    extend = setup.extend
-    first_at_least = setup.first_at_least
-    top = setup.c + 1
-    max_coord = first_at_least[min(cond.level + 1, top)]
-    starts = [first_at_least[p] for p in cond.wp]
-    rest = [sum(cond.wp[:slot]) for slot in range(n)]  # least degree sum of slots 0..slot-1
-
-    def end(degsum: int, slot: int) -> int:
-        # first index whose degree takes the path's least sum, slots below `slot` included, to the level
-        return first_at_least[max(0, min(cond.level - degsum - rest[slot], top))]
-
-    def recurse(slot: int, node: _Node):
-        if slot == 0:
-            for _, coeffs, rhs in _path_rows(setup, node, max_coord):
-                yield coeffs, rhs
-            return
-        children = node.children
-        for b in range(starts[slot - 1], min(node.limit, end(node.degsum, slot - 1))):
-            kid = children[b] if b in children else extend(node, b)
-            if kid is not None:
-                yield from recurse(slot - 1, kid)
-
+    max_coord = setup.first_at_least[min(cond.level + 1, setup.c + 1)]
+    # the level less the least degree sum of slots 0..slot-1
+    room = [cond.level - sum(cond.wp[:slot]) for slot in range(n)]
     # outermost slot is the last one so suffixes can be built right-to-left;
     # substituting into that slot replaces it by a single basis vector
-    for root in setup.roots[starts[n - 1] : end(0, n - 1)]:
-        yield from recurse(n - 1, root)
+    for root in setup.roots[setup.first_at_least[cond.wp[-1]] : _end(setup, room[n - 1])]:
+        for node in _condition_paths(setup, cond.wp, room, n - 1, root):
+            for _, coeffs, rhs in _path_rows(setup, node, max_coord):
+                yield coeffs, rhs
+
+
+def _end(setup: _Setup, room: int) -> int:
+    """The first adapted index whose degree is at least `room`, clamped to 0..c+1."""
+    return setup.first_at_least[max(0, min(room, setup.c + 1))]
+
+
+def _condition_paths(
+    setup: _Setup, wp: tuple[int, ...], room: list[int], slot: int, node: _Node
+) -> Iterator[_Node]:
+    """Yield the trie paths that fill slots slot-1 .. 0 of a condition below
+    `node`, lazily (see `_condition_rows`): the index at slot k is at least
+    the first of degree wp[k] and below the first whose degree takes the
+    path's least sum to the level, room[k] being the level less the least
+    sum of slots 0..k-1.  It recurses as a module-level function, so no
+    closure cycle keeps the setup alive after the walk."""
+    if slot == 0:
+        yield node
+        return
+    children = node.children
+    for b in range(setup.first_at_least[wp[slot - 1]], min(node.limit, _end(setup, room[slot - 1] - node.degsum))):
+        kid = children[b] if b in children else setup.extend(node, b)
+        if kid is not None:
+            yield from _condition_paths(setup, wp, room, slot - 1, kid)
 
 
 def _paths_of_sum(setup: _Setup, node: _Node, total: int) -> Iterator[_Node]:

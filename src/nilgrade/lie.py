@@ -14,7 +14,7 @@ from functools import cached_property
 from math import gcd
 from typing import Sequence
 
-from .linalg import ONE, ZERO, Echelon, Vec, clear_denominators, integer_inverse, integer_rows, q
+from .linalg import ONE, ZERO, Echelon, Vec, clear_denominators, integer_inverse, integer_rows, permutation_of, q
 
 
 class AlgebraFormatError(ValueError):
@@ -277,7 +277,12 @@ def _rref_row(row: dict[int, int], dim: int) -> tuple[Fraction, ...]:
 
 
 def lower_central_series(g: LieAlgebra) -> Filtration:
-    """F_1 = g, F_{k+1} = span[g, F_k]; raises NotNilpotentError if it stalls."""
+    """F_1 = g, F_{k+1} = span[g, F_k]; raises NotNilpotentError if it stalls.
+
+    F_2 is the span of the table's entries, sigma [e_i, e_j] for i < j, each
+    read once with no bracket; every later level brackets the rows that
+    spanned the one before.
+    """
     if g._lcs_cache is not None:
         return g._lcs_cache
     # the integer images sigma * [e_i, v] that raised the rank of a level's
@@ -288,12 +293,15 @@ def lower_central_series(g: LieAlgebra) -> Filtration:
     spanning = list(chain[0])
     while spanning:
         ech = Echelon(g.dim)
-        images = []
-        for v in spanning:
-            for i in sorted({i for j in v for i in rows[j]}):
-                w = g.ad(i, v)
-                if w and ech.add(w):
-                    images.append(w)
+        if len(chain) == 1:
+            images = [w for _, _, entries in g.table if ech.add(w := dict(entries))]
+        else:
+            images = []
+            for v in spanning:
+                for i in sorted({i for j in v for i in rows[j]}):
+                    w = g.ad(i, v)
+                    if w and ech.add(w):
+                        images.append(w)
         # [g, F_k] ⊆ [g, F_{k-1}] by bilinearity, so equal dims mean a stall
         if len(images) == len(spanning):
             raise NotNilpotentError("lower central series does not reach zero")
@@ -384,13 +392,32 @@ def algebra_in_integer_basis(
     applied column by column over that bracket's support.  Only the pairs
     (i, j) where some a in the support of P e_i brackets nontrivially with
     some b in that of P e_j are visited, in (i, j) order, and only such a
-    meet `ad`: every other bracket is zero.  So a permutation p costs one
-    table lookup per nonzero bracket.  The new table is those integer
+    meet `ad`: every other bracket is zero.  The new table is those integer
     vectors divided once by the gcd of all their entries and sigma * scale,
     and the new sigma is sigma * scale over that gcd: the least common
     denominator of the constants, as `LieAlgebra` would find it.
+
+    A permutation P, each column one entry 1, at scale 1 skips both
+    products: then Q is P's transpose and p e_b = e_pi(b), so the new
+    table is g's relabeled by pi^-1, each pair put in increasing order with
+    its sign and the whole sorted, and sigma is g's own (a relabeling keeps
+    the table's entries, whose gcd with sigma is already 1).  The identity
+    keeps g's table as it is.
     """
     n = g.dim
+    pi = permutation_of(p_cols) if scale == 1 else None
+    if pi is not None:
+        if pi == list(range(n)):
+            return LieAlgebra._from_table(n, g.sigma, g.table, labels)
+        new = [0] * n  # e_a = p e_new[a]
+        for b, a in enumerate(pi):
+            new[a] = b
+        table = []
+        for a, b, entries in g.table:
+            i, j = new[a], new[b]
+            moved = tuple(sorted((new[k], s) for k, s in entries))
+            table.append((i, j, moved) if i < j else (j, i, tuple((k, -s) for k, s in moved)))
+        return LieAlgebra._from_table(n, g.sigma, tuple(sorted(table)), labels)
     q_cols: list[dict[int, int]] = [{} for _ in range(n)]
     for k, row in enumerate(q_rows):
         for m, y in row.items():
@@ -433,6 +460,8 @@ _MAX_DIM = 1000  # an algebra is built in memory, so its dimension is capped
 _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+(?:/\d+)?)\s*\*?\s*)?(?P<label>" + _LABEL + r")\s*"
 )
+_LABEL_RE = re.compile(_LABEL)
+_BRACKET_RE = re.compile(r"(\S+)\s+(\S+)\s*=\s*(.+)$")
 
 
 def _parse_terms(rhs: str, label_index: dict[str, int], where: str) -> dict[int, Fraction]:
@@ -516,13 +545,13 @@ def parse_algebra(text: str) -> LieAlgebra:
                 raise AlgebraFormatError(f"basis must list exactly {dim} labels ({where})")
             if len(set(labels)) != dim:
                 raise AlgebraFormatError(f"duplicate basis label ({where})")
-            bad = [label for label in labels if not re.fullmatch(_LABEL, label)]
+            bad = [label for label in labels if not _LABEL_RE.fullmatch(label)]
             if bad:
                 raise AlgebraFormatError(f"basis label {bad[0]!r} must match {_LABEL} ({where})")
         elif keyword == "bracket":
             if dim is None:
                 raise AlgebraFormatError(f"bracket before dim ({where})")
-            m = re.match(r"(\S+)\s+(\S+)\s*=\s*(.+)$", rest)
+            m = _BRACKET_RE.match(rest)
             if not m:
                 raise AlgebraFormatError(f"malformed bracket declaration ({where})")
             pending.append((m.group(1), m.group(2), m.group(3), where))

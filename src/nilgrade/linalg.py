@@ -151,15 +151,27 @@ def solve_affine(a: Matrix, b: Sequence[Fraction]) -> AffineSolution | None:
     return AffineSolution(particular, system.kernel(ncols))
 
 
+def permutation_of(cols: Sequence[dict[int, int]]) -> list[int] | None:
+    """The pi with cols[b] == {pi[b]: 1} for every b if the sparse columns
+    `cols` are those of a permutation matrix, else None."""
+    pi = [i for col in cols if len(col) == 1 for i, x in col.items() if x == 1]
+    return pi if len(pi) == len(cols) and sorted(pi) == list(range(len(pi))) else None
+
+
 def integer_inverse(cols: Sequence[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
     """(den, inv) with inv / den the inverse of the integer matrix m whose
     columns are the sparse {row: value} dicts `cols`; inv's rows are sparse too.
 
-    One elimination of [m | I]: its integer row i is c_i (e_i | m^-1 row i)
+    The inverse of a permutation matrix, each column one entry 1, is its
+    transpose, so m^-1 row b is column b of m and den is 1, with no
+    elimination.  Every other m, a signed or scaled permutation included,
+    takes one elimination of [m | I]: its integer row i is c_i (e_i | m^-1 row i)
     for the least c_i > 0 that makes it integral, so den, the lcm of the c_i,
     is the least common denominator of the inverse.  ValueError if singular.
     """
     n = len(cols)
+    if permutation_of(cols) is not None:
+        return 1, [dict(col) for col in cols]
     rows: list[dict[int, int]] = [{} for _ in range(n)]
     for b, col in enumerate(cols):
         for i, x in col.items():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import math
 import random
+import sys
 import time
 import weakref
 from fractions import Fraction as F
@@ -28,7 +29,14 @@ from oracles import (
     naive_mat_mul,
     rref_mat_inv,
 )
-from test_lie import DECIDE_ALGEBRAS, SMALL_ENTRIES, invertible_matrices, matrix_lie_algebras
+from test_lie import (
+    DECIDE_ALGEBRAS,
+    FIXTURES,
+    SMALL_ENTRIES,
+    invertible_matrices,
+    matrix_lie_algebras,
+    rescaled_and_sheared,
+)
 
 from nilgrade import catalog, derivability, linalg
 from nilgrade.carnot import carnot_pair
@@ -648,19 +656,22 @@ def test_shared_setup_answers_like_a_fresh_one(name, extra, data):
 
 
 def test_dropped_algebra_is_freed_by_refcounting():
-    # the setup cached on an algebra holds no reference back to it, and the
-    # e-scan's walk leaves no reference cycle through the setup, so an
+    # the setup cached on an algebra holds no reference back to it, and
+    # neither the e-scan's walk nor a condition's leaves a reference cycle
+    # through the setup, so an
     # algebra parsed for one request is freed, setup and trie with it, as
     # soon as it is dropped, without waiting for the cycle collector
     witness = e_invariant(catalog.get("g6_11").algebra).witness
     g = catalog.get("g6_11").algebra
+    solved = catalog.get("g7_0_8").algebra
     gc.disable()
     try:
         e_invariant(g)
         e_of_operator(g, witness)
-        refs = [weakref.ref(g), weakref.ref(_setup(g))]
-        del g
-        assert [ref() for ref in refs] == [None, None]
+        is_A_derivable(solved, parse_condition_set("(1,1|3),(1,2|4)"))
+        refs = [weakref.ref(h) for h in (g, _setup(g), solved, _setup(solved))]
+        del g, solved
+        assert [ref() for ref in refs] == [None] * 4
     finally:
         gc.enable()
 
@@ -707,6 +718,34 @@ def test_setup_and_its_adapted_algebra_invert_p_once(monkeypatch):
     assert len(inverted) == 1
 
 
+def test_setup_of_a_permutation_basis_eliminates_nothing(monkeypatch):
+    # every decide algebra's adapted basis is a permutation of the unit
+    # vectors, so its cold setup inverts it with no elimination; a basis
+    # change by a fixture's lower or upper shear takes one, and so does the
+    # setup of the upper-sheared algebra, whose adapted basis is no
+    # permutation (the lower shear keeps each F_k spanned by unit vectors)
+    eliminations = []
+
+    class Recording(linalg.Echelon):
+        def __init__(self, dim):
+            if sys._getframe(1).f_code.co_name == "integer_inverse":
+                eliminations.append(dim)
+            super().__init__(dim)
+
+    monkeypatch.setattr(linalg, "Echelon", Recording)
+    for name in DECIDE_ALGEBRAS:
+        _setup(parse_algebra(catalog.get(name).definition))
+    assert eliminations == []
+    g = catalog.get("g6_11").algebra
+    _, lower, upper = rescaled_and_sheared(g.dim)
+    for p, setup_eliminates in ((lower, False), (upper, True)):
+        moved = moved_by(g, p)
+        assert len(eliminations) == 1
+        _setup(moved)
+        assert len(eliminations) == 1 + setup_eliminates
+        eliminations.clear()
+
+
 def test_foreign_filtration_or_adapted_basis_is_rejected():
     # the setup holds g's own lower central series and adapted basis, so a
     # filtration or basis of another algebra is refused, not ignored; equal
@@ -726,21 +765,6 @@ def test_foreign_filtration_or_adapted_basis_is_rejected():
     assert grading_operator_space(g, f_fresh, adapted_basis(fresh, f_fresh)) == grading_operator_space(
         fresh, f_fresh, adapted_basis(fresh, f_fresh)
     )
-
-
-FIXTURES = [n for n in catalog.names() if "(" not in n]
-
-
-def rescaled_and_sheared(n: int):
-    """A diagonal rescaling, a lower triangular shear with it on the diagonal
-    and that shear's transpose, as matrices whose columns are the new basis
-    vectors; all three have denominators.  The lower shear keeps each F_k
-    spanned by unit vectors, the upper one does not, so the adapted basis
-    of an algebra moved by it is no permutation."""
-    scales = [F(i + 1, 2 if i % 2 else 3) for i in range(n)]
-    diag = [[scales[i] if i == j else F(0) for j in range(n)] for i in range(n)]
-    shear = [[F(1, i - j + 1) * scales[j] if i >= j else F(0) for j in range(n)] for i in range(n)]
-    return diag, shear, [list(row) for row in zip(*shear)]
 
 
 @pytest.mark.parametrize("name", FIXTURES)

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from oracles import (
     adapted_basis_echelon,
+    algebra_in_basis_dense,
     dense_bracket,
     integer_row,
     jacobi_violations_dense,
     lcs_rref,
     naive_mat_mul,
+    rref_mat_inv,
 )
 
 from nilgrade import catalog
@@ -26,6 +28,7 @@ from nilgrade.lie import (
     LieAlgebra,
     NotNilpotentError,
     adapted_basis,
+    algebra_in_integer_basis,
     bracket,
     change_of_basis,
     check_jacobi,
@@ -544,6 +547,24 @@ def test_change_of_basis_matches_dense_oracle(g, data):
             assert [sum(p[k][m] * v[m] for m in range(n)) for k in range(n)] == dense_bracket(g, cols[i], cols[j])
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_ENTRIES).map(lambda name: catalog.get(name).algebra) | matrix_lie_algebras(), st.data())
+def test_permutation_basis_change_matches_dense_oracle(g, data):
+    # p e_b = e_perm[b] is relabeled, not multiplied out: through the public
+    # Fraction route and through the integer kernel with P a permutation, Q
+    # its transpose and scale 1, it must give the dense oracle's algebra,
+    # sigma included; the identity keeps g's own table
+    n = g.dim
+    perm = data.draw(st.permutations(range(n)) | st.just(list(range(n))))
+    p = [[F(int(perm[b] == i)) for b in range(n)] for i in range(n)]
+    expected = algebra_in_basis_dense(g, p, rref_mat_inv(p))
+    assert change_of_basis(g, [list(col) for col in zip(*p)]) == expected
+    cols = [{perm[b]: 1} for b in range(n)]
+    assert algebra_in_integer_basis(g, cols, [dict(col) for col in cols], 1) == expected
+    identity = [{b: 1} for b in range(n)]
+    assert algebra_in_integer_basis(g, identity, identity, 1).table is g.table
+
+
 def test_change_of_basis_round_trip():
     g = catalog.get("g6_12").algebra
     p = [unit_vec(6, i) for i in range(6)]
@@ -623,6 +644,21 @@ DECIDE_ALGEBRAS = (
 )
 
 
+FIXTURES = [n for n in catalog.names() if "(" not in n]
+
+
+def rescaled_and_sheared(n: int):
+    """A diagonal rescaling, a lower triangular shear with it on the diagonal
+    and that shear's transpose, as matrices whose columns are the new basis
+    vectors; all three have denominators.  The lower shear keeps each F_k
+    spanned by unit vectors, the upper one does not, so the adapted basis
+    of an algebra moved by it is no permutation."""
+    scales = [F(i + 1, 2 if i % 2 else 3) for i in range(n)]
+    diag = [[scales[i] if i == j else F(0) for j in range(n)] for i in range(n)]
+    shear = [[F(1, i - j + 1) * scales[j] if i >= j else F(0) for j in range(n)] for i in range(n)]
+    return diag, shear, [list(row) for row in zip(*shear)]
+
+
 def record_ad_calls(monkeypatch) -> tuple[list[tuple[str, bool]], list[str]]:
     """Patch `LieAlgebra.ad` to record, per call, the stage in `stage[0]` and
     whether e_i brackets nontrivially with some e_j in v's support."""
@@ -640,9 +676,12 @@ def record_ad_calls(monkeypatch) -> tuple[list[tuple[str, bool]], list[str]]:
 
 def test_setup_brackets_only_index_pairs_that_meet(monkeypatch):
     # a cold setup of each decide algebra brackets, in the lower central
-    # series and the basis change, only e_i with a v whose support meets
-    # e_i's nonzero brackets (675 and 166 calls; 6511 and 846 when every
-    # index met every spanning vector and every pair of columns was visited)
+    # series, only e_i with a v whose support meets e_i's nonzero brackets,
+    # and only past F_2, which is read off the table (343 calls); each
+    # adapted basis is a permutation, so the basis change relabels the
+    # table with no bracket.  The setup of a catalog fixture moved by the
+    # upper shear, whose adapted basis is no permutation, brackets in its
+    # basis change only pairs that meet (279 calls).
     calls, stage = record_ad_calls(monkeypatch)
     for name in DECIDE_ALGEBRAS:
         g = parse_algebra(catalog.get(name).definition)
@@ -650,10 +689,19 @@ def test_setup_brackets_only_index_pairs_that_meet(monkeypatch):
         lower_central_series(g)
         stage[0] = "basis"
         _setup(g)
-    for where, bound in (("lcs", 4348), ("basis", 1086)):
-        made = [meets for s, meets in calls if s == where]
-        assert 0 < len(made) <= bound, (where, len(made))
-        assert all(made), where
+        stage[0] = ""
+    for name in FIXTURES:
+        upper = rescaled_and_sheared(catalog.get(name).algebra.dim)[2]
+        moved = change_of_basis(catalog.get(name).algebra, [list(col) for col in zip(*upper)])
+        lower_central_series(moved)
+        stage[0] = "sheared"
+        _setup(moved)
+        stage[0] = ""
+    made = {where: [meets for s, meets in calls if s == where] for where in ("lcs", "basis", "sheared")}
+    assert made["basis"] == []
+    for where, bound in (("lcs", 343), ("sheared", 279)):
+        assert 0 < len(made[where]) <= bound, (where, len(made[where]))
+        assert all(made[where]), where
 
 
 def test_check_jacobi_brackets_only_index_pairs_that_meet(monkeypatch):

@@ -557,6 +557,23 @@ def test_integer_inverse_matches_dense_oracle_at_large_entries(m):
         assert integer_inverse(cols)[0] == math.lcm(*(x.denominator for row in inv for x in row))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.permutations(range(n))), st.data())
+def test_integer_inverse_of_a_permutation_is_its_transpose(perm, data):
+    # columns e_perm[b] invert to den 1 and m's own columns as rows; one
+    # entry -1 or 2 makes a signed or scaled permutation, which takes the
+    # elimination, and both match the dense oracle
+    n = len(perm)
+    cols = [{perm[b]: 1} for b in range(n)]
+    m = [[F(int(perm[b] == i)) for b in range(n)] for i in range(n)]
+    assert integer_inverse(cols) == (1, cols)
+    assert inverse_through_integers(m) == rref_mat_inv(m)
+    if n:
+        b = data.draw(st.integers(0, n - 1))
+        m[perm[b]][b] = F(data.draw(st.sampled_from([-1, 2])))
+        assert inverse_through_integers(m) == rref_mat_inv(m)
+
+
 def test_integer_inverse_of_a_singular_matrix_raises():
     with pytest.raises(ValueError, match="singular"):
         integer_inverse([{0: 2, 1: 4}, {0: 1, 1: 2}])
