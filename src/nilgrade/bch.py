@@ -211,8 +211,11 @@ def _weighted_parts(g: LieAlgebra, c: int, degrees: Sequence[int], x: Vec, y: Ve
     bracket is folded: sum_word s_word [word_0, rest] is
     [x, sum_{word_0 = x} s_word rest] + [y, sum_{word_0 = y} s_word rest],
     so each letter's scaled rests are summed per weight and bracketed once
-    against that letter's parts.  On nonzero x and y at one weight (as
-    `bch_product` calls it) that is 2 + len(suffixes) brackets.
+    against that letter.  Every bracket is [letter, rest], so one table walk
+    per weight b of the rest (`lie.scaled_bracket` on the letter's degree
+    groups) adds the bracket of each of the letter's parts into the row of
+    its own weight.  On nonzero x and y at one weight (as `bch_product`
+    calls it) that is 2 + len(suffixes) brackets.
     """
     lcd, suffixes, words = _plan(c, min(degrees))
     den, ints = clear_denominators([*x, *y])
@@ -222,22 +225,26 @@ def _weighted_parts(g: LieAlgebra, c: int, degrees: Sequence[int], x: Vec, y: Ve
     for _ in range(c - 1):
         powers.append(powers[-1] * dens)
     top = lcd * powers[c - 1]
+    letters = (ints[:dim], ints[dim:])
     parts: tuple[_Parts, _Parts] = ({}, {})
     weighted: _Parts = {}
-    for side, vec in enumerate((ints[:dim], ints[dim:])):
+    for side, vec in enumerate(letters):
         for k, s in enumerate(vec):
             if s:
                 parts[side].setdefault(degrees[k], [0] * dim)[k] = s
                 weighted.setdefault(degrees[k], [0] * dim)[k] += top * s
+    # each letter's degree groups, only those where the letter is nonzero
+    split = lie._degree_split(g, degrees)
+    splits = tuple(tuple(group for group in split if group[0] in side) for side in parts)
 
-    def bracket_into(dest: _Parts, letter: int, split: _Parts) -> _Parts:
-        # dest += [letter's parts, split], weights below c only
-        for b, v in split.items():
-            for a, u in parts[letter].items():
-                if a + b < c:
-                    vec = lie.scaled_bracket(g, u, v)
-                    acc = dest.get(a + b)
-                    dest[a + b] = vec if acc is None else [t + s for t, s in zip(acc, vec)]
+    def bracket_into(dest: _Parts, letter: int, rest: _Parts) -> _Parts:
+        # dest += [letter, rest], weights below c only
+        groups = splits[letter]
+        if groups:
+            u, least = letters[letter], c - groups[0][0]
+            for b, v in rest.items():
+                if b < least:
+                    lie.scaled_bracket(g, u, v, groups, b, c, dest)
         return dest
 
     memo: dict[Word, _Parts] = {(LEFT,): parts[LEFT], (RIGHT,): parts[RIGHT]}
@@ -304,6 +311,44 @@ def law_difference(
     return [s - t for s, t in zip(a, b)]
 
 
+def _ladder_integers(
+    g: LieAlgebra,
+    degrees: Sequence[int],
+    x: Sequence[Fraction],
+    y: Sequence[Fraction],
+    rungs: Sequence[tuple[int, int]],
+) -> list[tuple[list[int], dict[int, int]]]:
+    """The integer form of `law_difference_ladder`, whose arguments it checks.
+
+    rungs are the ladder's t = num / tden, each as (tden, [num]), which is
+    how `clear_denominators([t])` gives it.  Returns (totals, dens) per
+    rung: coordinate k of the difference is totals[k] / dens[degrees[k]],
+    where dens[d] = common * tden^(d-1).
+    """
+    if len(x) != g.dim or len(y) != g.dim or len(degrees) != g.dim:
+        raise ValueError("dimension mismatch")
+    if any(num <= 0 for _, (num,) in rungs):
+        raise ValueError("dilation parameter must be positive")
+    c = lie.lower_central_series(g).nilpotency_class
+    if c < 2:
+        return [([0] * g.dim, dict.fromkeys(degrees, 1)) for _ in rungs]
+    # weighted[w][k] * t^w / common is coordinate k's weight-w part
+    weighted, common = _weighted_parts(g, c, degrees, [q(v) for v in x], [q(v) for v in y])
+    rows = [(w, vec) for w, vec in sorted(weighted.items()) if any(vec)]
+    top = max(degrees)
+    out = []
+    for tden, (num,) in rungs:
+        npow, dpow = [1], [1]  # num^e and tden^e for e < top
+        for _ in range(top - 1):
+            npow.append(npow[-1] * num)
+            dpow.append(dpow[-1] * tden)
+        # in a degree-d coordinate the weight-w part (w < d) is scaled by num^w tden^(d-1-w)
+        terms = {d: [(vec, npow[w] * dpow[d - 1 - w]) for w, vec in rows if w < d] for d in set(degrees)}
+        totals = [sum(vec[k] * f for vec, f in terms[d]) for k, d in enumerate(degrees)]
+        out.append((totals, {d: common * dpow[d - 1] for d in terms}))
+    return out
+
+
 def law_difference_ladder(
     g: LieAlgebra,
     ca: CarnotAlgebra,
@@ -318,29 +363,14 @@ def law_difference_ladder(
     and weight-b parts lands in degrees >= a + b, so the weight-W part
     P_{k,W} (`_weighted_parts` on ca.degrees) scales as t^W.  In a degree-d
     coordinate the top-weight part W = d is the Carnot law and parts W > d
-    vanish, so the difference there is sum_{W<d} t^W P_{k,W}: one Fraction
-    per coordinate and rung.  Raises ValueError on t <= 0, as `dilate`
-    does, and on a class above 8, as `bch_table` does.
+    vanish, so the difference there is sum_{W<d} t^W P_{k,W}: one integer
+    per coordinate and rung (`_ladder_integers`), over one denominator per
+    degree and rung.  Raises ValueError on t <= 0, as `dilate` does, and on
+    a class above 8, as `bch_table` does.
     """
     degrees = ca.degrees
-    if len(x) != g.dim or len(y) != g.dim or len(degrees) != g.dim:
-        raise ValueError("dimension mismatch")
-    ts = [q(t) for t in ts]
-    if any(t <= 0 for t in ts):
-        raise ValueError("dilation parameter must be positive")
-    c = lie.lower_central_series(g).nilpotency_class
-    if c < 2:
-        return [[ZERO] * g.dim for _ in ts]
-    # weighted[w][k] * t^w / common is coordinate k's weight-w part
-    weighted, common = _weighted_parts(g, c, degrees, [q(v) for v in x], [q(v) for v in y])
-    out: list[Vec] = []
-    for t in ts:
-        num, tden = t.numerator, t.denominator
-        row: Vec = []
-        for k, d in enumerate(degrees):
-            total = sum(
-                vec[k] * num**w * tden ** (d - 1 - w) for w, vec in weighted.items() if w < d
-            )
-            row.append(Fraction(total, common * tden ** (d - 1)) if total else ZERO)
-        out.append(row)
-    return out
+    rungs = [clear_denominators([q(t)]) for t in ts]
+    return [
+        [Fraction(s, dens[d]) if s else ZERO for s, d in zip(totals, degrees)]
+        for totals, dens in _ladder_integers(g, degrees, x, y, rungs)
+    ]

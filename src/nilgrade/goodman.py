@@ -18,7 +18,7 @@ from . import bch, carnot
 from .carnot import CarnotAlgebra
 from .derivability import GradingOperator, e_of_operator
 from .lie import LieAlgebra
-from .linalg import Vec, q
+from .linalg import Vec, clear_denominators, q
 
 _LCG_A = 6364136223846793005
 _LCG_C = 1442695040888963407
@@ -55,9 +55,19 @@ class GuivarchContext:
 
 def _root_float(value: Fraction, i: int) -> float:
     """|value|**(1/i) as float, robust to very large numerators."""
-    if value == 0:
+    return _root_ratio(abs(value.numerator), value.denominator, i)
+
+
+def _root_ratio(num: int, den: int, i: int) -> float:
+    """(num / den)**(1/i) as float for integers num >= 0 and den > 0.
+
+    The fraction is reduced first, so equal fractions give the same float
+    however they are written.
+    """
+    if num == 0:
         return 0.0
-    num, den = abs(value.numerator), value.denominator
+    common = math.gcd(num, den)
+    num, den = num // common, den // common
     log2 = (num.bit_length() - 1) + math.log2(num / (1 << (num.bit_length() - 1)))
     log2 -= (den.bit_length() - 1) + math.log2(den / (1 << (den.bit_length() - 1)))
     return 2.0 ** (log2 / i)
@@ -154,13 +164,21 @@ def goodman_check(
     Base pairs are drawn on the grid in [-1, 1], dilated through the
     ladder; the law difference is exact.  Its weight-w part P_{k,w} has
     P_{k,w}(δ_t x, δ_t y) = t^w P_{k,w}(x, y) and the Carnot law is the
-    top-weight part, so `bch.law_difference_ladder` evaluates each pair
-    once for the whole ladder.  The radius max(|δ_t x|, |δ_t y|) takes one
-    root per nonempty layer i: that of t^i times the largest magnitude of a
-    layer-i coordinate of x or y, exactly.  δ_t scales the whole layer by
-    the same t^i > 0, and distinct grid magnitudes differ by a factor
-    >= 16/15, which the float roots keep in order, so this is the larger
-    norm of the two dilated vectors, bit for bit.  The report carries the fitted exponent
+    top-weight part, so the ladder (`bch.law_difference_ladder`, here its
+    integer form) evaluates each pair once for the whole ladder.  The
+    radius max(|δ_t x|, |δ_t y|) takes one root per nonempty layer i: that
+    of t^i times the largest magnitude of a layer-i coordinate of x or y,
+    exactly.  δ_t scales the whole layer by the same t^i > 0, and distinct
+    grid magnitudes differ by a factor >= 16/15, which the float roots keep
+    in order, so this is the larger norm of the two dilated vectors, bit
+    for bit.  Both the radius and the difference's norm run on integers:
+    the pair's and each rung's from `clear_denominators`, t^i as
+    num^i / tden^i once per rung and layer, and each difference coordinate
+    as an integer over its degree's denominator.  Every root reduces its
+    integer ratio by the gcd first (`_root_ratio`), which gives the reduced
+    fraction that a Fraction would hold, and so the same float, whatever the
+    ladder: a rung's denominator may be any positive integer.  The report
+    carries the fitted exponent
     plus the best constant for diff <= C * max(1, r)^(e_D).  The exponent
     is 0 when the difference is identically zero and None when it is not
     but fewer than two distinct r > 1 carry a nonzero difference.  Raises
@@ -169,9 +187,14 @@ def goodman_check(
     if n_samples < 1 or not t_ladder:
         raise ValueError("need at least one sample pair and one ladder value")
     g_eig, ca = carnot.carnot_pair(g, d)
-    ctx = GuivarchContext.for_carnot(ca)
+    degrees = ca.degrees
+    layers = sorted(set(degrees))
     e_d = e_of_operator(g, d)
     e_float = float(e_d)
+    ts = [q(t) for t in t_ladder]
+    rungs = [clear_denominators([t]) for t in ts]
+    # t^i = num^i / tden^i for each rung and layer i
+    scales = [{i: (num**i, tden**i) for i in layers} for tden, (num,) in rungs]
     sampler = GridSampler(seed)
     samples: list[GoodmanSample] = []
     constant = 0.0
@@ -179,16 +202,16 @@ def goodman_check(
     all_zero = True
     for index in range(n_samples):
         z1, z2 = sampler.vector(g.dim), sampler.vector(g.dim)
-        diffs = bch.law_difference_ladder(g_eig, ca, z1, z2, t_ladder)
-        peaks: dict[int, Fraction] = {}  # layer -> largest coordinate magnitude, if nonzero
-        for deg, a, b in zip(ctx.degrees, z1, z2):
+        ladder = bch._ladder_integers(g_eig, degrees, z1, z2, rungs)
+        den, ints = clear_denominators([*z1, *z2])
+        peaks: dict[int, int] = {}  # layer -> den * largest coordinate magnitude, if nonzero
+        for deg, a, b in zip(degrees, ints, ints[g.dim :]):
             m = max(abs(a), abs(b))
             if m > peaks.get(deg, 0):
                 peaks[deg] = m
-        for t, diff in zip(t_ladder, diffs):
-            t = q(t)
-            r = max((_root_float(m * t**i, i) for i, m in peaks.items()), default=0.0)
-            dn = guivarch_norm(ctx, diff)
+        for t, scale, (totals, dens) in zip(ts, scales, ladder):
+            r = max((_root_ratio(m * scale[i][0], den * scale[i][1], i) for i, m in peaks.items()), default=0.0)
+            dn = max((_root_ratio(abs(s), dens[deg], deg) for s, deg in zip(totals, degrees) if s), default=0.0)
             samples.append(GoodmanSample(index, t, r, dn))
             if dn > 0:
                 all_zero = False

@@ -88,6 +88,7 @@ class LieAlgebra:
         self.table = table
         self._lcs_cache: Filtration | None = None
         self._setup_cache = None  # derivability._setup fills it, idempotently
+        self._splits: dict[tuple[int, ...], tuple] = {}  # `_degree_split` fills it
 
     @cached_property
     def brackets(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
@@ -203,19 +204,72 @@ def graded_part(g: LieAlgebra, degrees: Sequence[int]) -> LieAlgebra:
     return LieAlgebra._from_table(g.dim, g.sigma // common, table, g.labels)
 
 
-def scaled_bracket(g: LieAlgebra, u: Sequence, v: Sequence) -> list:
+def _degree_split(g: LieAlgebra, degrees: Sequence[int]) -> tuple:
+    """`g.table` grouped for `scaled_bracket` by the degree of u's index in each term.
+
+    Returns ((a, same, cross), ...) by increasing a.  same holds the
+    entries (i, j, entries) with degrees[i] == degrees[j] == a, whose term
+    u_i v_j - u_j v_i has u at degree a; cross holds (i, j, entries) with
+    degrees[i] == a != degrees[j], whose term is u_i v_j alone: each entry of
+    unequal degrees is listed once as (i, j, entries) and once as
+    (j, i, -entries).  Built once per algebra and degree list.
+    """
+    key = tuple(degrees)
+    split = g._splits.get(key)
+    if split is None:
+        groups: dict[int, tuple[list, list]] = {}
+        for i, j, entries in g.table:
+            a, b = key[i], key[j]
+            if a == b:
+                groups.setdefault(a, ([], []))[0].append((i, j, entries))
+            else:
+                groups.setdefault(a, ([], []))[1].append((i, j, entries))
+                groups.setdefault(b, ([], []))[1].append((j, i, tuple((k, -s) for k, s in entries)))
+        split = tuple((a, tuple(same), tuple(cross)) for a, (same, cross) in sorted(groups.items()))
+        g._splits[key] = split
+    return split
+
+
+def scaled_bracket(
+    g: LieAlgebra,
+    u: Sequence,
+    v: Sequence,
+    split: tuple | None = None,
+    shift: int = 0,
+    cap: int = 1,
+    into: dict | None = None,
+):
     """sigma * [u, v] over `g.table`: integer vectors give integer results.
 
     The only dense bracket kernel; callers with rational inputs clear
-    denominators first (see `bracket`).
+    denominators first (see `bracket`).  Called with `split`, which is
+    `_degree_split(g, degrees)` or a subset of its groups, one walk of the
+    table serves every degree part of u: sigma * [u_a, v], for the part u_a
+    of u at the coordinates of degree a, is added into the row
+    into[a + shift] (made if missing) for each group a with a + shift < cap,
+    and `into` is returned.  A term whose indices share a degree is the one
+    product u_i v_j - u_j v_i, so with a single degree this is the plain
+    bracket.
     """
-    out = [0] * g.dim
-    for i, j, entries in g.table:
-        c = u[i] * v[j] - u[j] * v[i]
-        if c:
-            for k, s in entries:
-                out[k] += c * s
-    return out
+    rows = {0: [0] * g.dim} if into is None else into
+    for a, same, cross in ((0, g.table, ()),) if split is None else split:
+        w = a + shift
+        if w >= cap:
+            break
+        out = rows.get(w)
+        if out is None:
+            out = rows[w] = [0] * g.dim
+        for i, j, entries in same:
+            c = u[i] * v[j] - u[j] * v[i]
+            if c:
+                for k, s in entries:
+                    out[k] += c * s
+        for i, j, entries in cross:
+            c = u[i] * v[j]
+            if c:
+                for k, s in entries:
+                    out[k] += c * s
+    return rows[0] if into is None else rows
 
 
 def _divide(v: list[int], den: int) -> Vec:

@@ -10,7 +10,7 @@ Rationals become integers here only: `clear_denominators` for a vector,
 `Echelon`, a fraction-free elimination of sparse integer rows (`SparseRow`),
 which makes Fractions only for the results that leave it; `integer_inverse`,
 the one inverse, and `sparse_mul`, the one matrix product, stay on
-integers.  The dense `rref` is the tests' reference only.
+integers.
 """
 
 from __future__ import annotations
@@ -91,37 +91,6 @@ def sparse_mul(a: Sequence[dict], b: Sequence[dict]) -> list[dict]:
                 acc[k] = acc.get(k, 0) + x * y
         out.append({k: v for k, v in acc.items() if v})
     return out
-
-
-def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
-    """Reduced row echelon form.
-
-    Returns (reduced, pivot_columns, rank).  The pivot in each column is
-    taken from the first row with a nonzero entry, making the output the
-    unique RREF of the row space of `m`.
-    """
-    a = [list(row) for row in m]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = ONE / a[r][c]
-        if inv != 1:
-            a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a, pivots, len(pivots)
 
 
 @dataclass(frozen=True)

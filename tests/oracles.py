@@ -14,8 +14,8 @@ recursion of their own (on a signed row table of their own, not
 `jacobi_violations_dense` sums the Jacobi identity of every basis triple
 through `dense_bracket`, not through `ad` or `check_jacobi`'s choice of
 triples.  The linear algebra oracles (`rref_solve_affine`, `rref_mat_inv`,
-`naive_mat_mul`, `columns_matrix` and the helpers beside them) use only the dense `rref` and
-plain loops, never the sparse `Echelon` or `sparse_mul` they check;
+`naive_mat_mul`, `columns_matrix` and the helpers beside them) use only the dense `rref`,
+defined here since the package has no use for it, and plain loops, never the sparse `Echelon` or `sparse_mul` they check;
 `rref_solve_affine` and `rref_mat_inv` are the dense bodies `solve_affine`
 and the package's Fraction inverse had before every elimination in the
 package ran on `Echelon`.  `adapted_basis_echelon` and `layer_one_generates` are likewise
@@ -86,7 +86,6 @@ from nilgrade.linalg import (
     integer_rows,
     mat_vec,
     q,
-    rref,
     unit_vec,
     zero_vec,
 )
@@ -477,6 +476,37 @@ def naive_mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     """The entrywise sum."""
     return [[x + y for x, y in zip(u, v)] for u, v in zip(a, b)]
+
+
+def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
+    """Reduced row echelon form.
+
+    Returns (reduced, pivot_columns, rank).  The pivot in each column is
+    taken from the first row with a nonzero entry, making the output the
+    unique RREF of the row space of `m`.
+    """
+    a = [list(row) for row in m]
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = Fraction(1) / a[r][c]
+        if inv != 1:
+            a[r] = [x * inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots, len(pivots)
 
 
 def rref_span(vectors: list[Vec]) -> tuple[list[Vec], list[int]]:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import (
     assoc_log_exp_exp,
     assoc_nested_bracket,
+    dense_bracket,
     filiform5_coords,
     filiform5_matrix,
     heisenberg_coords,
@@ -21,6 +22,7 @@ from oracles import (
     mat_log_unitriangular,
     matrix_group_product,
     naive_mat_mul,
+    rref,
     rref_mat_inv,
 )
 from test_derivability import GRADED_ENTRIES, grading_operator_samples
@@ -40,7 +42,7 @@ from nilgrade.carnot import carnot_pair
 from nilgrade.derivability import GradingOperator, e_invariant
 from nilgrade.goodman import GuivarchContext, dilate
 from nilgrade.lie import bracket, lower_central_series
-from nilgrade.linalg import rref, unit_vec, vec, zero_vec
+from nilgrade.linalg import unit_vec, vec, zero_vec
 
 L, R = 0, 1
 
@@ -378,6 +380,59 @@ def test_weighted_parts_match_a_naive_per_word_expansion(g, data):
     weighted, common = _weighted_parts(g, c, degrees, x, y)
     got = {w: [F(s, common) for s in v] for w, v in weighted.items()}
     assert nonzero_parts(got) == nonzero_parts(naive_weighted_parts(g, c, degrees, x, y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        matrix_lie_algebras(min_class=2),
+        st.sampled_from(GRADED_ENTRIES).map(eigenbasis_algebra),
+    ),
+    st.data(),
+)
+def test_degree_split_kernel_brackets_each_degree_part_into_its_weight(g, data):
+    # the degrees need not be a grading, and may be all zeros; the kernel
+    # adds sigma * [u_a, v] for u's degree-a part u_a into the row of weight
+    # a + shift, below the cap only, on top of what the row already holds
+    n = g.dim
+    degrees = data.draw(
+        st.one_of(st.just([0] * n), st.lists(st.integers(0, 4), min_size=n, max_size=n)),
+        label="degrees",
+    )
+    ints = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    u, v, held = data.draw(ints, label="u"), data.draw(ints, label="v"), data.draw(ints, label="held")
+    shift, cap = data.draw(st.integers(0, 3), label="shift"), data.draw(st.integers(0, 8), label="cap")
+    into = {shift: list(held)}
+    got = lie.scaled_bracket(g, u, v, lie._degree_split(g, degrees), shift, cap, into)
+    assert got is into
+    expected = {shift: list(held)}
+    for a in set(degrees):
+        if a + shift < cap:
+            part = [s if d == a else 0 for s, d in zip(u, degrees)]
+            row = expected.setdefault(a + shift, [0] * n)
+            expected[a + shift] = [t + g.sigma * x for t, x in zip(row, dense_bracket(g, part, v))]
+    assert set(got) <= set(expected)
+    assert all(got.get(w, [0] * n) == row for w, row in expected.items())
+    # with one degree, the one row is the plain bracket
+    plain = lie.scaled_bracket(g, u, v)
+    assert plain == [g.sigma * x for x in dense_bracket(g, u, v)]
+    d = degrees[0]
+    assert lie.scaled_bracket(g, u, v, lie._degree_split(g, [d] * n), 0, d + 1, {}) == {d: plain}
+
+
+def test_ladder_pair_walks_the_table_once_per_rest_weight(monkeypatch):
+    # every bracket of the ladder's evaluator is [letter, rest], and one walk
+    # per weight of the rest serves all of the letter's degree parts
+    base = catalog.get("central_product(5,8)").algebra
+    g, ca = carnot_pair(base, e_invariant(base).witness)
+    x = [F(k + 1, 3) for k in range(g.dim)]
+    y = [F(-2, k + 1) for k in range(g.dim)]
+    expected = law_difference_ladder(g, ca, x, y, [F(1), F(3, 2)])
+    calls = []
+    kernel = lie.scaled_bracket
+    monkeypatch.setattr(lie, "scaled_bracket", lambda *args: calls.append(args) or kernel(*args))
+    assert law_difference_ladder(g, ca, x, y, [F(1), F(3, 2)]) == expected
+    assert len(calls) <= 179
 
 
 def test_class_eight_product_brackets_each_rest_once_and_folds_the_outer_bracket(monkeypatch):

@@ -21,6 +21,8 @@ from nilgrade.goodman import (
     GoodmanSample,
     GridSampler,
     GuivarchContext,
+    _root_float,
+    _root_ratio,
     dilate,
     fit_exponent,
     goodman_check,
@@ -52,6 +54,16 @@ def test_norm_handles_huge_entries():
     big = F(2) ** 400
     value = guivarch_norm(GuivarchContext((4,)), [big])
     assert math.isclose(value, 2.0**100, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "num, den, scale, i", [(70446, 298427, 1035, 5), (123647, 519502, 7366, 8), (683245, 398056, 3441, 2)]
+)
+def test_integer_root_reduces_its_ratio_first(num, den, scale, i):
+    # the float root of num/den in lowest terms differs in its last bits from
+    # the same formula run on scale*num over scale*den, so the integer root
+    # must reduce to give the Fraction's float
+    assert _root_ratio(scale * num, scale * den, i) == _root_float(F(num, den), i) == _root_float(F(-num, den), i)
 
 
 def test_dilate_examples():

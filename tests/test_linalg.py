@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import integer_row, lcs_rref, naive_mat_mul, rref_mat_inv, rref_reduce, rref_solve_affine, rref_span
+from oracles import (
+    integer_row,
+    lcs_rref,
+    naive_mat_mul,
+    rref,
+    rref_mat_inv,
+    rref_reduce,
+    rref_solve_affine,
+    rref_span,
+)
 from test_lie import matrix_lie_algebras
 
 from nilgrade import catalog
@@ -26,7 +35,6 @@ from nilgrade.linalg import (
     integer_rows,
     mat_vec,
     matrix,
-    rref,
     solve_affine,
     sparse_mul,
     subspace_contains,

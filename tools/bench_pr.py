@@ -18,7 +18,10 @@ range and the pairs the change won, lost and tied; the metric's bound
 from BENCHMARK.json is copied beside it.  Per per-layer metric it holds
 each side's median over the traced runs, with every `*_s` time divided
 by its own run's host slowdown first: span times are raw wall clock,
-while the end-to-end times are already corrected inside perfbench.
+while the end-to-end times are already corrected inside perfbench.  The
+slowdown swings between runs, so each `*_s` time also gets the raw
+change/parent ratio within each traced pair, whose two runs are adjacent
+in time, the median of those ratios and the pairs the change won.
 Both sides are pinned by the git tree ids of their `src/` and
 `perfbench/` directories; the change's ids are those of the working
 tree, untracked files included, so `git rev-parse COMMIT:src` on the
@@ -121,7 +124,14 @@ def alternated(sides: dict, workload: str, seeds: list[int], trace: int) -> list
 
 
 def per_layer(traces: list[dict]) -> dict:
-    """Each side's median of every per-layer metric, `*_s` times host-corrected per run."""
+    """Each side's median of every per-layer metric, `*_s` times host-corrected per run.
+
+    A `*_s` time also gets the raw change/parent ratio of each traced pair
+    (None where the parent's time is 0), their median and the pairs the
+    change won.  The two runs of a pair are adjacent in time, so their raw
+    ratio does not carry the slowdown swings between pairs that the
+    corrected medians do.
+    """
     out = {}
     for metric in SPEC["per_layer"]:
         name = metric["name"]
@@ -130,6 +140,14 @@ def per_layer(traces: list[dict]) -> dict:
             out[name][side] = statistics.median(
                 run[side]["metrics"][name] / (run[side]["host_slowdown"] if name.endswith("_s") else 1)
                 for run in traces)
+        if name.endswith("_s"):
+            ratios = [run["change"]["metrics"][name] / run["parent"]["metrics"][name]
+                      if run["parent"]["metrics"][name] else None for run in traces]
+            known = [r for r in ratios if r is not None]
+            higher = metric["better"] == "higher"
+            out[name]["pair_ratios"] = ratios
+            out[name]["pair_ratio_median"] = statistics.median(known) if known else None
+            out[name]["pairs_won"] = sum((r > 1) if higher else (r < 1) for r in known)
     return out
 
 

@@ -28,7 +28,9 @@ parsed instance, so that an unshared setup is covered too.  One more
 freshly parsed instance answers `is_grading_operator` on the witness,
 the base point and the perturbed base point before any solve has run on
 it, and then `e_of_operator` of the three moved operators.  Algebras
-within the BCH cap also get a short goodman report as JSON and the three
+within the BCH cap also get a short goodman report as JSON, one more on
+the ladder 1, 3/2, 5/3, 7, 2^16 (rungs with denominators other than 1, so
+the radius and the difference carry a rung denominator), and the three
 group laws on the grading eigenbasis (`bch_product`, `carnot_product` and
 `law_difference`) at 2 fixed grid pairs, each dilated to the rungs 2^0,
 2^8 and 2^16.  Each catalog fixture is then moved by a lower triangular
@@ -63,6 +65,7 @@ ALGEBRAS = (
 )
 DRAWN_PER_ALGEBRA = 6
 GOODMAN_SAMPLES, GOODMAN_TMAX, GOODMAN_SEED = 2, 4, 7
+GOODMAN_LADDER = (Fraction(1), Fraction(3, 2), Fraction(5, 3), Fraction(7), Fraction(2**16))
 PRODUCT_PAIRS, PRODUCT_RUNGS, PRODUCT_SEED = 2, (0, 8, 16), 11
 
 
@@ -183,6 +186,8 @@ def algebra_lines(name: str, rng: random.Random) -> list[str]:
         ladder = [Fraction(2) ** k for k in range(GOODMAN_TMAX + 1)]
         report = goodman.goodman_check(g, result.witness, GOODMAN_SAMPLES, ladder, GOODMAN_SEED)
         out.append("goodman " + report.to_json())
+        report = goodman.goodman_check(g, result.witness, GOODMAN_SAMPLES, GOODMAN_LADDER, GOODMAN_SEED)
+        out.append("goodman ladder " + report.to_json())
         out += product_lines(g_eig, ca)
     return out
 
