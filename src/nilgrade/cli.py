@@ -75,7 +75,7 @@ def _load_algebra(source: str) -> LieAlgebra:
 
 
 def _vec(v) -> str:
-    return ",".join(str(Fraction(c)) for c in v)
+    return ",".join(map(str, v))
 
 
 def _parse_vec(text: str, dim: int):
@@ -140,17 +140,13 @@ def _cmd_e(args) -> int:
     result = derivability.e_invariant(g)
     # the witness grades g with the quotients of its lower central series
     layer_dims = [str(d) for d in lie.lower_central_series(g).quotient_dims]
-    payload = {
-        "command": "e",
-        "e": str(result.e),
-        "witness": _matrix_lines(result.witness.rows),
-        "layer_dims": layer_dims,
-    }
+    witness = _matrix_lines(result.witness.matrix)
+    payload = {"command": "e", "e": str(result.e), "witness": witness, "layer_dims": layer_dims}
     lines = [
         f"e = {result.e}",
         f"witness layer dims = ({','.join(layer_dims)})",
         "witness (rows):",
-    ] + ["  " + row for row in _matrix_lines(result.witness.rows)]
+    ] + ["  " + row for row in witness]
     _emit(args, payload, lines)
     return 0
 
@@ -169,13 +165,9 @@ def _cmd_derivable(args) -> int:
             ["NotDerivable"],
         )
         return 1
-    payload = {
-        "command": "derivable",
-        "conditions": args.cond,
-        "result": "derivable",
-        "witness": _matrix_lines(witness.rows),
-    }
-    lines = ["derivable; witness (rows):"] + ["  " + row for row in _matrix_lines(witness.rows)]
+    rows = _matrix_lines(witness.matrix)
+    payload = {"command": "derivable", "conditions": args.cond, "result": "derivable", "witness": rows}
+    lines = ["derivable; witness (rows):"] + ["  " + row for row in rows]
     _emit(args, payload, lines)
     return 0
 

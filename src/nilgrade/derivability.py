@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import lie
 from .lie import AdaptedBasis, Filtration, LieAlgebra
-from .linalg import AffineSystem, Matrix, Vec, ZERO, integer_inverse, integer_rows, mat_vec, q, sparse_mul
+from .linalg import AffineSystem, Matrix, Vec, ZERO, integer_inverse, integer_rows, mat_vec, q, sparse_mul, transpose
 
 SparseVec = dict[int, int]
 
@@ -300,10 +300,7 @@ class _Setup:
         pivots = [row[min(row)] for row in self.ab.int_rows]
         dp = math.lcm(*pivots)
         p_cols = [{i: x * (dp // s) for i, x in row.items()} for row, s in zip(self.ab.int_rows, pivots)]
-        self.p_rows: list[SparseVec] = [{} for _ in range(n)]
-        for b, col in enumerate(p_cols):
-            for i, x in col.items():
-                self.p_rows[i][b] = x
+        self.p_rows: list[SparseVec] = transpose(p_cols, n)
         self.q_den, self.q_rows = integer_inverse(p_cols)  # P^-1 = Q/L, L being q_den
         # sigma * [e_i, v] in adapted coordinates, p^-1 [p e_i, p e_j] being Q [P e_i, P e_j] / (dp L);
         # bound to the adapted algebra, not to g

@@ -8,13 +8,16 @@ identity is checked explicitly (`check_jacobi`), never assumed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from typing import Sequence
 
-from .linalg import ONE, ZERO, Echelon, Vec, clear_denominators, integer_inverse, integer_rows, permutation_of, q
+from .linalg import (
+    ZERO, Echelon, Vec, clear_denominators, integer_inverse, integer_rows, permutation_of, pivot_row, q, sparse_mul,
+    transpose,
+)
 
 
 class AlgebraFormatError(ValueError):
@@ -160,7 +163,7 @@ class Filtration:
             raise ValueError("filtration index must be at least 1")
         if k > len(self.int_rows):
             return []
-        return [list(_rref_row(row, self.dim)) for row in self.int_rows[k - 1]]
+        return [pivot_row(row, self.dim) for row in self.int_rows[k - 1]]
 
     @property
     def quotient_dims(self) -> tuple[int, ...]:
@@ -172,14 +175,24 @@ class Filtration:
 class AdaptedBasis:
     """Basis adapted to a filtration: degree-≥i vectors span F_i.
 
-    `int_rows[b]` is vectors[b] times the least positive integer that clears it,
-    as a sparse {index: int} dict (the `Filtration.int_rows` row it was
-    picked from); they are read-only.
+    `int_rows[b]` is the basis vector b times the least positive integer that
+    clears it, as a sparse {index: int} dict: the `Filtration.int_rows` row it
+    was picked from, read-only.  Two bases are equal, and hash equal, iff
+    their rows and degrees are; `vectors` makes the Fraction vectors from the
+    rows on read.
     """
 
-    vectors: tuple[tuple[Fraction, ...], ...]
+    int_rows: tuple[dict[int, int], ...]
     degrees: tuple[int, ...]
-    int_rows: tuple[dict[int, int], ...] = field(default=(), compare=False, repr=False)
+
+    def __hash__(self) -> int:
+        return hash((tuple(tuple(sorted(row.items())) for row in self.int_rows), self.degrees))
+
+    @property
+    def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Each basis vector as a dense Fraction tuple: its row over its pivot value."""
+        n = len(self.int_rows)
+        return tuple(tuple(pivot_row(row, n)) for row in self.int_rows)
 
 
 def graded_part(g: LieAlgebra, degrees: Sequence[int]) -> LieAlgebra:
@@ -321,15 +334,6 @@ def check_jacobi(g: LieAlgebra) -> list[tuple[int, int, int, Vec]]:
     return violations
 
 
-def _rref_row(row: dict[int, int], dim: int) -> tuple[Fraction, ...]:
-    """The RREF row of a primitive integer echelon row: row over its pivot value."""
-    out = [ZERO] * dim
-    d = row[min(row)]
-    for k, x in row.items():
-        out[k] = ONE if x == d else Fraction(x, d)
-    return tuple(out)
-
-
 def lower_central_series(g: LieAlgebra) -> Filtration:
     """F_1 = g, F_{k+1} = span[g, F_k]; raises NotNilpotentError if it stalls.
 
@@ -405,11 +409,7 @@ def adapted_basis(g: LieAlgebra, f: Filtration) -> AdaptedBasis:
         if ech.rank != target:
             raise RuntimeError("failed to complete adapted basis (internal error)")
     chosen.sort(key=lambda t: t[0])
-    return AdaptedBasis(
-        vectors=tuple(_rref_row(v, g.dim) for _, v in chosen),
-        degrees=tuple(d for d, _ in chosen),
-        int_rows=tuple(v for _, v in chosen),
-    )
+    return AdaptedBasis(tuple(v for _, v in chosen), tuple(d for d, _ in chosen))
 
 
 def change_of_basis(
@@ -443,13 +443,14 @@ def algebra_in_integer_basis(
     are Q sigma[P e_i, P e_j] / (sigma scale).  Both products run on sparse
     integer columns: sigma[P e_i, P e_j] is the sum of P_ai * `ad`(a, P e_j)
     over the support of P e_i, each `ad` image computed once, and Q is
-    applied column by column over that bracket's support.  Only the pairs
-    (i, j) where some a in the support of P e_i brackets nontrivially with
-    some b in that of P e_j are visited, in (i, j) order, and only such a
-    meet `ad`: every other bracket is zero.  The new table is those integer
-    vectors divided once by the gcd of all their entries and sigma * scale,
-    and the new sigma is sigma * scale over that gcd: the least common
-    denominator of the constants, as `LieAlgebra` would find it.
+    applied to all of those brackets by one `sparse_mul` with Q's
+    `transpose`.  Only the pairs (i, j) where some a in the support of P e_i
+    brackets nontrivially with some b in that of P e_j are visited, in
+    (i, j) order, and only such a meet `ad`: every other bracket is zero.
+    The new table is those integer vectors divided once by the gcd of all
+    their entries and sigma * scale, and the new sigma is sigma * scale over
+    that gcd: the least common denominator of the constants, as
+    `LieAlgebra` would find it.
 
     A permutation P, each column one entry 1, at scale 1 skips both
     products: then Q is P's transpose and p e_b = e_pi(b), so the new
@@ -472,19 +473,11 @@ def algebra_in_integer_basis(
             moved = tuple(sorted((new[k], s) for k, s in entries))
             table.append((i, j, moved) if i < j else (j, i, tuple((k, -s) for k, s in moved)))
         return LieAlgebra._from_table(n, g.sigma, tuple(sorted(table)), labels)
-    q_cols: list[dict[int, int]] = [{} for _ in range(n)]
-    for k, row in enumerate(q_rows):
-        for m, y in row.items():
-            q_cols[m][k] = y
     rows = g._signed_rows
-    holders: list[list[int]] = [[] for _ in range(n)]  # holders[b]: the j with b in the support of P e_j
-    for j, col in enumerate(p_cols):
-        for b in col:
-            holders[b].append(j)
-    den = g.sigma * scale
-    common = den
+    holders = transpose(p_cols, n)  # holders[b]: the j with b in the support of P e_j
     images: dict[tuple[int, int], dict[int, int]] = {}  # (a, j) -> sigma [e_a, P e_j]
-    products: list[tuple[int, int, dict[int, int]]] = []
+    pairs: list[tuple[int, int]] = []
+    brackets: list[dict[int, int]] = []  # sigma [P e_i, P e_j] for each pair
     for i in range(n):
         for j in sorted({j for a in p_cols[i] for b in rows[a] for j in holders[b] if j > i}):
             w: dict[int, int] = {}
@@ -496,15 +489,12 @@ def algebra_in_integer_basis(
                     image = images[(a, j)] = g.ad(a, p_cols[j])
                 for m, s in image.items():
                     w[m] = w.get(m, 0) + x * s
-            out: dict[int, int] = {}
-            for m, s in w.items():
-                if s:
-                    for k, y in q_cols[m].items():
-                        out[k] = out.get(k, 0) + s * y
-            out = {k: x for k, x in out.items() if x}
-            if out:
-                products.append((i, j, out))
-                common = gcd(common, *out.values())
+            pairs.append((i, j))
+            brackets.append(w)
+    # Q w, as a row, is w's row times Q's transpose
+    products = [(i, j, out) for (i, j), out in zip(pairs, sparse_mul(brackets, transpose(q_rows, n))) if out]
+    den = g.sigma * scale
+    common = gcd(den, *(x for _, _, out in products for x in out.values()))
     table = tuple((i, j, tuple((k, out[k] // common) for k in sorted(out))) for i, j, out in products)
     return LieAlgebra._from_table(n, den // common, table, labels)
 

@@ -8,9 +8,9 @@ are reproducible.
 Rationals become integers here only: `clear_denominators` for a vector,
 `integer_rows` for a matrix.  Every solve, inverse and span runs on
 `Echelon`, a fraction-free elimination of sparse integer rows (`SparseRow`),
-which makes Fractions only for the results that leave it; `integer_inverse`,
-the one inverse, and `sparse_mul`, the one matrix product, stay on
-integers.
+which makes Fractions only for the results that leave it, an echelon row
+through `pivot_row`; `integer_inverse`, the one inverse, `sparse_mul`, the
+one matrix product, and `transpose`, the one transpose, stay on integers.
 """
 
 from __future__ import annotations
@@ -93,6 +93,16 @@ def sparse_mul(a: Sequence[dict], b: Sequence[dict]) -> list[dict]:
     return out
 
 
+def transpose(rows: Sequence[dict], n: int) -> list[dict]:
+    """The n sparse rows of the transpose of the matrix given by its sparse
+    rows {column: nonzero value}, every column below n."""
+    out: list[dict] = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for k, x in row.items():
+            out[k][i] = x
+    return out
+
+
 @dataclass(frozen=True)
 class AffineSolution:
     """Full solution set {particular + span(nullspace_basis)} of a·x = b."""
@@ -141,10 +151,7 @@ def integer_inverse(cols: Sequence[dict[int, int]]) -> tuple[int, list[dict[int,
     n = len(cols)
     if permutation_of(cols) is not None:
         return 1, [dict(col) for col in cols]
-    rows: list[dict[int, int]] = [{} for _ in range(n)]
-    for b, col in enumerate(cols):
-        for i, x in col.items():
-            rows[i][b] = x
+    rows = transpose(cols, n)
     ech = Echelon(2 * n)
     for i, row in enumerate(rows):
         row[n + i] = 1
@@ -172,6 +179,16 @@ def _primitive(w: dict[int, int], pivot: int) -> dict[int, int]:
         for k in w:
             w[k] //= g
     return w
+
+
+def pivot_row(row: SparseRow, dim: int) -> Vec:
+    """The dense Fraction row of a primitive integer echelon row (an
+    `Echelon.int_rows` row): row over its pivot value, its first entry."""
+    out = zero_vec(dim)
+    d = row[min(row)]
+    for k, x in row.items():
+        out[k] = ONE if x == d else Fraction(x, d)
+    return out
 
 
 class Echelon:
@@ -301,13 +318,7 @@ class Echelon:
 
     @property
     def rows(self) -> list[Vec]:
-        out = []
-        for p, row in self.int_rows.items():
-            w = zero_vec(self.dim)
-            for k, x in row.items():
-                w[k] = Fraction(x, row[p])
-            out.append(w)
-        return out
+        return [pivot_row(row, self.dim) for row in self.int_rows.values()]
 
     basis = rows
 

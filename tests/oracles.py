@@ -586,7 +586,7 @@ def adapted_basis_echelon(g, f) -> AdaptedBasis:
             if ech.add(integer_row(v)):
                 chosen.append((level, v))
     chosen.sort(key=lambda t: t[0])
-    return AdaptedBasis(tuple(tuple(v) for _, v in chosen), tuple(d for d, _ in chosen))
+    return AdaptedBasis(tuple(integer_row(v) for _, v in chosen), tuple(d for d, _ in chosen))
 
 
 def graded_truncation(g, degrees) -> LieAlgebra:

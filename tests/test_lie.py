@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import time
 from fractions import Fraction as F
@@ -24,6 +25,7 @@ from oracles import (
 from nilgrade import catalog
 from nilgrade.derivability import _setup, e_invariant
 from nilgrade.lie import (
+    AdaptedBasis,
     AlgebraFormatError,
     LieAlgebra,
     NotNilpotentError,
@@ -515,7 +517,24 @@ def test_adapted_basis_matches_echelon_oracle_under_change_of_basis(name, data):
     shear[b][a] = data.draw(coords.filter(bool))
     for h in (g, moved, change_of_basis(g, shear), data.draw(matrix_lie_algebras())):
         f = lower_central_series(h)
-        assert adapted_basis(h, f) == adapted_basis_echelon(h, f)
+        ab, oracle = adapted_basis(h, f), adapted_basis_echelon(h, f)
+        assert ab == oracle and hash(ab) == hash(oracle)
+        # each vector is its integer row over its pivot value, a leading 1
+        for v, row in zip(ab.vectors, oracle.int_rows):
+            assert integer_row(v) == row and next(x for x in v if x) == 1
+        reordered = AdaptedBasis(tuple(dict(reversed(row.items())) for row in ab.int_rows), ab.degrees)
+        assert reordered == ab and hash(reordered) == hash(ab)
+
+
+def test_adapted_basis_holds_only_integer_rows_and_degrees():
+    # the basis is stored once, as the integer rows the derivability setup
+    # reads; its Fraction vectors are made on read
+    assert [field.name for field in dataclasses.fields(AdaptedBasis)] == ["int_rows", "degrees"]
+    g = catalog.get("filiform(1000)").algebra
+    ab = adapted_basis(g, lower_central_series(g))
+    assert len(ab.int_rows) == len(ab.degrees) == 1000
+    assert all(type(k) is int and type(x) is int for row in ab.int_rows for k, x in row.items())
+    assert all(type(d) is int for d in ab.degrees)
 
 
 def test_adapted_basis_spans_filtration():

@@ -38,6 +38,7 @@ from nilgrade.linalg import (
     solve_affine,
     sparse_mul,
     subspace_contains,
+    transpose,
     vec,
 )
 
@@ -598,3 +599,16 @@ def test_sparse_mul_matches_triple_loop(m, k, n, data):
     product = sparse_mul([sparse(row) for row in a], [sparse(row) for row in b])
     assert [[row.get(j, 0) for j in range(n)] for row in product] == naive_mat_mul(matrix(a), matrix(b))
     assert all(x for row in product for x in row.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3), st.data())
+def test_transpose_matches_the_dense_transpose_and_round_trips(m, n, extra, data):
+    # n + extra output rows for m input rows over n columns, m = 0 and
+    # all-zero rows included: the extra rows, and every row of a zero
+    # column, are empty
+    a = [sparse(row) for row in data.draw(matrices(m, n))]
+    t = transpose(a, n + extra)
+    assert len(t) == n + extra and all(not row for row in t[n:])
+    assert [[row.get(i, 0) for i in range(m)] for row in t[:n]] == [[r.get(k, 0) for r in a] for k in range(n)]
+    assert transpose(t, m) == a

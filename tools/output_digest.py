@@ -30,7 +30,11 @@ the base point and the perturbed base point before any solve has run on
 it, and then `e_of_operator` of the three moved operators.  Algebras
 within the BCH cap also get a short goodman report as JSON, one more on
 the ladder 1, 3/2, 5/3, 7, 2^16 (rungs with denominators other than 1, so
-the radius and the difference carry a rung denominator), and the three
+the radius and the difference carry a rung denominator), whose radii and
+difference norms are recorded once more at full float precision (the
+report prints 12 digits, which hides a float that moves by a few units in
+the last place, as it does when a root's integer ratio keeps a common
+factor such as the 16 of 80/48 at the rung 5/3), and the three
 group laws on the grading eigenbasis (`bch_product`, `carnot_product` and
 `law_difference`) at 2 fixed grid pairs, each dilated to the rungs 2^0,
 2^8 and 2^16.  Each catalog fixture is then moved by a lower triangular
@@ -188,6 +192,7 @@ def algebra_lines(name: str, rng: random.Random) -> list[str]:
         out.append("goodman " + report.to_json())
         report = goodman.goodman_check(g, result.witness, GOODMAN_SAMPLES, GOODMAN_LADDER, GOODMAN_SEED)
         out.append("goodman ladder " + report.to_json())
+        out.append("goodman ladder floats " + " ".join(f"{s.r!r}/{s.diff_norm!r}" for s in report.samples))
         out += product_lines(g_eig, ca)
     return out
 
