@@ -294,6 +294,29 @@ def group_inverse(x: Sequence[Fraction]) -> Vec:
     return [-q(v) for v in x]
 
 
+def _is_companion(g: LieAlgebra, ca: CarnotAlgebra) -> bool:
+    """Whether ca is g's graded companion, so that g is written in its grading eigenbasis.
+
+    That is: one degree per basis vector, none above g's nilpotency class
+    c (so the weights below c that `_weighted_parts` keeps cover every
+    w < d), and `lie.graded_part(g, ca.degrees)` equal to ca.algebra,
+    which fails when a bracket has a component of lower degree.  The
+    graded part, or None where it fails, is cached on g per degree tuple
+    (`carnot.carnot_algebra` seeds it), so a repeated pair costs one table
+    comparison, and a pair from `carnot_pair` one identity check.
+    """
+    degrees = tuple(ca.degrees)
+    if len(degrees) != g.dim or max(degrees, default=0) > lie.lower_central_series(g).nilpotency_class:
+        return False
+    if degrees not in g._graded_parts:
+        try:
+            g._graded_parts[degrees] = lie.graded_part(g, degrees)
+        except ValueError:
+            g._graded_parts[degrees] = None
+    part = g._graded_parts[degrees]
+    return part is ca.algebra or part == ca.algebra
+
+
 def law_difference(
     g: LieAlgebra,
     other: CarnotAlgebra | LieAlgebra,
@@ -303,8 +326,16 @@ def law_difference(
     """bch_product under g minus the product under `other`, exact.
 
     Both laws must be expressed in one common coordinate system (for a
-    CarnotAlgebra companion this is the grading eigenbasis).
+    CarnotAlgebra companion this is the grading eigenbasis).  When other
+    is a CarnotAlgebra that is g's graded companion (`_is_companion`),
+    the difference is one weight-split evaluation: the ladder's integer
+    core at the single rung t = 1 (see `law_difference_ladder`), where
+    each degree-d coordinate sums its weight-w parts with w < d.  For a
+    LieAlgebra, or a CarnotAlgebra that is not g's companion, it is the
+    two products subtracted.
     """
+    if isinstance(other, CarnotAlgebra) and _is_companion(g, other):
+        return _ladder(g, other.degrees, x, y, [(1, [1])])[0]
     other_alg = other.algebra if isinstance(other, CarnotAlgebra) else other
     a = bch_product(g, lie.lower_central_series(g), x, y)
     b = bch_product(other_alg, lie.lower_central_series(other_alg), x, y)
@@ -349,6 +380,20 @@ def _ladder_integers(
     return out
 
 
+def _ladder(
+    g: LieAlgebra,
+    degrees: Sequence[int],
+    x: Sequence[Fraction],
+    y: Sequence[Fraction],
+    rungs: Sequence[tuple[int, list[int]]],
+) -> list[Vec]:
+    """`_ladder_integers` as one Fraction vector per rung."""
+    return [
+        [Fraction(s, dens[d]) if s else ZERO for s, d in zip(totals, degrees)]
+        for totals, dens in _ladder_integers(g, degrees, x, y, rungs)
+    ]
+
+
 def law_difference_ladder(
     g: LieAlgebra,
     ca: CarnotAlgebra,
@@ -358,7 +403,10 @@ def law_difference_ladder(
 ) -> list[Vec]:
     """`law_difference(g, ca, δ_t x, δ_t y)` for every t in ts, from one evaluation.
 
-    g is written in the grading eigenbasis of its Carnot companion ca, and
+    g must be written in the grading eigenbasis of its Carnot companion ca
+    (`_is_companion`, the test `law_difference` reads), else ValueError:
+    on any other pair the weight split below is not the difference of the
+    two laws, and `law_difference` falls back to its two products there.
     δ_t multiplies each degree-i coordinate by t^i.  A bracket of weight-a
     and weight-b parts lands in degrees >= a + b, so the weight-W part
     P_{k,W} (`_weighted_parts` on ca.degrees) scales as t^W.  In a degree-d
@@ -368,9 +416,6 @@ def law_difference_ladder(
     degree and rung.  Raises ValueError on t <= 0, as `dilate` does, and on
     a class above 8, as `bch_table` does.
     """
-    degrees = ca.degrees
-    rungs = [clear_denominators([q(t)]) for t in ts]
-    return [
-        [Fraction(s, dens[d]) if s else ZERO for s, d in zip(totals, degrees)]
-        for totals, dens in _ladder_integers(g, degrees, x, y, rungs)
-    ]
+    if not _is_companion(g, ca):
+        raise ValueError("ca is not the graded companion of g in its grading eigenbasis")
+    return _ladder(g, ca.degrees, x, y, [clear_denominators([q(t)]) for t in ts])

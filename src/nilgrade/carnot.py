@@ -82,6 +82,8 @@ def carnot_algebra(g: LieAlgebra, d: GradingOperator | Sequence[int]) -> CarnotA
     keeps, for basis vectors of degrees i and j, the degree-(i+j) component
     of their bracket in g, so it respects the grading by construction; it
     is checked to be a Lie algebra and to be generated by the degree-1 layer V_1.
+    It is then cached on g as g's graded part at these degrees, which is
+    how `bch.law_difference` recognises the pair as a companion.
 
     V_1 generates iff the lower central series γ_k of the graded algebra A
     (then cached on A for the group laws) has dim γ_k = #{degrees >= k} for
@@ -102,6 +104,7 @@ def carnot_algebra(g: LieAlgebra, d: GradingOperator | Sequence[int]) -> CarnotA
     for k in range(2, max(degrees, default=1) + 1):
         if sum(f.quotient_dims[k - 1 :]) != sum(deg >= k for deg in degrees):
             raise ValueError("degree-1 layer does not generate the graded algebra")
+    g._graded_parts[degrees] = algebra
     return CarnotAlgebra(algebra, degrees)
 
 

@@ -8,6 +8,7 @@ seed alone.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -71,6 +72,25 @@ def _root_ratio(num: int, den: int, i: int) -> float:
     log2 = (num.bit_length() - 1) + math.log2(num / (1 << (num.bit_length() - 1)))
     log2 -= (den.bit_length() - 1) + math.log2(den / (1 << (den.bit_length() - 1)))
     return 2.0 ** (log2 / i)
+
+
+def _one_float(seen: list[tuple[float, int, int, int]], r: float, num: int, den: int, i: int) -> float:
+    """r, the float of the exact radius (num / den)^(1/i), or that of an equal radius in seen.
+
+    One radius reached through different layers, as 5/3 through 80/48 at
+    layer 1 and 2000/432 at layer 3, can round to floats an ulp apart.
+    Radii are equal iff (num / den)^j = (num' / den')^i, which is checked
+    against the radii in seen (sorted by float) within a relative 1e-9 of
+    r only, far above the roots' rounding error.  A new radius is recorded.
+    """
+    start = bisect.bisect_left(seen, (r * (1 - 1e-9),))
+    for f, num2, den2, j in seen[start:]:
+        if f > r * (1 + 1e-9):
+            break
+        if num**j * den2**i == num2**i * den**j:
+            return f
+    bisect.insort(seen, (r, num, den, i))
+    return r
 
 
 def guivarch_norm(ctx: GuivarchContext, x: Sequence[Fraction]) -> float:
@@ -179,9 +199,12 @@ def goodman_check(
     fraction that a Fraction would hold, and so the same float, whatever the
     ladder: a rung's denominator may be any positive integer.  The report
     carries the fitted exponent
-    plus the best constant for diff <= C * max(1, r)^(e_D).  The exponent
-    is 0 when the difference is identically zero and None when it is not
-    but fewer than two distinct r > 1 carry a nonzero difference.  Raises
+    plus the best constant for diff <= C * max(1, r)^(e_D).  The fit gives
+    each exact radius one float (`_one_float`): a radius reached through
+    two layers may round to two floats an ulp apart, which a fit would
+    read as two radii.  The exponent is 0 when the difference is
+    identically zero and None when it is not but fewer than two distinct
+    exact radii r > 1 carry a nonzero difference.  Raises
     ValueError when there is no pair or no ladder value to sample.
     """
     if n_samples < 1 or not t_ladder:
@@ -200,6 +223,7 @@ def goodman_check(
     constant = 0.0
     fit_points: list[tuple[float, float]] = []
     all_zero = True
+    radii: list[tuple[float, int, int, int]] = []  # each exact fit radius and its one float
     for index in range(n_samples):
         z1, z2 = sampler.vector(g.dim), sampler.vector(g.dim)
         ladder = bch._ladder_integers(g_eig, degrees, z1, z2, rungs)
@@ -210,15 +234,20 @@ def goodman_check(
             if m > peaks.get(deg, 0):
                 peaks[deg] = m
         for t, scale, (totals, dens) in zip(ts, scales, ladder):
-            r = max((_root_ratio(m * scale[i][0], den * scale[i][1], i) for i, m in peaks.items()), default=0.0)
+            r, num, rden, i = 0.0, 0, 1, 1  # the radius as a float and exactly, as (num / rden)^(1/i)
+            for k, m in peaks.items():
+                a, b = m * scale[k][0], den * scale[k][1]
+                root = _root_ratio(a, b, k)
+                if root > r:
+                    r, num, rden, i = root, a, b, k
             dn = max((_root_ratio(abs(s), dens[deg], deg) for s, deg in zip(totals, degrees) if s), default=0.0)
             samples.append(GoodmanSample(index, t, r, dn))
             if dn > 0:
                 all_zero = False
                 constant = max(constant, dn / max(1.0, r) ** e_float)
                 if r > 1:
-                    fit_points.append((r, dn))
-    estimable = len(fit_points) >= 2 and len({r for r, _ in fit_points}) >= 2
+                    fit_points.append((_one_float(radii, r, num, rden, i), dn))
+    estimable = len({r for r, _ in fit_points}) >= 2
     if estimable:
         slope = fit_exponent(fit_points)
     else:

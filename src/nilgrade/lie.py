@@ -92,6 +92,8 @@ class LieAlgebra:
         self._lcs_cache: Filtration | None = None
         self._setup_cache = None  # derivability._setup fills it, idempotently
         self._splits: dict[tuple[int, ...], tuple] = {}  # `_degree_split` fills it
+        # `graded_part` per degree tuple, None where it raised: `bch._is_companion` fills it
+        self._graded_parts: dict[tuple[int, ...], LieAlgebra | None] = {}
 
     @cached_property
     def brackets(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:

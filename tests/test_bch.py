@@ -28,7 +28,7 @@ from oracles import (
 from test_derivability import GRADED_ENTRIES, grading_operator_samples
 from test_lie import matrix_lie_algebras, matrix_lie_algebras_with_matrices
 
-from nilgrade import catalog, lie
+from nilgrade import bch, catalog, lie
 from nilgrade.bch import (
     _weighted_parts,
     bch_product,
@@ -309,6 +309,99 @@ def test_g7_0_8_vs_g7_1_21_difference_formula():
         assert law_difference(ga, gb, x, y) == expected
 
 
+# --- the law difference on a Carnot pair, and off one
+
+
+LAW_ENTRIES = [e.name for e in catalog.entries() if lower_central_series(e.algebra).nilpotency_class <= 8]
+
+
+@lru_cache(maxsize=None)
+def catalog_pair(name):
+    g = catalog.get(name).algebra
+    return carnot_pair(g, e_invariant(g).witness)
+
+
+def two_products(g, ca, x, y):
+    a = bch_product(g, lower_central_series(g), x, y)
+    return [s - t for s, t in zip(a, carnot_product(ca, x, y))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(LAW_ENTRIES).map(catalog_pair),
+        matrix_lie_algebras().map(lambda g: carnot_pair(g, e_invariant(g).witness)),
+    ),
+    st.data(),
+)
+def test_law_difference_on_a_carnot_pair_is_the_two_products_and_the_ladder_at_one(pair, data):
+    # the one weight-split evaluation against its definition, and against
+    # the ladder read at the single rung t = 1
+    g_eig, ca = pair
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    scale = F(2) ** data.draw(st.sampled_from([0, 8]))
+    x, y = ([scale * v for v in data.draw(st.lists(coord, min_size=g_eig.dim, max_size=g_eig.dim))] for _ in range(2))
+    got = law_difference(g_eig, ca, x, y)
+    assert got == two_products(g_eig, ca, x, y)
+    assert [got] == law_difference_ladder(g_eig, ca, x, y, [F(1)])
+
+
+def test_law_difference_on_a_carnot_pair_runs_one_weight_split_evaluation(monkeypatch):
+    g_eig, ca = catalog_pair("g7_0_8")
+    x = [F(k + 1, 3) for k in range(g_eig.dim)]
+    y = [F(-2, k + 1) for k in range(g_eig.dim)]
+    expected = two_products(g_eig, ca, x, y)
+    calls = []
+    for name in ("_weighted_parts", "bch_product"):
+        real = getattr(bch, name)
+        monkeypatch.setattr(bch, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    assert law_difference(g_eig, ca, x, y) == expected
+    assert calls == ["_weighted_parts"]
+    # a LieAlgebra as the other law keeps the two products
+    calls.clear()
+    law_difference(g_eig, ca.algebra, x, y)
+    assert calls.count("bch_product") == 2
+
+
+SHEARED = ["g6_11", "g7_0_8", "g6_2", "filiform(7)", "central_product(3,5)"]
+
+
+def lower_shear(n):
+    """Rows v_i = sum over j <= i of (j+1)/(2 + i%2)/(i-j+1) e_j: each basis
+    vector picks up the ones before it, so the filtration is not adapted."""
+    return [[F(j + 1, 2 + i % 2) / (i - j + 1) if j <= i else F(0) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("name", SHEARED)
+def test_law_difference_off_a_carnot_pair_keeps_the_two_products_and_the_ladder_raises(name):
+    # the moved algebra is not written in its own companion's eigenbasis,
+    # so the weight split is not the difference: law_difference subtracts
+    # the two products and the ladder refuses the pair
+    g = catalog.get(name).algebra
+    moved = lie.change_of_basis(g, lower_shear(g.dim))
+    moved_eig, ca = carnot_pair(moved, e_invariant(moved).witness)
+    assert not bch._is_companion(moved, ca) and bch._is_companion(moved_eig, ca)
+    rng = random.Random(name)
+    x, y = rand_vec(rng, g.dim), rand_vec(rng, g.dim)
+    assert law_difference(moved, ca, x, y) == two_products(moved, ca, x, y)
+    with pytest.raises(ValueError, match="not the graded companion"):
+        law_difference_ladder(moved, ca, x, y, [F(1)])
+    # the cached failure answers a repeated pair the same way
+    assert law_difference(moved, ca, x, y) == two_products(moved, ca, x, y)
+    assert law_difference_ladder(moved_eig, ca, x, y, [F(1)]) == [law_difference(moved_eig, ca, x, y)]
+
+
+def test_companion_test_compares_the_graded_table():
+    # a CarnotAlgebra built apart from the pair still counts as the
+    # companion when its table is the graded part; other degrees do not
+    g_eig, ca = catalog_pair("g6_11")
+    apart = type(ca)(lie.parse_algebra(lie.serialize_algebra(ca.algebra)), ca.degrees)
+    assert apart.algebra is not ca.algebra and bch._is_companion(g_eig, apart)
+    assert not bch._is_companion(g_eig, type(ca)(ca.algebra, ca.degrees[:-1]))
+    assert not bch._is_companion(g_eig, type(ca)(ca.algebra, tuple(d + 1 for d in ca.degrees)))
+    assert not bch._is_companion(g_eig, type(ca)(catalog.abelian(g_eig.dim), ca.degrees))
+
+
 # --- the integer word evaluator
 
 
@@ -457,8 +550,9 @@ def test_class_eight_product_brackets_each_rest_once_and_folds_the_outer_bracket
 
 
 def per_rung(g_eig, ca, x, y, ts):
+    # the two products, not `law_difference`, which runs the ladder's own evaluator on a Carnot pair
     ctx = GuivarchContext.for_carnot(ca)
-    return [law_difference(g_eig, ca, dilate(ctx, t, x), dilate(ctx, t, y)) for t in ts]
+    return [two_products(g_eig, ca, dilate(ctx, t, x), dilate(ctx, t, y)) for t in ts]
 
 
 @settings(max_examples=30, deadline=None)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import four_step_components, grid_vectors, layer_component
+from test_bch import two_products
 
 from nilgrade import bch, catalog, goodman
 from nilgrade.bch import law_difference
@@ -22,6 +23,7 @@ from nilgrade.goodman import (
     GridSampler,
     GuivarchContext,
     _root_float,
+    _one_float,
     _root_ratio,
     dilate,
     fit_exponent,
@@ -164,6 +166,30 @@ def test_goodman_report_json_fields():
     assert isinstance(sample["r"], str) and doc["fitted_slope"] is None
 
 
+def test_one_radius_reached_through_two_layers_is_one_fit_radius():
+    # g6_2's two pairs reach the radius 5/3 through layer 1 (80/48) and
+    # through layer 3 (2000/432); the floats differ in the last place, and
+    # a fit through them would give a slope of order 1e15
+    g = catalog.get("g6_2").algebra
+    report = goodman_check(g, e_invariant(g).witness, 2, [F(5, 3)], seed=2)
+    radii = [s.r for s in report.samples]
+    assert radii == [1.6666666666666665, 1.6666666666666667]
+    assert all(s.diff_norm > 0 for s in report.samples)
+    assert report.fitted_slope is None and not report.identically_zero
+
+
+def test_one_float_compares_radii_exactly():
+    seen = []
+    five_thirds = _root_ratio(80, 48, 1)
+    assert _one_float(seen, five_thirds, 80, 48, 1) == five_thirds
+    # (2000/432)^(1/3) = 5/3 exactly, whatever its float
+    assert _one_float(seen, math.nextafter(five_thirds, 2), 2000, 432, 3) == five_thirds
+    # a different radius within an ulp keeps its own float
+    other = math.nextafter(five_thirds, 2)
+    assert _one_float(seen, other, 5 * 2**60 + 1, 3 * 2**60, 1) == other
+    assert len(seen) == 2
+
+
 def test_sample_ordering():
     g = catalog.get("g6_2").algebra
     res = e_invariant(g)
@@ -198,7 +224,7 @@ def test_goodman_samples_match_per_rung_law_difference(monkeypatch, name, seed):
         for t in ladder:
             z1t, z2t = dilate(ctx, t, z1), dilate(ctx, t, z2)
             r = max(guivarch_norm(ctx, z1t), guivarch_norm(ctx, z2t))
-            diff = law_difference(g_eig, ca, z1t, z2t)
+            diff = two_products(g_eig, ca, z1t, z2t)
             expected.append(GoodmanSample(index, t, r, guivarch_norm(ctx, diff)))
     assert list(report.samples) == expected
 

@@ -42,7 +42,13 @@ shear of rescaled basis vectors and by its transpose (`fixture_shears`),
 and the moved algebra's e-invariant, witness and `e_of_operator` of the
 witness are recorded: the adapted basis of the transposed shear's algebra
 is no permutation, so these are the solves whose setup changes basis
-through general sparse columns.  Last come
+through general sparse columns.  Each moved algebra's Carnot pair then
+gets the three group laws at the same dilated grid pairs (the transposed
+shear's pair has an eigenbasis that is no permutation), and beside them
+`law_difference(moved, ca, ...)`, the moved algebra against that pair's
+Carnot companion: for the transposed shear the moved algebra is not
+written in the companion's eigenbasis, so this is the two-product
+definition, not the one weight-split evaluation.  Last come
 the nonzero BCH word coefficients of `bch_table(c)` for c = 2..8, the
 largest exact solves the package makes.  Two checkouts print
 the same hash exactly when all of these outputs agree, so running it on
@@ -116,6 +122,7 @@ def sheared_lines(name: str) -> list[str]:
             f"sheared {kind} {name}: e {result.e} witness {_operator(result.witness)}"
             f" e_of_operator {derivability.e_of_operator(moved, result.witness)}"
         )
+        out += product_lines(*carnot.carnot_pair(moved, result.witness), moved)
     return out
 
 
@@ -197,7 +204,9 @@ def algebra_lines(name: str, rng: random.Random) -> list[str]:
     return out
 
 
-def product_lines(g_eig: lie.LieAlgebra, ca: carnot.CarnotAlgebra) -> list[str]:
+def product_lines(g_eig: lie.LieAlgebra, ca: carnot.CarnotAlgebra, moved: lie.LieAlgebra | None = None) -> list[str]:
+    """The three group laws on (g_eig, ca) at the dilated grid pairs, and with
+    moved, `law_difference(moved, ca, ...)` at the same points."""
     f_eig = lie.lower_central_series(g_eig)
     ctx = goodman.GuivarchContext.for_carnot(ca)
     sampler = goodman.GridSampler(PRODUCT_SEED)
@@ -206,10 +215,13 @@ def product_lines(g_eig: lie.LieAlgebra, ca: carnot.CarnotAlgebra) -> list[str]:
         x, y = sampler.vector(g_eig.dim), sampler.vector(g_eig.dim)
         for k in PRODUCT_RUNGS:
             u, v = (goodman.dilate(ctx, Fraction(2) ** k, w) for w in (x, y))
-            out.append(
+            line = (
                 f"products {_vec(x)} ; {_vec(y)} at 2^{k}: bch {_vec(bch.bch_product(g_eig, f_eig, u, v))}"
                 f" carnot {_vec(bch.carnot_product(ca, u, v))} diff {_vec(bch.law_difference(g_eig, ca, u, v))}"
             )
+            if moved is not None:
+                line += f" moved diff {_vec(bch.law_difference(moved, ca, u, v))}"
+            out.append(line)
     return out
 
 
