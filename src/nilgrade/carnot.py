@@ -132,17 +132,13 @@ def verify_grading(
 
     Every nonzero bracket [e_i, e_j] must lie in the span of basis
     vectors of degree exactly degrees[i] + degrees[j]; returns the truth
-    value and the offending pairs.
+    value and the offending pairs, i < j, in order (`lie.grading_violations`).
     """
     if len(degrees) != g.dim:
         raise ValueError("need one degree per basis vector")
     if any(d < 1 for d in degrees):
         raise ValueError("degrees must be positive")
-    violations = []
-    for (i, j), v in sorted(g.brackets.items()):
-        target = degrees[i] + degrees[j]
-        if any(c != 0 and degrees[k] != target for k, c in enumerate(v)):
-            violations.append((i, j))
+    violations = lie.grading_violations(g, degrees)
     return not violations, violations
 
 

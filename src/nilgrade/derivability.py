@@ -284,6 +284,13 @@ class _Setup:
     algebra `lie.algebra_in_integer_basis` then relabels), and both held
     by their sparse rows (`p_rows`, `q_rows`).
 
+    `graded` holds iff the adapted degrees grade the adapted algebra
+    (`lie.grading_violations`), that is, iff D0 is a derivation.  Then a
+    path suffix of degree sum S lies in degree S, so every path row
+    (`_path_rows`) has right-hand side 0: every condition system is
+    homogeneous, hence feasible, with particular solution 0, and the
+    entry points answer from D0 without walking the trie.
+
     `roots[b]` is the path trie rooted at index b (see `_Node`), filled in
     on first visit and kept as long as the algebra instance, so every call,
     condition and candidate reuses it.  Threads may share it, as they may
@@ -305,6 +312,7 @@ class _Setup:
         # sigma * [e_i, v] in adapted coordinates, p^-1 [p e_i, p e_j] being Q [P e_i, P e_j] / (dp L);
         # bound to the adapted algebra, not to g
         self.adapted = lie.algebra_in_integer_basis(g, p_cols, self.q_rows, dp * self.q_den)
+        self.graded = not lie.grading_violations(self.adapted, degrees)
         self.ad = self.adapted.ad
         self.rows = self.adapted._signed_rows  # [e_i, w] = 0 when rows[i] misses w's support
         # the largest degree of an index whose bracket with e_b is nonzero, 0 if none
@@ -549,6 +557,8 @@ def _ratio_rows(setup: _Setup) -> Iterator[tuple[Fraction, SparseVec, int]]:
 
 def _feasibility(setup: _Setup, clamped: Iterable[DerivCondition]) -> GradingOperator | None:
     """Witness for an antichain of conditions clamped to the class, or None."""
+    if setup.graded:  # every row reads 0 = 0 at D0
+        return setup.operator([])
 
     def cost(cond: DerivCondition) -> tuple:
         est = 1
@@ -570,7 +580,10 @@ def is_A_derivable(g: LieAlgebra, conditions: Iterable[DerivCondition]) -> Gradi
 
     Conditions are clamped to the nilpotency class first; the witness is
     the deterministic particular solution with all free coefficients
-    zero.
+    zero.  When the adapted degrees grade g (`_Setup.graded`), a path
+    suffix of degree sum S lies in degree S, so every row has right-hand
+    side 0; the system is homogeneous, its particular solution is 0, and
+    the witness is D0, with no trie walk.
     """
     setup = _setup(g)
     return _feasibility(setup, _clamp_conditions(conditions, setup.c))
@@ -587,6 +600,9 @@ def e_of_operator(g: LieAlgebra, d: GradingOperator) -> Fraction:
     adapted coordinates; so e_D is the ratio of the first row of that
     stream violated at x_D, or 0 if none is.  The same p^-1 d p first runs
     the `is_grading_operator` test, raising OperatorNotInDError if d fails.
+    When the adapted degrees grade g (`_Setup.graded`), every row has
+    right-hand side 0 (see `is_A_derivable`), so x_D = 0, that is d = D0,
+    meets them all and has e_D = 0 with no trie walk.
     """
     setup = _setup(g)
     d_ad = _adapted_operator(d, setup)
@@ -594,6 +610,8 @@ def e_of_operator(g: LieAlgebra, d: GradingOperator) -> Fraction:
         raise OperatorNotInDError("matrix is not a grading operator of the lower central series")
     scale, rows = d_ad
     point = [rows[a].get(b, 0) for a, b in setup.positions]
+    if setup.graded and not any(point):
+        return Fraction(0)
     for ratio, coeffs, rhs in _ratio_rows(setup):
         if sum(c * point[var] for var, c in coeffs.items()) != rhs * scale:
             return ratio
@@ -615,9 +633,15 @@ def e_invariant(g: LieAlgebra) -> EInvariantResult:
     group that makes it infeasible has ratio e, and the copy before it is
     the candidate-e system; if none does, e = 0 and the system is the full
     one.  The witness is that system's deterministic particular solution,
-    which depends on its row space only.
+    which depends on its row space only.  When the adapted degrees grade g
+    (`_Setup.graded`), every row has right-hand side 0 (see
+    `is_A_derivable`): the full system is homogeneous, so e = 0 and the
+    witness is D0, read off the grading with no trie walk.  That is the
+    paper's e = 0 for Carnot groups, certified by one pass over the table.
     """
     setup = _setup(g)
+    if setup.graded:
+        return EInvariantResult(Fraction(0), setup.operator([]))
     system = before = AffineSystem(len(setup.positions))
     ratio = None
     for r, coeffs, rhs in _ratio_rows(setup):

@@ -219,6 +219,16 @@ def graded_part(g: LieAlgebra, degrees: Sequence[int]) -> LieAlgebra:
     return LieAlgebra._from_table(g.dim, g.sigma // common, table, g.labels)
 
 
+def grading_violations(g: LieAlgebra, degrees: Sequence[int]) -> list[tuple[int, int]]:
+    """The pairs (a, b), a < b, in table order, whose [e_a, e_b] has a component
+    outside degree deg(a) + deg(b): none iff the degrees grade g."""
+    return [
+        (a, b)
+        for a, b, entries in g.table
+        if any(degrees[k] != degrees[a] + degrees[b] for k, _ in entries)
+    ]
+
+
 def _degree_split(g: LieAlgebra, degrees: Sequence[int]) -> tuple:
     """`g.table` grouped for `scaled_bracket` by the degree of u's index in each term.
 

@@ -33,7 +33,12 @@ replaced: one `AffineSystem` per candidate r over the rows `_condition_rows`
 emits for each condition of the closed-form antichain at r, scanned
 upward from r = 0.  Unlike the oracles above they run on the package's
 per-condition row stream and `_feasibility`; what they check is which rows
-the ratio-ordered scan feeds to which candidate, and in what order.
+the ratio-ordered scan feeds to which candidate, and in what order.  On an
+algebra whose adapted degrees grade it, `_feasibility` answers from D0, so
+`e_invariant_by_candidates` runs on `walked`, a fresh instance whose setup
+has that grading flag cleared and walks the trie.
+`verify_grading_dense` is the body `carnot.verify_grading` had before it
+read the structure table: a pass over the dense `g.brackets`.
 `algebra_in_basis_dense` writes g in a new basis as p^-1 applied to
 `dense_bracket` of p's columns in plain Fraction loops, not through
 `LieAlgebra.ad` or `clear_denominators`.
@@ -589,6 +594,17 @@ def adapted_basis_echelon(g, f) -> AdaptedBasis:
     return AdaptedBasis(tuple(integer_row(v) for _, v in chosen), tuple(d for d, _ in chosen))
 
 
+def verify_grading_dense(g, degrees) -> tuple[bool, list[tuple[int, int]]]:
+    """(ok, pairs): the pairs (i, j), i < j, in order, whose dense [e_i, e_j]
+    has a nonzero component of degree other than degrees[i] + degrees[j]."""
+    violations = []
+    for (i, j), v in sorted(g.brackets.items()):
+        target = degrees[i] + degrees[j]
+        if any(c != 0 and degrees[k] != target for k, c in enumerate(v)):
+            violations.append((i, j))
+    return not violations, violations
+
+
 def graded_truncation(g, degrees) -> LieAlgebra:
     """Keep, in each dense [e_a, e_b], only the components of degree
     deg a + deg b; ValueError, naming the first pair of `g.brackets` with a
@@ -676,10 +692,22 @@ def antichain(c: int, r: Fraction) -> tuple[DerivCondition, ...]:
     return tuple(out)
 
 
+def walked(g: LieAlgebra) -> LieAlgebra:
+    """g, or, if its adapted degrees grade it (`_Setup.graded`), a fresh
+    instance of g whose setup has that flag cleared, so that `_feasibility`
+    and the entry points on it walk the trie instead of answering from D0."""
+    if not _setup(g).graded:
+        return g
+    fresh = LieAlgebra._from_table(g.dim, g.sigma, g.table, g.labels)
+    _setup(fresh).graded = False
+    return fresh
+
+
 def e_invariant_by_candidates(g: LieAlgebra) -> EInvariantResult:
     """The least candidate r whose antichain is feasible, scanned upward,
-    with the particular solution of that antichain's system as witness."""
-    setup = _setup(g)
+    with the particular solution of that antichain's system as witness; each
+    feasibility is walked (`walked`)."""
+    setup = _setup(walked(g))
     c = max(setup.c, 2)
     for r in candidate_values(c):
         witness = _feasibility(setup, antichain(c, r))

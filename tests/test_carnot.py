@@ -16,6 +16,7 @@ from oracles import (
     naive_mat_mul,
     rref_mat_inv,
     rref_span,
+    verify_grading_dense,
 )
 from test_derivability import grading_operator_samples, moved_by
 from test_lie import SMALL_ENTRIES, invertible_matrices, matrix_lie_algebras
@@ -351,6 +352,21 @@ def test_verify_grading_validates_input():
         verify_grading(g, [1, 2])
     with pytest.raises(ValueError):
         verify_grading(g, [1, 0, 2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.sampled_from(SMALL_ENTRIES).map(lambda name: catalog.get(name).algebra), matrix_lie_algebras()),
+    st.data(),
+)
+def test_verify_grading_matches_the_dense_oracle(g, data):
+    # the table pass and the dense pass name the same pairs, in order, under
+    # random degrees, and on the Carnot companion under its own degrees,
+    # which grade it
+    degrees = data.draw(st.lists(st.integers(1, 4), min_size=g.dim, max_size=g.dim))
+    assert verify_grading(g, degrees) == verify_grading_dense(g, degrees)
+    ca = carnot_algebra(g, e_invariant(g).witness)
+    assert verify_grading(ca.algebra, ca.degrees) == verify_grading_dense(ca.algebra, ca.degrees) == (True, [])
 
 
 def test_serialize_carnot_round_trip():

@@ -8,10 +8,12 @@ import random
 import sys
 import time
 import weakref
+from contextlib import contextmanager
 from fractions import Fraction as F
+from typing import Iterator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     algebra_in_basis_dense,
@@ -28,6 +30,7 @@ from oracles import (
     mat_add,
     naive_mat_mul,
     rref_mat_inv,
+    walked,
 )
 from test_lie import (
     DECIDE_ALGEBRAS,
@@ -39,7 +42,7 @@ from test_lie import (
 )
 
 from nilgrade import catalog, derivability, linalg
-from nilgrade.carnot import carnot_pair
+from nilgrade.carnot import carnot_algebra, carnot_pair
 from nilgrade.derivability import (
     DerivCondition,
     GradingOperator,
@@ -910,11 +913,20 @@ def test_level_bounded_walk_on_random_algebras_and_conditions(g, data):
     assert_same_row_stream(g, data.draw(st.lists(st.sampled_from(universe), min_size=1, max_size=5)))
 
 
+def drain_ratio_rows_twice(setup) -> None:
+    # the whole row stream on a cold trie, then again on the filled one, as
+    # an e = 0 scan and the e_of_operator of its witness read it; the entry
+    # points answer filiform(12) from its grading, so the walk is pulled here
+    for _ in range(2):
+        for _ in derivability._ratio_rows(setup):
+            pass
+
+
 @pytest.mark.parametrize("name", ["filiform(12)", "central_product(6,10)"])
 def test_trie_brackets_each_vector_once_per_index(name):
-    # a cold e-scan and the witness's e_of_operator never bracket the same
-    # vector with the same index twice; each bracketed vector is kept, so
-    # its id is not reused by a later one
+    # two passes of the row stream never bracket the same vector with the
+    # same index twice; each bracketed vector is kept, so its id is not
+    # reused by a later one
     g = catalog.get(name).algebra
     setup = _setup(g)
     ad = setup.ad
@@ -926,16 +938,16 @@ def test_trie_brackets_each_vector_once_per_index(name):
         return ad(i, v)
 
     setup.ad = once
-    e_of_operator(g, e_invariant(g).witness)
+    drain_ratio_rows_twice(setup)
     assert seen
 
 
 @pytest.mark.parametrize("name, bound", [("central_product(6,10)", 366), ("filiform(12)", 214)])
 def test_trie_brackets_only_indices_that_meet_the_suffix(name, bound):
-    # a cold e-scan and the witness's e_of_operator bracket each node's
-    # suffix with the indices whose signed row meets its support, all at
-    # once, and nothing else: 360 and 210 calls, against 359 and 210 when
-    # only each extended column's indices were bracketed, on demand
+    # two passes of the row stream bracket each node's suffix with the
+    # indices whose signed row meets its support, all at once, and nothing
+    # else: 360 and 210 calls, against 359 and 210 when only each extended
+    # column's indices were bracketed, on demand
     g = catalog.get(name).algebra
     setup = _setup(g)
     ad, rows = setup.ad, setup.rows
@@ -946,21 +958,98 @@ def test_trie_brackets_only_indices_that_meet_the_suffix(name, bound):
         return ad(i, v)
 
     setup.ad = counted
-    e_of_operator(g, e_invariant(g).witness)
+    drain_ratio_rows_twice(setup)
     assert 0 < len(meets) <= bound and all(meets), len(meets)
 
 
-def test_cold_e_of_operator_extends_few_nodes(monkeypatch):
-    # a fresh instance checks filiform(12)'s witness on the trie paths its
-    # conditions' levels admit only: 185 nodes, against 243 if paths of
-    # degree sum equal to the level were walked and 690 with no bound
-    witness = e_invariant(catalog.get("filiform(12)").algebra).witness
-    g = catalog.get("filiform(12)").algebra
+@contextmanager
+def counting_extends() -> Iterator[list[int]]:
+    """Record each index `_Setup.extend` extends a trie node by while the block runs."""
     extend = _Setup.extend
-    extended = []
-    monkeypatch.setattr(_Setup, "extend", lambda self, node, b: extended.append(b) or extend(self, node, b))
-    e_of_operator(g, witness)
+    extended: list[int] = []
+    _Setup.extend = lambda self, node, b: extended.append(b) or extend(self, node, b)
+    try:
+        yield extended
+    finally:
+        _Setup.extend = extend
+
+
+def test_cold_e_of_operator_extends_few_nodes():
+    # on a fresh instance the row stream that e_of_operator reads walks
+    # filiform(12)'s trie paths whose degree sums its rows need only: 185
+    # nodes, against 243 if paths of degree sum equal to the level were
+    # walked and 690 with no bound; e_of_operator itself answers filiform(12)
+    # from its grading, so the stream is pulled here
+    with counting_extends() as extended:
+        for _ in derivability._ratio_rows(_setup(catalog.get("filiform(12)").algebra)):
+            pass
     assert 0 < len(extended) <= 200
+
+
+SPARSE_1000 = "dim 1000\nbracket e1 e2 = e3\nbracket e1 e3 = e1000\nbracket e4 e5 = 1/2 e999\n"
+
+
+@pytest.mark.parametrize("name", ["filiform(12)", "filiform(150)", "heisenberg", "abelian(5)", "sparse dim-1000"])
+def test_graded_inputs_are_answered_from_their_grading(name):
+    # when the adapted degrees grade g, D0 is every witness and e = 0: the
+    # e-scan, e_of_operator of its witness and a decision walk no trie path
+    # (the three walked 185, 545,676 and 496,506 nodes on filiform(12),
+    # filiform(150) and the sparse file when every input took the scan)
+    g = parse_algebra(SPARSE_1000) if name == "sparse dim-1000" else catalog.get(name).algebra
+    with counting_extends() as extended:
+        setup = _setup(g)
+        d0 = setup.operator([])
+        assert setup.graded
+        assert e_invariant(g) == derivability.EInvariantResult(F(0), d0)
+        assert e_of_operator(g, d0) == 0
+        assert is_A_derivable(g, parse_condition_set("(1,1|3),(1,2|4),(1,1,1|4)")) == d0
+    assert extended == []
+
+
+def assert_answers_match_the_walk(g, data) -> None:
+    # e and its witness, e_of_operator at D0 and at two random points of the
+    # grading operator space, and is_A_derivable on random conditions, against
+    # the candidate scans and the walked `_feasibility`
+    setup, walk = _setup(g), _setup(walked(g))
+    assert e_invariant(g) == e_invariant_by_candidates(g)
+    entries = st.lists(st.one_of(st.just(F(0)), coords), min_size=len(setup.positions), max_size=len(setup.positions))
+    for d in [setup.operator([])] + [setup.operator(data.draw(entries)) for _ in range(2)]:
+        assert e_of_operator(g, d) == e_of_operator_by_candidates(g, d)
+    universe = sorted(enumerate_S(setup.c))
+    for _ in range(2):
+        chosen = data.draw(st.lists(st.sampled_from(universe), min_size=1, max_size=4))
+        walked_witness = derivability._feasibility(walk, derivability._clamp_conditions(chosen, walk.c))
+        assert is_A_derivable(g, chosen) == walked_witness
+
+
+def carnot_companions():
+    """The Carnot companions of random matrix Lie algebras of class >= 3 at
+    their e-witness, written in their layers: graded by construction."""
+    return matrix_lie_algebras(min_class=3).map(lambda g: carnot_algebra(g, e_invariant(g).witness).algebra)
+
+
+@settings(max_examples=30, deadline=None)
+@given(carnot_companions(), st.data())
+def test_graded_companions_are_answered_from_their_grading_as_the_walk_answers(a, data):
+    with counting_extends() as extended:
+        assert _setup(a).graded
+        result = e_invariant(a)
+        assert result.e == e_of_operator(a, result.witness) == 0
+    assert extended == []
+    assert_answers_match_the_walk(a, data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(carnot_companions(), st.data())
+def test_moved_companions_are_not_graded_and_still_walk(a, data):
+    # the control: in a random basis the companion is still Carnot, so e = 0,
+    # but its adapted degrees no longer grade it, and the scan walks the trie
+    moved = moved_by(a, data.draw(invertible_matrices(a.dim)))
+    assume(not _setup(moved).graded)
+    with counting_extends() as extended:
+        assert e_invariant(moved).e == 0
+    assert extended
+    assert_answers_match_the_walk(moved, data)
 
 
 def count_pulled_rows(monkeypatch) -> dict[DerivCondition, list]:
