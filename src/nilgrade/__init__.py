@@ -59,7 +59,6 @@ from .lie import (
     parse_algebra,
     serialize_algebra,
 )
-from .linalg import AffineSolution, filtration_depth, solve_affine, subspace_contains
 
 __version__ = "0.1.0"
 

@@ -16,7 +16,7 @@ from typing import Sequence
 from . import lie
 from .derivability import GradingOperator, OperatorNotInDError, is_grading_operator
 from .lie import LieAlgebra
-from .linalg import Echelon, Vec, integer_rows
+from .linalg import Echelon, Vec
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def grading_from_operator(g: LieAlgebra, d: GradingOperator) -> LinearGrading:
     if not is_grading_operator(g, f, d):
         raise OperatorNotInDError("matrix is not a grading operator (filtration invariants fail)")
     n = g.dim
-    dd, m_rows = integer_rows(d.matrix)  # D = M / dd
+    dd, m_rows = d.den, d.int_rows  # D = M / dd
     layers: list[list[Vec]] = []
     for i in range(1, f.nilpotency_class + 1):
         ech = Echelon(n)  # ker(D - i) = ker(M - i dd)

@@ -53,13 +53,35 @@ ConditionSet = frozenset  # of DerivCondition
 
 @dataclass(frozen=True)
 class GradingOperator:
-    """A grading operator as a dim x dim rational matrix, original coordinates."""
+    """A grading operator, a rational matrix in original coordinates, as
+    `int_rows` / `den`: `den` is the least common denominator of its entries,
+    `int_rows[a]` row a times den as a sparse {column: nonzero int} dict,
+    read-only, and `shape[a]` the length of row a (a matrix of the wrong
+    shape, or with ragged rows, is held as it is and fails
+    `is_grading_operator`).  The form is canonical, so two operators are
+    equal, and hash equal, iff their matrices are; `matrix` and `rows` make
+    the dense Fraction rows from it on read."""
 
-    matrix: tuple[tuple[Fraction, ...], ...]
+    den: int
+    int_rows: tuple[SparseVec, ...]
+    shape: tuple[int, ...]
+
+    def __hash__(self) -> int:
+        return hash((self.den, tuple(tuple(sorted(row.items())) for row in self.int_rows), self.shape))
 
     @staticmethod
     def from_rows(rows: Matrix) -> "GradingOperator":
-        return GradingOperator(tuple(tuple(q(x) for x in row) for row in rows))
+        rows = [[q(x) for x in row] for row in rows]
+        den, int_rows = integer_rows(rows)
+        return GradingOperator(den, tuple(int_rows), tuple(len(row) for row in rows))
+
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        den = self.den
+        return tuple(
+            tuple(Fraction(row[j], den) if j in row else ZERO for j in range(n))
+            for row, n in zip(self.int_rows, self.shape)
+        )
 
     @property
     def rows(self) -> Matrix:
@@ -200,14 +222,14 @@ def delta_n(g: LieAlgebra, d: GradingOperator, xs: Sequence[Sequence[Fraction]])
 def _adapted_operator(d: GradingOperator, setup: _Setup) -> tuple[int, list[SparseVec]] | None:
     """p^-1 D p as (den, rows), the matrix being rows / den for its sparse
     integer rows, if D is a grading operator (see `is_grading_operator`), else
-    None.  With D = M/dd, p = P/dp and p^-1 = dp Q/L, it is Q M P / (L dd).
+    None.  With D = M/dd for M its `int_rows` and dd its `den`, p = P/dp and
+    p^-1 = dp Q/L, it is Q M P / (L dd).
     """
     n, degrees = setup.dim, setup.degrees
-    if [len(row) for row in d.matrix] != [n] * n:
+    if d.shape != (n,) * n:
         return None
-    dd, m_rows = integer_rows(d.matrix)
-    rows = sparse_mul(sparse_mul(setup.q_rows, m_rows), setup.p_rows)
-    den = setup.q_den * dd
+    rows = sparse_mul(sparse_mul(setup.q_rows, d.int_rows), setup.p_rows)
+    den = setup.q_den * d.den
     for a, row in enumerate(rows):
         if row.get(a, 0) != degrees[a] * den:
             return None
@@ -365,9 +387,10 @@ class _Setup:
     def operator(self, x: Sequence[Fraction]) -> GradingOperator:
         """diag(degrees) plus x[var] at each free position, in original coordinates.
 
-        That is p (M/dx) p^-1 = P M Q / (dx L) for M = dx diag(degrees) + dx x, on integers.
+        That is p (M/dx) p^-1 = P M Q / (dx L) for M = dx diag(degrees) + dx x, on
+        integers, divided once by the gcd of dx L and every entry, which leaves
+        the least common denominator.
         """
-        n = self.dim
         dx, (xs,) = integer_rows([x])
         m_rows = [{i: dx * d} for i, d in enumerate(self.degrees)]
         for var, value in xs.items():
@@ -375,9 +398,11 @@ class _Setup:
             m_rows[a][b] = value
         den = dx * self.q_den
         rows = sparse_mul(sparse_mul(self.p_rows, m_rows), self.q_rows)
-        return GradingOperator(
-            tuple(tuple(Fraction(row[j], den) if j in row else ZERO for j in range(n)) for row in rows)
-        )
+        common = math.gcd(den, *(y for row in rows for y in row.values()))
+        if common != 1:
+            den //= common
+            rows = [{j: y // common for j, y in row.items()} for row in rows]
+        return GradingOperator(den, tuple(rows), (self.dim,) * self.dim)
 
 
 def _setup(g: LieAlgebra) -> _Setup:

@@ -1,4 +1,4 @@
-"""Exact rational vectors, matrices, echelon forms and affine solving.
+"""Exact rational vectors, echelon forms, affine systems and integer matrices.
 
 Inputs and results are exact: ints and `fractions.Fraction`, never floats.
 Everything is deterministic: pivots are always the first nonzero entry in
@@ -9,15 +9,16 @@ Rationals become integers here only: `clear_denominators` for a vector,
 `integer_rows` for a matrix.  Every solve, inverse and span runs on
 `Echelon`, a fraction-free elimination of sparse integer rows (`SparseRow`),
 which makes Fractions only for the results that leave it, an echelon row
-through `pivot_row`; `integer_inverse`, the one inverse, `sparse_mul`, the
-one matrix product, and `transpose`, the one transpose, stay on integers.
+through `pivot_row`; every affine system is an `AffineSystem`, built row by
+row from such rows, and no routine here solves a dense matrix.
+`integer_inverse`, the one inverse, `sparse_mul`, the one matrix product,
+and `transpose`, the one transpose, stay on integers.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
@@ -101,33 +102,6 @@ def transpose(rows: Sequence[dict], n: int) -> list[dict]:
         for k, x in row.items():
             out[k][i] = x
     return out
-
-
-@dataclass(frozen=True)
-class AffineSolution:
-    """Full solution set {particular + span(nullspace_basis)} of a·x = b."""
-
-    particular: Vec
-    nullspace_basis: list[Vec]
-
-
-def solve_affine(a: Matrix, b: Sequence[Fraction]) -> AffineSolution | None:
-    """Solve a·x = b exactly; None when the system is infeasible.
-
-    One `AffineSystem` of [a | b] through `integer_rows`.  Free variables are
-    0 in the particular solution, and the nullspace basis is `Echelon.kernel`.
-    """
-    if len(a) != len(b):
-        raise ValueError("dimension mismatch between matrix and rhs")
-    ncols = len(a[0]) if a else 0
-    system = AffineSystem(ncols)
-    for row in integer_rows([[*row, q(bb)] for row, bb in zip(a, b)])[1]:
-        rhs = row.pop(ncols, 0)
-        system.add(row, rhs)
-    particular = system.particular()
-    if particular is None:
-        return None
-    return AffineSolution(particular, system.kernel(ncols))
 
 
 def permutation_of(cols: Sequence[dict[int, int]]) -> list[int] | None:
@@ -353,37 +327,3 @@ class AffineSystem(Echelon):
             if self.nvars in row:
                 x[p] = Fraction(row[self.nvars], row[p])
         return x
-
-
-def echelon_of(vectors: Sequence[Sequence[Fraction]], dim: int) -> Echelon:
-    """Echelon form of the span of `vectors`."""
-    ech = Echelon(dim)
-    for row in integer_rows(vectors)[1]:
-        ech.add(row)
-    return ech
-
-
-def subspace_contains(basis: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> bool:
-    """True iff v lies in the span of `basis` (the empty span is {0})."""
-    if any(len(b) != len(v) for b in basis):
-        raise ValueError("dimension mismatch")
-    return echelon_of(basis, len(v)).contains(integer_rows([v])[1][0])
-
-
-def filtration_depth(
-    filtration_bases: Sequence[Sequence[Sequence[Fraction]]], v: Sequence[Fraction]
-) -> int | float:
-    """Largest k (1-indexed) with v in span(filtration_bases[k-1]).
-
-    The chain must be decreasing and end with the zero space; the zero
-    vector has depth +infinity.
-    """
-    if not any(v):
-        return math.inf
-    depth = 0
-    for k, basis in enumerate(filtration_bases, start=1):
-        if subspace_contains(basis, v):
-            depth = k
-        else:
-            break
-    return depth

@@ -16,10 +16,12 @@ through `dense_bracket`, not through `ad` or `check_jacobi`'s choice of
 triples.  The linear algebra oracles (`rref_solve_affine`, `rref_mat_inv`,
 `naive_mat_mul`, `columns_matrix` and the helpers beside them) use only the dense `rref`,
 defined here since the package has no use for it, and plain loops, never the sparse `Echelon` or `sparse_mul` they check;
-`rref_solve_affine` and `rref_mat_inv` are the dense bodies `solve_affine`
-and the package's Fraction inverse had before every elimination in the
-package ran on `Echelon`.  `adapted_basis_echelon` and `layer_one_generates` are likewise
-the code `adapted_basis` and `carnot_algebra`'s generation check replaced:
+`rref_solve_affine` and `rref_mat_inv` are the dense bodies the package's
+Fraction affine solver and inverse had before every elimination in the
+package ran on `Echelon`; that solver's `AffineSolution` and its
+`echelon_of`, an `Echelon` of rational vectors, now live here only.
+`adapted_basis_echelon` and `layer_one_generates` are likewise the code
+`adapted_basis` and `carnot_algebra`'s generation check replaced:
 a membership test of every unit vector against an echelon form of each
 F_i, and a bracket-closure loop from the degree-1 layer.  So is
 `antichain_by_pruning`, the pairwise domination pass over all of
@@ -49,6 +51,7 @@ difference as four bracket pieces of layer components, through
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -82,11 +85,9 @@ from nilgrade.lie import (
     lower_central_series,
 )
 from nilgrade.linalg import (
-    AffineSolution,
     Echelon,
     Matrix,
     Vec,
-    echelon_of,
     identity,
     integer_rows,
     mat_vec,
@@ -102,6 +103,22 @@ def integer_row(v) -> dict[int, int]:
     """The rational vector v times the least integer that clears it, as the
     sparse integer row `Echelon` takes."""
     return integer_rows([v])[1][0]
+
+
+def echelon_of(vectors, dim: int) -> Echelon:
+    """An `Echelon` of the span of the rational vectors."""
+    ech = Echelon(dim)
+    for row in integer_rows(vectors)[1]:
+        ech.add(row)
+    return ech
+
+
+@dataclass(frozen=True)
+class AffineSolution:
+    """Full solution set {particular + span(nullspace_basis)} of a·x = b."""
+
+    particular: Vec
+    nullspace_basis: list[Vec]
 
 
 def mat_exp_nilpotent(m: Matrix) -> Matrix:
@@ -518,6 +535,12 @@ def rref_span(vectors: list[Vec]) -> tuple[list[Vec], list[int]]:
     """Nonzero rows and pivot columns of the dense RREF of `vectors`."""
     red, pivots, rank = rref([[F(x) for x in v] for v in vectors])
     return red[:rank], pivots
+
+
+def rref_contains(vectors: list[Vec], v: Vec) -> bool:
+    """v lies in the span of `vectors` iff adding it leaves the rank of the
+    dense RREF as it was."""
+    return len(rref_span([*vectors, v])[0]) == len(rref_span(vectors)[0])
 
 
 def rref_reduce(rows: list[Vec], pivots: list[int], v: Vec) -> Vec:

@@ -29,6 +29,7 @@ from oracles import (
     is_grading_operator_echelon,
     mat_add,
     naive_mat_mul,
+    rref_contains,
     rref_mat_inv,
     walked,
 )
@@ -42,7 +43,7 @@ from test_lie import (
 )
 
 from nilgrade import catalog, derivability, linalg
-from nilgrade.carnot import carnot_algebra, carnot_pair
+from nilgrade.carnot import carnot_algebra, carnot_pair, grading_from_operator
 from nilgrade.derivability import (
     DerivCondition,
     GradingOperator,
@@ -323,6 +324,84 @@ def test_wrong_shape_is_not_a_grading_operator(shape):
         e_of_operator(g, d)
 
 
+# --- the integer form of a grading operator
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rational matrices of every shape a caller may pass: square, 5x6, 6x7,
+    ragged, 0x0 and square with all-zero rows, their entries mostly 0, ints,
+    Fractions or strings."""
+    shape = draw(st.sampled_from(["square", "5x6", "6x7", "ragged", "0x0", "zero rows"]))
+    n = draw(st.integers(1, 6))
+    lengths = {"square": [n] * n, "zero rows": [n] * n, "5x6": [6] * 5, "6x7": [7] * 6, "0x0": []}.get(shape)
+    if lengths is None:
+        lengths = draw(st.lists(st.integers(0, 6), min_size=2, max_size=6).filter(lambda ks: len(set(ks)) > 1))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), coords, coords.map(str))
+    m = [draw(st.lists(entry, min_size=k, max_size=k)) for k in lengths]
+    if shape == "zero rows":
+        for a in draw(st.lists(st.integers(0, n - 1), min_size=1)):
+            m[a] = [0] * n
+    return m
+
+
+def dense(m) -> list[list[F]]:
+    return [[F(x) for x in row] for row in m]
+
+
+def assert_canonical(d: GradingOperator, m) -> None:
+    """d holds the rational matrix m in canonical integer form: its dense
+    view is m entry by entry, `den` is the least common denominator, each
+    integer row holds nonzero ints inside its row's length, and the operator
+    made from d's own rows is d, with d's hash."""
+    assert d.matrix == tuple(tuple(row) for row in dense(m))
+    assert d.rows == dense(m)
+    assert all(type(x) is F for row in d.matrix for x in row)
+    assert d.shape == tuple(len(row) for row in m)
+    assert d.den == math.lcm(1, *(x.denominator for row in dense(m) for x in row))
+    assert all(type(x) is int and x and 0 <= j < k for row, k in zip(d.int_rows, d.shape) for j, x in row.items())
+    again = GradingOperator.from_rows(d.rows)
+    assert again == d and hash(again) == hash(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices(), st.data())
+def test_grading_operator_form_is_canonical(m, data):
+    # two operators are equal, and then hash equal, iff their dense matrices
+    # are: the other matrix is m written with string entries, m with one
+    # entry moved (perhaps by 0), or another matrix altogether
+    d = GradingOperator.from_rows(m)
+    assert_canonical(d, m)
+    kind = data.draw(st.sampled_from(["strings", "one entry", "other"]))
+    other = [[str(F(x)) for x in row] for row in m]
+    if kind == "other":
+        other = data.draw(rational_matrices())
+    elif kind == "one entry" and any(m):
+        a = data.draw(st.sampled_from([a for a, row in enumerate(m) if row]))
+        b = data.draw(st.integers(0, len(m[a]) - 1))
+        other[a][b] = F(other[a][b]) + data.draw(coords)
+    d_other = GradingOperator.from_rows(other)
+    assert (d == d_other) == (dense(m) == dense(other))
+    if d == d_other:
+        assert hash(d) == hash(d_other)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_solver_operators_are_in_canonical_form(name):
+    # the witness and the base point of each catalog fixture, and of the
+    # fixture moved by its lower and upper shears: the setup divides
+    # P M Q / (dx L) by the gcd of dx L and every entry, which exceeds 1 under
+    # the upper shear (297 at D0 of g6_11); the dense view reduces each entry
+    # anyway, so only `den` and `int_rows` show a skipped division
+    g = catalog.get(name).algebra
+    _, lower, upper = rescaled_and_sheared(g.dim)
+    for alg in (g, moved_by(g, lower), moved_by(g, upper)):
+        f = lower_central_series(alg)
+        base, _ = grading_operator_space(alg, f, adapted_basis(alg, f))
+        for d in (e_invariant(alg).witness, base):
+            assert_canonical(d, d.matrix)
+
+
 # --- derivability decisions
 
 
@@ -381,9 +460,7 @@ def test_witness_verification_against_delta():
     for i in range(g.dim):
         for z in f.basis(2):
             value = delta_n(g, witness, [unit_vec(g.dim, i), z])
-            from nilgrade.linalg import subspace_contains
-
-            assert subspace_contains(f5_basis, value)
+            assert rref_contains(f5_basis, value)
 
 
 # --- e-invariant and e_of_operator
@@ -501,8 +578,6 @@ def test_delta_lands_one_step_deeper():
     # >= wp always lands in the next filtration term after |wp|
     from itertools import product
 
-    from nilgrade.linalg import subspace_contains
-
     for name in ("g6_11", "g6_20", "g7_0_8"):
         g = catalog.get(name).algebra
         f = lower_central_series(g)
@@ -518,7 +593,7 @@ def test_delta_lands_one_step_deeper():
             ]
             for combo in product(*slots):
                 value = delta_n(g, d, list(combo))
-                assert subspace_contains(target, value)
+                assert rref_contains(target, value)
 
 
 # --- dominated conditions and the sparse solver against dense oracles
@@ -1004,6 +1079,44 @@ def test_graded_inputs_are_answered_from_their_grading(name):
         assert e_of_operator(g, d0) == 0
         assert is_A_derivable(g, parse_condition_set("(1,1|3),(1,2|4),(1,1,1|4)")) == d0
     assert extended == []
+
+
+@pytest.mark.parametrize("name", ["g6_11", "upper-sheared g6_11", "sparse dim-1000"])
+def test_the_solver_reads_only_the_integer_form(name, monkeypatch):
+    # with the dense view patched to raise, every derivability entry point,
+    # and on the small inputs the grading and the Carnot pair, answers as it
+    # did from `den`, `int_rows` and `shape` alone: at the witness, and on
+    # the small inputs at a second point of the grading operator space
+    if name == "sparse dim-1000":
+        g = parse_algebra(SPARSE_1000)
+    else:
+        g = catalog.get("g6_11").algebra
+        if name.startswith("upper"):
+            g = moved_by(g, rescaled_and_sheared(g.dim)[2])
+    f = lower_central_series(g)
+    small = g.dim < 1000
+    conditions = parse_condition_set("(1,1|3),(1,2|4),(1,1,1|4)")
+    operators = [e_invariant(g).witness]
+    if small:
+        base, dirs = grading_operator_space(g, f, adapted_basis(g, f))
+        operators.append(GradingOperator.from_rows(mat_add(base.rows, dirs[0])))
+
+    def answers() -> list:
+        out: list = [e_invariant(g), is_A_derivable(g, conditions)]
+        for d in operators:
+            out += [is_grading_operator(g, f, d), e_of_operator(g, d)]
+            if small:
+                out += [grading_from_operator(g, d), carnot_pair(g, d)]
+        return out
+
+    expected = answers()
+
+    def dense_view(self):
+        raise AssertionError("the dense view of a grading operator was read")
+
+    monkeypatch.setattr(GradingOperator, "matrix", property(dense_view))
+    monkeypatch.setattr(GradingOperator, "rows", property(dense_view))
+    assert answers() == expected
 
 
 def assert_answers_match_the_walk(g, data) -> None:

@@ -1,4 +1,4 @@
-"""Exact linear algebra: echelon forms, affine systems, filtration depth."""
+"""Exact linear algebra: echelon forms, affine systems, inverses and products."""
 
 from __future__ import annotations
 
@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    AffineSolution,
+    echelon_of,
     integer_row,
     lcs_rref,
     naive_mat_mul,
@@ -28,16 +30,12 @@ from nilgrade.lie import LieAlgebra, lower_central_series
 from nilgrade.linalg import (
     AffineSystem,
     Echelon,
-    echelon_of,
-    filtration_depth,
     identity,
     integer_inverse,
     integer_rows,
     mat_vec,
     matrix,
-    solve_affine,
     sparse_mul,
-    subspace_contains,
     transpose,
     vec,
 )
@@ -85,25 +83,32 @@ def test_rref_idempotent(rows):
     assert again == red
 
 
+def affine_solution(a, b) -> AffineSolution | None:
+    """a·x = b through one `AffineSystem` of its equations, each cleared
+    together with its rhs: None if infeasible, else the particular solution
+    with every free variable 0 and the nullspace basis `Echelon.kernel`."""
+    ncols = len(a[0]) if a else 0
+    system = AffineSystem(ncols)
+    for coeffs, rhs in zip(a, b, strict=True):
+        system.add(*integer_equation(coeffs, rhs))
+    particular = system.particular()
+    return None if particular is None else AffineSolution(particular, system.kernel(ncols))
+
+
 def test_solve_identity():
-    sol = solve_affine(identity(3), vec([1, 2, 3]))
+    sol = affine_solution(identity(3), vec([1, 2, 3]))
     assert sol.particular == vec([1, 2, 3])
     assert sol.nullspace_basis == []
 
 
 def test_solve_one_free_variable():
-    sol = solve_affine(matrix([[1, 1]]), vec([0]))
+    sol = affine_solution(matrix([[1, 1]]), vec([0]))
     assert sol.particular == vec([0, 0])
     assert sol.nullspace_basis == [vec([-1, 1])]
 
 
 def test_solve_infeasible():
-    assert solve_affine(matrix([[1], [1]]), vec([0, 1])) is None
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve_affine(matrix([[1, 2]]), vec([1, 2]))
+    assert affine_solution(matrix([[1], [1]]), vec([0, 1])) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,11 +116,11 @@ def test_solve_dimension_mismatch():
 def test_solve_verifies(rows, data):
     m = matrix(rows)
     b = vec(data.draw(st.lists(small_fracs, min_size=len(m), max_size=len(m))))
-    sol = solve_affine(m, b)
+    sol = affine_solution(m, b)
     if sol is None:
         # infeasible iff the rhs is outside the column span
         cols = [[row[j] for row in m] for j in range(len(m[0]))]
-        assert not subspace_contains(cols, b)
+        assert not echelon_of(cols, len(m)).contains(integer_row(b))
         return
     assert mat_vec(m, sol.particular) == b
     for n in sol.nullspace_basis:
@@ -123,9 +128,12 @@ def test_solve_verifies(rows, data):
 
 
 def test_subspace_contains_examples():
-    assert subspace_contains([vec([1, 0])], vec([3, 0]))
-    assert not subspace_contains([vec([1, 0])], vec([0, 1]))
-    assert subspace_contains([], vec([0, 0]))
+    # membership in a span is `Echelon.contains` of a sparse integer row;
+    # the empty span contains only 0
+    span = echelon_of([vec([1, 0])], 2)
+    assert span.contains({0: 3})
+    assert not span.contains({1: 1})
+    assert Echelon(2).contains({}) and not Echelon(2).contains({0: 1})
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,20 +143,13 @@ def test_subspace_contains_matches_solver(rows, data):
     dim = len(basis[0])
     v = vec(data.draw(st.lists(small_fracs, min_size=dim, max_size=dim)))
     cols = [[row[j] for row in basis] for j in range(dim)]
-    assert subspace_contains(basis, v) == (solve_affine(cols, v) is not None)
+    assert echelon_of(basis, dim).contains(integer_row(v)) == (affine_solution(cols, v) is not None)
 
 
 def test_integer_rows_clears_a_matrix_with_its_least_denominator():
     assert integer_rows([[F(1, 2), 0], [F(1, 3), 2]]) == (6, [{0: 3}, {0: 2, 1: 12}])
     assert integer_rows([[0, 0], []]) == (1, [{}, {}])
     assert integer_rows([]) == (1, [])
-
-
-def test_filtration_depth():
-    chain = [[vec([1, 0]), vec([0, 1])], [vec([0, 1])], []]
-    assert filtration_depth(chain, vec([0, 0])) == math.inf
-    assert filtration_depth(chain, vec([0, 5])) == 2
-    assert filtration_depth(chain, vec([1, 1])) == 1
 
 
 # --- sparse kernels against dense oracles
@@ -295,9 +296,9 @@ def linear_systems(draw, max_dim: int = 5):
 
 @settings(max_examples=200, deadline=None)
 @given(linear_systems(), st.data())
-def test_solve_affine_and_nullspace_match_dense_oracle(system, data):
+def test_affine_system_and_kernel_match_dense_oracle(system, data):
     a, b = system
-    sol = solve_affine(a, b)
+    sol = affine_solution(a, b)
     oracle = rref_solve_affine(a, b)
     assert sol == oracle
     if sol is not None:
@@ -529,7 +530,7 @@ def large_linear_systems(draw, max_dim: int = 5):
 def test_fraction_free_affine_system_matches_dense_oracle_at_large_entries(system, data):
     a, b = system
     oracle = rref_solve_affine(a, b)
-    assert solve_affine(a, b) == oracle
+    assert affine_solution(a, b) == oracle
     built = AffineSystem(len(a[0]) if a else 0)
     for r in data.draw(st.permutations(range(len(a)))):
         built.add(*integer_equation(a[r], b[r]))

@@ -115,3 +115,27 @@ def test_one_way_from_rationals_to_integers():
                 if isinstance(node, ast.Attribute) and node.attr == "denominator":
                     readers.add((path.name, getattr(top, "name", None)))
     assert readers == {("goodman.py", "_root_float")}
+
+
+def test_no_dense_solver_and_one_reader_of_the_dense_operator():
+    # `linalg` has no dense Fraction solver: every affine system is an
+    # `AffineSystem` and every span an `Echelon`, so `src/` defines none of
+    # the dense routes it once had; a grading operator is held as sparse
+    # integer rows, and outside `GradingOperator` itself only `cli`, which
+    # renders witnesses, reads its dense `.matrix` view
+    removed = {"solve_affine", "AffineSolution", "echelon_of", "subspace_contains", "filtration_depth"}
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(top, ast.ClassDef) and top.name == "GradingOperator" and path.name == "derivability.py":
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    assert node.name not in removed, (path.name, node.lineno)
+                elif isinstance(node, ast.Name):
+                    assert node.id not in removed, (path.name, node.lineno)
+                elif isinstance(node, ast.alias):
+                    assert node.name not in removed and node.asname not in removed, (path.name, node.lineno)
+                elif isinstance(node, ast.Attribute) and node.attr == "matrix":
+                    readers.add(path.name)
+    assert readers == {"cli.py"}
