@@ -4,6 +4,13 @@ Coefficients are not hard-coded: log(exp x . exp y) is computed in the
 free associative algebra on two generators, truncated at the nilpotency
 class, and the homogeneous components are re-expressed exactly over
 left-nested bracket words by solving the corresponding linear system.
+The series runs on integers, in divided powers: each degree-n
+coefficient is held times n!, so exp x . exp y - 1 has the binomial
+C(i + j, i) at x^i y^j, a product of two series multiplies by C(n, n1),
+and the logarithm's 1/k becomes lcm(1..cap)/k, cap = MAX_SUPPORTED_CLASS.
+Each word of the logarithm becomes one Fraction at the end, and the
+nested brackets expand with integer coefficients, so each linear system
+is built on integers too.
 A fixed preference order on words puts the textbook low-degree terms
 (1/2 [x,y], 1/12 of the degree-3 pair, -1/24 at degree 4) in their
 classical slots; any other choice would evaluate identically.
@@ -11,6 +18,7 @@ classical slots; any other choice would evaluate identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -64,8 +72,13 @@ class BCHTermTable:
         return [(w, c) for w, c in sorted(self.coeffs.items()) if c != 0]
 
 
-def _series_mul(a: list[dict[Word, Fraction]], b: list[dict[Word, Fraction]], cap: int):
-    out: list[dict[Word, Fraction]] = [dict() for _ in range(cap + 1)]
+def _series_mul(a: list[dict[Word, int]], b: list[dict[Word, int]], cap: int) -> list[dict[Word, int]]:
+    """a·b truncated at degree cap, on series in divided powers.
+
+    Each degree-n coefficient is held times n!, so the coefficient of
+    w = wa wb picks up the binomial C(n, len(wa)) and stays an integer.
+    """
+    out: list[dict[Word, int]] = [dict() for _ in range(cap + 1)]
     for da, ta in enumerate(a):
         if not ta:
             continue
@@ -74,10 +87,12 @@ def _series_mul(a: list[dict[Word, Fraction]], b: list[dict[Word, Fraction]], ca
             if not tb:
                 continue
             dest = out[da + db]
+            binom = math.comb(da + db, da)
             for wa, ca in ta.items():
+                cab = binom * ca
                 for wb, cb in tb.items():
                     w = wa + wb
-                    v = dest.get(w, ZERO) + ca * cb
+                    v = dest.get(w, 0) + cab * cb
                     if v:
                         dest[w] = v
                     else:
@@ -88,44 +103,50 @@ def _series_mul(a: list[dict[Word, Fraction]], b: list[dict[Word, Fraction]], ca
 @lru_cache(maxsize=None)
 def _log_components() -> tuple[dict[Word, Fraction], ...]:
     """Homogeneous components of log(exp x . exp y) up to degree
-    MAX_SUPPORTED_CLASS, each exact, so the one series serves every degree."""
+    MAX_SUPPORTED_CLASS, each exact, so the one series serves every degree.
+
+    The series runs on integers in divided powers: with every degree-n
+    coefficient held times n!, exp x . exp y - 1 has the coefficient
+    C(i + j, i) at x^i y^j, `_series_mul` multiplies on integers, and
+    log(1 + u) = sum_k (-1)^(k+1) u^k / k is summed times lcm(1..cap).
+    Each nonzero word then becomes one Fraction, over lcm(1..cap) * n!.
+    """
     cap = MAX_SUPPORTED_CLASS
-    fact = [1]
-    for k in range(1, cap + 1):
-        fact.append(fact[-1] * k)
-    u: list[dict[Word, Fraction]] = [dict() for _ in range(cap + 1)]
+    u: list[dict[Word, int]] = [dict() for _ in range(cap + 1)]
     for i in range(cap + 1):
         for j in range(cap - i + 1):
             if i == j == 0:
                 continue
-            word = (LEFT,) * i + (RIGHT,) * j
-            u[i + j][word] = Fraction(1, fact[i] * fact[j])
-    log: list[dict[Word, Fraction]] = [dict() for _ in range(cap + 1)]
-    power = [dict() for _ in range(cap + 1)]
-    power[0][()] = Fraction(1)
+            u[i + j][(LEFT,) * i + (RIGHT,) * j] = math.comb(i + j, i)
+    scale = math.lcm(*range(1, cap + 1))
+    log: list[dict[Word, int]] = [dict() for _ in range(cap + 1)]
+    power: list[dict[Word, int]] = [dict() for _ in range(cap + 1)]
+    power[0][()] = 1
     for k in range(1, cap + 1):
         power = _series_mul(power, u, cap)
-        sign = Fraction((-1) ** (k + 1), k)
+        sign = (-1) ** (k + 1) * (scale // k)
         for deg in range(cap + 1):
             for w, cval in power[deg].items():
-                v = log[deg].get(w, ZERO) + sign * cval
+                v = log[deg].get(w, 0) + sign * cval
                 if v:
                     log[deg][w] = v
                 else:
                     log[deg].pop(w, None)
-    return tuple(log)
+    return tuple(
+        {w: Fraction(v, scale * math.factorial(deg)) for w, v in comp.items()} for deg, comp in enumerate(log)
+    )
 
 
-def _beta_assoc(word: Word) -> dict[Word, Fraction]:
+def _beta_assoc(word: Word) -> dict[Word, int]:
     """Left-nested bracket of a word expanded in the associative algebra."""
     if len(word) == 1:
-        return {word: Fraction(1)}
+        return {word: 1}
     inner = _beta_assoc(word[1:])
     head = (word[0],)
-    out: dict[Word, Fraction] = {}
+    out: dict[Word, int] = {}
     for w, c in inner.items():
         for ww, cc in ((head + w, c), (w + head, -c)):
-            v = out.get(ww, ZERO) + cc
+            v = out.get(ww, 0) + cc
             if v:
                 out[ww] = v
             else:
@@ -153,13 +174,19 @@ def _degree_coeffs(n: int) -> tuple[tuple[Word, Fraction], ...]:
     """Word coefficients b_{n,q} with sum_q b_{n,q} [q_1,...,q_n] = BCH_n."""
     target = _log_components()[n]
     order = _word_order(n)
-    # one equation per associative word w: sum_q b_q * beta(q)[w] = BCH_n[w], cleared with its rhs
-    equations: dict[Word, dict[int, Fraction]] = {w: {} for w in target}
+    # one equation per associative word w: sum_q b_q * beta(q)[w] = BCH_n[w], with integer
+    # beta(q)[w], cleared with its rhs.  Only the words whose last two letters differ are
+    # kept: by Dynkin-Specht-Wever a Lie polynomial P of degree n is 1/n times the sum of
+    # P[w] beta(w), and beta(w) = 0 when w ends in two equal letters, so a Lie polynomial
+    # is 0 if it is 0 at the kept words; the kept equations then have the solutions of all
+    # of them, and so the same canonical rows and particular solution (Reutenauer, Free Lie
+    # Algebras, ch. 1)
+    equations: dict[Word, dict[int, int]] = {w: {} for w in target}
     for col, cand in enumerate(order):
         for w, c in _beta_assoc(cand).items():
             equations.setdefault(w, {})[col] = c
     system = AffineSystem(len(order))
-    for w in sorted(equations):
+    for w in sorted(w for w in equations if w[-2] != w[-1]):
         cols = equations[w]
         ints = clear_denominators([*cols.values(), target.get(w, ZERO)])[1]
         system.add(dict(zip(cols, ints)), ints[-1])

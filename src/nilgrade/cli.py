@@ -88,8 +88,16 @@ def _parse_vec(text: str, dim: int):
     return coords
 
 
-def _matrix_lines(m) -> list[str]:
-    return [_vec(row) for row in m]
+def _matrix_lines(d: derivability.GradingOperator) -> list[str]:
+    """d's rows as `_vec` writes its dense matrix, from its integer rows:
+    each stored entry as its Fraction, "0" in every other column."""
+    lines = []
+    for row, n in zip(d.int_rows, d.shape):
+        cells = ["0"] * n
+        for j, x in row.items():
+            cells[j] = str(Fraction(x, d.den))
+        lines.append(",".join(cells))
+    return lines
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -140,7 +148,7 @@ def _cmd_e(args) -> int:
     result = derivability.e_invariant(g)
     # the witness grades g with the quotients of its lower central series
     layer_dims = [str(d) for d in lie.lower_central_series(g).quotient_dims]
-    witness = _matrix_lines(result.witness.matrix)
+    witness = _matrix_lines(result.witness)
     payload = {"command": "e", "e": str(result.e), "witness": witness, "layer_dims": layer_dims}
     lines = [
         f"e = {result.e}",
@@ -165,7 +173,7 @@ def _cmd_derivable(args) -> int:
             ["NotDerivable"],
         )
         return 1
-    rows = _matrix_lines(witness.matrix)
+    rows = _matrix_lines(witness)
     payload = {"command": "derivable", "conditions": args.cond, "result": "derivable", "witness": rows}
     lines = ["derivable; witness (rows):"] + ["  " + row for row in rows]
     _emit(args, payload, lines)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -88,7 +89,7 @@ def test_table_truncation_consistency():
 def test_table_reproduces_log_series():
     # independent oracle: the nested brackets, re-expanded associatively
     # and weighted by the table, must reproduce log(exp x exp y) exactly
-    for c in (2, 3, 4, 5, 6):
+    for c in range(2, bch.MAX_SUPPORTED_CLASS + 1):
         t = bch_table(c)
         log = assoc_log_exp_exp(c)
         recombined: dict = {}
@@ -103,6 +104,65 @@ def test_table_reproduces_log_series():
                     recombined.pop(w, None)
         expected = {w: c_ for w, c_ in log.items() if len(w) >= 2}
         assert recombined == expected
+
+
+def test_integer_series_match_the_fraction_oracles():
+    # the divided-power log series and the integer bracket expansions,
+    # against their Fraction re-implementations, at every degree up to the cap
+    cap = bch.MAX_SUPPORTED_CLASS
+    log = assoc_log_exp_exp(cap)
+    components = bch._log_components()
+    assert len(components) == cap + 1
+    for n, component in enumerate(components):
+        assert component == {w: c for w, c in log.items() if len(w) == n}
+    for n in range(2, cap + 1):
+        for word in bch._word_order(n):
+            expansion = bch._beta_assoc(word)
+            assert all(type(c) is int for c in expansion.values())
+            assert expansion == assoc_nested_bracket(word)
+
+
+@contextmanager
+def counting_fractions():
+    """A list that gets one entry per Fraction made while the block runs:
+    through the constructor, and through `_from_coprime_ints`, which the
+    arithmetic of Python 3.12 and later calls in its place."""
+    made: list[int] = []
+    saved = {name: F.__dict__[name] for name in ("__new__", "_from_coprime_ints") if name in F.__dict__}
+
+    def counted(f):
+        def wrapper(cls, *args, **kwargs):
+            made.append(1)
+            return f(cls, *args, **kwargs)
+
+        return wrapper
+
+    # each is a staticmethod or classmethod object in the class dict; wrap its function in the same kind
+    for name, method in saved.items():
+        setattr(F, name, type(method)(counted(method.__func__)))
+    try:
+        yield made
+    finally:
+        for name, method in saved.items():
+            setattr(F, name, method)
+
+
+def test_cold_table_is_built_on_integers():
+    # the log series and the bracket expansions run on integers, so a cold
+    # bch_table(8) makes one Fraction per nonzero word of the log series and
+    # per nonzero coefficient: 322 + 50 (41,927 when the series ran on
+    # Fractions); the caches are refilled afterwards for the other tests
+    before = bch_table(8)
+    for cache in (bch.bch_table, bch._degree_coeffs, bch._log_components):
+        cache.cache_clear()
+    try:
+        with counting_fractions() as made:
+            table = bch_table(8)
+    finally:
+        for c in range(2, bch.MAX_SUPPORTED_CLASS + 1):
+            bch_table(c)
+    assert table is not before and table.coeffs == before.coeffs
+    assert len(made) <= 1000
 
 
 def test_table_degree_five_reference_values():

@@ -12,8 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from nilgrade import cli, derivability
+from test_derivability import SPARSE_1000, moved_by
+from test_lie import FIXTURES, rescaled_and_sheared
+
+from nilgrade import catalog, cli, derivability
 from nilgrade.cli import run
+from nilgrade.derivability import e_invariant
+from nilgrade.lie import parse_algebra
 
 
 def run_capture(capsys, argv):
@@ -116,6 +121,34 @@ def test_e_text_and_json_agree(capsys):
     for row in doc["witness"]:
         assert row in text_out
 
+
+
+def dense_lines(d) -> list[str]:
+    """d's rows written from its dense Fraction matrix, as witnesses once were."""
+    return [",".join(map(str, row)) for row in d.matrix]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_witness_lines_match_the_dense_rendering(name):
+    # the witness of each catalog fixture and of the fixture moved by its
+    # lower and upper shears, whose witnesses have denominators and, under
+    # the upper shear, no zero pattern of a permutation
+    g = catalog.get(name).algebra
+    _, lower, upper = rescaled_and_sheared(g.dim)
+    for alg in (g, moved_by(g, lower), moved_by(g, upper)):
+        d = e_invariant(alg).witness
+        assert cli._matrix_lines(d) == dense_lines(d)
+
+
+def test_sparse_witness_text_matches_the_dense_rendering(tmp_path, capsys):
+    # 1000 rows of 1000 columns, about 1000 of them nonzero
+    path = tmp_path / "sparse1000.alg"
+    path.write_text(SPARSE_1000)
+    code, out, _ = run_capture(capsys, ["e", str(path)])
+    d = e_invariant(parse_algebra(SPARSE_1000)).witness
+    lines = out.splitlines()
+    assert code == 0 and lines[:3] == ["e = 0", "witness layer dims = (997,2,1)", "witness (rows):"]
+    assert lines[3:] == ["  " + row for row in dense_lines(d)]
 
 def test_diff_verb(capsys):
     code, out, _ = run_capture(

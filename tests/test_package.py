@@ -121,8 +121,9 @@ def test_no_dense_solver_and_one_reader_of_the_dense_operator():
     # `linalg` has no dense Fraction solver: every affine system is an
     # `AffineSystem` and every span an `Echelon`, so `src/` defines none of
     # the dense routes it once had; a grading operator is held as sparse
-    # integer rows, and outside `GradingOperator` itself only `cli`, which
-    # renders witnesses, reads its dense `.matrix` view
+    # integer rows, and `GradingOperator` itself is the one reader of its
+    # dense `.matrix` view: no other module reads it (`cli` renders
+    # witnesses from the integer rows)
     removed = {"solve_affine", "AffineSolution", "echelon_of", "subspace_contains", "filtration_depth"}
     readers = set()
     for path in sorted(SRC.glob("*.py")):
@@ -138,4 +139,4 @@ def test_no_dense_solver_and_one_reader_of_the_dense_operator():
                     assert node.name not in removed and node.asname not in removed, (path.name, node.lineno)
                 elif isinstance(node, ast.Attribute) and node.attr == "matrix":
                     readers.add(path.name)
-    assert readers == {"cli.py"}
+    assert readers == set()
