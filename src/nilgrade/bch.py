@@ -137,11 +137,20 @@ def _log_components() -> tuple[dict[Word, Fraction], ...]:
     )
 
 
-def _beta_assoc(word: Word) -> dict[Word, int]:
-    """Left-nested bracket of a word expanded in the associative algebra."""
+def _beta_assoc(word: Word, expanded: dict[Word, dict[Word, int]] | None = None) -> dict[Word, int]:
+    """Left-nested bracket of a word expanded in the associative algebra.
+
+    `expanded` holds the expansions of the suffixes made so far, shared by
+    the caller's words: a suffix found there is not expanded again.
+    """
     if len(word) == 1:
         return {word: 1}
-    inner = _beta_assoc(word[1:])
+    if expanded is None:
+        expanded = {}
+    suffix = word[1:]
+    inner = expanded.get(suffix)
+    if inner is None:
+        inner = expanded[suffix] = _beta_assoc(suffix, expanded)
     head = (word[0],)
     out: dict[Word, int] = {}
     for w, c in inner.items():
@@ -182,8 +191,9 @@ def _degree_coeffs(n: int) -> tuple[tuple[Word, Fraction], ...]:
     # of them, and so the same canonical rows and particular solution (Reutenauer, Free Lie
     # Algebras, ch. 1)
     equations: dict[Word, dict[int, int]] = {w: {} for w in target}
+    expanded: dict[Word, dict[Word, int]] = {}  # each suffix expanded once for this degree
     for col, cand in enumerate(order):
-        for w, c in _beta_assoc(cand).items():
+        for w, c in _beta_assoc(cand, expanded).items():
             equations.setdefault(w, {})[col] = c
     system = AffineSystem(len(order))
     for w in sorted(w for w in equations if w[-2] != w[-1]):

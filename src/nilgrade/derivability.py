@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import lie
 from .lie import AdaptedBasis, Filtration, LieAlgebra
-from .linalg import AffineSystem, Matrix, Vec, ZERO, integer_inverse, integer_rows, mat_vec, q, sparse_mul, transpose
+from .linalg import AffineSystem, Matrix, Vec, ZERO, clear_denominators, integer_inverse, integer_rows, q, sparse_mul, transpose
 
 SparseVec = dict[int, int]
 
@@ -88,7 +88,17 @@ class GradingOperator:
         return [list(r) for r in self.matrix]
 
     def apply(self, v: Sequence[Fraction]) -> Vec:
-        return mat_vec(self.rows, v)
+        """D v from the integer rows: each entry is one integer sum over den
+        times the common denominator of v."""
+        if any(n != len(v) for n in self.shape):
+            raise ValueError("dimension mismatch")
+        vden, ints = clear_denominators(v)
+        den = self.den * vden
+        out: Vec = []
+        for row in self.int_rows:
+            s = sum(c * ints[j] for j, c in row.items())
+            out.append(Fraction(s, den) if s else ZERO)
+        return out
 
 
 _COND_RE = re.compile(r"\((\d+(?:,\d+)+)\|(\d+)\)")

@@ -24,7 +24,7 @@ from .linalg import Vec, clear_denominators, q
 _LCG_A = 6364136223846793005
 _LCG_C = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
-_GRID = 33  # coordinates k/16 with k in -16..16
+_GRID = tuple(Fraction(k, 16) for k in range(-16, 17))  # the 33 coordinates k/16, made once
 
 
 class GridSampler:
@@ -35,8 +35,7 @@ class GridSampler:
 
     def draw(self) -> Fraction:
         self.state = (_LCG_A * self.state + _LCG_C) & _LCG_MASK
-        k = ((self.state >> 32) % _GRID) - 16
-        return Fraction(k, 16)
+        return _GRID[(self.state >> 32) % len(_GRID)]
 
     def vector(self, dim: int) -> Vec:
         return [self.draw() for _ in range(dim)]
@@ -105,13 +104,26 @@ def guivarch_norm(ctx: GuivarchContext, x: Sequence[Fraction]) -> float:
 
 
 def dilate(ctx: GuivarchContext, t: Fraction, x: Sequence[Fraction]) -> Vec:
-    """Multiply the layer-i component by t^i, exactly."""
+    """Multiply the layer-i component by t^i, exactly.
+
+    On integers: x = X / xden and t = num / tden from `clear_denominators`,
+    (num^i, xden tden^i) formed once per layer degree i, and each coordinate
+    one Fraction(X_k num^i, xden tden^i): one normalisation, no Fraction
+    power or product.
+    """
     t = q(t)
     if t <= 0:
         raise ValueError("dilation parameter must be positive")
     if len(x) != len(ctx.degrees):
         raise ValueError("dimension mismatch")
-    return [q(coord) * t**deg for deg, coord in zip(ctx.degrees, x)]
+    tden, (num,) = clear_denominators([t])
+    xden, ints = clear_denominators([q(coord) for coord in x])
+    powers = {deg: (num**deg, xden * tden**deg) for deg in set(ctx.degrees)}
+    out: Vec = []
+    for deg, a in zip(ctx.degrees, ints):
+        tn, td = powers[deg]
+        out.append(Fraction(a * tn, td))
+    return out
 
 
 def fit_exponent(points: Sequence[tuple[float, float]]) -> float:

@@ -165,6 +165,31 @@ def test_cold_table_is_built_on_integers():
     assert len(made) <= 1000
 
 
+def test_each_suffix_is_expanded_once_per_degree(monkeypatch):
+    # a cold bch_table(c) for c = 2..8 expands each suffix once per degree:
+    # 2^(n+1) - 2 expansions at degree n, 1,002 in all (3,584 when every
+    # word re-expanded its suffixes); the caches are refilled afterwards
+    before = {c: bch_table(c) for c in range(2, bch.MAX_SUPPORTED_CLASS + 1)}
+    calls: list[tuple[int, ...]] = []
+    expand = bch._beta_assoc
+
+    def counted(word, *args):
+        calls.append(word)
+        return expand(word, *args)
+
+    for cache in (bch.bch_table, bch._degree_coeffs):
+        cache.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(bch, "_beta_assoc", counted)
+        try:
+            tables = {c: bch_table(c) for c in before}
+        finally:
+            for c in before:
+                bch_table(c)
+    assert all(tables[c] is not before[c] and tables[c].coeffs == before[c].coeffs for c in before)
+    assert len(calls) <= 1100
+
+
 def test_table_degree_five_reference_values():
     # right-nested degree-5 presentation used across the literature
     t = bch_table(5)

@@ -366,6 +366,56 @@ def assert_canonical(d: GradingOperator, m) -> None:
 
 @settings(max_examples=200, deadline=None)
 @given(rational_matrices(), st.data())
+def test_apply_matches_the_dense_product(m, data):
+    # D v from the integer rows is the dense product, entry for entry, on
+    # vectors of Fractions, ints and zeros; a vector of the wrong length,
+    # or any vector for a ragged operator, is a dimension mismatch
+    d = GradingOperator.from_rows(m)
+    width = len(m[0]) if m else data.draw(st.integers(0, 6))
+    v = data.draw(st.lists(st.one_of(st.just(0), st.integers(-3, 3), coords), min_size=width, max_size=width))
+    if len(set(d.shape)) > 1:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            d.apply(v)
+    else:
+        out = d.apply(v)
+        assert out == mat_vec(d.matrix, v)
+        assert all(type(x) is F for x in out)
+    if m:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            d.apply(v + [F(1)])
+
+
+def test_delta_on_the_sparse_file_reads_no_dense_view(monkeypatch):
+    # one delta_2 of the e witness of the sparse dim-1000 file multiplies by
+    # the integer rows: with the dense view patched to raise, it is the
+    # value the dense product gives (0, D being a derivation there), and D
+    # of a vector with no zero entry is the dense product too
+    g = parse_algebra(SPARSE_1000)
+    d = e_invariant(g).witness
+    x, y = unit_vec(1000, 0), unit_vec(1000, 1)
+    v = [F(k % 7 - 3 or 5, k % 5 + 1) for k in range(1000)]
+    m = d.matrix
+    dense_v = mat_vec(m, v)
+    expected = [
+        a - b - c
+        for a, b, c in zip(
+            mat_vec(m, iterated_bracket(g, [x, y])),
+            iterated_bracket(g, [mat_vec(m, x), y]),
+            iterated_bracket(g, [x, mat_vec(m, y)]),
+        )
+    ]
+
+    def dense_view(self):
+        raise AssertionError("the dense view of a grading operator was read")
+
+    monkeypatch.setattr(GradingOperator, "matrix", property(dense_view))
+    monkeypatch.setattr(GradingOperator, "rows", property(dense_view))
+    assert delta_n(g, d, [x, y]) == expected
+    assert d.apply(v) == dense_v
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices(), st.data())
 def test_grading_operator_form_is_canonical(m, data):
     # two operators are equal, and then hash equal, iff their dense matrices
     # are: the other matrix is m written with string entries, m with one

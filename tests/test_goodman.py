@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import four_step_components, grid_vectors, layer_component
-from test_bch import two_products
+from test_bch import counting_fractions, two_products
 
 from nilgrade import bch, catalog, goodman
 from nilgrade.bch import law_difference
@@ -31,7 +31,7 @@ from nilgrade.goodman import (
     guivarch_norm,
     segment_constants,
 )
-from nilgrade.linalg import vec, zero_vec
+from nilgrade.linalg import q, vec, zero_vec
 
 coords = st.fractions(min_value=-4, max_value=4, max_denominator=16)
 
@@ -111,6 +111,70 @@ def test_sampler_is_reproducible_and_on_grid():
     assert va == vb
     assert all(-1 <= c <= 1 and c.denominator in (1, 2, 4, 8, 16) for c in va)
     assert grid_vectors(123, 20, 1)[0] == va
+
+
+dilation_inputs = st.one_of(coords, st.integers(-40, 40), coords.map(str), st.just(0), st.just(F(0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 6), min_size=1, max_size=8).flatmap(
+        lambda ds: st.tuples(st.just(tuple(ds)), st.lists(dilation_inputs, min_size=len(ds), max_size=len(ds)))
+    ),
+    st.one_of(
+        st.fractions(min_value=F(1, 50), max_value=50, max_denominator=50),
+        st.integers(1, 9),
+        st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9).map(str),
+    ),
+)
+def test_dilate_matches_the_fraction_power(case, t):
+    # on integer, string, zero and negative coordinates and any positive t,
+    # the integer form gives the Fractions of q(c) * q(t)**d, each a Fraction
+    degrees, x = case
+    ctx = GuivarchContext(degrees)
+    out = dilate(ctx, t, x)
+    assert out == [q(c) * q(t) ** d for d, c in zip(degrees, x)]
+    assert all(type(c) is F for c in out)
+
+
+@pytest.mark.parametrize(
+    "t, x, message",
+    [(t, vec([1, 2, 3, 4, 5]), "dilation parameter must be positive") for t in (F(0), 0, "0", F(-1, 3), -2, "-5/4")]
+    + [(F(3, 2), x, "dimension mismatch") for x in (vec([1, 2, 3, 4]), vec([1, 2, 3, 4, 5, 6]), [])],
+)
+def test_dilate_rejects_a_parameter_that_is_not_positive_or_a_length_mismatch(t, x, message):
+    with pytest.raises(ValueError, match=message):
+        dilate(CTX, t, x)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 123, 2**32 + 7, 2**64 - 1, 2**70 + 5])
+def test_sampler_matches_the_grid_oracle_across_draws_and_vectors(seed):
+    # draw() and vector() step one state: interleaved, they read the
+    # oracle's stream in order, whatever the lengths
+    stream = [c for v in grid_vectors(seed, 1, 120) for c in v]
+    sampler = GridSampler(seed)
+    drawn = []
+    for length in (3, 0, 1, 7, 2, 13, 5):
+        drawn.append(sampler.draw())
+        drawn += sampler.vector(length)
+    assert drawn == stream[: len(drawn)]
+    assert all(type(c) is F for c in drawn)
+
+
+def test_dilate_and_vector_make_few_fractions():
+    # dilate makes one Fraction per coordinate (two with a power and a
+    # product each) and vector none, its grid values being made once
+    ctx = GuivarchContext((1, 1, 1, 2, 3, 3, 4, 5, 6, 8))
+    x = GridSampler(5).vector(10)
+    for t in (F(2), F(2) ** 16, F(3, 7), F(1)):
+        with counting_fractions() as made:
+            dilate(ctx, t, x)
+        assert len(made) <= len(x), t
+    sampler = GridSampler(9)
+    with counting_fractions() as made:
+        sampler.vector(50)
+        sampler.draw()
+    assert made == []
 
 
 @pytest.mark.parametrize("n_samples, ladder", [(0, [F(1), F(2)]), (-3, [F(1)]), (2, [])])
