@@ -1,43 +1,72 @@
 """Linear gradings from grading operators and the associated graded algebra.
 
-The layers of the grading are the exact kernels of D - i, read off one
-integer `Echelon` each, which for a grading operator fill the space and
-recover the lower central series; the graded bracket keeps, for inputs of
-degrees i and j, only the degree-(i+j) component of the original bracket
-(`lie.graded_part`, on the structure table).
+Everything runs on integers, from the adapted coordinates that the e-scan
+already holds (`derivability._Setup`).  There p^-1 D p is diag(degrees) plus
+entries only where the row's degree exceeds the column's, so each layer
+ker(D - i) is read off by forward substitution, one eigenvector per
+degree-i index, and brought to its canonical basis by one integer `Echelon`;
+the eigenbasis algebra comes from `lie.algebra_in_integer_basis`.  The
+graded bracket keeps, for inputs of degrees i and j, only the degree-(i+j)
+component of the original bracket (`lie.graded_part`, on the structure
+table), and its generation by the degree-1 layer is read off that table
+(`lie.degree_one_generates`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import lie
-from .derivability import GradingOperator, OperatorNotInDError, is_grading_operator
+from . import derivability, lie
+from .derivability import GradingOperator, OperatorNotInDError
 from .lie import LieAlgebra
-from .linalg import Echelon, Vec
+from .linalg import ZERO, Echelon, Vec, integer_inverse
 
 
 @dataclass(frozen=True)
 class LinearGrading:
     """Layers v_1, ..., v_c in original coordinates; their direct sum is
-    the whole space and the tails of the sum recover the filtration."""
+    the whole space and the tails of the sum recover the filtration.
 
-    layers: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    `int_layers[i-1]` holds layer i as sparse integer rows {column: nonzero
+    int}, read-only.  Layer i's vectors are the canonical basis of ker(D - i)
+    that `Echelon.kernel` gives: each has last nonzero entry 1, at a column
+    where the layer's other vectors are 0, and they come by increasing such
+    column.  Each row is its vector times the least positive integer that
+    clears it, so its last entry is that integer.  `layers` and
+    `eigenbasis` make the dense Fraction vectors on read.
+    """
+
+    dim: int
+    int_layers: tuple[tuple[dict[int, int], ...], ...]
+
+    def __hash__(self) -> int:
+        return hash((self.dim, tuple(tuple(tuple(sorted(row.items())) for row in layer) for layer in self.int_layers)))
+
+    @property
+    def layers(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """Each layer's vectors as dense Fraction tuples: each row over its last entry."""
+        return tuple(tuple(_over_last(row, self.dim) for row in layer) for layer in self.int_layers)
 
     @property
     def degrees(self) -> tuple[int, ...]:
         """Layer degree of each eigenbasis vector, layer-major order."""
-        out: list[int] = []
-        for i, layer in enumerate(self.layers, start=1):
-            out.extend([i] * len(layer))
-        return tuple(out)
+        return tuple(i for i, layer in enumerate(self.int_layers, start=1) for _ in layer)
 
     @property
     def eigenbasis(self) -> list[Vec]:
         """Concatenated layer bases (the coordinates used downstream)."""
         return [list(v) for layer in self.layers for v in layer]
+
+
+def _over_last(row: dict[int, int], dim: int) -> tuple[Fraction, ...]:
+    out = [ZERO] * dim
+    s = row[max(row)]
+    for k, x in row.items():
+        out[k] = Fraction(x, s)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -57,20 +86,30 @@ def grading_from_operator(g: LieAlgebra, d: GradingOperator) -> LinearGrading:
     ker(D - j) of depth k has (j - k) v in F_{k+1}, so k = j: ker(D - j)
     lies in F_j and meets F_{j+1} only in 0, and counting dimensions, the
     layers from i on span F_i.
+
+    Both steps are exact on integers.  The eigenvectors come from the
+    adapted form p^-1 D p that `is_grading_operator` tests, one per adapted
+    index of degree i, by forward substitution (`derivability._eigenvectors`):
+    they are a basis of ker(D - i).  `Echelon.kernel`'s basis of a subspace
+    is the one whose vectors each end in a 1, at a column where every other
+    vector is 0, so it is the reduced echelon basis in reversed column
+    order: one `Echelon` over the layer's eigenvectors, with columns
+    reversed, gives it, its rows by increasing pivot being the vectors by
+    decreasing last column.
     """
-    f = lie.lower_central_series(g)
-    if not is_grading_operator(g, f, d):
+    setup = derivability._setup(g)
+    vectors = derivability._eigenvectors(d, setup)
+    if vectors is None:
         raise OperatorNotInDError("matrix is not a grading operator (filtration invariants fail)")
-    n = g.dim
-    dd, m_rows = d.den, d.int_rows  # D = M / dd
-    layers: list[list[Vec]] = []
-    for i in range(1, f.nilpotency_class + 1):
-        ech = Echelon(n)  # ker(D - i) = ker(M - i dd)
-        for a, row in enumerate(m_rows):
-            w = {**row, a: row.get(a, 0) - i * dd}
-            ech.add(w if w[a] else {k: x for k, x in row.items() if k != a})
-        layers.append(ech.kernel(n))
-    return LinearGrading(tuple(tuple(tuple(v) for v in layer) for layer in layers))
+    n, last = g.dim, g.dim - 1
+    layers = []
+    for i in range(1, setup.c + 1):
+        ech = Echelon(n)
+        for v, deg in zip(vectors, setup.degrees):
+            if deg == i:
+                ech.add({last - k: x for k, x in v.items()})
+        layers.append(tuple({last - k: x for k, x in row.items()} for row in reversed(ech.int_rows.values())))
+    return LinearGrading(n, tuple(layers))
 
 
 def carnot_algebra(g: LieAlgebra, d: GradingOperator | Sequence[int]) -> CarnotAlgebra:
@@ -85,12 +124,12 @@ def carnot_algebra(g: LieAlgebra, d: GradingOperator | Sequence[int]) -> CarnotA
     It is then cached on g as g's graded part at these degrees, which is
     how `bch.law_difference` recognises the pair as a companion.
 
-    V_1 generates iff the lower central series γ_k of the graded algebra A
-    (then cached on A for the group laws) has dim γ_k = #{degrees >= k} for
-    every k; k = 1 and k > max degree hold trivially.  Proof: [V_a, V_b] ⊆
-    V_{a+b} gives γ_k ⊆ ⊕_{d>=k} V_d.  Equality at k = 2 gives V_1 + [A, A]
-    = A, so V_1 generates the nilpotent A; conversely V_k = [V_1, V_{k-1}]
-    ⊆ γ_k by induction.
+    Given Jacobi, V_1 generates iff [V_1, V_{k-1}] = V_k for every k >= 2,
+    which `lie.degree_one_generates` reads off the table.  Then the lower
+    central series γ_k of the graded algebra A is ⊕_{d>=k} V_d: [V_a, V_b] ⊆
+    V_{a+b} gives γ_k ⊆ ⊕_{d>=k} V_d, and V_k = [V_1, V_{k-1}] ⊆ γ_k by
+    induction.  So A's series is seeded from the degrees
+    (`lie._seed_graded_series`), for the group laws, not computed.
     """
     if isinstance(d, GradingOperator):
         return carnot_pair(g, d)[1]
@@ -100,10 +139,9 @@ def carnot_algebra(g: LieAlgebra, d: GradingOperator | Sequence[int]) -> CarnotA
     algebra = lie.graded_part(g, degrees)
     if lie.check_jacobi(algebra):
         raise AssertionError("graded bracket failed the Jacobi identity")
-    f = lie.lower_central_series(algebra)
-    for k in range(2, max(degrees, default=1) + 1):
-        if sum(f.quotient_dims[k - 1 :]) != sum(deg >= k for deg in degrees):
-            raise ValueError("degree-1 layer does not generate the graded algebra")
+    if not lie.degree_one_generates(algebra, degrees):
+        raise ValueError("degree-1 layer does not generate the graded algebra")
+    lie._seed_graded_series(algebra, degrees)
     g._graded_parts[degrees] = algebra
     return CarnotAlgebra(algebra, degrees)
 
@@ -114,13 +152,23 @@ def carnot_pair(g: LieAlgebra, d: GradingOperator) -> tuple[LieAlgebra, CarnotAl
     The k-th eigenbasis vector of layer i is labelled "v{i}_{k}".  Both
     algebras share these coordinates, so their group laws can be compared
     pointwise; the grading and the eigenbasis are computed once.  The
-    layers from i on span F_i (see `grading_from_operator`), so g_eig's
-    lower central series is seeded from the layer degrees, not recomputed.
+    eigenbasis stays on integers: the layers' rows, brought to a common
+    last entry dp, are the columns of P with p = P/dp, inverted once by
+    `linalg.integer_inverse` (a permutation needs no elimination) into
+    `lie.algebra_in_integer_basis`, so g_eig is what `lie.change_of_basis`
+    of the dense eigenbasis gives, bit for bit.  The layers from i on span
+    F_i (see `grading_from_operator`), so g_eig's lower central series is
+    seeded from the layer degrees, not recomputed, as the companion's is.
     """
     grading = grading_from_operator(g, d)
-    layers = enumerate(grading.layers, start=1)
+    layers = enumerate(grading.int_layers, start=1)
     labels = [f"v{i}_{k}" for i, layer in layers for k in range(1, len(layer) + 1)]
-    g_eig = lie.change_of_basis(g, grading.eigenbasis, labels)
+    rows = [row for layer in grading.int_layers for row in layer]
+    scales = [row[max(row)] for row in rows]
+    dp = math.lcm(*scales)
+    p_cols = [{k: x * (dp // s) for k, x in row.items()} for row, s in zip(rows, scales)]
+    dq, q_rows = integer_inverse(p_cols)
+    g_eig = lie.algebra_in_integer_basis(g, p_cols, q_rows, dp * dq, labels)
     lie._seed_graded_series(g_eig, grading.degrees)
     return g_eig, carnot_algebra(g_eig, grading.degrees)
 

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import lie
@@ -248,6 +249,59 @@ def _adapted_operator(d: GradingOperator, setup: _Setup) -> tuple[int, list[Spar
     return den, rows
 
 
+def _eigenvectors(d: GradingOperator, setup: _Setup) -> list[SparseVec] | None:
+    """For each adapted index b, an integer eigenvector of D of eigenvalue
+    deg(b), in original coordinates, if D is a grading operator, else None.
+
+    p^-1 D p is diag(degrees) plus N/den, N nonzero only at free positions
+    (a, b), deg a > deg b (`_adapted_operator`).  So ker(p^-1 D p - i) holds,
+    for each b of degree i, one y with y_b = 1 and y zero at every other
+    index of degree <= i: row a of (p^-1 D p - i) y = 0 gives
+    y_a = -(N y)_a / ((deg a - i) den), whose right side reads only the
+    entries y_a' with deg a' < deg a, so forward substitution by increasing
+    index finds it, and (deg a - i) den > 0.  These k_i vectors are
+    independent, and k_i = dim F_i/F_{i+1} = dim ker(D - i) (see
+    `carnot.grading_from_operator`), so they are a basis of it.  Each y is
+    held as s y on integers for a growing s > 0, and returned as P s y.
+    """
+    adapted = _adapted_operator(d, setup)
+    if adapted is None:
+        return None
+    den, rows = adapted
+    n, degrees = setup.dim, setup.degrees
+    # cols[a'] is N's column a': its entries sit at rows a > a', of higher degree
+    cols = transpose([{b: x for b, x in row.items() if b != a} for a, row in enumerate(rows)], n)
+    out = []
+    for b, i in enumerate(degrees):
+        y: SparseVec = {b: 1}
+        acc = dict(cols[b])  # acc[a] = (N s y)_a over the entries of y found so far
+        heap = list(acc)
+        heapify(heap)
+        while heap:
+            a = heappop(heap)
+            num = -acc.pop(a)
+            if not num:
+                continue
+            div = (degrees[a] - i) * den
+            common = math.gcd(num, div)
+            if (m := div // common) != 1:
+                y = {k: v * m for k, v in y.items()}
+                acc = {k: v * m for k, v in acc.items()}
+            ya = y[a] = num // common
+            for a2, x in cols[a].items():
+                if a2 in acc:
+                    acc[a2] += x * ya
+                else:
+                    acc[a2] = x * ya
+                    heappush(heap, a2)
+        v: SparseVec = {}
+        for a, ya in y.items():
+            for k, x in setup.p_cols[a].items():
+                v[k] = v.get(k, 0) + ya * x
+        out.append({k: x for k, x in v.items() if x})
+    return out
+
+
 def is_grading_operator(g: LieAlgebra, f: Filtration, d: GradingOperator) -> bool:
     """D stabilizes every F_i and induces multiplication by i on F_i/F_{i+1}.
 
@@ -314,7 +368,7 @@ class _Setup:
     value dp, Q/L = P^-1 from `linalg.integer_inverse` (no elimination when
     the adapted basis is a permutation of the unit vectors, whose adapted
     algebra `lie.algebra_in_integer_basis` then relabels), and both held
-    by their sparse rows (`p_rows`, `q_rows`).
+    by their sparse rows (`p_rows`, `q_rows`), P by its columns too (`p_cols`).
 
     `graded` holds iff the adapted degrees grade the adapted algebra
     (`lie.grading_violations`), that is, iff D0 is a derivation.  Then a
@@ -338,7 +392,7 @@ class _Setup:
         # the adapted vector b is its integer row over that row's pivot value
         pivots = [row[min(row)] for row in self.ab.int_rows]
         dp = math.lcm(*pivots)
-        p_cols = [{i: x * (dp // s) for i, x in row.items()} for row, s in zip(self.ab.int_rows, pivots)]
+        self.p_cols = p_cols = [{i: x * (dp // s) for i, x in row.items()} for row, s in zip(self.ab.int_rows, pivots)]
         self.p_rows: list[SparseVec] = transpose(p_cols, n)
         self.q_den, self.q_rows = integer_inverse(p_cols)  # P^-1 = Q/L, L being q_den
         # sigma * [e_i, v] in adapted coordinates, p^-1 [p e_i, p e_j] being Q [P e_i, P e_j] / (dp L);

@@ -229,6 +229,25 @@ def grading_violations(g: LieAlgebra, degrees: Sequence[int]) -> list[tuple[int,
     ]
 
 
+def degree_one_generates(g: LieAlgebra, degrees: Sequence[int]) -> bool:
+    """Whether the basis vectors of degree 1 generate g, for degrees that
+    grade g (`grading_violations` is empty) and a table that satisfies Jacobi.
+
+    Write V_k for the span of the degree-k basis vectors.  By Jacobi the
+    subalgebra that V_1 generates is spanned by left-nested brackets of V_1,
+    so its degree-k part is W_k = [V_1, W_{k-1}], with W_1 = V_1; by
+    induction on k it is g iff [V_1, V_{k-1}] = V_k for every k >= 2.
+    [V_1, V_{k-1}] is spanned by the table entries that pair a degree-1
+    index with a degree-(k-1) index, which lie in V_k, so one `Echelon` per
+    k compares their rank with #{deg = k}.
+    """
+    spans = {k: Echelon(g.dim) for k in range(2, max(degrees, default=1) + 1)}
+    for a, b, entries in g.table:
+        if degrees[a] == 1 or degrees[b] == 1:
+            spans[degrees[a] + degrees[b]].add(dict(entries))
+    return all(ech.rank == sum(d == k for d in degrees) for k, ech in spans.items())
+
+
 def _degree_split(g: LieAlgebra, degrees: Sequence[int]) -> tuple:
     """`g.table` grouped for `scaled_bracket` by the degree of u's index in each term.
 
@@ -387,7 +406,9 @@ def _seed_graded_series(g: LieAlgebra, degrees: Sequence[int]) -> None:
 
     Only for a basis where that is the series: g written in the eigenbasis
     of a grading operator's layers, with `degrees` its layer degrees (see
-    `carnot.carnot_pair`), whose layers from i on span F_i.  The rows are
+    `carnot.carnot_pair`), whose layers from i on span F_i, or a graded
+    algebra that its degree-1 layer generates (see `carnot.carnot_algebra`
+    and `degree_one_generates`).  The rows are
     what `lower_central_series` computes: the unit rows, by increasing pivot.
     """
     c = max(degrees, default=0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
@@ -19,8 +20,9 @@ from oracles import (
     rref_span,
     verify_grading_dense,
 )
-from test_derivability import grading_operator_samples, moved_by
-from test_lie import SMALL_ENTRIES, invertible_matrices, matrix_lie_algebras
+from test_bch import counting_fractions
+from test_derivability import SPARSE_1000, grading_operator_samples, moved_by
+from test_lie import FIXTURES, SMALL_ENTRIES, invertible_matrices, matrix_lie_algebras, rescaled_and_sheared
 
 from nilgrade import catalog
 from nilgrade.carnot import (
@@ -33,6 +35,7 @@ from nilgrade.carnot import (
 from nilgrade.derivability import (
     GradingOperator,
     OperatorNotInDError,
+    _setup,
     e_invariant,
     grading_operator_space,
     is_grading_operator,
@@ -241,16 +244,34 @@ def test_generation_check_matches_closure_oracle(name, data):
 CATALOG_ALGEBRAS = st.sampled_from([e.name for e in catalog.entries()]).map(lambda n: catalog.get(n).algebra)
 
 
-@settings(max_examples=40, deadline=None)
+def _sheared(name: str, which: int) -> LieAlgebra:
+    g = catalog.get(name).algebra
+    return moved_by(g, rescaled_and_sheared(g.dim)[which])
+
+
+# the catalog fixtures of dim <= 7 moved by their lower or upper shear, whose
+# grading operators have denominators and, under the upper shear, eigenbases
+# that are no permutation
+SHEARED_FIXTURES = st.builds(_sheared, st.sampled_from([n for n in FIXTURES if n in SMALL_ENTRIES]), st.sampled_from([1, 2]))
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    st.one_of(grading_operator_samples(CATALOG_ALGEBRAS), grading_operator_samples(matrix_lie_algebras(min_class=2)))
+    st.one_of(
+        grading_operator_samples(CATALOG_ALGEBRAS),
+        grading_operator_samples(SHEARED_FIXTURES),
+        grading_operator_samples(matrix_lie_algebras(min_class=2)),
+    )
 )
 def test_integer_carnot_path_matches_dense_construction(sample):
-    # the layers are read off one integer Echelon per eigenvalue and the
-    # graded table off `lie.graded_part`; both equal the dense Fraction
-    # construction (the RREF nullspaces of D - i, and the truncation of the
-    # dense brackets) bit for bit, for D the base point plus a random
-    # rational combination of the free directions, N != 0
+    # the layers are read off forward substitution in adapted coordinates and
+    # one reversed-column integer Echelon per eigenvalue, the eigenbasis
+    # algebra off the integer basis change, and the graded table off
+    # `lie.graded_part`; they equal the dense Fraction construction (the RREF
+    # nullspaces of D - i, `change_of_basis` of the dense eigenbasis, and the
+    # truncation of the dense brackets) bit for bit, for D the base point plus
+    # a random rational combination of the free directions, N != 0, on
+    # catalog entries, sheared fixtures and random matrix Lie algebras
     g, f, rows = sample
     base, dirs = grading_operator_space(g, f, adapted_basis(g, f))
     assume(not dirs or rows != base.rows)
@@ -258,9 +279,54 @@ def test_integer_carnot_path_matches_dense_construction(sample):
     grading = grading_from_operator(g, d)
     assert grading.layers == grading_layers_dense(d, f.nilpotency_class)
     g_eig, ca = carnot_pair(g, d)
+    dense_eig = change_of_basis(g, grading.eigenbasis, g_eig.labels)
+    assert g_eig == dense_eig and g_eig.sigma == dense_eig.sigma and g_eig.brackets == dense_eig.brackets
     dense = graded_truncation(g_eig, grading.degrees)
     assert ca.algebra == dense and ca.algebra.labels == dense.labels
     assert ca.algebra.sigma == dense.sigma and ca.algebra.brackets == dense.brackets
+
+
+@contextmanager
+def counting_denominator_reads():
+    """A list that gets one entry per read of a Fraction's `denominator`
+    property while the block runs: one per entry that a dense Fraction
+    vector hands to `clear_denominators` or `integer_rows`."""
+    reads: list[int] = []
+    saved = F.__dict__["denominator"]
+
+    def read(self):
+        reads.append(1)
+        return saved.fget(self)
+
+    F.denominator = property(read)
+    try:
+        yield reads
+    finally:
+        F.denominator = saved
+
+
+@pytest.mark.parametrize("point", ["witness", "off-diagonal"])
+def test_carnot_pair_of_the_sparse_file_is_built_on_integers(point):
+    # the eigenvectors, their canonical form and the basis change all run on
+    # integers, so the pair of the dim-1000 algebra makes no Fraction and
+    # reads no denominator, at D0 and at a point of the grading operator
+    # space with three rational free entries; the dense route built 1,000
+    # kernel vectors of length 1,000 and `change_of_basis` read each entry's
+    # denominator twice to clear them, 2 * 10^6 reads (its zeros and ones
+    # are the shared constants, so it made 0 and 3 Fractions)
+    g = parse_algebra(SPARSE_1000)
+    setup = _setup(g)
+    if point == "witness":
+        d = e_invariant(g).witness
+    else:
+        x = [F(0)] * len(setup.positions)
+        x[0], x[len(x) // 2], x[-1] = F(1, 2), F(-2, 3), F(3)
+        d = setup.operator(x)
+    with counting_fractions() as made, counting_denominator_reads() as reads:
+        g_eig, ca = carnot_pair(g, d)
+    assert len(made) <= g.dim and len(reads) <= g.dim
+    assert ca.degrees == (1,) * 997 + (2, 2, 3)
+    assert g_eig == change_of_basis(g, grading_from_operator(g, d).eigenbasis)
 
 
 @settings(max_examples=80, deadline=None)
@@ -298,6 +364,42 @@ def test_carnot_pair_seeds_the_lower_central_series_of_the_eigenbasis_algebra(sa
     assert [seeded.basis(k) for k in range(1, f.nilpotency_class + 2)] == [
         recomputed.basis(k) for k in range(1, f.nilpotency_class + 2)
     ]
+
+
+def assert_series_is_seeded_as_the_table_gives_it(a: LieAlgebra) -> None:
+    seeded = a._lcs_cache
+    assert seeded is not None and lower_central_series(a) is seeded
+    recomputed = lower_central_series(LieAlgebra._from_table(a.dim, a.sigma, a.table, a.labels))
+    assert seeded == recomputed and hash(seeded) == hash(recomputed)
+    assert seeded.int_rows == recomputed.int_rows and seeded.nilpotency_class == recomputed.nilpotency_class
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        grading_operator_samples(CATALOG_ALGEBRAS),
+        grading_operator_samples(SHEARED_FIXTURES),
+        grading_operator_samples(matrix_lie_algebras()),
+    ),
+    st.sampled_from(SMALL_ENTRIES),
+    st.data(),
+)
+def test_the_companion_leaves_with_the_series_its_table_gives(sample, name, data):
+    # the companion's lower central series is seeded from its degrees once
+    # the table shows that V_1 generates: it equals the series recomputed on
+    # a fresh copy of its table, row for row, both for a grading operator's
+    # pair and for explicit degrees that pass the generation check
+    g, f, rows = sample
+    _, ca = carnot_pair(g, GradingOperator.from_rows(rows))
+    assert_series_is_seeded_as_the_table_gives_it(ca.algebra)
+    assert lower_central_series(ca.algebra).nilpotency_class == f.nilpotency_class
+    h = catalog.get(name).algebra
+    degrees = data.draw(filtered_degrees(h))
+    try:
+        explicit = carnot_algebra(h, degrees)
+    except ValueError:
+        return
+    assert_series_is_seeded_as_the_table_gives_it(explicit.algebra)
 
 
 def test_carnot_algebra_passes_jacobi_and_is_graded():

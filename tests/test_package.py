@@ -84,8 +84,9 @@ def test_one_bch_word_evaluator():
 def test_one_inverse_and_one_fraction_entry_to_the_integer_basis_change():
     # `linalg.integer_inverse` is the one matrix inverse, and the integer
     # basis-change kernel is entered from `lie.change_of_basis`, the one
-    # Fraction entry point, and from the derivability setup, which passes the
-    # P and Q of its own elimination
+    # Fraction entry point, from the derivability setup, which passes the
+    # P and Q of its own elimination, and from `carnot.carnot_pair`, which
+    # passes its integer eigenbasis and that basis's inverse
     inverses, callers = set(), set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(), str(path)).body:
@@ -98,7 +99,7 @@ def test_one_inverse_and_one_fraction_entry_to_the_integer_basis_change():
                     if name == "algebra_in_integer_basis":
                         callers.add((path.name, top.name))
     assert inverses == {"integer_inverse"}
-    assert callers == {("lie.py", "change_of_basis"), ("derivability.py", "_Setup")}
+    assert callers == {("lie.py", "change_of_basis"), ("derivability.py", "_Setup"), ("carnot.py", "carnot_pair")}
 
 
 def test_one_way_from_rationals_to_integers():
