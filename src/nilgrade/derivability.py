@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from . import lie
 from .lie import AdaptedBasis, Filtration, LieAlgebra
-from .linalg import AffineSystem, Matrix, Vec, ZERO, clear_denominators, integer_inverse, integer_rows, q, sparse_mul, transpose
+from .linalg import AffineSystem, Echelon, Matrix, Vec, ZERO, clear_denominators, integer_inverse, integer_rows, q, sparse_mul, transpose
 
 SparseVec = dict[int, int]
 
@@ -340,24 +342,33 @@ def grading_operator_space(
     return setup.operator([]), directions
 
 
-class _Node(NamedTuple):
-    """Index path (b_last, ..., b_k): its suffix bracket sigma^depth *
-    [e_bk, [..., e_blast]], the replacement brackets per free variable and
-    the degree sum, none of which depends on a condition.  The next index
-    stays below `limit` (b_last at a root: Delta alternates in the last two
-    slots); `children` maps it to the extended node, or to None if empty.
-    `brackets` holds the nonzero `ad`(i, suffix), by increasing i, filled on
-    the first extension for every i whose signed row meets the suffix's
-    support (any other bracket is zero): its entry at b is the suffix of the
-    child at b, and its entry at a is the new term of the free variable
-    (a, b) in that child, so the node brackets its suffix once per index."""
+class _State:
+    """The state of an index path (b_last, ..., b_k): its suffix bracket
+    sigma^depth * [e_bk, [..., e_blast]], its replacement brackets per free
+    variable and its degree sum; the path's rows and its children's states
+    are linear in it.  `_Setup.grow` fills the rest on the first child:
+    `brackets`, the nonzero `ad`(i, suffix) for each i whose row meets the
+    suffix's support, gives the child at b its suffix and the free variable
+    (a, b) its new term; `partners` lists the indices whose row meets the
+    state's support; every index below `reach` has a lower degree than some
+    a in `brackets`."""
 
-    suffix: SparseVec
-    repl: dict[int, SparseVec]
-    degsum: int
-    limit: int
-    children: dict[int, "_Node | None"]
-    brackets: dict[int, SparseVec]
+    __slots__ = ("suffix", "repl", "degsum", "brackets", "partners", "reach")
+
+    def __init__(self, suffix: SparseVec, repl: dict[int, SparseVec], degsum: int):
+        self.suffix, self.repl, self.degsum, self.brackets = suffix, repl, degsum, None
+
+
+def _grown(states: list[_State], grow: Iterator[_State]) -> Iterator[_State]:
+    """Yield a span basis's states: those found so far, then, each time this
+    reader has read them all, one more from `grow` into the shared list, so
+    a consumer that stops pulling stops the growth."""
+    i = 0
+    while i < len(states) or (state := next(grow, None)) is not None:
+        if i == len(states):
+            states.append(state)
+        yield states[i]
+        i += 1
 
 
 class _Setup:
@@ -375,12 +386,14 @@ class _Setup:
     path suffix of degree sum S lies in degree S, so every path row
     (`_path_rows`) has right-hand side 0: every condition system is
     homogeneous, hence feasible, with particular solution 0, and the
-    entry points answer from D0 without walking the trie.
+    entry points answer from D0 without building a span.
 
-    `roots[b]` is the path trie rooted at index b (see `_Node`), filled in
-    on first visit and kept as long as the algebra instance, so every call,
-    condition and candidate reuses it.  Threads may share it, as they may
-    share a `LieAlgebra`: each fill is idempotent.
+    Every path row is linear in its path's state (`_State`), so the rows of
+    the paths of one degree sum span what the rows of a basis of their
+    states span.  `span` builds such bases lazily, in a table local to one
+    public call; the setup keeps only the e-scan's fully grown ones
+    (`finished`), which hold no suspended growth, so no reference cycle
+    runs through it, and threads may share it, as they may a `LieAlgebra`.
     """
 
     def __init__(self, g: LieAlgebra):
@@ -401,8 +414,6 @@ class _Setup:
         self.graded = not lie.grading_violations(self.adapted, degrees)
         self.ad = self.adapted.ad
         self.rows = self.adapted._signed_rows  # [e_i, w] = 0 when rows[i] misses w's support
-        # the largest degree of an index whose bracket with e_b is nonzero, 0 if none
-        self.top_partner = [max((degrees[j] for j in row), default=0) for row in self.rows]
         # first adapted index of each degree (degrees are nondecreasing)
         self.first_at_least = [next((i for i in range(n) if degrees[i] >= d), n) for d in range(self.c + 2)]
         # free positions (a, b), column-major: degree(a) > degree(b), so a grading operator
@@ -411,42 +422,87 @@ class _Setup:
         self.var_at: list[dict[int, int]] = [{} for _ in range(n)]
         for var, (a, b) in enumerate(self.positions):
             self.var_at[b][a] = var
-        self.roots = [
-            _Node({b: 1}, {var: {a: 1} for a, var in self.var_at[b].items()}, degrees[b], b, {}, {})
-            for b in range(n)
-        ]
+        self.finished: dict[tuple[None, int], tuple] = {}  # the e-scan's fully grown spans
 
-    def extend(self, node: _Node, b: int) -> _Node | None:
-        """Compute and store the child of `node` at index b (see `_Node`)."""
-        ad = self.ad
-        rows = self.rows
-        suffix, brackets = node.suffix, node.brackets
-        row_b = rows[b].keys()
-        new_repl = {}
-        if self.top_partner[b] > node.degsum:  # else row_b misses F_{degsum+1}, where every repl vector lies
-            new_repl = {var: bw for var, w in node.repl.items() if not row_b.isdisjoint(w) and (bw := ad(b, w))}
-        if suffix and not node.children:
-            brackets.update({i: w for i in sorted({i for j in suffix for i in rows[j]}) if (w := ad(i, suffix))})
-        var_at = self.var_at[b]
-        for a, w in brackets.items():
-            var = var_at.get(a)
-            if var is None:
-                continue
-            merged = new_repl.setdefault(var, {})
-            for k, x in w.items():
-                t = merged.get(k, 0) + x
-                if t:
-                    merged[k] = t
-                else:
-                    merged.pop(k, None)
-            if not merged:
-                del new_repl[var]
-        new_suffix = brackets.get(b, {})
-        kid = None
-        if new_suffix or new_repl:
-            kid = _Node(new_suffix, new_repl, node.degsum + self.degrees[b], self.dim, {}, {})
-        node.children[b] = kid
-        return kid
+    def span(self, spans: dict, mins: tuple[int, ...] | None, total: int) -> Iterator[_State]:
+        """The basis of the states of the paths of degree sum `total` whose
+        slots have degrees >= `mins`, outermost slot first (`None`: paths of
+        any length >= 2), from the call's table `spans`: it holds, made on
+        first use, each span's states found so far with their `grow`, and
+        each root's state (suffix e_r) keyed by its index r.
+
+        A child is linear in its parent's state, so these are spanned by the
+        children, at each index b of the outermost slot, of the basis for
+        the inner slots at sum total - deg b; the innermost pair is each
+        root's children at smaller indices, since Delta alternates there.
+        Degrees are nondecreasing, so each index window is of one degree.
+        """
+        key = (mins, total)
+        if key not in spans:
+            first, degrees = self.first_at_least, self.degrees
+            least = 1 if mins is None else mins[0]
+            pairs, inner = [], []
+            if mins is None or len(mins) == 2:
+                for r in range(first[1 if mins is None else mins[1]], first[total - least + 1]):
+                    lo, hi = first[total - degrees[r]], min(r, first[total - degrees[r] + 1])
+                    if lo < hi:
+                        if r not in spans:  # the root at r, made once per table
+                            spans[r] = _State({r: 1}, {var: {a: 1} for a, var in self.var_at[r].items()}, degrees[r])
+                        pairs.append((spans[r], lo, hi))
+            if mins is None or len(mins) > 2:
+                rest = None if mins is None else mins[1:]
+                for t in range(2 if rest is None else sum(rest), total - least + 1):
+                    inner.append((self.span(spans, rest, t), first[total - t], first[total - t + 1]))
+            spans[key] = ([], self.grow(pairs, inner))
+        return _grown(*spans[key])
+
+    def grow(self, pairs: list[tuple[_State, int, int]], inner: list[tuple[Iterator[_State], int, int]]) -> Iterator[_State]:
+        """Yield each child, at lo <= b < hi, of each state of span for (span,
+        lo, hi) in inner and of each root for (root, lo, hi) in pairs, that
+        raises the rank of one `Echelon` over the flattened states, divided
+        by the gcd of its entries.
+
+        The child at b can be nonzero only if b's row meets the support of
+        the suffix or of a replacement bracket (`partners`), or if the a of a
+        free position (a, b), deg a > deg b, brackets the suffix (b below
+        `reach`); no other b is tried.  A state flattens to its (variable,
+        coordinate) pairs, then its suffix: with the suffix first, pivots
+        fell on its entries and the elimination took several times longer.
+        """
+        n = self.dim
+        last = n * len(self.positions)
+        echelon = Echelon(last + n)
+        ad, rows, degrees, var_at = self.ad, self.rows, self.degrees, self.var_at
+        for state, lo, hi in chain(((state, lo, hi) for span, lo, hi in inner for state in span), pairs):
+            suffix, repl = state.suffix, state.repl
+            if state.brackets is None:
+                brackets = {i: w for i in {i for j in suffix for i in rows[j]} if (w := ad(i, suffix))}
+                state.partners = sorted({i for j in chain(suffix, *repl.values()) for i in rows[j]})
+                state.reach = self.first_at_least[max((degrees[a] for a in brackets), default=0)]
+                state.brackets = brackets  # last, so that a thread that sees it sees the rest
+            brackets, partners = state.brackets, state.partners
+            live = range(lo, hi) if lo < state.reach else partners[bisect_left(partners, lo) : bisect_left(partners, hi)]
+            for b in live:
+                row_b = rows[b].keys()
+                new_repl = {var: bw for var, w in repl.items() if not row_b.isdisjoint(w) and (bw := ad(b, w))}
+                free = var_at[b]
+                for a, w in brackets.items():
+                    if (var := free.get(a)) is not None:
+                        merged = new_repl.pop(var, {})
+                        for k, x in w.items():
+                            merged[k] = merged.get(k, 0) + x
+                        if merged := {k: x for k, x in merged.items() if x}:
+                            new_repl[var] = merged
+                new_suffix = brackets.get(b, {})
+                if not (new_suffix or new_repl):
+                    continue
+                flat = {n * var + k: x for var, w in new_repl.items() for k, x in w.items()}
+                flat.update((last + k, x) for k, x in new_suffix.items())
+                if echelon.add(flat):
+                    if (c := math.gcd(*flat.values())) > 1:
+                        new_repl = {var: {k: x // c for k, x in w.items()} for var, w in new_repl.items()}
+                        new_suffix = {k: x // c for k, x in new_suffix.items()}
+                    yield _State(new_suffix, new_repl, state.degsum + degrees[b])
 
     def operator(self, x: Sequence[Fraction]) -> GradingOperator:
         """diag(degrees) plus x[var] at each free position, in original coordinates.
@@ -492,9 +548,9 @@ def _clamp_conditions(conditions: Iterable[DerivCondition], c: int) -> set[Deriv
     return clamped
 
 
-def _path_rows(setup: _Setup, node: _Node, max_coord: int) -> Iterator[tuple[int, SparseVec, int]]:
-    """Yield the affine rows (coord, coeffs, rhs) of the trie path `node`, one
-    per adapted coordinate below max_coord at which its value is nonzero.
+def _path_rows(setup: _Setup, node: _State, lo: int, hi: int) -> Iterator[tuple[int, SparseVec, int]]:
+    """Yield the affine rows (coord, coeffs, rhs) of the path state `node`,
+    one per adapted coordinate lo <= coord < hi at which its value is nonzero.
 
     With v the path's suffix and S its degree sum, the value is
     (D0 - S) v + sum_m x_m (v_{col(m)} e_{row(m)}) - repl, which lies in
@@ -508,17 +564,17 @@ def _path_rows(setup: _Setup, node: _Node, max_coord: int) -> Iterator[tuple[int
     rows: dict[int, SparseVec] = {}
     rhs: SparseVec = {}
     for coord, val in node.suffix.items():
-        if coord < max_coord:
+        if lo <= coord < hi:
             diff = (degrees[coord] - degsum) * val
             if diff:
                 rhs[coord] = -diff
         for a, var in var_at[coord].items():
-            if a < max_coord:
+            if lo <= a < hi:
                 entry = rows.setdefault(a, {})
                 entry[var] = entry.get(var, 0) + val
     for var, w in node.repl.items():
         for coord, val in w.items():
-            if coord < max_coord and val:
+            if lo <= coord < hi and val:
                 entry = rows.setdefault(coord, {})
                 t = entry.get(var, 0) - val
                 if t:
@@ -532,116 +588,48 @@ def _path_rows(setup: _Setup, node: _Node, max_coord: int) -> Iterator[tuple[int
             yield coord, coeffs, b
 
 
-def _condition_rows(setup: _Setup, cond: DerivCondition) -> Iterator[tuple[SparseVec, int]]:
+def _condition_rows(setup: _Setup, cond: DerivCondition, spans: dict) -> Iterator[tuple[SparseVec, int]]:
     """Yield the affine rows (coeffs, rhs) of one condition, lazily: a
-    consumer that stops pulling stops the walk.
+    consumer that stops pulling stops the growth of the spans.
 
-    Works in adapted coordinates where D0 is diagonal and each free
-    direction is an elementary matrix, walking the setup's path trie over
-    tuple slots from the right: the condition only picks the children
-    (degrees >= wp) and the depth, so each bracket is computed once per
-    `_Setup`, while the rows (`_path_rows`, at the coordinates of degree
-    <= level) are emitted per condition.  The walk enters only paths whose
-    degree sum, plus wp's entries for the slots still to fill, stays below
-    the level; since degrees are nondecreasing that is an upper index bound
-    per slot.  It is exact: a path of degree sum s >= level has its rows at
-    degrees above s, beyond the level, so it emits none, and the stream is
-    the unbounded walk's, row for row.  The brackets run on integers: a
-    vector at trie depth k carries the scale sigma^k, so each row is the
-    true row times sigma^(n-1), which leaves the echelon form, with its
-    unit pivots, unchanged.
+    In adapted coordinates D0 is diagonal and each free direction is an
+    elementary matrix.  The condition asks of each path whose slots have
+    degrees >= wp its rows at the coordinates of degree <= level; a path of
+    degree sum T has its rows at degrees above T, so only T below the level
+    and the class emits any, and for each the rows of the basis for
+    (wp, T) (`_Setup.span`, in the table `spans` of the call) span the
+    same space, which is all a consumer reads.  The brackets run on
+    integers, so each row is a true row times a positive integer.
     """
-    n = len(cond.wp)
     max_coord = setup.first_at_least[min(cond.level + 1, setup.c + 1)]
-    # the level less the least degree sum of slots 0..slot-1
-    room = [cond.level - sum(cond.wp[:slot]) for slot in range(n)]
-    # outermost slot is the last one so suffixes can be built right-to-left;
-    # substituting into that slot replaces it by a single basis vector
-    for root in setup.roots[setup.first_at_least[cond.wp[-1]] : _end(setup, room[n - 1])]:
-        for node in _condition_paths(setup, cond.wp, room, n - 1, root):
-            for _, coeffs, rhs in _path_rows(setup, node, max_coord):
+    for total in range(sum(cond.wp), min(cond.level, setup.c)):
+        for state in setup.span(spans, cond.wp, total):
+            for _, coeffs, rhs in _path_rows(setup, state, 0, max_coord):
                 yield coeffs, rhs
 
 
-def _end(setup: _Setup, room: int) -> int:
-    """The first adapted index whose degree is at least `room`, clamped to 0..c+1."""
-    return setup.first_at_least[max(0, min(room, setup.c + 1))]
-
-
-def _condition_paths(
-    setup: _Setup, wp: tuple[int, ...], room: list[int], slot: int, node: _Node
-) -> Iterator[_Node]:
-    """Yield the trie paths that fill slots slot-1 .. 0 of a condition below
-    `node`, lazily (see `_condition_rows`): the index at slot k is at least
-    the first of degree wp[k] and below the first whose degree takes the
-    path's least sum to the level, room[k] being the level less the least
-    sum of slots 0..k-1.  It recurses as a module-level function, so no
-    closure cycle keeps the setup alive after the walk."""
-    if slot == 0:
-        yield node
-        return
-    children = node.children
-    for b in range(setup.first_at_least[wp[slot - 1]], min(node.limit, _end(setup, room[slot - 1] - node.degsum))):
-        kid = children[b] if b in children else setup.extend(node, b)
-        if kid is not None:
-            yield from _condition_paths(setup, wp, room, slot - 1, kid)
-
-
-def _paths_of_sum(setup: _Setup, node: _Node, total: int) -> Iterator[_Node]:
-    """Yield the trie paths of degree sum `total` that extend `node`, lazily.
-
-    Each next index keeps the sum within total; since degrees are
-    nondecreasing that is an upper index bound per step.  It recurses as a
-    module-level function, so no closure cycle keeps the setup alive after
-    the walk.
-    """
-    room = total - node.degsum
-    if not room:
-        yield node
-        return
-    children = node.children
-    for b in range(min(node.limit, setup.first_at_least[min(room + 1, setup.c + 1)])):
-        kid = children[b] if b in children else setup.extend(node, b)
-        if kid is not None:
-            yield from _paths_of_sum(setup, kid, total)
-
-
 def _ratio_rows(setup: _Setup) -> Iterator[tuple[Fraction, SparseVec, int]]:
-    """Yield every path row as (ratio, coeffs, rhs), by decreasing ratio, lazily.
+    """Yield the path rows as (ratio, coeffs, rhs), by decreasing ratio, as
+    the rows of span bases, lazily.
 
     A path of degree sum S has its rows at coordinates of degree d > S
-    (`_path_rows`); the row at a degree-d coordinate has ratio S/d, a
-    candidate of `_ratio_groups`.  The conditions of ratio above r ask of
-    that path exactly the coordinates with d <= min(c, ceil(S/r) - 1), that
-    is, those with S/d > r; so the candidate-r system of `e_invariant` is
-    the rows of ratio above r, and the stream lists each candidate's rows
-    once, as a prefix.
-
-    Each S has one walk over the paths of sum S (`_paths_of_sum` from every
-    root of degree below S), at its pair (S, S + 1), the largest of its
-    ratios: it yields the degree-(S + 1) rows and keeps the
-    rows of every other degree in per-(S, d) buckets until their pair comes.
-    The buckets live as long as the generator.
+    (`_path_rows`), of ratio S/d, a candidate of `_ratio_groups`.  The
+    conditions of ratio above r ask of it exactly the coordinates with
+    S/d > r, so the candidate-r system of `e_invariant` is the rows of
+    ratio above r, a prefix of the stream.  At each pair (S, d) it yields
+    the degree-d rows of the basis for (None, S), the paths of any length
+    and sum S (`_Setup.span`), so every prefix has the row space of all the
+    paths' rows.  The first pair of each S, (S, S + 1), grows that span in
+    the stream's own table, and the setup then keeps it (`finished`).
     """
-    c = max(setup.c, 2)
-    degrees = setup.degrees
-    dim = setup.dim
-    buckets: dict[int, list[list[tuple[SparseVec, int]]]] = {}  # S -> rows by degree
-    for ratio, pairs in _ratio_groups(c):
+    first = setup.first_at_least
+    spans = dict(setup.finished)
+    for ratio, pairs in _ratio_groups(max(setup.c, 2)):
         for s, d in pairs:
-            if d > s + 1:
-                rows, buckets[s][d] = buckets[s][d], []
-                for coeffs, rhs in rows:
+            for state in setup.span(spans, None, s):
+                for _, coeffs, rhs in _path_rows(setup, state, first[d], first[d + 1]):
                     yield ratio, coeffs, rhs
-                continue
-            later = buckets[s] = [[] for _ in range(c + 1)]
-            for root in setup.roots[: setup.first_at_least[s]]:  # a root alone falls short of s
-                for node in _paths_of_sum(setup, root, s):
-                    for coord, coeffs, rhs in _path_rows(setup, node, dim):
-                        if degrees[coord] == d:
-                            yield ratio, coeffs, rhs
-                        else:
-                            later[degrees[coord]].append((coeffs, rhs))
+            setup.finished[(None, s)] = spans[(None, s)]  # its growth has returned
 
 
 def _feasibility(setup: _Setup, clamped: Iterable[DerivCondition]) -> GradingOperator | None:
@@ -656,8 +644,9 @@ def _feasibility(setup: _Setup, clamped: Iterable[DerivCondition]) -> GradingOpe
         return (len(cond.wp), est, cond)
 
     system = AffineSystem(len(setup.positions))
+    spans: dict = {}  # the state bases of this call, shared by its conditions
     for cond in sorted(clamped, key=cost):
-        for coeffs, rhs in _condition_rows(setup, cond):
+        for coeffs, rhs in _condition_rows(setup, cond, spans):
             system.add(coeffs, rhs)
             if system.infeasible:
                 return None
@@ -672,7 +661,7 @@ def is_A_derivable(g: LieAlgebra, conditions: Iterable[DerivCondition]) -> Gradi
     zero.  When the adapted degrees grade g (`_Setup.graded`), a path
     suffix of degree sum S lies in degree S, so every row has right-hand
     side 0; the system is homogeneous, its particular solution is 0, and
-    the witness is D0, with no trie walk.
+    the witness is D0, with no span built.
     """
     setup = _setup(g)
     return _feasibility(setup, _clamp_conditions(conditions, setup.c))
@@ -691,7 +680,7 @@ def e_of_operator(g: LieAlgebra, d: GradingOperator) -> Fraction:
     the `is_grading_operator` test, raising OperatorNotInDError if d fails.
     When the adapted degrees grade g (`_Setup.graded`), every row has
     right-hand side 0 (see `is_A_derivable`), so x_D = 0, that is d = D0,
-    meets them all and has e_D = 0 with no trie walk.
+    meets them all and has e_D = 0 with no span built.
     """
     setup = _setup(g)
     d_ad = _adapted_operator(d, setup)
@@ -725,7 +714,7 @@ def e_invariant(g: LieAlgebra) -> EInvariantResult:
     which depends on its row space only.  When the adapted degrees grade g
     (`_Setup.graded`), every row has right-hand side 0 (see
     `is_A_derivable`): the full system is homogeneous, so e = 0 and the
-    witness is D0, read off the grading with no trie walk.  That is the
+    witness is D0, read off the grading with no span built.  That is the
     paper's e = 0 for Carnot groups, certified by one pass over the table.
     """
     setup = _setup(g)

@@ -26,9 +26,14 @@ a membership test of every unit vector against an echelon form of each
 F_i, and a bracket-closure loop from the degree-1 layer.  So is
 `antichain_by_pruning`, the pairwise domination pass over all of
 `r_condition_set` that the closed-form `antichain` replaced, and
-`condition_rows_unbounded`, which returns as a list the rows of the walk
-`_condition_rows` made before it was bounded by the condition's level, with
-every bracket recomputed along its path instead of read from the trie.
+`condition_rows_unbounded` and `ratio_rows_by_paths`, the per-path walks
+the package made before it read span bases: the rows of every index path of
+a condition, whatever its degree sum, and the e-scan's rows of every path by
+decreasing ratio, with every bracket recomputed along its path.  The
+package's streams emit the rows of a basis of the path states instead, so
+they are compared by row space, and `e_invariant_by_paths`,
+`e_of_operator_by_paths` and `is_A_derivable_by_paths` answer the entry
+points' questions from these walks, with no answer read off a grading.
 `antichain`, `e_invariant_by_candidates` and `e_of_operator_by_candidates`
 are the candidate-by-candidate e-scan the ratio-ordered row stream
 replaced: one `AffineSystem` per candidate r over the rows `_condition_rows`
@@ -38,7 +43,7 @@ per-condition row stream and `_feasibility`; what they check is which rows
 the ratio-ordered scan feeds to which candidate, and in what order.  On an
 algebra whose adapted degrees grade it, `_feasibility` answers from D0, so
 `e_invariant_by_candidates` runs on `walked`, a fresh instance whose setup
-has that grading flag cleared and walks the trie.
+has that grading flag cleared and builds the spans.
 `verify_grading_dense` is the body `carnot.verify_grading` had before it
 read the structure table: a pass over the dense `g.brackets`.
 `algebra_in_basis_dense` writes g in a new basis as p^-1 applied to
@@ -68,6 +73,7 @@ from nilgrade.derivability import (
     _feasibility,
     _level,
     _normalized,
+    _ratio_groups,
     _setup,
     candidate_values,
     delta_n,
@@ -85,6 +91,7 @@ from nilgrade.lie import (
     lower_central_series,
 )
 from nilgrade.linalg import (
+    AffineSystem,
     Echelon,
     Matrix,
     Vec,
@@ -355,7 +362,7 @@ def e_of_operator_tuples(g, d) -> Fraction:
     basis tuples of degrees >= wp; tuples whose values all vanish are
     skipped.  Each tuple runs its own sparse integer bracket recursion
     over the adapted structure table, so nothing is shared with the
-    solver's row stream, its path trie or the antichain of conditions.
+    solver's row stream, its span bases or the antichain of conditions.
     Only the support of each Delta value matters, so the columns of D are
     scaled to integers once.
     """
@@ -718,7 +725,8 @@ def antichain(c: int, r: Fraction) -> tuple[DerivCondition, ...]:
 def walked(g: LieAlgebra) -> LieAlgebra:
     """g, or, if its adapted degrees grade it (`_Setup.graded`), a fresh
     instance of g whose setup has that flag cleared, so that `_feasibility`
-    and the entry points on it walk the trie instead of answering from D0."""
+    and the entry points on it build the span bases instead of answering
+    from D0."""
     if not _setup(g).graded:
         return g
     fresh = LieAlgebra._from_table(g.dim, g.sigma, g.table, g.labels)
@@ -750,12 +758,13 @@ def e_of_operator_by_candidates(g: LieAlgebra, d: GradingOperator) -> Fraction:
     scale, rows = d_ad
     point = [rows[a].get(b, 0) for a, b in setup.positions]
     met: dict[DerivCondition, bool] = {}
+    spans: dict = {}
 
     def meets(cond: DerivCondition) -> bool:
         if cond not in met:
             met[cond] = all(
                 sum(k * point[var] for var, k in coeffs.items()) == rhs * scale
-                for coeffs, rhs in _condition_rows(setup, cond)
+                for coeffs, rhs in _condition_rows(setup, cond, spans)
             )
         return met[cond]
 
@@ -765,79 +774,172 @@ def e_of_operator_by_candidates(g: LieAlgebra, d: GradingOperator) -> Fraction:
     raise AssertionError("the top candidate has no conditions")
 
 
+def _column_vars(setup) -> list[list[tuple[int, int]]]:
+    """col_vars[b]: the (variable, a) of each free position (a, b)."""
+    col_vars: list[list[tuple[int, int]]] = [[] for _ in range(setup.dim)]
+    for var, (a, b) in enumerate(setup.positions):
+        col_vars[b].append((var, a))
+    return col_vars
+
+
+def _path_step(setup, col_vars, suffix: dict, repl: dict, b: int) -> tuple[dict, dict]:
+    """The suffix and replacement brackets of a path extended by index b."""
+    ad = setup.ad
+    new_suffix = ad(b, suffix) if suffix else {}
+    new_repl = {var: bw for var, w in repl.items() if (bw := ad(b, w))}
+    if suffix:
+        for var, a in col_vars[b]:
+            merged = new_repl.setdefault(var, {})
+            for k, x in ad(a, suffix).items():
+                t = merged.get(k, 0) + x
+                if t:
+                    merged[k] = t
+                else:
+                    merged.pop(k, None)
+            if not merged:
+                del new_repl[var]
+    return new_suffix, new_repl
+
+
+def _path_emit(setup, col_vars, value: dict, repl: dict, degsum: int, max_coord: int) -> list[tuple[int, dict, int]]:
+    """The rows (coord, coeffs, rhs) of one path at its coordinates below max_coord."""
+    degrees = setup.degrees
+    rows: dict = {}
+    rhs: dict = {}
+    for coord, val in value.items():
+        if coord < max_coord:
+            diff = (degrees[coord] - degsum) * val
+            if diff:
+                rhs[coord] = -diff
+        for var, a in col_vars[coord]:
+            if a < max_coord:
+                entry = rows.setdefault(a, {})
+                entry[var] = entry.get(var, 0) + val
+    for var, w in repl.items():
+        for coord, val in w.items():
+            if coord < max_coord and val:
+                entry = rows.setdefault(coord, {})
+                t = entry.get(var, 0) - val
+                if t:
+                    entry[var] = t
+                else:
+                    entry.pop(var, None)
+    out = []
+    for coord in sorted(set(rows) | set(rhs)):
+        coeffs = rows.get(coord, {})
+        b = rhs.get(coord, 0)
+        if coeffs or b:
+            out.append((coord, coeffs, b))
+    return out
+
+
+def _root(setup, col_vars, b: int) -> tuple[dict, dict]:
+    return {b: 1}, {var: {a: 1} for var, a in col_vars[b]}
+
+
 def condition_rows_unbounded(setup, cond: DerivCondition) -> list[tuple[dict, int]]:
     """The rows (coeffs, rhs) of `cond` over every index path of degrees >= wp,
-    whatever its degree sum, in order.
+    whatever its degree sum, in order: the per-path walk `_condition_rows`
+    made before it read span bases.
 
     It reads only `setup`'s adapted `ad`, degrees, free positions and
     `first_at_least`.  Each path's suffix and replacement brackets are
-    recomputed along the path, in the order the solver computes them, so
-    the sparse vectors, and with them the rows, come out in the same order.
+    recomputed along the path, as the path trie computed them.
     """
     n = len(cond.wp)
-    degrees, ad = setup.degrees, setup.ad
-    col_vars: list[list[tuple[int, int]]] = [[] for _ in range(setup.dim)]  # col_vars[b]: (var, a)
-    for var, (a, b) in enumerate(setup.positions):
-        col_vars[b].append((var, a))
+    degrees = setup.degrees
+    col_vars = _column_vars(setup)
     max_coord = setup.first_at_least[min(cond.level + 1, setup.c + 1)]
     starts = [setup.first_at_least[p] for p in cond.wp]
     out: list[tuple[dict, int]] = []
 
-    def step(suffix: dict, repl: dict, b: int) -> tuple[dict, dict]:
-        new_suffix = ad(b, suffix) if suffix else {}
-        new_repl = {var: bw for var, w in repl.items() if (bw := ad(b, w))}
-        if suffix:
-            for var, a in col_vars[b]:
-                merged = new_repl.setdefault(var, {})
-                for k, x in ad(a, suffix).items():
-                    t = merged.get(k, 0) + x
-                    if t:
-                        merged[k] = t
-                    else:
-                        merged.pop(k, None)
-                if not merged:
-                    del new_repl[var]
-        return new_suffix, new_repl
-
-    def emit(value: dict, repl: dict, degsum: int) -> None:
-        rows: dict = {}
-        rhs: dict = {}
-        for coord, val in value.items():
-            if coord < max_coord:
-                diff = (degrees[coord] - degsum) * val
-                if diff:
-                    rhs[coord] = -diff
-            for var, a in col_vars[coord]:
-                if a < max_coord:
-                    entry = rows.setdefault(a, {})
-                    entry[var] = entry.get(var, 0) + val
-        for var, w in repl.items():
-            for coord, val in w.items():
-                if coord < max_coord and val:
-                    entry = rows.setdefault(coord, {})
-                    t = entry.get(var, 0) - val
-                    if t:
-                        entry[var] = t
-                    else:
-                        entry.pop(var, None)
-        for coord in set(rows) | set(rhs):
-            coeffs = rows.get(coord, {})
-            b = rhs.get(coord, 0)
-            if coeffs or b:
-                out.append((coeffs, b))
-
     def walk(slot: int, suffix: dict, repl: dict, degsum: int, limit: int) -> None:
         if slot == 0:
-            emit(suffix, repl, degsum)
+            out.extend((coeffs, rhs) for _, coeffs, rhs in _path_emit(setup, col_vars, suffix, repl, degsum, max_coord))
             return
         for b in range(starts[slot - 1], limit):
-            new_suffix, new_repl = step(suffix, repl, b)
+            new_suffix, new_repl = _path_step(setup, col_vars, suffix, repl, b)
             if new_suffix or new_repl:
                 walk(slot - 1, new_suffix, new_repl, degsum + degrees[b], setup.dim)
 
     for b in range(starts[n - 1], setup.dim):
-        walk(n - 1, {b: 1}, {var: {a: 1} for var, a in col_vars[b]}, degrees[b], b)
+        walk(n - 1, *_root(setup, col_vars, b), degrees[b], b)
     return out
+
+
+def ratio_rows_by_paths(setup) -> list[tuple[Fraction, dict, int]]:
+    """Every path row as (ratio, coeffs, rhs), by decreasing ratio: the rows
+    of each index path of length >= 2 (the first index below the root,
+    since Delta alternates there), at each coordinate of degree d above its
+    degree sum S, of ratio S/d.  This is the per-path stream the e-scan read
+    from its path trie before it read span bases; each path's brackets are
+    recomputed along the path, and the rows are listed by the pairs (S, d)
+    of `_ratio_groups`."""
+    degrees = setup.degrees
+    c = max(setup.c, 2)
+    col_vars = _column_vars(setup)
+    buckets: dict[tuple[int, int], list[tuple[dict, int]]] = {}
+
+    def walk(suffix: dict, repl: dict, degsum: int, limit: int) -> None:
+        for b in range(limit):
+            if degsum + degrees[b] >= c:
+                break
+            new_suffix, new_repl = _path_step(setup, col_vars, suffix, repl, b)
+            if new_suffix or new_repl:
+                total = degsum + degrees[b]
+                for coord, coeffs, rhs in _path_emit(setup, col_vars, new_suffix, new_repl, total, setup.dim):
+                    buckets.setdefault((total, degrees[coord]), []).append((coeffs, rhs))
+                walk(new_suffix, new_repl, total, setup.dim)
+
+    for b in range(setup.dim):
+        walk(*_root(setup, col_vars, b), degrees[b], b)
+    return [(ratio, coeffs, rhs) for ratio, pairs in _ratio_groups(c) for pair in pairs for coeffs, rhs in buckets.get(pair, [])]
+
+
+def e_invariant_by_paths(g: LieAlgebra) -> EInvariantResult:
+    """`e_invariant` on `ratio_rows_by_paths`: the ratio groups in decreasing
+    order into one `AffineSystem`, e the ratio of the first group that makes
+    it infeasible and the witness the particular solution before it; no
+    answer is read off a grading."""
+    setup = _setup(g)
+    system = before = AffineSystem(len(setup.positions))
+    ratio = None
+    for r, coeffs, rhs in ratio_rows_by_paths(setup):
+        if r != ratio:
+            ratio, before = r, system.copy()
+        system.add(coeffs, rhs)
+        if system.infeasible:
+            return EInvariantResult(r, setup.operator(before.particular()))
+    return EInvariantResult(Fraction(0), setup.operator(system.particular()))
+
+
+def e_of_operator_by_paths(g: LieAlgebra, d: GradingOperator) -> Fraction:
+    """The ratio of the first row of `ratio_rows_by_paths` that d's free
+    entries in adapted coordinates violate, or 0."""
+    setup = _setup(g)
+    d_ad = _adapted_operator(d, setup)
+    if d_ad is None:
+        raise OperatorNotInDError("matrix is not a grading operator of the lower central series")
+    scale, rows = d_ad
+    point = [rows[a].get(b, 0) for a, b in setup.positions]
+    for ratio, coeffs, rhs in ratio_rows_by_paths(setup):
+        if sum(k * point[var] for var, k in coeffs.items()) != rhs * scale:
+            return ratio
+    return Fraction(0)
+
+
+def is_A_derivable_by_paths(g: LieAlgebra, conditions) -> GradingOperator | None:
+    """The conditions clamped to the class, each condition's rows over every
+    path (`condition_rows_unbounded`) in one `AffineSystem`, and the
+    particular solution as witness, or None if it is infeasible."""
+    setup = _setup(g)
+    system = AffineSystem(len(setup.positions))
+    for cond in conditions:
+        level = min(cond.level, setup.c)
+        if level > sum(cond.wp):
+            for coeffs, rhs in condition_rows_unbounded(setup, DerivCondition(cond.wp, level)):
+                system.add(coeffs, rhs)
+    return None if system.infeasible else setup.operator(system.particular())
 
 
 # --- the 4-step law difference in closed form, by layer components

@@ -23,16 +23,21 @@ from oracles import (
     condition_rows_unbounded,
     delta_depth,
     e_invariant_by_candidates,
+    e_invariant_by_paths,
     e_of_operator_by_candidates,
+    e_of_operator_by_paths,
     e_of_operator_dense,
     e_of_operator_tuples,
+    is_A_derivable_by_paths,
     is_grading_operator_echelon,
     mat_add,
     naive_mat_mul,
+    ratio_rows_by_paths,
     rref_contains,
     rref_mat_inv,
     walked,
 )
+from test_linalg import direct_sum
 from test_lie import (
     DECIDE_ALGEBRAS,
     FIXTURES,
@@ -73,7 +78,7 @@ from nilgrade.lie import (
     parse_algebra,
     serialize_algebra,
 )
-from nilgrade.linalg import AffineSystem, mat_vec, unit_vec
+from nilgrade.linalg import AffineSystem, Echelon, mat_vec, unit_vec
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -757,10 +762,11 @@ _PUBLIC_CALLS = {
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(GRADED_ENTRIES), matrix_lie_algebras(min_class=3), st.data())
 def test_shared_setup_answers_like_a_fresh_one(name, extra, data):
-    # one algebra instance, and with it one cached setup and path trie,
-    # answers a random sequence of public calls exactly as a freshly parsed
-    # instance answers each call: nothing a call leaves in the trie, whether
-    # the solver or an operator's point check filled it, changes the next
+    # one algebra instance, and with it one cached setup, answers a random
+    # sequence of public calls exactly as a freshly parsed instance answers
+    # each call: nothing a call leaves on the setup or in the states' bracket
+    # caches, whether the solver or an operator's point check filled it,
+    # changes the next
     for text in (catalog.get(name).definition, serialize_algebra(extra)):
         shared = parse_algebra(text)
         f = lower_central_series(parse_algebra(text))
@@ -1006,52 +1012,65 @@ def test_integer_frame_matches_fraction_route_on_random_algebras(g, data):
     assert_frame_matches_fraction_route(g, xs)
 
 
-# --- the path trie: level-bounded walk, one bracket per node and index
+# --- the span walk: level-bounded condition rows, one bracket per state and index
 
 ROW_STREAM_ALGEBRAS = FIXTURES + [f"filiform({n})" for n in range(6, 13)] + ["central_product(4,7)"]
 
 
-def assert_same_row_stream(g, conditions) -> int:
+def row_space(rows, nvars: int) -> dict[int, dict[int, int]]:
+    """The canonical `Echelon.int_rows` of affine rows (coeffs, rhs), with
+    the right-hand side as column nvars."""
+    ech = Echelon(nvars + 1)
+    for coeffs, rhs in rows:
+        ech.add({**coeffs, nvars: rhs} if rhs else coeffs)
+    return ech.int_rows
+
+
+def assert_same_row_space(g, conditions) -> int:
     setup = _setup(g)
+    nvars = len(setup.positions)
     emitted = 0
     for cond in conditions:
-        rows = list(_condition_rows(setup, cond))
-        assert rows == condition_rows_unbounded(setup, cond), cond
+        rows = list(_condition_rows(setup, cond, {}))
+        assert row_space(rows, nvars) == row_space(condition_rows_unbounded(setup, cond), nvars), cond
         emitted += len(rows)
     return emitted
 
 
 @pytest.mark.parametrize("name", ROW_STREAM_ALGEBRAS)
 def test_level_bounded_walk_emits_the_unbounded_rows(name):
-    # every condition any candidate's antichain asks for, row for row and
-    # in the same order as the walk over every path of degrees >= wp
+    # every condition any candidate's antichain asks for: the rows of its
+    # span bases, bounded by the level, span the same space as the rows of
+    # every path of degrees >= wp, whatever its degree sum
     g = catalog.get(name).algebra
     c = max(lower_central_series(g).nilpotency_class, 2)
     conditions = dict.fromkeys(cond for r in candidate_values(c) for cond in antichain(c, r))
-    assert assert_same_row_stream(g, conditions) > 0 or c < 3
+    assert assert_same_row_space(g, conditions) > 0 or c < 3
 
 
 @settings(max_examples=30, deadline=None)
 @given(matrix_lie_algebras(min_class=3), st.data())
 def test_level_bounded_walk_on_random_algebras_and_conditions(g, data):
     universe = sorted(enumerate_S(lower_central_series(g).nilpotency_class))
-    assert_same_row_stream(g, data.draw(st.lists(st.sampled_from(universe), min_size=1, max_size=5)))
+    assert_same_row_space(g, data.draw(st.lists(st.sampled_from(universe), min_size=1, max_size=5)))
 
 
 def drain_ratio_rows_twice(setup) -> None:
-    # the whole row stream on a cold trie, then again on the filled one, as
-    # an e = 0 scan and the e_of_operator of its witness read it; the entry
-    # points answer filiform(12) from its grading, so the walk is pulled here
+    # the whole row stream twice, as an e = 0 scan and the e_of_operator of
+    # its witness read it: the second pass reads the spans the first one
+    # finished growing; the entry points answer filiform(12) from its
+    # grading, so the stream is pulled here
     for _ in range(2):
         for _ in derivability._ratio_rows(setup):
             pass
 
 
 @pytest.mark.parametrize("name", ["filiform(12)", "central_product(6,10)"])
-def test_trie_brackets_each_vector_once_per_index(name):
+def test_each_state_brackets_its_suffix_once_per_index(name):
     # two passes of the row stream never bracket the same vector with the
-    # same index twice; each bracketed vector is kept, so its id is not
-    # reused by a later one
+    # same index twice: each state brackets its suffix once per index, on
+    # its first child, and each replacement vector once per child; each
+    # bracketed vector is kept, so its id is not reused by a later one
     g = catalog.get(name).algebra
     setup = _setup(g)
     ad = setup.ad
@@ -1067,12 +1086,12 @@ def test_trie_brackets_each_vector_once_per_index(name):
     assert seen
 
 
-@pytest.mark.parametrize("name, bound", [("central_product(6,10)", 366), ("filiform(12)", 214)])
-def test_trie_brackets_only_indices_that_meet_the_suffix(name, bound):
-    # two passes of the row stream bracket each node's suffix with the
-    # indices whose signed row meets its support, all at once, and nothing
-    # else: 360 and 210 calls, against 359 and 210 when only each extended
-    # column's indices were bracketed, on demand
+@pytest.mark.parametrize("name, bound", [("central_product(6,10)", 400), ("filiform(12)", 235)])
+def test_states_bracket_only_indices_meeting_them(name, bound):
+    # two passes of the row stream bracket each vector only with indices
+    # whose signed row meets its support, and nothing else: 378 and 222
+    # calls, all in the first pass (360 and 210 when the path trie, kept on
+    # the setup, bracketed each node's suffix)
     g = catalog.get(name).algebra
     setup = _setup(g)
     ad, rows = setup.ad, setup.rows
@@ -1088,27 +1107,48 @@ def test_trie_brackets_only_indices_that_meet_the_suffix(name, bound):
 
 
 @contextmanager
-def counting_extends() -> Iterator[list[int]]:
-    """Record each index `_Setup.extend` extends a trie node by while the block runs."""
-    extend = _Setup.extend
-    extended: list[int] = []
-    _Setup.extend = lambda self, node, b: extended.append(b) or extend(self, node, b)
+def counting_spans() -> Iterator[list[tuple]]:
+    """Record the key (mins, total) of each span `_Setup.span` builds while
+    the block runs."""
+    span = _Setup.span
+    built: list[tuple] = []
+
+    def recording(self, spans, mins, total):
+        if (mins, total) not in spans:
+            built.append((mins, total))
+        return span(self, spans, mins, total)
+
+    _Setup.span = recording
     try:
-        yield extended
+        yield built
     finally:
-        _Setup.extend = extend
+        _Setup.span = span
 
 
-def test_cold_e_of_operator_extends_few_nodes():
-    # on a fresh instance the row stream that e_of_operator reads walks
-    # filiform(12)'s trie paths whose degree sums its rows need only: 185
-    # nodes, against 243 if paths of degree sum equal to the level were
-    # walked and 690 with no bound; e_of_operator itself answers filiform(12)
-    # from its grading, so the stream is pulled here
-    with counting_extends() as extended:
-        for _ in derivability._ratio_rows(_setup(catalog.get("filiform(12)").algebra)):
+def test_cold_e_of_operator_extends_few_nodes(monkeypatch):
+    # the row stream that e_of_operator reads builds, on a fresh instance of
+    # filiform(12), the span bases of degree sums 2..10 only, and keeps 45
+    # states with 222 `ad` calls (the path trie extended 185 nodes);
+    # e_of_operator itself answers filiform(12) from its grading, so the
+    # stream is pulled here
+    setup = _setup(catalog.get("filiform(12)").algebra)
+    grow = _Setup.grow
+    kept = []
+
+    def recording(self, pairs, inner):
+        for state in grow(self, pairs, inner):
+            kept.append(state)
+            yield state
+
+    monkeypatch.setattr(_Setup, "grow", recording)
+    ad = setup.ad
+    calls = []
+    setup.ad = lambda i, v: calls.append(i) or ad(i, v)
+    with counting_spans() as built:
+        for _ in derivability._ratio_rows(setup):
             pass
-    assert 0 < len(extended) <= 200
+    assert sorted(total for _, total in built) == list(range(2, 11))
+    assert 0 < len(kept) <= 50 and 0 < len(calls) <= 240, (len(kept), len(calls))
 
 
 SPARSE_1000 = "dim 1000\nbracket e1 e2 = e3\nbracket e1 e3 = e1000\nbracket e4 e5 = 1/2 e999\n"
@@ -1117,18 +1157,18 @@ SPARSE_1000 = "dim 1000\nbracket e1 e2 = e3\nbracket e1 e3 = e1000\nbracket e4 e
 @pytest.mark.parametrize("name", ["filiform(12)", "filiform(150)", "heisenberg", "abelian(5)", "sparse dim-1000"])
 def test_graded_inputs_are_answered_from_their_grading(name):
     # when the adapted degrees grade g, D0 is every witness and e = 0: the
-    # e-scan, e_of_operator of its witness and a decision walk no trie path
-    # (the three walked 185, 545,676 and 496,506 nodes on filiform(12),
+    # e-scan, e_of_operator of its witness and a decision build no span
+    # (the path trie walked 185, 545,676 and 496,506 nodes on filiform(12),
     # filiform(150) and the sparse file when every input took the scan)
     g = parse_algebra(SPARSE_1000) if name == "sparse dim-1000" else catalog.get(name).algebra
-    with counting_extends() as extended:
+    with counting_spans() as built:
         setup = _setup(g)
         d0 = setup.operator([])
         assert setup.graded
         assert e_invariant(g) == derivability.EInvariantResult(F(0), d0)
         assert e_of_operator(g, d0) == 0
         assert is_A_derivable(g, parse_condition_set("(1,1|3),(1,2|4),(1,1,1|4)")) == d0
-    assert extended == []
+    assert built == []
 
 
 @pytest.mark.parametrize("name", ["g6_11", "upper-sheared g6_11", "sparse dim-1000"])
@@ -1194,11 +1234,11 @@ def carnot_companions():
 @settings(max_examples=30, deadline=None)
 @given(carnot_companions(), st.data())
 def test_graded_companions_are_answered_from_their_grading_as_the_walk_answers(a, data):
-    with counting_extends() as extended:
+    with counting_spans() as built:
         assert _setup(a).graded
         result = e_invariant(a)
         assert result.e == e_of_operator(a, result.witness) == 0
-    assert extended == []
+    assert built == []
     assert_answers_match_the_walk(a, data)
 
 
@@ -1206,12 +1246,12 @@ def test_graded_companions_are_answered_from_their_grading_as_the_walk_answers(a
 @given(carnot_companions(), st.data())
 def test_moved_companions_are_not_graded_and_still_walk(a, data):
     # the control: in a random basis the companion is still Carnot, so e = 0,
-    # but its adapted degrees no longer grade it, and the scan walks the trie
+    # but its adapted degrees no longer grade it, and the scan builds spans
     moved = moved_by(a, data.draw(invertible_matrices(a.dim)))
     assume(not _setup(moved).graded)
-    with counting_extends() as extended:
+    with counting_spans() as built:
         assert e_invariant(moved).e == 0
-    assert extended
+    assert built
     assert_answers_match_the_walk(moved, data)
 
 
@@ -1221,8 +1261,8 @@ def count_pulled_rows(monkeypatch) -> dict[DerivCondition, list]:
     rows = derivability._condition_rows
     pulled: dict[DerivCondition, list] = {}
 
-    def counting(setup, cond):
-        for row in rows(setup, cond):
+    def counting(setup, cond, spans):
+        for row in rows(setup, cond, spans):
             pulled.setdefault(cond, []).append(row)
             yield row
 
@@ -1234,11 +1274,14 @@ def count_pulled_rows(monkeypatch) -> dict[DerivCondition, list]:
 def test_solver_stops_pulling_rows_at_the_first_infeasible_one(monkeypatch, text):
     # the row stream is lazy: the solver pulls and adds rows up to the one
     # that makes its system infeasible and no further, so fewer rows reach
-    # it than the conditions emit (20 of 24 and 10 of 12 on counterexample11)
-    g = catalog.get("counterexample11").algebra
+    # it than the conditions emit (20 of 24 on counterexample11, and 2 of 3
+    # on g7_0_8; on counterexample11 the span rows of (1,1,1|4) are 10, and
+    # the tenth is the one that makes it infeasible)
+    g = catalog.get("counterexample11" if text == "(1,1|3),(1,2|4)" else "g7_0_8").algebra
     conditions = parse_condition_set(text)
     setup = _setup(g)
-    emitted = sum(len(list(_condition_rows(setup, cond))) for cond in conditions)
+    spans: dict = {}
+    emitted = sum(len(list(_condition_rows(setup, cond, spans))) for cond in conditions)
     add = AffineSystem.add
     after_add = []
 
@@ -1280,6 +1323,113 @@ def test_e_of_operator_stops_pulling_rows_at_the_first_violated_one(monkeypatch,
     assert all(holds[:-1]) and not holds[-1]
     assert pulled == everything[: len(pulled)] and pulled[-1][0] == e
     assert len(pulled) < len(everything)
+
+
+# --- the span walk against the per-path walk, and at scale
+
+
+def assert_answers_match_the_path_walks(g, data) -> None:
+    # each ratio group of the row stream spans the same space as the rows of
+    # that ratio over every index path; then e and its witness, e_of_operator
+    # at the witness, at D0 and at a random point of the grading operator
+    # space, and is_A_derivable on random condition sets, against the
+    # oracles that walk every path
+    setup = _setup(g)
+    nvars = len(setup.positions)
+    spans, paths = {}, {}
+    for table, stream in ((spans, derivability._ratio_rows(setup)), (paths, ratio_rows_by_paths(setup))):
+        for ratio, coeffs, rhs in stream:
+            table.setdefault(ratio, []).append((coeffs, rhs))
+    assert {r: row_space(rows, nvars) for r, rows in spans.items()} == {r: row_space(rows, nvars) for r, rows in paths.items()}
+    result = e_invariant(g)
+    assert result == e_invariant_by_paths(g)
+    entries = st.lists(st.one_of(st.just(F(0)), coords), min_size=len(setup.positions), max_size=len(setup.positions))
+    for d in (result.witness, setup.operator([]), setup.operator(data.draw(entries))):
+        assert e_of_operator(g, d) == e_of_operator_by_paths(g, d)
+    universe = sorted(enumerate_S(setup.c)) if setup.c >= 3 else []
+    for _ in range(2 if universe else 0):
+        chosen = frozenset(data.draw(st.lists(st.sampled_from(universe), min_size=1, max_size=4)))
+        assert is_A_derivable(g, chosen) == is_A_derivable_by_paths(g, chosen), sorted(chosen)
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["filiform(7)", "central_product(3,5)"])
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_span_walk_answers_as_the_per_path_walk(name, data):
+    # each catalog algebra as given and moved to a random rational basis,
+    # where the structure constants are dense and the paths many; a walk
+    # that missed the children made only by a free position's term differs
+    # from the paths first on central_product(3,5) as given
+    g = catalog.get(name).algebra
+    for alg in (g, moved_by(g, data.draw(invertible_matrices(g.dim)))):
+        assert_answers_match_the_path_walks(alg, data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrix_lie_algebras(), st.data())
+def test_span_walk_answers_as_the_per_path_walk_on_random_algebras(g, data):
+    for alg in (g, moved_by(g, data.draw(invertible_matrices(g.dim)))):
+        assert_answers_match_the_path_walks(alg, data)
+
+
+def test_growth_stops_where_the_consumer_stops(monkeypatch):
+    # the spans grow only as far as the stream is pulled: on 16 copies of
+    # g7_0_8 + g6_11 (dim 208) the e-scan stops at its first infeasible
+    # group, 4/5, the first one, having kept 5,468 states, where a drained
+    # stream keeps 13,624
+    blocks = [catalog.get("g7_0_8").algebra, catalog.get("g6_11").algebra] * 16
+    grow = _Setup.grow
+    kept = []
+
+    def recording(self, pairs, inner):
+        for state in grow(self, pairs, inner):
+            kept.append(state)
+            yield state
+
+    monkeypatch.setattr(_Setup, "grow", recording)
+    assert e_invariant(direct_sum(blocks)).e == F(4, 5)
+    scan = len(kept)
+    for _ in derivability._ratio_rows(_setup(direct_sum(blocks))):
+        pass
+    assert 0 < scan < len(kept) - scan, (scan, len(kept) - scan)
+
+
+def sheared(name: str):
+    """The algebra `name` in the basis v_i = sum over j <= i of
+    (j+1)/(2 + j%2)/(i-j+1) e_j, the transpose of `tools/output_digest.py`'s
+    `shear`: the same algebra, with the same e, with dense structure
+    constants in its adapted basis."""
+    g = catalog.get(name).algebra
+    n = g.dim
+    return change_of_basis(g, [[F(j + 1, 2 + j % 2) / (i - j + 1) if j <= i else F(0) for j in range(n)] for i in range(n)])
+
+
+def test_e_scan_scales_with_the_algebra_not_its_basis():
+    # the span bases hold at most 26 states per degree sum on sheared
+    # central_product(8,13), where the path trie walked 545,717 paths: on a
+    # 2-vCPU x86 host the cold scan and the e_of_operator of its witness,
+    # which reads the bases the scan finished, take ~0.8 + 0.03 s (48 + 12 s
+    # at 1.5 GiB for the trie)
+    g = sheared("central_product(8,13)")
+    start = time.perf_counter()
+    result = e_invariant(g)
+    e = e_of_operator(g, result.witness)
+    elapsed = time.perf_counter() - start
+    assert result.e == e == F(8, 13)
+    assert elapsed < 10, elapsed
+
+
+def test_condition_walk_scales_with_the_algebra_not_its_basis():
+    # the conditions of one call share their span bases: on a 2-vCPU x86
+    # host all of r_condition_set(15, 1/2) on sheared filiform(16), which is
+    # feasible, so every condition is read, takes ~0.45 s (5.8 s when each
+    # condition walked its paths in the trie)
+    g = sheared("filiform(16)")
+    start = time.perf_counter()
+    witness = is_A_derivable(g, r_condition_set(15, F(1, 2)))
+    elapsed = time.perf_counter() - start
+    assert witness is not None and is_grading_operator(g, lower_central_series(g), witness)
+    assert elapsed < 3, elapsed
 
 
 # --- the ratio-ordered scan against the candidate-by-candidate scan

@@ -49,20 +49,41 @@ def test_one_sparse_bracket_kernel_and_one_affine_system():
     # `lie.algebra_in_integer_basis`, so no other module reads an algebra's
     # `.table`; every affine system is a `linalg.AffineSystem` and the setup
     # inverts its change of basis through `linalg.integer_inverse`, so neither
-    # the solver nor the BCH coefficient solve builds an `Echelon` of its own
-    # or inverts through the Fraction `mat_inv`
+    # the solver nor the BCH coefficient solve builds an `Echelon` for a
+    # system or inverts through the Fraction `mat_inv`.  The one `Echelon` in
+    # `derivability` is the span builder's (`_Setup.grow`), a rank test over
+    # path states that holds no right-hand side, and the solver's systems are
+    # the `AffineSystem`s of `_feasibility` and `e_invariant`
+    systems: dict[str, set[str]] = {}
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Attribute) and node.attr == "table":
-                assert path.name == "lie.py", (path.name, node.lineno)
-            if path.name not in ("derivability.py", "bch.py"):
-                continue
-            if isinstance(node, ast.ImportFrom):
-                assert all(a.name not in ("Echelon", "mat_inv") for a in node.names), (path.name, node.lineno)
-            elif isinstance(node, ast.Name):
-                assert node.id not in ("Echelon", "mat_inv"), (path.name, node.lineno)
-            elif isinstance(node, ast.Attribute):
-                assert node.attr not in ("Echelon", "mat_inv"), (path.name, node.lineno)
+        tree = ast.parse(path.read_text(), str(path))
+        builder: set[int] = set()
+        if path.name == "derivability.py":
+            setup = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Setup")
+            grow = next(n for n in setup.body if isinstance(n, ast.FunctionDef) and n.name == "grow")
+            builder = {id(node) for node in ast.walk(grow)}
+            assert not any(isinstance(node, ast.Attribute) and node.attr in ("infeasible", "particular") for node in ast.walk(grow))
+        echelons = []
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "table":
+                    assert path.name == "lie.py", (path.name, node.lineno)
+                if path.name not in ("derivability.py", "bch.py"):
+                    continue
+                if isinstance(node, ast.ImportFrom):
+                    names = {a.name for a in node.names}
+                    assert "mat_inv" not in names and ("Echelon" not in names or path.name == "derivability.py"), (path.name, node.lineno)
+                elif isinstance(node, ast.Name):
+                    assert node.id != "mat_inv", (path.name, node.lineno)
+                    if node.id == "Echelon":
+                        assert id(node) in builder, (path.name, node.lineno)
+                        echelons.append(node.lineno)
+                    if node.id == "AffineSystem" and isinstance(top, ast.FunctionDef):
+                        systems.setdefault(path.name, set()).add(top.name)
+                elif isinstance(node, ast.Attribute):
+                    assert node.attr not in ("Echelon", "mat_inv"), (path.name, node.lineno)
+        assert len(echelons) == (path.name == "derivability.py"), (path.name, echelons)
+    assert systems == {"derivability.py": {"_feasibility", "e_invariant"}, "bch.py": {"_degree_coeffs"}}, systems
 
 
 def test_one_bch_word_evaluator():
