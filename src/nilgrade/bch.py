@@ -137,7 +137,7 @@ def _log_components() -> tuple[dict[Word, Fraction], ...]:
     )
 
 
-def _beta_assoc(word: Word, expanded: dict[Word, dict[Word, int]] | None = None) -> dict[Word, int]:
+def _beta_assoc(word: Word, expanded: dict[Word, dict[Word, int]]) -> dict[Word, int]:
     """Left-nested bracket of a word expanded in the associative algebra.
 
     `expanded` holds the expansions of the suffixes made so far, shared by
@@ -145,8 +145,6 @@ def _beta_assoc(word: Word, expanded: dict[Word, dict[Word, int]] | None = None)
     """
     if len(word) == 1:
         return {word: 1}
-    if expanded is None:
-        expanded = {}
     suffix = word[1:]
     inner = expanded.get(suffix)
     if inner is None:

@@ -31,12 +31,12 @@ class LinearGrading:
     the whole space and the tails of the sum recover the filtration.
 
     `int_layers[i-1]` holds layer i as sparse integer rows {column: nonzero
-    int}, read-only.  Layer i's vectors are the canonical basis of ker(D - i)
-    that `Echelon.kernel` gives: each has last nonzero entry 1, at a column
-    where the layer's other vectors are 0, and they come by increasing such
-    column.  Each row is its vector times the least positive integer that
-    clears it, so its last entry is that integer.  `layers` and
-    `eigenbasis` make the dense Fraction vectors on read.
+    int}, read-only.  Layer i's vectors are the canonical basis of ker(D - i):
+    each has last nonzero entry 1, at a column where the layer's other
+    vectors are 0, and they come by increasing such column.  Each row is its
+    vector times the least positive integer that clears it, so its last
+    entry is that integer.  `layers` and `eigenbasis` make the dense
+    Fraction vectors on read.
     """
 
     dim: int
@@ -90,9 +90,9 @@ def grading_from_operator(g: LieAlgebra, d: GradingOperator) -> LinearGrading:
     Both steps are exact on integers.  The eigenvectors come from the
     adapted form p^-1 D p that `is_grading_operator` tests, one per adapted
     index of degree i, by forward substitution (`derivability._eigenvectors`):
-    they are a basis of ker(D - i).  `Echelon.kernel`'s basis of a subspace
-    is the one whose vectors each end in a 1, at a column where every other
-    vector is 0, so it is the reduced echelon basis in reversed column
+    they are a basis of ker(D - i).  The layer's canonical basis (see
+    `LinearGrading`), whose vectors each end in a 1 at a column where every
+    other vector is 0, is the reduced echelon basis in reversed column
     order: one `Echelon` over the layer's eigenvectors, with columns
     reversed, gives it, its rows by increasing pivot being the vectors by
     decreasing last column.
@@ -104,7 +104,7 @@ def grading_from_operator(g: LieAlgebra, d: GradingOperator) -> LinearGrading:
     n, last = g.dim, g.dim - 1
     layers = []
     for i in range(1, setup.c + 1):
-        ech = Echelon(n)
+        ech = Echelon()
         for v, deg in zip(vectors, setup.degrees):
             if deg == i:
                 ech.add({last - k: x for k, x in v.items()})

@@ -471,7 +471,7 @@ class _Setup:
         """
         n = self.dim
         last = n * len(self.positions)
-        echelon = Echelon(last + n)
+        echelon = Echelon()
         ad, rows, degrees, var_at = self.ad, self.rows, self.degrees, self.var_at
         for state, lo, hi in chain(((state, lo, hi) for span, lo, hi in inner for state in span), pairs):
             suffix, repl = state.suffix, state.repl

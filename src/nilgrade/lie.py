@@ -241,7 +241,7 @@ def degree_one_generates(g: LieAlgebra, degrees: Sequence[int]) -> bool:
     index with a degree-(k-1) index, which lie in V_k, so one `Echelon` per
     k compares their rank with #{deg = k}.
     """
-    spans = {k: Echelon(g.dim) for k in range(2, max(degrees, default=1) + 1)}
+    spans = {k: Echelon() for k in range(2, max(degrees, default=1) + 1)}
     for a, b, entries in g.table:
         if degrees[a] == 1 or degrees[b] == 1:
             spans[degrees[a] + degrees[b]].add(dict(entries))
@@ -274,35 +274,27 @@ def _degree_split(g: LieAlgebra, degrees: Sequence[int]) -> tuple:
     return split
 
 
-def scaled_bracket(
-    g: LieAlgebra,
-    u: Sequence,
-    v: Sequence,
-    split: tuple | None = None,
-    shift: int = 0,
-    cap: int = 1,
-    into: dict | None = None,
-):
-    """sigma * [u, v] over `g.table`: integer vectors give integer results.
+def scaled_bracket(g: LieAlgebra, u: Sequence, v: Sequence, split: tuple, shift: int, cap: int, into: dict) -> dict:
+    """Add sigma * [u_a, v] over `g.table` into into[a + shift] for each degree
+    part u_a of u: integer vectors give integer rows.
 
     The only dense bracket kernel; callers with rational inputs clear
-    denominators first (see `bracket`).  Called with `split`, which is
-    `_degree_split(g, degrees)` or a subset of its groups, one walk of the
-    table serves every degree part of u: sigma * [u_a, v], for the part u_a
-    of u at the coordinates of degree a, is added into the row
-    into[a + shift] (made if missing) for each group a with a + shift < cap,
-    and `into` is returned.  A term whose indices share a degree is the one
-    product u_i v_j - u_j v_i, so with a single degree this is the plain
-    bracket.
+    denominators first (see `bracket`).  `split` is `_degree_split(g,
+    degrees)` or a subset of its groups, so one walk of the table serves
+    every degree part of u: sigma * [u_a, v], for the part u_a of u at the
+    coordinates of degree a, is added into the row into[a + shift] (made if
+    missing) for each group a with a + shift < cap, and `into` is returned.
+    A term whose indices share a degree is the one product u_i v_j - u_j v_i,
+    so the one group ((0, g.table, ()),) of the whole table at degree 0 is
+    the plain bracket.
     """
-    rows = {0: [0] * g.dim} if into is None else into
-    for a, same, cross in ((0, g.table, ()),) if split is None else split:
+    for a, same, cross in split:
         w = a + shift
         if w >= cap:
             break
-        out = rows.get(w)
+        out = into.get(w)
         if out is None:
-            out = rows[w] = [0] * g.dim
+            out = into[w] = [0] * g.dim
         for i, j, entries in same:
             c = u[i] * v[j] - u[j] * v[i]
             if c:
@@ -313,7 +305,7 @@ def scaled_bracket(
             if c:
                 for k, s in entries:
                     out[k] += c * s
-    return rows[0] if into is None else rows
+    return into
 
 
 def _divide(v: list[int], den: int) -> Vec:
@@ -326,7 +318,7 @@ def bracket(g: LieAlgebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
         raise ValueError("dimension mismatch")
     dx, ix = clear_denominators(x)
     dy, iy = clear_denominators(y)
-    return _divide(scaled_bracket(g, ix, iy), g.sigma * dx * dy)
+    return _divide(scaled_bracket(g, ix, iy, ((0, g.table, ()),), 0, 1, {})[0], g.sigma * dx * dy)
 
 
 def iterated_bracket(g: LieAlgebra, xs: Sequence[Sequence[Fraction]]) -> Vec:
@@ -381,7 +373,7 @@ def lower_central_series(g: LieAlgebra) -> Filtration:
     chain: list[tuple[dict[int, int], ...]] = [tuple({i: 1} for i in range(g.dim))]
     spanning = list(chain[0])
     while spanning:
-        ech = Echelon(g.dim)
+        ech = Echelon()
         if len(chain) == 1:
             images = [w for _, _, entries in g.table if ech.add(w := dict(entries))]
         else:
@@ -428,7 +420,7 @@ def adapted_basis(g: LieAlgebra, f: Filtration) -> AdaptedBasis:
     rows span, one by one.
     """
     c = f.nilpotency_class
-    ech = Echelon(g.dim)
+    ech = Echelon()
     chosen: list[tuple[int, dict[int, int]]] = []
     for level in range(c, 0, -1):
         level_rows = f.int_rows[level - 1]

@@ -2,15 +2,16 @@
 
 Inputs and results are exact: ints and `fractions.Fraction`, never floats.
 Everything is deterministic: pivots are always the first nonzero entry in
-column order, so reduced forms, particular solutions and kernel bases
-are reproducible.
+column order, so canonical rows and particular solutions are
+reproducible.
 
 Rationals become integers here only: `clear_denominators` for a vector,
 `integer_rows` for a matrix.  Every solve, inverse and span runs on
-`Echelon`, a fraction-free elimination of sparse integer rows (`SparseRow`),
-which makes Fractions only for the results that leave it, an echelon row
-through `pivot_row`; every affine system is an `AffineSystem`, built row by
-row from such rows, and no routine here solves a dense matrix.
+`Echelon`, a fraction-free elimination of sparse integer rows (`SparseRow`)
+that makes no Fraction: a canonical row becomes one through `pivot_row`,
+and every affine system is an `AffineSystem`, built row by row from such
+rows, whose `particular` solution is the elimination's one Fraction
+result.  No routine here solves a dense matrix.
 `integer_inverse`, the one inverse, `sparse_mul`, the one matrix product,
 and `transpose`, the one transpose, stay on integers.
 """
@@ -126,7 +127,7 @@ def integer_inverse(cols: Sequence[dict[int, int]]) -> tuple[int, list[dict[int,
     if permutation_of(cols) is not None:
         return 1, [dict(col) for col in cols]
     rows = transpose(cols, n)
-    ech = Echelon(2 * n)
+    ech = Echelon()
     for i, row in enumerate(rows):
         row[n + i] = 1
         ech.add(row)
@@ -176,26 +177,23 @@ class Echelon:
     is the canonical RREF row of pivot p times the least positive integer
     that clears it, the same rows whatever the insertion order.
 
-    `add`, `reduce` and `contains` take a `SparseRow` and copy it: a zero
-    entry raises ValueError and a dense list TypeError, and a Fraction entry
-    raises TypeError at its first gcd, so no Fraction is ever stored.
-    Fractions appear only where a result leaves the class: `reduce`, `rows`,
-    `basis` and `kernel` return dense Fraction lists, rows ordered by pivot.
+    `add` takes a `SparseRow` and copies it: a zero entry raises ValueError
+    and a dense list TypeError, and a Fraction entry raises TypeError at its
+    first gcd, so no Fraction is ever stored, and none is made here: a
+    caller reads a row as Fractions through `pivot_row`.
     """
 
-    def __init__(self, dim: int):
-        self.dim = dim
+    def __init__(self):
         self._rows: dict[int, dict[int, int]] = {}
 
     @staticmethod
-    def _reduce(w: dict[int, int], rows: dict[int, dict[int, int]]) -> int:
+    def _reduce(w: dict[int, int], rows: dict[int, dict[int, int]]) -> None:
         """Clear every column of the integer w that is a pivot of `rows` in
-        place; w is then s times the reduced vector, for the returned s > 0."""
+        place; w is then a positive multiple of the reduced vector."""
         # a row is zero left of its pivot, so clearing w's pivot columns in
         # increasing order, from a heap, adds entries only at later columns
         heap = [p for p in w if p in rows]
         heapify(heap)
-        scale = 1
         while heap:
             p = heappop(heap)
             if p not in w:  # cancelled, or pushed twice
@@ -205,7 +203,6 @@ class Echelon:
             g = math.gcd(f, d)
             f, d = f // g, d // g
             if d != 1:
-                scale *= d
                 for k in w:
                     w[k] *= d
             for k, y in row.items():
@@ -218,15 +215,6 @@ class Echelon:
                     w[k] = t
                 else:
                     del w[k]
-        return scale
-
-    def reduce(self, v: SparseRow) -> Vec:
-        w = _copy(v)
-        den = self._reduce(w, self._rows)
-        out = zero_vec(self.dim)
-        for k, x in w.items():
-            out[k] = Fraction(x, den)
-        return out
 
     def add(self, v: SparseRow) -> bool:
         return self._insert(_copy(v))
@@ -246,11 +234,6 @@ class Echelon:
         other._rows = dict(self._rows)
         return other
 
-    def contains(self, v: SparseRow) -> bool:
-        w = _copy(v)
-        self._reduce(w, self._rows)
-        return not w
-
     @property
     def int_rows(self) -> dict[int, dict[int, int]]:
         """The canonical rows by increasing pivot, read-only: from the last
@@ -265,23 +248,6 @@ class Echelon:
             out[p] = row
         return dict(reversed(out.items()))
 
-    def kernel(self, ncols: int) -> list[Vec]:
-        """Basis of the x in Q^ncols at which every row vanishes, for rows with
-        their pivots below ncols (later columns, such as an `AffineSystem`'s
-        right-hand side, are ignored): each free column f < ncols, in
-        increasing order, gives the vector with x_f = 1 and every other free
-        entry 0."""
-        rows = self.int_rows
-        basis: list[Vec] = []
-        for f in range(ncols):
-            if f not in rows:
-                v = unit_vec(ncols, f)
-                for p, row in rows.items():
-                    if f in row:
-                        v[p] = Fraction(-row[f], row[p])
-                basis.append(v)
-        return basis
-
     @property
     def rank(self) -> int:
         return len(self._rows)
@@ -289,12 +255,6 @@ class Echelon:
     @property
     def pivots(self) -> list[int]:
         return sorted(self._rows)
-
-    @property
-    def rows(self) -> list[Vec]:
-        return [pivot_row(row, self.dim) for row in self.int_rows.values()]
-
-    basis = rows
 
 
 class AffineSystem(Echelon):
@@ -306,7 +266,7 @@ class AffineSystem(Echelon):
     """
 
     def __init__(self, nvars: int):
-        super().__init__(nvars + 1)
+        super().__init__()
         self.nvars = nvars
         self.infeasible = False
 

@@ -6,9 +6,9 @@ products, and the associative-series checker re-derives log(exp x exp y)
 from scratch.
 
 `is_grading_operator_echelon` is the filtration-level membership test the
-package used before it compared adapted matrix entries.  The derivability
-oracles evaluate Delta either through the public dense
-`delta_n` or, in `e_of_operator_tuples`, through a per-tuple sparse
+package used before it compared adapted matrix entries, on the dense RREF
+of each level.  The derivability oracles evaluate Delta either through
+the public dense `delta_n` or, in `e_of_operator_tuples`, through a per-tuple sparse
 recursion of their own (on a signed row table of their own, not
 `LieAlgebra.ad`), never through the solver's row stream they check.
 `jacobi_violations_dense` sums the Jacobi identity of every basis triple
@@ -18,12 +18,16 @@ triples.  The linear algebra oracles (`rref_solve_affine`, `rref_mat_inv`,
 defined here since the package has no use for it, and plain loops, never the sparse `Echelon` or `sparse_mul` they check;
 `rref_solve_affine` and `rref_mat_inv` are the dense bodies the package's
 Fraction affine solver and inverse had before every elimination in the
-package ran on `Echelon`; that solver's `AffineSolution` and its
-`echelon_of`, an `Echelon` of rational vectors, now live here only.
+package ran on `Echelon`; that solver's `AffineSolution` now lives here
+only.  `echelon_of`, `echelon_rows` and `echelon_contains` build and read
+an `Echelon` for the tests of `Echelon` itself (its span of rational
+vectors, its canonical rows through `pivot_row`, membership as an `add`
+to a copy); no oracle calls them.
 `adapted_basis_echelon` and `layer_one_generates` are likewise the code
 `adapted_basis` and `carnot_algebra`'s generation check replaced:
-a membership test of every unit vector against an echelon form of each
-F_i, and a bracket-closure loop from the degree-1 layer.  So is
+a membership test of every unit vector against the dense RREF of each
+F_i, and a bracket-closure loop from the degree-1 layer; `delta_depth`
+reads depths off the dense RREF of each F_k too.  So is
 `antichain_by_pruning`, the pairwise domination pass over all of
 `r_condition_set` that the closed-form `antichain` replaced, and
 `condition_rows_unbounded` and `ratio_rows_by_paths`, the per-path walks
@@ -98,6 +102,7 @@ from nilgrade.linalg import (
     identity,
     integer_rows,
     mat_vec,
+    pivot_row,
     q,
     unit_vec,
     zero_vec,
@@ -112,12 +117,23 @@ def integer_row(v) -> dict[int, int]:
     return integer_rows([v])[1][0]
 
 
-def echelon_of(vectors, dim: int) -> Echelon:
+def echelon_of(vectors) -> Echelon:
     """An `Echelon` of the span of the rational vectors."""
-    ech = Echelon(dim)
+    ech = Echelon()
     for row in integer_rows(vectors)[1]:
         ech.add(row)
     return ech
+
+
+def echelon_rows(ech: Echelon, dim: int) -> list[Vec]:
+    """The canonical rows of `ech` as dense Fraction rows, through `pivot_row`."""
+    return [pivot_row(row, dim) for row in ech.int_rows.values()]
+
+
+def echelon_contains(ech: Echelon, row: dict[int, int]) -> bool:
+    """Whether the sparse integer row lies in the span of `ech`: adding it to
+    a copy leaves the rank as it was, and `ech` as it is."""
+    return not ech.copy().add(row)
 
 
 @dataclass(frozen=True)
@@ -313,19 +329,18 @@ def jacobi_violations_dense(g) -> list:
 
 def is_grading_operator_echelon(g, f, d) -> bool:
     """D F_i lies in F_i and (D - i) F_i in F_{i+1}, checked on each basis
-    vector of each F_i by membership in an echelon form of the level."""
+    vector of each F_i by membership in the dense RREF of the level."""
     rows = d.rows
     if len(rows) != g.dim or any(len(r) != g.dim for r in rows):
         return False
     c = f.nilpotency_class
-    levels = [echelon_of(f.basis(i), g.dim) for i in range(1, c + 2)]
     for i in range(1, c + 1):
         for v in f.basis(i):
             dv = mat_vec(rows, v)
-            if not levels[i - 1].contains(integer_row(dv)):
+            if not rref_contains(f.basis(i), dv):
                 return False
             shifted = [x - i * y for x, y in zip(dv, v)]
-            if not levels[i].contains(integer_row(shifted)):
+            if not rref_contains(f.basis(i + 1), shifted):
                 return False
     return True
 
@@ -341,14 +356,13 @@ def delta_depth(g, d, wp: tuple) -> int | None:
     """
     f = lower_central_series(g)
     ab = adapted_basis(g, f)
-    levels = [echelon_of(f.basis(k), g.dim) for k in range(1, f.nilpotency_class + 2)]
+    levels = [rref_span(f.basis(k)) for k in range(1, f.nilpotency_class + 2)]
     slots = [[list(v) for v, deg in zip(ab.vectors, ab.degrees) if deg >= p] for p in wp]
     best = None
     for xs in product(*slots):
         value = delta_n(g, d, xs)
         if any(value):
-            row = integer_row(value)
-            depth = max(k for k, level in enumerate(levels, start=1) if level.contains(row))
+            depth = max(k for k, level in enumerate(levels, start=1) if not any(rref_reduce(*level, value)))
             best = depth if best is None else min(best, depth)
             if best == sum(wp) + 1:
                 break
@@ -607,18 +621,16 @@ def rref_mat_inv(m: Matrix) -> Matrix:
 
 def adapted_basis_echelon(g, f) -> AdaptedBasis:
     """Extend F_c's basis up to F_1, at each level trying first every unit
-    vector that an echelon form of F_i contains, in index order, then
-    F_i's basis."""
-    ech = Echelon(g.dim)
+    vector that the dense RREF of F_i contains, in index order, then F_i's
+    basis, each kept if it raises the rank of the dense RREF of those kept."""
     chosen = []
     for level in range(f.nilpotency_class, 0, -1):
         level_basis = f.basis(level)
-        level_ech = echelon_of(level_basis, g.dim)
-        units = [unit_vec(g.dim, i) for i in range(g.dim) if level_ech.contains({i: 1})]
+        units = [unit_vec(g.dim, i) for i in range(g.dim) if rref_contains(level_basis, unit_vec(g.dim, i))]
         for v in units + level_basis:
-            if ech.rank == len(level_basis):
+            if len(chosen) == len(level_basis):
                 break
-            if ech.add(integer_row(v)):
+            if not rref_contains([w for _, w in chosen], v):
                 chosen.append((level, v))
     chosen.sort(key=lambda t: t[0])
     return AdaptedBasis(tuple(integer_row(v) for _, v in chosen), tuple(d for d, _ in chosen))
@@ -665,16 +677,17 @@ def layer_one_generates(algebra, degrees) -> bool:
     n = algebra.dim
     units = [unit_vec(n, i) for i in range(n)]
     frontier = [units[i] for i in range(n) if degrees[i] == 1]
-    ech = echelon_of(frontier, n)
+    span = rref_span(frontier)
     while frontier:
         new_frontier = []
         for v in frontier:
             for base in units:
                 w = bracket(algebra, base, v)
-                if ech.add(integer_row(w)):
+                if any(rref_reduce(*span, w)):
+                    span = rref_span(span[0] + [w])
                     new_frontier.append(w)
         frontier = new_frontier
-    return ech.rank == n
+    return len(span[0]) == n
 
 
 def _dominates(strong: DerivCondition, weak: DerivCondition) -> bool:

@@ -117,7 +117,7 @@ def test_integer_series_match_the_fraction_oracles():
         assert component == {w: c for w, c in log.items() if len(w) == n}
     for n in range(2, cap + 1):
         for word in bch._word_order(n):
-            expansion = bch._beta_assoc(word)
+            expansion = bch._beta_assoc(word, {})
             assert all(type(c) is int for c in expansion.values())
             assert expansion == assoc_nested_bracket(word)
 
@@ -591,9 +591,9 @@ def test_degree_split_kernel_brackets_each_degree_part_into_its_weight(g, data):
             expected[a + shift] = [t + g.sigma * x for t, x in zip(row, dense_bracket(g, part, v))]
     assert set(got) <= set(expected)
     assert all(got.get(w, [0] * n) == row for w, row in expected.items())
-    # with one degree, the one row is the plain bracket
-    plain = lie.scaled_bracket(g, u, v)
-    assert plain == [g.sigma * x for x in dense_bracket(g, u, v)]
+    # the one group of the whole table, and one degree, give the plain bracket
+    plain = [g.sigma * x for x in dense_bracket(g, u, v)]
+    assert lie.scaled_bracket(g, u, v, ((0, g.table, ()),), 0, 1, {}) == {0: plain}
     d = degrees[0]
     assert lie.scaled_bracket(g, u, v, lie._degree_split(g, [d] * n), 0, d + 1, {}) == {d: plain}
 

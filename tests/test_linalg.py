@@ -12,13 +12,15 @@ from hypothesis import strategies as st
 
 from oracles import (
     AffineSolution,
+    echelon_contains,
     echelon_of,
+    echelon_rows,
     integer_row,
     lcs_rref,
     naive_mat_mul,
     rref,
+    rref_contains,
     rref_mat_inv,
-    rref_reduce,
     rref_solve_affine,
     rref_span,
 )
@@ -86,13 +88,21 @@ def test_rref_idempotent(rows):
 def affine_solution(a, b) -> AffineSolution | None:
     """a·x = b through one `AffineSystem` of its equations, each cleared
     together with its rhs: None if infeasible, else the particular solution
-    with every free variable 0 and the nullspace basis `Echelon.kernel`."""
+    with every free variable 0 and the nullspace of the system's canonical
+    rows (`kernel_of`)."""
     ncols = len(a[0]) if a else 0
     system = AffineSystem(ncols)
     for coeffs, rhs in zip(a, b, strict=True):
         system.add(*integer_equation(coeffs, rhs))
     particular = system.particular()
-    return None if particular is None else AffineSolution(particular, system.kernel(ncols))
+    return None if particular is None else AffineSolution(particular, kernel_of(system, ncols))
+
+
+def kernel_of(ech: Echelon, ncols: int) -> list:
+    """The dense oracle's nullspace of the canonical rows of `ech`, read
+    through `pivot_row`, with a right-hand side at column ncols dropped."""
+    rows = [row[:ncols] for row in echelon_rows(ech, ncols + 1)]
+    return rref_solve_affine(rows, [0] * len(rows)).nullspace_basis if rows else identity(ncols)
 
 
 def test_solve_identity():
@@ -120,7 +130,7 @@ def test_solve_verifies(rows, data):
     if sol is None:
         # infeasible iff the rhs is outside the column span
         cols = [[row[j] for row in m] for j in range(len(m[0]))]
-        assert not echelon_of(cols, len(m)).contains(integer_row(b))
+        assert not rref_contains(cols, b)
         return
     assert mat_vec(m, sol.particular) == b
     for n in sol.nullspace_basis:
@@ -128,12 +138,14 @@ def test_solve_verifies(rows, data):
 
 
 def test_subspace_contains_examples():
-    # membership in a span is `Echelon.contains` of a sparse integer row;
-    # the empty span contains only 0
-    span = echelon_of([vec([1, 0])], 2)
-    assert span.contains({0: 3})
-    assert not span.contains({1: 1})
-    assert Echelon(2).contains({}) and not Echelon(2).contains({0: 1})
+    # a sparse integer row lies in a span iff adding it to a copy of the
+    # span's `Echelon` leaves the rank as it was; the empty span contains
+    # only 0, and the copies leave the span as it is
+    span = echelon_of([vec([1, 0])])
+    assert echelon_contains(span, {0: 3})
+    assert not echelon_contains(span, {1: 1})
+    assert echelon_contains(Echelon(), {}) and not echelon_contains(Echelon(), {0: 1})
+    assert span.int_rows == {0: {0: 1}}
 
 
 @settings(max_examples=60, deadline=None)
@@ -143,7 +155,7 @@ def test_subspace_contains_matches_solver(rows, data):
     dim = len(basis[0])
     v = vec(data.draw(st.lists(small_fracs, min_size=dim, max_size=dim)))
     cols = [[row[j] for row in basis] for j in range(dim)]
-    assert echelon_of(basis, dim).contains(integer_row(v)) == (affine_solution(cols, v) is not None)
+    assert echelon_contains(echelon_of(basis), integer_row(v)) == (affine_solution(cols, v) is not None)
 
 
 def test_integer_rows_clears_a_matrix_with_its_least_denominator():
@@ -167,24 +179,16 @@ def sparse_vectors(dim: int, max_count: int = 6):
 def test_echelon_matches_dense_rref(dim, data):
     vectors = data.draw(sparse_vectors(dim))
     order = data.draw(st.permutations(range(len(vectors))))
-    ech = Echelon(dim)
+    ech = Echelon()
     for i in order:
         ech.add(integer_row(vectors[i]))
     rows, pivots = rref_span(vectors)
-    assert ech.basis == rows
-    assert ech.rows == rows
+    assert echelon_rows(ech, dim) == rows
     assert ech.pivots == pivots
     assert ech.rank == len(rows)
-    assert all(isinstance(x, F) for row in ech.basis for x in row)
+    assert all(isinstance(x, F) for row in echelon_rows(ech, dim) for x in row)
     for v in data.draw(sparse_vectors(dim, 3)) + vectors:
-        assert reduce_rational(ech, v) == rref_reduce(rows, pivots, v)
-        assert ech.contains(integer_row(v)) == (len(rref_span(vectors + [v])[0]) == len(rows))
-
-
-def reduce_rational(ech: Echelon, v) -> list:
-    """The reduced rational vector v, through `Echelon.reduce` of its integer row."""
-    den, (row,) = integer_rows([v])
-    return [x / den for x in ech.reduce(row)]
+        assert echelon_contains(ech, integer_row(v)) == rref_contains(vectors, v)
 
 
 def integer_equation(coeffs, rhs) -> tuple[dict[int, int], int]:
@@ -195,13 +199,13 @@ def integer_equation(coeffs, rhs) -> tuple[dict[int, int], int]:
 
 
 def test_echelon_zero_vectors_and_dim_one():
-    ech = Echelon(1)
+    ech = Echelon()
     assert not ech.add({})
-    assert ech.rank == 0 and ech.basis == [] and ech.contains({})
+    assert ech.rank == 0 and ech.int_rows == {} and echelon_contains(ech, {})
     assert ech.add({0: -3})
-    assert ech.basis == [[F(1)]] and ech.pivots == [0]
+    assert echelon_rows(ech, 1) == [[F(1)]] and ech.pivots == [0]
     assert not ech.add({0: 5})
-    assert ech.reduce({0: 7}) == [F(0)]
+    assert echelon_contains(ech, {0: 7}) and ech.int_rows == {0: {0: 1}}
 
 
 @pytest.mark.parametrize(
@@ -215,7 +219,7 @@ def test_echelon_zero_vectors_and_dim_one():
 )
 def test_echelon_and_affine_system_take_only_sparse_integer_rows(row, error):
     # anything else fails loudly and leaves the rows as they were
-    ech = Echelon(2)
+    ech = Echelon()
     ech.add({1: 3})
     with pytest.raises(error):
         ech.add(row)
@@ -304,7 +308,7 @@ def test_affine_system_and_kernel_match_dense_oracle(system, data):
     if sol is not None:
         assert all(isinstance(x, F) for v in [sol.particular, *sol.nullspace_basis] for x in v)
     ncols = len(a[0]) if a else 0
-    assert echelon_of(a, ncols).kernel(ncols) == rref_solve_affine(a, [0] * len(a)).nullspace_basis
+    assert kernel_of(echelon_of(a), ncols) == rref_solve_affine(a, [0] * len(a)).nullspace_basis
     # the same equations as sparse dicts, added in a shuffled order
     shuffled = AffineSystem(ncols)
     for r in data.draw(st.permutations(range(len(a)))):
@@ -362,26 +366,23 @@ def assert_canonical_int_rows(ech: Echelon, rows, pivots) -> None:
         assert all(type(x) is int and x for x in row.values())
         assert row[p] > 0 and math.gcd(*row.values()) == 1
         assert not any(k in row for k in pivots if k != p)
-        assert [F(row.get(k, 0), row[p]) for k in range(ech.dim)] == rref_row
+        assert [F(row.get(k, 0), row[p]) for k in range(len(rref_row))] == rref_row
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 6), st.data())
 def test_fraction_free_echelon_matches_dense_rref_at_large_entries(dim, data):
     vectors = data.draw(st.lists(st.lists(large_entries, min_size=dim, max_size=dim), max_size=6))
-    ech = Echelon(dim)
+    ech = Echelon()
     for v in vectors:
         ech.add(integer_row(v))
     rows, pivots = rref_span(vectors)
-    assert ech.rows == ech.basis == rows
+    assert echelon_rows(ech, dim) == rows
     kernel = rref_solve_affine(vectors, [0] * len(vectors)).nullspace_basis if vectors else identity(dim)
-    assert ech.kernel(dim) == kernel
+    assert kernel_of(ech, dim) == kernel
     assert_canonical_int_rows(ech, rows, pivots)
     for v in data.draw(st.lists(st.lists(large_entries, min_size=dim, max_size=dim), max_size=3)) + vectors:
-        reduced = reduce_rational(ech, v)
-        assert reduced == rref_reduce(rows, pivots, v)
-        assert all(isinstance(x, F) for x in reduced)
-        assert ech.contains(integer_row(v)) == (len(rref_span(vectors + [v])[0]) == len(rows))
+        assert echelon_contains(ech, integer_row(v)) == rref_contains(vectors, v)
 
 
 @settings(max_examples=150, deadline=None)
@@ -392,7 +393,7 @@ def test_forward_insertion_and_back_substitution_on_read_give_the_rref_rows(dim,
     # canonical rows of the span so far, and no later `add` replaces or
     # changes a stored row or a row that a read handed out
     vectors = data.draw(st.lists(st.lists(sparse_entries, min_size=dim, max_size=dim), max_size=8))
-    ech = Echelon(dim)
+    ech = Echelon()
     added: list = []
     seen: list = []  # (row dict, a copy of it when it was seen)
     for v in data.draw(st.permutations(vectors)):
@@ -408,10 +409,9 @@ def test_forward_insertion_and_back_substitution_on_read_give_the_rref_rows(dim,
         assert all(row == copy for row, copy in seen)
     rows, pivots = rref_span(vectors)
     assert_canonical_int_rows(ech, rows, pivots)
-    assert ech.rows == rows and ech.pivots == pivots and ech.rank == len(rows)
+    assert echelon_rows(ech, dim) == rows and ech.pivots == pivots and ech.rank == len(rows)
     for v in data.draw(sparse_vectors(dim, 3)) + vectors:
-        assert reduce_rational(ech, v) == rref_reduce(rows, pivots, v)
-        assert ech.contains(integer_row(v)) == (len(rref_span(vectors + [v])[0]) == len(rows))
+        assert echelon_contains(ech, integer_row(v)) == rref_contains(vectors, v)
     assert all(row == copy for row, copy in seen)
 
 
@@ -482,7 +482,7 @@ def test_reduce_against_rows_whose_integer_pivot_is_not_one(dim, data):
         tail = [data.draw(large_entries) for _ in range(dim - p - 2)]
         last = d * data.draw(st.integers(-(10**6), 10**6)) + 1
         vectors.append([0] * p + [d] + tail + [last])
-    ech = Echelon(dim)
+    ech = Echelon()
     for v in vectors:
         assert ech.add(integer_row(v))
     rows, found = rref_span(vectors)
@@ -491,18 +491,23 @@ def test_reduce_against_rows_whose_integer_pivot_is_not_one(dim, data):
     # the last column is never a pivot and no pivot follows the last row's, so
     # that RREF row is the row over d, with a last entry of denominator d > 1
     assert any(row[p] != 1 for p, row in ech.int_rows.items())
+    # a row added to a copy is reduced against these rows before it is stored
     for v in data.draw(st.lists(st.lists(large_entries, min_size=dim, max_size=dim), min_size=1, max_size=4)):
-        assert reduce_rational(ech, v) == rref_reduce(rows, pivots, v)
+        grown = ech.copy()
+        grown.add(integer_row(v))
+        assert echelon_rows(grown, dim) == rref_span(vectors + [v])[0]
 
 
 def test_reduce_against_a_row_with_pivot_two():
-    ech = Echelon(3)
+    ech = Echelon()
     assert ech.add({0: 2, 1: 3})
     assert ech.int_rows == {0: {0: 2, 1: 3}}
-    assert ech.rows == [[F(1), F(3, 2), F(0)]]
-    assert ech.reduce({0: 1, 2: 5}) == [F(0), F(-3, 2), F(5)]
-    assert reduce_rational(ech, [F(1, 3), 0, 0]) == [F(0), F(-1, 2), F(0)]
-    assert not ech.contains({0: 1, 1: 1}) and ech.contains(integer_row([F(2, 7), F(3, 7), 0]))
+    assert echelon_rows(ech, 3) == [[F(1), F(3, 2), F(0)]]
+    # (1, 0, 5) reduces to (0, -3/2, 5), stored primitive with a positive pivot
+    grown = ech.copy()
+    assert grown.add({0: 1, 2: 5})
+    assert grown.int_rows == {0: {0: 1, 2: 5}, 1: {1: 3, 2: -10}}
+    assert not echelon_contains(ech, {0: 1, 1: 1}) and echelon_contains(ech, integer_row([F(2, 7), F(3, 7), 0]))
     assert ech.add({1: 4, 2: 6})
     assert ech.int_rows == {0: {0: 4, 2: -9}, 1: {1: 2, 2: 3}}
 

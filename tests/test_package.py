@@ -162,3 +162,43 @@ def test_no_dense_solver_and_one_reader_of_the_dense_operator():
                 elif isinstance(node, ast.Attribute) and node.attr == "matrix":
                     readers.add(path.name)
     assert readers == set()
+
+
+def test_no_module_has_an_unused_import():
+    # every name a module imports is read in it, so a deletion leaves no
+    # import behind; `__init__` is exempt, since its imports are the
+    # package's public names
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported: dict[str, int] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = sorted((imported[name], name) for name in imported.keys() - read)
+        assert not unused, (path.name, unused)
+
+
+def test_echelon_makes_no_fraction_and_takes_no_argument():
+    # `Echelon` answers `add`, `copy`, `int_rows`, `rank` and `pivots` on
+    # sparse integer rows: no method of it names `Fraction` or a helper that
+    # makes one, and its constructor takes nothing but self, since no query
+    # reads a dimension; a row leaves it as Fractions through `pivot_row`,
+    # and `AffineSystem.particular` is the elimination's one Fraction result
+    path = SRC / "linalg.py"
+    tree = ast.parse(path.read_text(), str(path))
+    echelon = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Echelon")
+    fraction_makers = {"Fraction", "q", "vec", "zero_vec", "unit_vec", "matrix", "identity", "pivot_row", "ZERO", "ONE"}
+    methods = [n for n in echelon.body if isinstance(n, ast.FunctionDef)]
+    assert {m.name for m in methods} >= {"__init__", "add", "copy", "int_rows", "rank", "pivots"}
+    for method in methods:
+        names = {node.id for node in ast.walk(method) if isinstance(node, ast.Name)}
+        assert not names & fraction_makers, (method.name, sorted(names & fraction_makers))
+    init = next(m for m in methods if m.name == "__init__")
+    args = init.args
+    assert [a.arg for a in args.posonlyargs + args.args] == ["self"]
+    assert not (args.vararg or args.kwonlyargs or args.kwarg)
