@@ -389,7 +389,9 @@ def _ladder_integers(
     rungs are the ladder's t = num / tden, each as (tden, [num]), which is
     how `clear_denominators([t])` gives it.  Returns (totals, dens) per
     rung: coordinate k of the difference is totals[k] / dens[degrees[k]],
-    where dens[d] = common * tden^(d-1).
+    where dens[d] = common * tden^(d-1).  Each coordinate's nonzero parts
+    of weight w < d are gathered once per pair, and each rung sums only
+    those, each times num^w * tden^(d-1-w).
     """
     if len(x) != g.dim or len(y) != g.dim or len(degrees) != g.dim:
         raise ValueError("dimension mismatch")
@@ -400,7 +402,10 @@ def _ladder_integers(
         return [([0] * g.dim, dict.fromkeys(degrees, 1)) for _ in rungs]
     # weighted[w][k] * t^w / common is coordinate k's weight-w part
     weighted, common = _weighted_parts(g, c, degrees, [q(v) for v in x], [q(v) for v in y])
-    rows = [(w, vec) for w, vec in sorted(weighted.items()) if any(vec)]
+    rows = sorted(weighted.items())
+    # coordinate k's nonzero weight-w parts (w, d - 1 - w, a) with w < d = degrees[k]
+    parts = [[(w, d - 1 - w, vec[k]) for w, vec in rows if w < d and vec[k]] for k, d in enumerate(degrees)]
+    layers = set(degrees)
     top = max(degrees)
     out = []
     for tden, (num,) in rungs:
@@ -408,10 +413,8 @@ def _ladder_integers(
         for _ in range(top - 1):
             npow.append(npow[-1] * num)
             dpow.append(dpow[-1] * tden)
-        # in a degree-d coordinate the weight-w part (w < d) is scaled by num^w tden^(d-1-w)
-        terms = {d: [(vec, npow[w] * dpow[d - 1 - w]) for w, vec in rows if w < d] for d in set(degrees)}
-        totals = [sum(vec[k] * f for vec, f in terms[d]) for k, d in enumerate(degrees)]
-        out.append((totals, {d: common * dpow[d - 1] for d in terms}))
+        totals = [sum(a * npow[w] * dpow[e] for w, e, a in terms) for terms in parts]
+        out.append((totals, {d: common * dpow[d - 1] for d in layers}))
     return out
 
 

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import traceback
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import bch, carnot, catalog, derivability, goodman, lie
@@ -100,9 +100,36 @@ def _matrix_lines(d: derivability.GradingOperator) -> list[str]:
     return lines
 
 
+def _json(value, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2)` for str, bool, None, int, list and dict
+    (with str keys), escaping strings with the C encoder that `json.dumps`
+    also uses; the indenting encoder of `json` runs in pure Python."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"cannot render {type(value).__name__} as JSON")
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         for line in text_lines:
             print(line)

@@ -203,8 +203,13 @@ def goodman_check(
     exactly.  δ_t scales the whole layer by the same t^i > 0, and distinct
     grid magnitudes differ by a factor >= 16/15, which the float roots keep
     in order, so this is the larger norm of the two dilated vectors, bit
-    for bit.  Both the radius and the difference's norm run on integers:
-    the pair's and each rung's from `clear_denominators`, t^i as
+    for bit.  δ_t multiplies every layer's root by the same t, so a layer
+    whose root at t = 1 lies below the largest by more than a relative 1e-9
+    (the window `_one_float` reads, far above the roots' rounding error)
+    never gives a rung's radius: each pair takes every layer's root once at
+    t = 1, and each rung only those of the layers within that window, in
+    the same order.  Both the radius and the difference's norm run on
+    integers: the pair's and each rung's from `clear_denominators`, t^i as
     num^i / tden^i once per rung and layer, and each difference coordinate
     as an integer over its degree's denominator.  Every root reduces its
     integer ratio by the gcd first (`_root_ratio`), which gives the reduced
@@ -245,9 +250,13 @@ def goodman_check(
             m = max(abs(a), abs(b))
             if m > peaks.get(deg, 0):
                 peaks[deg] = m
+        # every layer's root scales by t, so only the layers near the largest root at t = 1 can win a rung
+        roots = {k: _root_ratio(m, den, k) for k, m in peaks.items()}
+        floor = max(roots.values(), default=0.0) * (1 - 1e-9)
+        near = [(k, m) for k, m in peaks.items() if roots[k] >= floor]
         for t, scale, (totals, dens) in zip(ts, scales, ladder):
             r, num, rden, i = 0.0, 0, 1, 1  # the radius as a float and exactly, as (num / rden)^(1/i)
-            for k, m in peaks.items():
+            for k, m in near:
                 a, b = m * scale[k][0], den * scale[k][1]
                 root = _root_ratio(a, b, k)
                 if root > r:

@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from test_derivability import SPARSE_1000, moved_by
 from test_lie import FIXTURES, rescaled_and_sheared
@@ -18,7 +20,7 @@ from test_lie import FIXTURES, rescaled_and_sheared
 from nilgrade import catalog, cli, derivability
 from nilgrade.cli import run
 from nilgrade.derivability import e_invariant
-from nilgrade.lie import parse_algebra
+from nilgrade.lie import parse_algebra, serialize_algebra
 
 
 def run_capture(capsys, argv):
@@ -546,3 +548,68 @@ def test_closed_stdout_pipe_exits_141_at_process_level():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 141
     assert err == b""
+
+
+# quotes, backslashes, control characters, the line separators, non-ASCII,
+# an astral code point and a lone surrogate, beside any other character
+json_text = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600\ud800') | st.characters())
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+@example({"": [], "a": {}, "b": [[], {}, [[]], {"c": {}}], "\U0001f600\"\\": [True, False, None, -(10**30)]})
+def test_json_writer_gives_the_bytes_of_the_indenting_encoder(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def json_source(tmp_path, name: str) -> str:
+    """catalog:<name>, or for "sheared" a file holding g6_11 moved by the
+    transposed shear, whose outputs carry denominators."""
+    if name != "sheared":
+        return f"catalog:{name}"
+    g = catalog.get("g6_11").algebra
+    path = tmp_path / "g6_11_sheared.alg"
+    path.write_text(serialize_algebra(moved_by(g, rescaled_and_sheared(g.dim)[2])))
+    return str(path)
+
+
+def json_verbs(source: str, dim: int) -> list[list[str]]:
+    x = ",".join(["1", "-1/2"] + ["1/3"] * (dim - 2))
+    y = ",".join(["0", "1", "3/4"] + ["-2"] * (dim - 3))
+    return [
+        ["check", source],
+        ["e", source],
+        ["derivable", source, "--cond", "(1,1|3)"],
+        ["derivable", source, "--cond", "(1,1|3),(1,2|4)"],
+        ["carnot", source],
+        ["bch", source, f"--x={x}", f"--y={y}"],
+        ["bch", source, f"--x={x}", f"--y={y}", "--carnot"],
+        ["diff", source, f"--x={x}", f"--y={y}"],
+        ["goodman", source, "--samples", "3", "--tmax", "2", "--seed", "5"],
+        # all degrees 1 grade no nonabelian algebra: violating pairs as int lists
+        ["grading", source, "--degrees", ",".join(["1"] * dim)],
+    ]
+
+
+@pytest.mark.parametrize("name", ["g6_11", "counterexample11", "sheared"])
+def test_every_json_document_is_the_indenting_encoders_text(tmp_path, capsys, name):
+    source = json_source(tmp_path, name)
+    dim = cli._read_algebra(source).dim
+    nj = tmp_path / "nj.alg"
+    nj.write_text(NON_JACOBI)
+    extra = [
+        # Jacobi violations: triples as int lists
+        ["check", str(nj)],
+        ["grading", "catalog:g7_1_21", "--degrees", "1,2,3,3,4,5,7"],
+        ["catalog", "list"],
+        ["catalog", "show", name if name != "sheared" else "heisenberg"],
+    ]
+    for argv in json_verbs(source, dim) + extra:
+        code, out, err = run_capture(capsys, argv + ["--json"])
+        assert code in (0, 1) and err == "", (argv, code, err)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import four_step_components, grid_vectors, layer_component
@@ -177,6 +177,25 @@ def test_dilate_and_vector_make_few_fractions():
     assert made == []
 
 
+def test_goodman_roots_only_the_layers_near_the_largest(monkeypatch):
+    # each pair roots every layer once at t = 1, and each rung only the
+    # layers within 1e-9 of the largest of those roots: 8 pairs on 9 rungs
+    # of central_product(5,8)'s 8 layers took 648 roots when every rung
+    # rooted every nonempty layer
+    g = catalog.get("central_product(5,8)").algebra
+    d = e_invariant(g).witness
+    calls = []
+    root = goodman._root_ratio
+
+    def counted(num, den, i):
+        calls.append(i)
+        return root(num, den, i)
+
+    monkeypatch.setattr(goodman, "_root_ratio", counted)
+    goodman_check(g, d, 8, [F(2) ** k for k in range(9)], seed=1)
+    assert 0 < len(calls) <= 300
+
+
 @pytest.mark.parametrize("n_samples, ladder", [(0, [F(1), F(2)]), (-3, [F(1)]), (2, [])])
 def test_goodman_check_rejects_empty_sample_set(n_samples, ladder):
     g = catalog.get("g6_2").algebra
@@ -304,6 +323,9 @@ rungs = st.fractions(min_value=F(1, 1000), max_value=70000, max_denominator=1000
     st.lists(rungs, max_size=4).flatmap(lambda ts: st.permutations(ts + [F(3, 7), F(5, 2)])),
     st.integers(1, 3),
 )
+# g6_2's first pair at seed 8 peaks at magnitude 1 in layers 1 and 2, whose
+# roots are then the same float at every one of these rungs
+@example("g6_2", 8, [F(3, 7), F(5, 2), F(1), F(2) ** 16, F(5, 3), F(1, 3)], 1)
 def test_goodman_radius_is_the_larger_dilated_norm_bit_for_bit(name, seed, ladder, n_samples):
     # on random grid pairs (any seed) and rational ladders, the radius taken
     # from one root per layer is the float the dilated vectors' norms give

@@ -202,3 +202,15 @@ def test_echelon_makes_no_fraction_and_takes_no_argument():
     args = init.args
     assert [a.arg for a in args.posonlyargs + args.args] == ["self"]
     assert not (args.vararg or args.kwonlyargs or args.kwarg)
+
+
+def test_cli_renders_json_without_the_indenting_encoder():
+    # `json.dumps(..., indent=...)` runs the pure-Python encoder; `cli` writes
+    # the same text through its own writer on the C string escaper
+    path = SRC / "cli.py"
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "dumps":
+                assert all(k.arg != "indent" for k in node.keywords), node.lineno
