@@ -402,10 +402,13 @@ class _Setup:
         self.c = self.f.nilpotency_class
         self.ab = lie.adapted_basis(g, self.f)
         self.degrees = degrees = self.ab.degrees
-        # the adapted vector b is its integer row over that row's pivot value
+        # the adapted vector b is its integer row over that row's pivot value; a row
+        # whose pivot value is dp already is P's column, read-only like the row
         pivots = [row[min(row)] for row in self.ab.int_rows]
         dp = math.lcm(*pivots)
-        self.p_cols = p_cols = [{i: x * (dp // s) for i, x in row.items()} for row, s in zip(self.ab.int_rows, pivots)]
+        self.p_cols = p_cols = [
+            row if s == dp else {i: x * (dp // s) for i, x in row.items()} for row, s in zip(self.ab.int_rows, pivots)
+        ]
         self.p_rows: list[SparseVec] = transpose(p_cols, n)
         self.q_den, self.q_rows = integer_inverse(p_cols)  # P^-1 = Q/L, L being q_den
         # sigma * [e_i, v] in adapted coordinates, p^-1 [p e_i, p e_j] being Q [P e_i, P e_j] / (dp L);
@@ -415,7 +418,7 @@ class _Setup:
         self.ad = self.adapted.ad
         self.rows = self.adapted._signed_rows  # [e_i, w] = 0 when rows[i] misses w's support
         # first adapted index of each degree (degrees are nondecreasing)
-        self.first_at_least = [next((i for i in range(n) if degrees[i] >= d), n) for d in range(self.c + 2)]
+        self.first_at_least = [bisect_left(degrees, d) for d in range(self.c + 2)]
         # free positions (a, b), column-major: degree(a) > degree(b), so a grading operator
         # may differ from diag(degrees) there; N e_b = e_a; var_at[b] maps a to the variable
         self.positions = [(a, b) for b in range(n) for a in range(self.first_at_least[degrees[b] + 1], n)]

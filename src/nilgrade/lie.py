@@ -42,8 +42,8 @@ def _sparse_table(brackets: dict[tuple[int, int], dict[int, Fraction]]) -> tuple
     may stand for integral rationals, and empty brackets are dropped.  See `LieAlgebra`."""
     pairs = [(i, j, sorted(v)) for (i, j), v in sorted(brackets.items()) if v]
     sigma, ints = clear_denominators([brackets[i, j][k] for i, j, ks in pairs for k in ks])
-    it = iter(ints)
-    return sigma, tuple((i, j, tuple((k, next(it)) for k in ks)) for i, j, ks in pairs)
+    it = iter(ints)  # zip stops at the end of ks before it draws from it
+    return sigma, tuple((i, j, tuple(zip(ks, it))) for i, j, ks in pairs)
 
 
 class LieAlgebra:
@@ -379,7 +379,8 @@ def lower_central_series(g: LieAlgebra) -> Filtration:
         else:
             images = []
             for v in spanning:
-                for i in sorted({i for j in v for i in rows[j]}):
+                # the order of the partners reaches no canonical row
+                for i in {i for j in v for i in rows[j]}:
                     w = g.ad(i, v)
                     if w and ech.add(w):
                         images.append(w)
@@ -421,20 +422,36 @@ def adapted_basis(g: LieAlgebra, f: Filtration) -> AdaptedBasis:
     """
     c = f.nilpotency_class
     ech = Echelon()
-    chosen: list[tuple[int, dict[int, int]]] = []
+    rank = 0
+    picked: list[tuple[int, list[dict[int, int]]]] = []  # by decreasing level
     for level in range(c, 0, -1):
         level_rows = f.int_rows[level - 1]
         target = len(level_rows)
-        units = [v for v in level_rows if len(v) == 1]
-        for v in units + list(level_rows):
-            if ech.rank == target:
-                break
-            if ech.add(v):
-                chosen.append((level, v))
-        if ech.rank != target:
+        got: list[dict[int, int]] = []
+        # each row is tried once, the unit vectors first, until F_i is spanned
+        if rank < target:
+            for v in level_rows:
+                if len(v) == 1 and ech.add(v):
+                    got.append(v)
+                    rank += 1
+                    if rank == target:
+                        break
+            else:
+                for v in level_rows:
+                    if len(v) > 1 and ech.add(v):
+                        got.append(v)
+                        rank += 1
+                        if rank == target:
+                            break
+        if rank != target:
             raise RuntimeError("failed to complete adapted basis (internal error)")
-    chosen.sort(key=lambda t: t[0])
-    return AdaptedBasis(tuple(v for _, v in chosen), tuple(d for d, _ in chosen))
+        picked.append((level, got))
+    rows: list[dict[int, int]] = []
+    degrees: list[int] = []
+    for level, got in reversed(picked):
+        rows += got
+        degrees += [level] * len(got)
+    return AdaptedBasis(tuple(rows), tuple(degrees))
 
 
 def change_of_basis(
@@ -482,13 +499,15 @@ def algebra_in_integer_basis(
     table is g's relabeled by pi^-1, each pair put in increasing order with
     its sign and the whole sorted, and sigma is g's own (a relabeling keeps
     the table's entries, whose gcd with sigma is already 1).  The identity
-    keeps g's table as it is.
+    keeps g's table as it is and shares g's signed rows (`ad`'s), not g.
     """
     n = g.dim
     pi = permutation_of(p_cols) if scale == 1 else None
     if pi is not None:
         if pi == list(range(n)):
-            return LieAlgebra._from_table(n, g.sigma, g.table, labels)
+            same = LieAlgebra._from_table(n, g.sigma, g.table, labels)
+            same._signed_rows = g._signed_rows  # the same table: one list of signed rows serves both
+            return same
         new = [0] * n  # e_a = p e_new[a]
         for b, a in enumerate(pi):
             new[a] = b
@@ -540,27 +559,30 @@ def _parse_terms(rhs: str, label_index: dict[str, int], where: str) -> dict[int,
     if rhs == "0":
         return out
     pos = 0
-    first = True
-    while pos < len(rhs):
-        m = _TERM_RE.match(rhs, pos)
-        if not m or m.end() == pos:
-            raise AlgebraFormatError(f"malformed term in {where}: {rhs[pos:]!r}")
-        sign, coeff, label = m.group("sign"), m.group("coeff"), m.group("label")
-        if not first and sign is None:
+    # a term matches at pos iff the next match starts there: a label is never empty
+    for m in _TERM_RE.finditer(rhs):
+        if m.start() != pos:
+            break
+        sign, coeff, label = m.groups()
+        if pos and sign is None:
             raise AlgebraFormatError(f"missing +/- between terms in {where}")
-        num, _, den = (coeff or "1").partition("/")
-        try:
-            c = Fraction(int(num), int(den)) if den else int(num)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise AlgebraFormatError(f"malformed rational {coeff!r} in {where}") from exc
+        if coeff is None:
+            c = 1
+        else:
+            num, _, den = coeff.partition("/")
+            try:
+                c = Fraction(int(num), int(den)) if den else int(num)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise AlgebraFormatError(f"malformed rational {coeff!r} in {where}") from exc
         if sign == "-":
             c = -c
-        if label not in label_index:
+        k = label_index.get(label)
+        if k is None:
             raise AlgebraFormatError(f"unknown basis label {label!r} in {where}")
-        k = label_index[label]
         out[k] = out.get(k, 0) + c
         pos = m.end()
-        first = False
+    if pos < len(rhs):
+        raise AlgebraFormatError(f"malformed term in {where}: {rhs[pos:]!r}")
     return {k: x for k, x in out.items() if x}
 
 
@@ -582,11 +604,10 @@ def parse_algebra(text: str) -> LieAlgebra:
     labels: list[str] | None = None
     label_index: dict[str, int] = {}
     pending: list[tuple[str, str, str, str]] = []
-    declared: set[tuple[int, int]] = set()
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         where = f"line {lineno}"
@@ -623,7 +644,7 @@ def parse_algebra(text: str) -> LieAlgebra:
             m = _BRACKET_RE.match(rest)
             if not m:
                 raise AlgebraFormatError(f"malformed bracket declaration ({where})")
-            pending.append((m.group(1), m.group(2), m.group(3), where))
+            pending.append((*m.groups(), where))
         else:
             raise AlgebraFormatError(f"unknown keyword {keyword!r} ({where})")
 
@@ -640,13 +661,12 @@ def parse_algebra(text: str) -> LieAlgebra:
         i, j = label_index[lab_i], label_index[lab_j]
         if i == j:
             raise AlgebraFormatError(f"bracket of {lab_i!r} with itself ({where})")
-        key = (min(i, j), max(i, j))
-        if key in declared:
+        key = (i, j) if i < j else (j, i)
+        if key in brackets:
             raise AlgebraFormatError(
                 f"duplicate declaration for pair ({lab_i}, {lab_j}) ({where}); "
                 "each unordered pair may be declared once"
             )
-        declared.add(key)
         value = _parse_terms(rhs, label_index, where)
         if i > j:
             value = {k: -x for k, x in value.items()}

@@ -18,7 +18,6 @@ and `transpose`, the one transpose, stay on integers.
 
 from __future__ import annotations
 
-import copy
 import math
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -170,17 +169,20 @@ class Echelon:
     """Incrementally built echelon basis of a subspace.
 
     The elimination is fraction-free, with one loop, `_reduce`.  `add`
-    reduces the new row against the stored rows and stores it, keyed by its
-    pivot column, as a sparse {column: int} dict over its nonzero entries,
-    primitive (its entries have gcd 1) and with a positive pivot; no stored
-    row changes afterwards.  `int_rows` back-substitutes on read: its row p
-    is the canonical RREF row of pivot p times the least positive integer
-    that clears it, the same rows whatever the insertion order.
+    reduces the new row against the stored rows, if it meets a pivot of
+    theirs, and stores it, keyed by its pivot column, as a sparse
+    {column: int} dict over its nonzero entries, primitive (its entries
+    have gcd 1, so a one-entry row is stored as {p: 1}) and with a positive
+    pivot; no stored row changes afterwards.  `int_rows` back-substitutes on
+    read: its row p is the canonical RREF row of pivot p times the least
+    positive integer that clears it, the same rows whatever the insertion
+    order.
 
     `add` takes a `SparseRow` and copies it: a zero entry raises ValueError
     and a dense list TypeError, and a Fraction entry raises TypeError at its
-    first gcd, so no Fraction is ever stored, and none is made here: a
-    caller reads a row as Fractions through `pivot_row`.
+    first gcd, or as the one entry of its row, so no Fraction is ever
+    stored, and none is made here: a caller reads a row as Fractions
+    through `pivot_row`.
     """
 
     def __init__(self):
@@ -220,17 +222,26 @@ class Echelon:
         return self._insert(_copy(v))
 
     def _insert(self, w: dict[int, int]) -> bool:
-        self._reduce(w, self._rows)
+        rows = self._rows
+        if not rows.keys().isdisjoint(w):  # else w meets no pivot and is reduced already
+            self._reduce(w, rows)
         if not w:
             return False
         p = min(w)
-        self._rows[p] = _primitive(w, p)
+        if len(w) > 1:
+            _primitive(w, p)
+        elif isinstance(w[p], int):  # a one-entry row's primitive form, with no gcd
+            w[p] = 1
+        else:
+            raise TypeError("a sparse row holds int entries only")
+        rows[p] = w
         return True
 
     def copy(self):
         """The span as it stands, sharing the stored rows, none of which ever
         changes: later rows added to either one leave the other as it was."""
-        other = copy.copy(self)
+        other = object.__new__(type(self))
+        other.__dict__.update(self.__dict__)
         other._rows = dict(self._rows)
         return other
 
@@ -242,7 +253,7 @@ class Echelon:
         rows, out = self._rows, {}
         for p in sorted(rows, reverse=True):
             row = rows[p]
-            if any(k in out for k in row):  # out holds the later pivots only
+            if not out.keys().isdisjoint(row):  # out holds the later pivots only
                 self._reduce(row := dict(row), out)
                 _primitive(row, p)
             out[p] = row

@@ -810,6 +810,25 @@ def test_dropped_algebra_is_freed_by_refcounting():
         gc.enable()
 
 
+def test_setup_in_the_identity_basis_shares_the_signed_rows():
+    # where the adapted basis is the identity, the adapted algebra has g's
+    # own table, and the setup reads g's signed rows instead of a second
+    # list of them (the list is shared, not g: see the test above); that is
+    # 21 of the 25 catalog, filiform and central-product algebras here
+    names = [e.name for e in catalog.entries()]
+    names += [f"filiform({n})" for n in range(6, 13)]
+    names += [f"central_product({i},{j})" for i, j in ((2, 3), (3, 5), (4, 7), (5, 8), (6, 10))]
+    shared = []
+    for name in names:
+        g = catalog.get(name).algebra
+        setup = _setup(g)
+        identity = setup.ab.int_rows == tuple({b: 1} for b in range(g.dim))
+        assert (setup.rows is g._signed_rows) == identity, name
+        if identity:
+            shared.append(name)
+    assert len(shared) == 21, shared
+
+
 def test_setup_builds_the_adapted_algebra_once(monkeypatch):
     # a fresh instance builds its algebra in the adapted basis once, with
     # the rest of its setup, and every later call on it reuses that one;

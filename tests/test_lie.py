@@ -128,6 +128,30 @@ def test_parse_rejects_self_bracket_and_missing_sign():
         parse_algebra("dim 4\nbracket e1 e2 = e3 e4\n")
 
 
+@pytest.mark.parametrize(
+    "rhs, message",
+    [
+        ("e3 + * e2", "malformed term in line 2: '+ * e2'"),
+        ("e3 +", "malformed term in line 2: '+'"),
+        ("2/ e3", "malformed term in line 2: '2/ e3'"),
+        ("e3 + 1/0", "malformed term in line 2: '+ 1/0'"),
+        (" -e3 ++e4", "malformed term in line 2: '++e4'"),
+        ("e3 e4", "missing +/- between terms in line 2"),
+        ("1/0 e3", "malformed rational '1/0' in line 2"),
+        ("e3 - 01/00 e4", "malformed rational '01/00' in line 2"),
+        ("e9", "unknown basis label 'e9' in line 2"),
+        ("e3 - 2 e9", "unknown basis label 'e9' in line 2"),
+        # the first faulty term is reported, and within a term the rational before the label
+        ("e9 e3", "unknown basis label 'e9' in line 2"),
+        ("1/0 e9", "malformed rational '1/0' in line 2"),
+    ],
+)
+def test_parse_names_the_faulty_term(rhs, message):
+    with pytest.raises(AlgebraFormatError) as exc:
+        parse_algebra(f"dim 4\nbracket e1 e2 = {rhs}\n")
+    assert str(exc.value) == message
+
+
 def test_serialize_round_trip():
     for name in ("g6_13", "counterexample11", "g6_2"):
         g = catalog.get(name).algebra

@@ -7,7 +7,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -174,21 +174,61 @@ def sparse_vectors(dim: int, max_count: int = 6):
     return st.lists(st.lists(sparse_entries, min_size=dim, max_size=dim), max_size=max_count)
 
 
+@st.composite
+def echelon_cases(draw):
+    """(dim, vectors, order, split, others, probes, affine): the vectors go in
+    in `order`, the span is copied after the first `split` of them and
+    `others` go into the copy; with `affine` every row goes into an
+    `AffineSystem` over dim - 1 unknowns, its last entry the right-hand side."""
+    dim = draw(st.integers(1, 7))
+    vectors = draw(sparse_vectors(dim))
+    order = draw(st.permutations(range(len(vectors))))
+    split = draw(st.integers(0, len(vectors)))
+    others, probes = draw(sparse_vectors(dim, 3)), draw(sparse_vectors(dim, 3))
+    return dim, vectors, order, split, others, probes, dim > 1 and draw(st.booleans())
+
+
+def _add_vector(span: Echelon, v, affine: bool) -> None:
+    row = integer_row(v)
+    if affine:
+        span.add(row, row.pop(len(v) - 1, 0))
+    else:
+        span.add(row)
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 7), st.data())
-def test_echelon_matches_dense_rref(dim, data):
-    vectors = data.draw(sparse_vectors(dim))
-    order = data.draw(st.permutations(range(len(vectors))))
-    ech = Echelon()
-    for i in order:
-        ech.add(integer_row(vectors[i]))
-    rows, pivots = rref_span(vectors)
-    assert echelon_rows(ech, dim) == rows
-    assert ech.pivots == pivots
-    assert ech.rank == len(rows)
-    assert all(isinstance(x, F) for row in echelon_rows(ech, dim) for x in row)
-    for v in data.draw(sparse_vectors(dim, 3)) + vectors:
-        assert echelon_contains(ech, integer_row(v)) == rref_contains(vectors, v)
+@given(echelon_cases())
+# the second row meets no stored pivot, so it is stored with no elimination
+@example((4, [[1, 2, 0, 0], [0, 0, 3, 6]], [0, 1], 2, [], [[0, 0, 1, 2]], False))
+# a one-entry row with a negative value other than -1, {3: -4}, is stored as {3: 1}
+@example((4, [[1, 1, 0, 0], [0, 0, 0, -4]], [0, 1], 2, [], [[0, 0, 0, 1], [1, 1, 0, 1]], False))
+# a copied affine system and its copy take different rows: x1 = 1 in one, x1 = 3 in the other
+@example((3, [[1, 0, 2], [0, 1, 1]], [0, 1], 1, [[0, 1, 3]], [[0, 1, 1], [0, 1, 3]], True))
+def test_echelon_matches_dense_rref(case):
+    dim, vectors, order, split, others, probes, affine = case
+    ech = AffineSystem(dim - 1) if affine else Echelon()
+    added = [vectors[i] for i in order]
+    for v in added[:split]:
+        _add_vector(ech, v, affine)
+    copied = ech.copy()
+    for v in added[split:]:
+        _add_vector(ech, v, affine)
+    for v in others:
+        _add_vector(copied, v, affine)
+    for span, spanned in ((ech, vectors), (copied, added[:split] + others)):
+        rows, pivots = rref_span(spanned)
+        assert type(span) is type(ech)
+        assert echelon_rows(span, dim) == rows
+        assert_canonical_int_rows(span, rows, pivots)
+        assert span.pivots == pivots
+        assert span.rank == len(rows)
+        assert all(isinstance(x, F) for row in echelon_rows(span, dim) for x in row)
+        if affine:
+            assert span.infeasible == (dim - 1 in pivots)
+        for v in probes + spanned:
+            grown = span.copy()
+            _add_vector(grown, v, affine)
+            assert (grown.rank == span.rank) == rref_contains(spanned, v)
 
 
 def integer_equation(coeffs, rhs) -> tuple[dict[int, int], int]:
