@@ -269,6 +269,8 @@ def _cmd_goodman(args) -> int:
         raise CliError("--samples must be at least 1")
     if args.tmax < 0:
         raise CliError("--tmax must be at least 0")
+    if args.tmax > 1023:
+        raise CliError("--tmax must be at most 1023: a grid coordinate of 1 gives the radius 2^tmax, and a float ends below 2^1024")
     g = _load_algebra(args.source)
     _bch_filtration(g)
     d = derivability.e_invariant(g).witness
@@ -385,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--tmax", type=int, default=10,
-        help="ladder 2^0..2^tmax; no upper bound: at class c dilated coordinates reach 2^(tmax*c)",
+        help="ladder 2^0..2^tmax, tmax <= 1023 (radii are floats); at class c dilated coordinates reach 2^(tmax*c)",
     )
     p.add_argument("--seed", type=int, default=0)
 

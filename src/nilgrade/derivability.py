@@ -233,10 +233,9 @@ def delta_n(g: LieAlgebra, d: GradingOperator, xs: Sequence[Sequence[Fraction]])
 
 
 def _adapted_operator(d: GradingOperator, setup: _Setup) -> tuple[int, list[SparseVec]] | None:
-    """p^-1 D p as (den, rows), the matrix being rows / den for its sparse
+    """P^-1 D P as (den, rows), the matrix being rows / den for its sparse
     integer rows, if D is a grading operator (see `is_grading_operator`), else
-    None.  With D = M/dd for M its `int_rows` and dd its `den`, p = P/dp and
-    p^-1 = dp Q/L, it is Q M P / (L dd).
+    None: with D = M/dd, M its `int_rows` and dd its `den`, it is Q M P / (L dd).
     """
     n, degrees = setup.dim, setup.degrees
     if d.shape != (n,) * n:
@@ -255,10 +254,10 @@ def _eigenvectors(d: GradingOperator, setup: _Setup) -> list[SparseVec] | None:
     """For each adapted index b, an integer eigenvector of D of eigenvalue
     deg(b), in original coordinates, if D is a grading operator, else None.
 
-    p^-1 D p is diag(degrees) plus N/den, N nonzero only at free positions
-    (a, b), deg a > deg b (`_adapted_operator`).  So ker(p^-1 D p - i) holds,
+    P^-1 D P is diag(degrees) plus N/den, N nonzero only at free positions
+    (a, b), deg a > deg b (`_adapted_operator`).  So ker(P^-1 D P - i) holds,
     for each b of degree i, one y with y_b = 1 and y zero at every other
-    index of degree <= i: row a of (p^-1 D p - i) y = 0 gives
+    index of degree <= i: row a of (P^-1 D P - i) y = 0 gives
     y_a = -(N y)_a / ((deg a - i) den), whose right side reads only the
     entries y_a' with deg a' < deg a, so forward substitution by increasing
     index finds it, and (deg a - i) den > 0.  These k_i vectors are
@@ -298,7 +297,7 @@ def _eigenvectors(d: GradingOperator, setup: _Setup) -> list[SparseVec] | None:
                     heappush(heap, a2)
         v: SparseVec = {}
         for a, ya in y.items():
-            for k, x in setup.p_cols[a].items():
+            for k, x in setup.ab.int_rows[a].items():
                 v[k] = v.get(k, 0) + ya * x
         out.append({k: x for k, x in v.items() if x})
     return out
@@ -327,17 +326,19 @@ def grading_operator_space(
 
     ab must be `adapted_basis(g, f)` for f the lower central series of g,
     else ValueError.  Returns the diagonal base point (multiplication by
-    the adapted degree) and the elementary free directions at
-    `_Setup.positions`, all in original coordinates.
+    the adapted degree) and the free directions p E_ab p^-1 for (a, b) in
+    `_Setup.positions` and p the matrix of `ab.vectors`, all in original
+    coordinates.
     """
     setup = _setup(g)
     if f != setup.f or ab != setup.ab:
         raise ValueError("ab must be the adapted basis of the lower central series of g")
-    n, den = setup.dim, setup.q_den
+    n, pivots = setup.dim, [row[min(row)] for row in ab.int_rows]
     directions = []
     for a, b in setup.positions:
-        # p E_ab p^-1 = (P column a)(Q row b) / L, on integers
-        q_row = [setup.q_rows[b].get(j, 0) for j in range(n)]
+        # p = P / diag(pivots), so p E_ab p^-1 = (P column a)(Q row b) pivots[b] / (L pivots[a])
+        q_row = [setup.q_rows[b].get(j, 0) * pivots[b] for j in range(n)]
+        den = setup.q_den * pivots[a]
         directions.append([[Fraction(row.get(a, 0) * y, den) for y in q_row] for row in setup.p_rows])
     return setup.operator([]), directions
 
@@ -374,12 +375,14 @@ def _grown(states: list[_State], grow: Iterator[_State]) -> Iterator[_State]:
 class _Setup:
     """An algebra's adapted coordinates, built once per instance by `_setup`.
 
-    The change of basis runs on integers: p = P/dp and p^-1 = dp Q/L, with
-    P's columns the adapted basis's `int_rows` brought to the common pivot
-    value dp, Q/L = P^-1 from `linalg.integer_inverse` (no elimination when
-    the adapted basis is a permutation of the unit vectors, whose adapted
-    algebra `lie.algebra_in_integer_basis` then relabels), and both held
-    by their sparse rows (`p_rows`, `q_rows`), P by its columns too (`p_cols`).
+    The change of basis runs on integers: P's columns are the adapted
+    basis's `int_rows` as stored, Q/L = P^-1 from `linalg.integer_inverse`
+    (no elimination when the adapted basis is a permutation of the unit
+    vectors, whose adapted algebra `lie.algebra_in_integer_basis` then
+    relabels), both held by their sparse rows (`p_rows`, `q_rows`).  P's
+    column b is `ab.vectors[b]` times its pivot value s_b > 0, which scales
+    each free entry x_ab by s_b/s_a and keeps every system's pivot columns,
+    so e, each answer and each witness are those of `ab.vectors`.
 
     `graded` holds iff the adapted degrees grade the adapted algebra
     (`lie.grading_violations`), that is, iff D0 is a derivation.  Then a
@@ -402,18 +405,11 @@ class _Setup:
         self.c = self.f.nilpotency_class
         self.ab = lie.adapted_basis(g, self.f)
         self.degrees = degrees = self.ab.degrees
-        # the adapted vector b is its integer row over that row's pivot value; a row
-        # whose pivot value is dp already is P's column, read-only like the row
-        pivots = [row[min(row)] for row in self.ab.int_rows]
-        dp = math.lcm(*pivots)
-        self.p_cols = p_cols = [
-            row if s == dp else {i: x * (dp // s) for i, x in row.items()} for row, s in zip(self.ab.int_rows, pivots)
-        ]
-        self.p_rows: list[SparseVec] = transpose(p_cols, n)
-        self.q_den, self.q_rows = integer_inverse(p_cols)  # P^-1 = Q/L, L being q_den
-        # sigma * [e_i, v] in adapted coordinates, p^-1 [p e_i, p e_j] being Q [P e_i, P e_j] / (dp L);
+        self.p_rows: list[SparseVec] = transpose(self.ab.int_rows, n)
+        self.q_den, self.q_rows = integer_inverse(self.ab.int_rows)  # P^-1 = Q/L, L being q_den
+        # sigma * [e_i, v] in adapted coordinates, P^-1 [P e_i, P e_j] being Q [P e_i, P e_j] / L;
         # bound to the adapted algebra, not to g
-        self.adapted = lie.algebra_in_integer_basis(g, p_cols, self.q_rows, dp * self.q_den)
+        self.adapted = lie.algebra_in_integer_basis(g, self.ab.int_rows, self.q_rows, self.q_den)
         self.graded = not lie.grading_violations(self.adapted, degrees)
         self.ad = self.adapted.ad
         self.rows = self.adapted._signed_rows  # [e_i, w] = 0 when rows[i] misses w's support
@@ -510,7 +506,7 @@ class _Setup:
     def operator(self, x: Sequence[Fraction]) -> GradingOperator:
         """diag(degrees) plus x[var] at each free position, in original coordinates.
 
-        That is p (M/dx) p^-1 = P M Q / (dx L) for M = dx diag(degrees) + dx x, on
+        That is P (M/dx) P^-1 = P M Q / (dx L) for M = dx diag(degrees) + dx x, on
         integers, divided once by the gcd of dx L and every entry, which leaves
         the least common denominator.
         """

@@ -107,11 +107,12 @@ def test_negative_first_coordinate_takes_the_equals_form(capsys, monkeypatch):
 
 
 def test_goodman_help_states_the_cost_of_samples_and_tmax(capsys):
-    # neither option has an upper bound, so the help says what each costs
+    # --samples has no upper bound and --tmax one of 1023, so the help says
+    # what each costs and where tmax stops
     code, out, _ = run_capture(capsys, ["goodman", "--help"])
     text = " ".join(out.split())
     assert code == 0
-    assert "samples * (tmax+1) rungs" in text and "2^(tmax*c)" in text
+    assert "samples * (tmax+1) rungs" in text and "2^(tmax*c)" in text and "tmax <= 1023" in text
 
 
 def test_e_text_and_json_agree(capsys):
@@ -480,6 +481,7 @@ def test_not_nilpotent_input_exit_2(tmp_path, capsys):
         (["--samples", "0"], "--samples must be at least 1"),
         (["--samples", "-3", "--tmax", "-1"], "--samples must be at least 1"),
         (["--tmax", "-1"], "--tmax must be at least 0"),
+        (["--samples", "2", "--tmax", "1024"], "--tmax must be at most 1023: a grid coordinate of 1 gives the radius 2^tmax"),
     ],
 )
 def test_goodman_rejects_bad_arguments(capsys, flags, message):
@@ -487,6 +489,15 @@ def test_goodman_rejects_bad_arguments(capsys, flags, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_goodman_takes_the_largest_tmax_whose_radii_are_floats(capsys):
+    # at tmax = 1023 a grid coordinate of 1 dilates to the radius 2^1023,
+    # the largest power of 2 a float holds, so the bound rejects no ladder
+    # whose radii are all floats
+    code, out, err = run_capture(capsys, ["goodman", "catalog:heisenberg", "--samples", "2", "--tmax", "1023"])
+    assert (code, err) == (0, "")
+    assert "ladder=2^0..2^1023" in out
 
 
 FILIFORM10_X = "--x=1,0,0,0,0,0,0,0,0,0"

@@ -961,33 +961,36 @@ def assert_frame_matches_fraction_route(g, xs) -> None:
     directions against the public Fraction route, `adapted_basis` and
     `change_of_basis`, and the dense oracles `rref_mat_inv`, `naive_mat_mul`
     and `algebra_in_basis_dense`; xs are values of the free entries to build
-    operators from."""
+    operators from.  P's columns are the adapted basis's integer rows as
+    stored; the base point and the free directions are those of its
+    pivot-normalized `vectors`."""
     setup = _setup(g)
     f = lower_central_series(g)
     ab = adapted_basis(g, f)
     assert setup.degrees == ab.degrees
     assert setup.ab == ab
     n = g.dim
-    p = columns_matrix(ab.vectors)
-    p_inv = rref_mat_inv(p)
-    # p = P/dp for the least dp that clears it, and P Q = L I
-    dp = math.lcm(*(x.denominator for row in p for x in row))
-    big_p = [[row.get(b, 0) for b in range(n)] for row in setup.p_rows]
+    stored = [[F(row.get(j, 0)) for j in range(n)] for row in ab.int_rows]
+    big_p = columns_matrix(stored)
+    big_p_inv = rref_mat_inv(big_p)
+    # P is the stored rows as columns, with no common scale, and P Q = L I
     big_q = [[row.get(j, 0) for j in range(n)] for row in setup.q_rows]
-    assert big_p == [[x * dp for x in row] for row in p]
+    assert [[row.get(b, 0) for b in range(n)] for row in setup.p_rows] == big_p
     assert naive_mat_mul(big_p, big_q) == [[setup.q_den if i == j else 0 for j in range(n)] for i in range(n)]
-    public = change_of_basis(g, [list(v) for v in ab.vectors])
-    assert setup.adapted == public == algebra_in_basis_dense(g, p, p_inv)
-    assert setup.adapted.brackets == public.brackets == algebra_in_basis_dense(g, p, p_inv).brackets
+    public = change_of_basis(g, stored)
+    assert setup.adapted == public == algebra_in_basis_dense(g, big_p, big_p_inv)
+    assert setup.adapted.brackets == public.brackets == algebra_in_basis_dense(g, big_p, big_p_inv).brackets
     diag = [[F(setup.degrees[i]) if i == j else F(0) for j in range(n)] for i in range(n)]
     for x in xs:
         d_ad = [list(row) for row in diag]
         for (a, b), value in zip(setup.positions, x):
             d_ad[a][b] += value
         d = setup.operator(x)
-        assert d.rows == naive_mat_mul(naive_mat_mul(p, d_ad), p_inv)
+        assert d.rows == naive_mat_mul(naive_mat_mul(big_p, d_ad), big_p_inv)
         den, rows = _adapted_operator(d, setup)
         assert [[F(row.get(j, 0), den) for j in range(n)] for row in rows] == d_ad
+    p = columns_matrix(ab.vectors)
+    p_inv = rref_mat_inv(p)
     base, directions = grading_operator_space(g, f, ab)
     assert base.rows == naive_mat_mul(naive_mat_mul(p, diag), p_inv)
     assert len(directions) == len(setup.positions)
@@ -1425,15 +1428,30 @@ def test_e_scan_scales_with_the_algebra_not_its_basis():
     # the span bases hold at most 26 states per degree sum on sheared
     # central_product(8,13), where the path trie walked 545,717 paths: on a
     # 2-vCPU x86 host the cold scan and the e_of_operator of its witness,
-    # which reads the bases the scan finished, take ~0.8 + 0.03 s (48 + 12 s
-    # at 1.5 GiB for the trie)
+    # which reads the bases the scan finished, take ~0.62 + 0.03 s (~1.0 +
+    # 0.04 s when the setup scaled P to a common pivot, 48 + 12 s at 1.5 GiB
+    # for the trie)
     g = sheared("central_product(8,13)")
     start = time.perf_counter()
     result = e_invariant(g)
     e = e_of_operator(g, result.witness)
     elapsed = time.perf_counter() - start
     assert result.e == e == F(8, 13)
-    assert elapsed < 10, elapsed
+    assert elapsed < 5, elapsed
+
+
+def test_setup_inverts_the_stored_rows_not_a_common_pivot_frame():
+    # P's columns are the adapted basis's integer rows as stored: scaling
+    # each to the lcm of their pivot values, a common pivot, changes no
+    # output, but on sheared central_product(8,13) it gives P^-1 a
+    # denominator of 1,587 bits where the stored rows give one of 878
+    g = sheared("central_product(8,13)")
+    setup = _setup(g)
+    rows = setup.ab.int_rows
+    pivots = [row[min(row)] for row in rows]
+    dp = math.lcm(*pivots)
+    common_den, _ = linalg.integer_inverse([{i: x * (dp // s) for i, x in row.items()} for row, s in zip(rows, pivots)])
+    assert setup.q_den.bit_length() < common_den.bit_length(), (setup.q_den.bit_length(), common_den.bit_length())
 
 
 def test_condition_walk_scales_with_the_algebra_not_its_basis():
