@@ -19,10 +19,9 @@ classical slots; any other choice would evaluate identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 from . import lie
 from .carnot import CarnotAlgebra
@@ -61,13 +60,12 @@ _PREFERRED: dict[int, tuple[Word, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class BCHTermTable:
+class BCHTermTable(NamedTuple):
     """Coefficient of the left-nested bracket of every word of length 2..c."""
 
     coeffs: dict[Word, Fraction]
 
-    @cached_property
+    @property
     def nonzero(self) -> list[tuple[Word, Fraction]]:
         return [(w, c) for w, c in sorted(self.coeffs.items()) if c != 0]
 

@@ -15,9 +15,8 @@ table), and its generation by the degree-1 layer is read off that table
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import derivability, lie
 from .derivability import GradingOperator, OperatorNotInDError
@@ -25,8 +24,7 @@ from .lie import LieAlgebra
 from .linalg import ZERO, Echelon, Vec, integer_inverse
 
 
-@dataclass(frozen=True)
-class LinearGrading:
+class LinearGrading(NamedTuple):
     """Layers v_1, ..., v_c in original coordinates; their direct sum is
     the whole space and the tails of the sum recover the filtration.
 
@@ -69,8 +67,7 @@ def _over_last(row: dict[int, int], dim: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CarnotAlgebra:
+class CarnotAlgebra(NamedTuple):
     """The associated Carnot-graded algebra, in the grading eigenbasis."""
 
     algebra: LieAlgebra

@@ -8,9 +8,9 @@ are validated against computed values by the test suite, never trusted.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple
 
 from .derivability import ConditionSet, parse_condition_set
 from .lie import _MAX_DIM, LieAlgebra, _sparse_table, parse_algebra, serialize_algebra
@@ -20,8 +20,7 @@ class UnknownEntryError(KeyError):
     """Raised for names that match no entry, alias or parametric family."""
 
 
-@dataclass(frozen=True)
-class Expected:
+class Expected(NamedTuple):
     nilpotency_class: int
     tau: tuple[int, ...]
     e_value: Fraction | None = None
@@ -30,8 +29,7 @@ class Expected:
     not_derivable: tuple[ConditionSet, ...] = ()
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     aliases: tuple[str, ...]
     definition: str

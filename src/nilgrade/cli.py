@@ -52,7 +52,7 @@ def _read_algebra(source: str) -> LieAlgebra:
         return _catalog_entry(source[len("catalog:") :]).algebra
     path = Path(source)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8-sig")  # UTF-8, with or without a byte order mark
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {source!r}: {exc}") from exc
     try:

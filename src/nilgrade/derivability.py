@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, combinations
+from operator import sub
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import lie
 from .lie import AdaptedBasis, Filtration, LieAlgebra
@@ -30,22 +30,30 @@ class OperatorNotInDError(ValueError):
     """Raised when a matrix is not a grading operator of the algebra."""
 
 
-@dataclass(frozen=True, order=True)
-class DerivCondition:
-    """A containment constraint: Delta_n D(F_p1, ..., F_pn) inside F_{level+1}."""
-
+class _Condition(NamedTuple):
     wp: tuple[int, ...]
     level: int
 
-    def __post_init__(self):
-        if len(self.wp) < 2:
+
+class DerivCondition(_Condition):
+    """A containment constraint: Delta_n D(F_p1, ..., F_pn) inside F_{level+1}."""
+
+    __slots__ = ()
+
+    def __new__(cls, wp: tuple[int, ...], level: int) -> "DerivCondition":
+        if len(wp) < 2:
             raise ValueError("tuple must have length at least 2")
-        if any(p < 1 for p in self.wp):
+        if any(p < 1 for p in wp):
             raise ValueError("tuple entries must be positive")
-        if self.wp[-2] > self.wp[-1]:
+        if wp[-2] > wp[-1]:
             raise ValueError("last two tuple entries must be nondecreasing")
-        if sum(self.wp) >= self.level:
+        if sum(wp) >= level:
             raise ValueError("level must exceed the tuple sum")
+        return tuple.__new__(cls, (wp, level))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "DerivCondition":
+        return cls(*iterable)  # so that `_replace`, which calls it, checks too
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.wp) + f"|{self.level})"
@@ -54,8 +62,7 @@ class DerivCondition:
 ConditionSet = frozenset  # of DerivCondition
 
 
-@dataclass(frozen=True)
-class GradingOperator:
+class GradingOperator(NamedTuple):
     """A grading operator, a rational matrix in original coordinates, as
     `int_rows` / `den`: `den` is the least common denominator of its entries,
     `int_rows[a]` row a times den as a sparse {column: nonzero int} dict,
@@ -134,12 +141,11 @@ def parse_condition_set(text: str) -> ConditionSet:
 
 
 def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """The compositions of total into parts positive entries, lexicographically:
+    the parts between cut points 0 < k_1 < ... < k_{parts-1} < total, whose
+    lexicographic order is that of the compositions."""
+    for cuts in combinations(range(1, total), parts - 1):
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
 def normalized_tuples(max_sum: int) -> list[tuple[int, ...]]:
@@ -164,11 +170,10 @@ def enumerate_S(c: int) -> ConditionSet:
     """All conditions (wp | j) with 3 <= j <= c and wp in T_j; empty for c = 2."""
     if c < 2:
         raise ValueError("need c >= 2")
-    conditions = set()
-    for j in range(3, c + 1):
-        for wp in enumerate_T(j, c):
-            conditions.add(DerivCondition(wp, j))
-    return frozenset(conditions)
+    tuples = normalized_tuples(c - 1)  # by increasing sum, so those of sum < j lead
+    sums = [sum(wp) for wp in tuples]
+    # a set, then its frozenset copy: a frozenset built directly would iterate in another order
+    return frozenset({DerivCondition(wp, j) for j in range(3, c + 1) for wp in tuples[:bisect_left(sums, j)]})
 
 
 @lru_cache(maxsize=None)
@@ -695,8 +700,7 @@ def e_of_operator(g: LieAlgebra, d: GradingOperator) -> Fraction:
     return Fraction(0)
 
 
-@dataclass(frozen=True)
-class EInvariantResult:
+class EInvariantResult(NamedTuple):
     e: Fraction
     witness: GradingOperator
 

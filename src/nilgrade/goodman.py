@@ -11,9 +11,8 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import bch, carnot
 from .carnot import CarnotAlgebra
@@ -41,8 +40,7 @@ class GridSampler:
         return [self.draw() for _ in range(dim)]
 
 
-@dataclass(frozen=True)
-class GuivarchContext:
+class GuivarchContext(NamedTuple):
     """Layer degree of each eigenbasis coordinate; the layer norm is the
     maximum absolute value of the coordinates in that layer."""
 
@@ -145,16 +143,14 @@ def fit_exponent(points: Sequence[tuple[float, float]]) -> float:
     return sxy / sxx
 
 
-@dataclass(frozen=True)
-class GoodmanSample:
+class GoodmanSample(NamedTuple):
     pair_index: int
     t: Fraction
     r: float
     diff_norm: float
 
 
-@dataclass(frozen=True)
-class GoodmanReport:
+class GoodmanReport(NamedTuple):
     e_d: Fraction
     samples: tuple[GoodmanSample, ...]
     fitted_slope: float | None

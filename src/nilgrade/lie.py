@@ -8,11 +8,10 @@ identity is checked explicitly (`check_jacobi`), never assumed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import (
     ZERO, Echelon, Vec, clear_denominators, integer_inverse, integer_rows, permutation_of, pivot_row, q, sparse_mul,
@@ -144,8 +143,7 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}, nonzero_brackets={len(self.table)})"
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(NamedTuple):
     """Lower central series F_1 ⊇ F_2 ⊇ ... ⊇ F_{c+1} = 0 of a dim-dimensional
     algebra.  `int_rows[k-1]` holds F_k's `Echelon.int_rows`: primitive integer
     rows in pivot order, read-only.  They are canonical for the span, so two
@@ -173,8 +171,7 @@ class Filtration:
         return tuple(dims[k] - dims[k + 1] for k in range(self.nilpotency_class))
 
 
-@dataclass(frozen=True)
-class AdaptedBasis:
+class AdaptedBasis(NamedTuple):
     """Basis adapted to a filtration: degree-≥i vectors span F_i.
 
     `int_rows[b]` is the basis vector b times the least positive integer that

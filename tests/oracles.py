@@ -38,6 +38,10 @@ package's streams emit the rows of a basis of the path states instead, so
 they are compared by row space, and `e_invariant_by_paths`,
 `e_of_operator_by_paths` and `is_A_derivable_by_paths` answer the entry
 points' questions from these walks, with no answer read off a grading.
+`compositions_recursive`, `normalized_tuples_recursive` and
+`enumerate_S_per_level` are the recursive compositions and the per-level
+condition universe that the cut-point compositions and the one-pass
+`enumerate_S` replaced.
 `antichain`, `e_invariant_by_candidates` and `e_of_operator_by_candidates`
 are the candidate-by-candidate e-scan the ratio-ordered row stream
 replaced: one `AffineSystem` per candidate r over the rows `_condition_rows`
@@ -64,7 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from nilgrade import lie
 from nilgrade.derivability import (
@@ -688,6 +692,38 @@ def layer_one_generates(algebra, degrees) -> bool:
                     new_frontier.append(w)
         frontier = new_frontier
     return len(span[0]) == n
+
+
+def compositions_recursive(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """The compositions of total into parts positive entries, lexicographically:
+    each first entry in turn, then the compositions of the rest."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in compositions_recursive(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def normalized_tuples_recursive(max_sum: int) -> list[tuple[int, ...]]:
+    """`normalized_tuples` from `compositions_recursive`."""
+    return [
+        wp
+        for total in range(2, max_sum + 1)
+        for n in range(2, total + 1)
+        for wp in compositions_recursive(total, n)
+        if wp[-2] <= wp[-1]
+    ]
+
+
+def enumerate_S_per_level(c: int) -> frozenset:
+    """`enumerate_S` one level j at a time, each from the tuples of sum < j
+    made afresh, into a set and then its frozenset copy."""
+    conditions = set()
+    for j in range(3, c + 1):
+        for wp in normalized_tuples_recursive(j - 1):
+            conditions.add(DerivCondition(wp, j))
+    return frozenset(conditions)
 
 
 def _dominates(strong: DerivCondition, weak: DerivCondition) -> bool:

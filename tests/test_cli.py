@@ -314,6 +314,22 @@ def test_undecodable_file_is_usage_error(capsys, tmp_path):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"\xef\xbb\xbfdim 3\nbracket e1 e2 = e3\n",  # a UTF-8 byte order mark
+        b"dim 3\r\nbracket e1 e2 = e3\r\n",  # CRLF line ends
+        b"\xef\xbb\xbfdim 3\r\nbasis x y z\xc3\xa9\r\nbracket x y = z\xc3\xa9\r\n",  # both, and a non-ASCII label
+    ],
+)
+def test_check_reads_utf8_files_with_a_bom_or_crlf(capsys, tmp_path, data):
+    path = tmp_path / "f.alg"
+    path.write_bytes(data)
+    code, out, err = run_capture(capsys, ["check", str(path)])
+    assert code == 0, err
+    assert "nilpotency class = 2" in out and err == ""
+
+
 def test_malformed_condition_is_usage_error(capsys):
     # "1 0" is not the level 10: whitespace never joins two numbers
     for cond in ("(1|banana)", "(1, 2 | 1 0)"):

@@ -20,6 +20,7 @@ from oracles import (
     antichain,
     antichain_by_pruning,
     columns_matrix,
+    compositions_recursive,
     condition_rows_unbounded,
     delta_depth,
     e_invariant_by_candidates,
@@ -28,10 +29,12 @@ from oracles import (
     e_of_operator_by_paths,
     e_of_operator_dense,
     e_of_operator_tuples,
+    enumerate_S_per_level,
     is_A_derivable_by_paths,
     is_grading_operator_echelon,
     mat_add,
     naive_mat_mul,
+    normalized_tuples_recursive,
     ratio_rows_by_paths,
     rref_contains,
     rref_mat_inv,
@@ -60,11 +63,13 @@ from nilgrade.derivability import (
     enumerate_S,
     enumerate_T,
     grading_operator_space,
+    normalized_tuples,
     is_A_derivable,
     is_grading_operator,
     parse_condition_set,
     r_condition_set,
     _adapted_operator,
+    _compositions,
     _condition_rows,
     _setup,
     _Setup,
@@ -119,6 +124,56 @@ def test_enumerate_S():
     assert enumerate_S(2) == frozenset()
     assert enumerate_S(3) == parse_condition_set("(1,1|3)")
     assert enumerate_S(4) == parse_condition_set("(1,1|3),(1,1|4),(1,2|4),(1,1,1|4)")
+
+
+def test_compositions_and_normalized_tuples_match_the_recursive_oracle():
+    # compositions read off lexicographic cut points come lexicographically
+    for total in range(1, 12):
+        for parts in range(1, total + 1):
+            assert list(_compositions(total, parts)) == list(compositions_recursive(total, parts))
+    for max_sum in range(2, 12):
+        assert normalized_tuples(max_sum) == normalized_tuples_recursive(max_sum)
+
+
+def test_enumerate_S_matches_the_per_level_oracle_in_iteration_order():
+    for c in range(2, 13):
+        assert list(enumerate_S(c)) == list(enumerate_S_per_level(c))
+
+
+def test_conditions_hash_and_sort_as_their_field_tuples():
+    # a condition set's hash and iteration order follow these, so pin them
+    for c in (3, 6, 9):
+        universe = enumerate_S(c)
+        assert all(hash(cond) == hash((cond.wp, cond.level)) for cond in universe)
+        ordered = sorted(universe)
+        assert ordered == sorted(universe, key=lambda cond: (cond.wp, cond.level))
+        assert all(a < b for a, b in zip(ordered, ordered[1:]))
+
+
+@pytest.mark.parametrize(
+    "wp, level, message",
+    [
+        ((1,), 3, "tuple must have length at least 2"),
+        ((0, 1), 3, "tuple entries must be positive"),
+        ((2, 1), 4, "last two tuple entries must be nondecreasing"),
+        ((1, 2), 3, "level must exceed the tuple sum"),
+    ],
+)
+def test_condition_checks_its_fields(wp, level, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DerivCondition(wp, level)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DerivCondition(wp=wp, level=level)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DerivCondition((1, 1, 1), 9)._replace(wp=wp, level=level)
+
+
+def test_condition_is_immutable_and_reads_as_written():
+    cond = DerivCondition((1, 2), 4)
+    with pytest.raises(AttributeError):
+        cond.level = 5
+    assert (cond.wp, cond.level) == ((1, 2), 4)
+    assert str(cond) == "(1,2|4)" and repr(cond) == "DerivCondition(wp=(1, 2), level=4)"
 
 
 def test_candidate_values():

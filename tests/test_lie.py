@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import re
 import time
 from fractions import Fraction as F
@@ -571,7 +570,7 @@ def test_adapted_basis_matches_echelon_oracle_under_change_of_basis(name, data):
 def test_adapted_basis_holds_only_integer_rows_and_degrees():
     # the basis is stored once, as the integer rows the derivability setup
     # reads; its Fraction vectors are made on read
-    assert [field.name for field in dataclasses.fields(AdaptedBasis)] == ["int_rows", "degrees"]
+    assert AdaptedBasis._fields == ("int_rows", "degrees")
     g = catalog.get("filiform(1000)").algebra
     ab = adapted_basis(g, lower_central_series(g))
     assert len(ab.int_rows) == len(ab.degrees) == 1000

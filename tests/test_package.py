@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -214,3 +216,14 @@ def test_cli_renders_json_without_the_indenting_encoder():
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             if name == "dumps":
                 assert all(k.arg != "indent" for k in node.keywords), node.lineno
+
+
+def test_importing_the_package_and_its_cli_loads_no_dataclasses():
+    # the records are NamedTuples: `dataclasses`, the `inspect` it pulls in
+    # and one generated-method exec per record were ~15 ms of every one-shot
+    # CLI call; -S keeps the environment's .pth files from importing first
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, nilgrade, nilgrade.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
