@@ -213,21 +213,53 @@ def bch_table(c: int) -> BCHTermTable:
     return BCHTermTable(coeffs)
 
 
-@lru_cache(maxsize=None)
-def _plan(c: int, cut: int) -> tuple[int, tuple[Word, ...], tuple[tuple[int, Word, int, int], ...]]:
-    """(lcd, suffixes, words) for `_weighted_parts` at class c and least degree cut.
+def _fold_split(words: Sequence[Word], depth: int) -> tuple[set[Word], set[Word]]:
+    """(prefixes, suffixes) that `words` need at fold depth `depth`.
 
-    words are those of `bch_table(c)` with len(word) * cut < c, each as
-    (first letter, rest, lcd * coeff as an integer, c - len(word)); lcd is
-    the least common denominator of their coefficients.  suffixes are the
-    distinct proper suffixes of length >= 2 of the words, shortest first,
-    so that each comes after its own rest.
+    A word's first m = min(depth, len(word) - 1) letters are folded through
+    the prefix trie, one bracket per distinct prefix word[:i], 1 <= i <= m;
+    its rest word[m:] is bracketed through the shared suffixes, one bracket
+    per distinct suffix word[i:], m <= i <= len(word) - 2.
+    """
+    prefixes: set[Word] = set()
+    suffixes: set[Word] = set()
+    for w in words:
+        m = min(depth, len(w) - 1)
+        prefixes.update(w[:i] for i in range(1, m + 1))
+        suffixes.update(w[i:] for i in range(m, len(w) - 1))
+    return prefixes, suffixes
+
+
+@lru_cache(maxsize=None)
+def _plan(
+    c: int, cut: int, one_weight: bool
+) -> tuple[int, tuple[Word, ...], tuple[tuple[int, int, tuple[tuple[Word, int, int], ...]], ...]]:
+    """(lcd, suffixes, edges) for `_weighted_parts` at class c and least degree cut.
+
+    The words are those of `bch_table(c)` with len(word) * cut < c; lcd is
+    the least common denominator of their coefficients.  At one weight the
+    fold depth is the one with the fewest brackets (`_fold_split`, the
+    least depth on a tie); across weights it is 1, the outermost letter.
+    suffixes are the shared suffixes, shortest first, so that each comes
+    after its own rest.  edges are the trie's prefixes, deepest first, so
+    that each comes after its children, each as (last letter, index of the
+    edge of the prefix without it or -1 at the root, terms); terms hold
+    (rest, lcd * coeff as an integer, c - len(word)) of each word folded
+    at that prefix.
     """
     kept = [(w, coeff) for w, coeff in bch_table(c).nonzero if len(w) * cut < c]
     lcd, ints = clear_denominators([coeff for _, coeff in kept])
-    suffixes = {w[i:] for w, _ in kept for i in range(1, len(w) - 1)}
-    words = tuple((w[0], w[1:], s, c - len(w)) for (w, _), s in zip(kept, ints))
-    return lcd, tuple(sorted(suffixes, key=lambda s: (len(s), s))), words
+    words = [w for w, _ in kept]
+    depth = min(range(1, c) if one_weight else (1,), key=lambda d: sum(map(len, _fold_split(words, d))))
+    prefixes, suffixes = _fold_split(words, depth)
+    order = sorted(prefixes, key=lambda p: (-len(p), p))
+    index = {p: i for i, p in enumerate(order)}
+    terms: dict[Word, list[tuple[Word, int, int]]] = {p: [] for p in order}
+    for w, s in zip(words, ints):
+        m = min(depth, len(w) - 1)
+        terms[w[:m]].append((w[m:], s, c - len(w)))
+    edges = tuple((p[-1], index.get(p[:-1], -1), tuple(terms[p])) for p in order)
+    return lcd, tuple(sorted(suffixes, key=lambda s: (len(s), s))), edges
 
 
 def _weighted_parts(g: LieAlgebra, c: int, degrees: Sequence[int], x: Vec, y: Vec) -> tuple[_Parts, int]:
@@ -240,17 +272,22 @@ def _weighted_parts(g: LieAlgebra, c: int, degrees: Sequence[int], x: Vec, y: Ve
     weighted[w][k] / common, with common = lcd * den^c * sigma^(c-1), is
     the weight-w part of coordinate k of x + y + sum_word coeff * [word](x, y).
 
-    Each proper suffix of the words is bracketed once, and the outermost
-    bracket is folded: sum_word s_word [word_0, rest] is
-    [x, sum_{word_0 = x} s_word rest] + [y, sum_{word_0 = y} s_word rest],
-    so each letter's scaled rests are summed per weight and bracketed once
-    against that letter.  Every bracket is [letter, rest], so one table walk
-    per weight b of the rest (`lie.scaled_bracket` on the letter's degree
-    groups) adds the bracket of each of the letter's parts into the row of
-    its own weight.  On nonzero x and y at one weight (as `bch_product`
-    calls it) that is 2 + len(suffixes) brackets.
+    The words are folded through a prefix trie (`_plan`): sum_word s_word
+    [word_0, rest] is [x, sum_{word_0 = x} s_word rest] + [y, sum_{word_0 =
+    y} s_word rest], and the same holds again inside each sum, so the scaled
+    sum at each trie prefix is bracketed once against its last letter and
+    added into its parent's sum.  Below the fold depth each shared suffix
+    of the words is bracketed once.  Every bracket is [letter, rest], so one
+    table walk per weight b of the rest (`lie.scaled_bracket` on the
+    letter's degree groups) adds the bracket of each of the letter's parts
+    into the row of its own weight.  On nonzero x and y at one weight (as
+    `bch_product` calls it) that is 1, 4, 5, 12, 15, 25 and 31 brackets at
+    classes 2..8, where folding the outermost letter alone takes 2 +
+    len(suffixes): 18, 41 and 58 at classes 6..8.  Across weights (the
+    ladder) a trie prefix carries up to c - 1 weights, one table walk each,
+    so there only the outermost letter is folded.
     """
-    lcd, suffixes, words = _plan(c, min(degrees))
+    lcd, suffixes, edges = _plan(c, min(degrees), min(degrees) == max(degrees))
     den, ints = clear_denominators([*x, *y])
     dim = g.dim
     dens = den * g.sigma
@@ -283,15 +320,19 @@ def _weighted_parts(g: LieAlgebra, c: int, degrees: Sequence[int], x: Vec, y: Ve
     memo: dict[Word, _Parts] = {(LEFT,): parts[LEFT], (RIGHT,): parts[RIGHT]}
     for word in suffixes:
         memo[word] = bracket_into({}, word[0], memo[word[1:]])
-    folded: tuple[_Parts, _Parts] = ({}, {})
-    for first, rest, num, e in words:
-        scale = num * powers[e]
-        sums = folded[first]
-        for b, v in memo[rest].items():
-            acc = sums.get(b)
-            sums[b] = [scale * s for s in v] if acc is None else [t + scale * s for t, s in zip(acc, v)]
-    for letter, sums in enumerate(folded):
-        bracket_into(weighted, letter, sums)
+    # each edge's sum already holds its children's brackets when it is reached
+    sums: list[_Parts] = [{} for _ in edges]
+    for (letter, parent, terms), acc in zip(edges, sums):
+        for rest, num, e in terms:
+            scale = num * powers[e]
+            for b, v in memo[rest].items():
+                row = acc.get(b)
+                if row is None:
+                    row = acc[b] = [0] * dim
+                for k, s in enumerate(v):
+                    if s:
+                        row[k] += scale * s
+        bracket_into(sums[parent] if parent >= 0 else weighted, letter, acc)
     return weighted, lcd * den**c * g.sigma ** (c - 1)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from importlib import resources
+from pathlib import Path
 from typing import NamedTuple
 
 from .derivability import ConditionSet, parse_condition_set
@@ -41,8 +41,11 @@ class CatalogEntry(NamedTuple):
         return parse_algebra(self.definition)
 
 
+_FIXTURES = Path(__file__).parent / "fixtures"  # shipped as package data beside this module (pyproject.toml)
+
+
 def _fixture(name: str) -> str:
-    return resources.files(__package__).joinpath("fixtures", f"{name}.alg").read_text()
+    return (_FIXTURES / f"{name}.alg").read_text(encoding="utf-8")
 
 
 def _cs(text: str) -> ConditionSet:

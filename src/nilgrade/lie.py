@@ -283,7 +283,8 @@ def scaled_bracket(g: LieAlgebra, u: Sequence, v: Sequence, split: tuple, shift:
     missing) for each group a with a + shift < cap, and `into` is returned.
     A term whose indices share a degree is the one product u_i v_j - u_j v_i,
     so the one group ((0, g.table, ()),) of the whole table at degree 0 is
-    the plain bracket.
+    the plain bracket; a term of two degrees, u_i v_j, is skipped before
+    the product where v_j is 0.
     """
     for a, same, cross in split:
         w = a + shift
@@ -298,10 +299,12 @@ def scaled_bracket(g: LieAlgebra, u: Sequence, v: Sequence, split: tuple, shift:
                 for k, s in entries:
                     out[k] += c * s
         for i, j, entries in cross:
-            c = u[i] * v[j]
+            c = v[j]
             if c:
-                for k, s in entries:
-                    out[k] += c * s
+                c *= u[i]
+                if c:
+                    for k, s in entries:
+                        out[k] += c * s
     return into
 
 

@@ -560,6 +560,24 @@ def test_weighted_parts_match_a_naive_per_word_expansion(g, data):
     assert nonzero_parts(got) == nonzero_parts(naive_weighted_parts(g, c, degrees, x, y))
 
 
+@pytest.mark.parametrize("layers", [False, True], ids=["zeros", "layers"])
+@pytest.mark.parametrize("name", ["filiform(8)", "filiform(9)", "central_product(4,7)", "central_product(5,8)"])
+def test_weighted_parts_match_a_naive_per_word_expansion_at_classes_seven_and_eight(name, layers):
+    # the drawn algebras above reach class 6 at most; at classes 7 and 8 the
+    # one-weight plan folds through a deeper trie (at all-zero degrees, as
+    # bch_product calls it), while the layer degrees of the Carnot companion
+    # (as the ladder calls it) keep the outermost fold
+    g, ca = catalog_pair(name)
+    c = lower_central_series(g).nilpotency_class
+    assert c in (7, 8)
+    degrees = list(ca.degrees) if layers else [0] * g.dim
+    x = [F(k + 1, 3) for k in range(g.dim)]
+    y = [F((-2) ** (k % 3), k + 2) for k in range(g.dim)]
+    weighted, common = _weighted_parts(g, c, degrees, x, y)
+    got = {w: [F(s, common) for s in v] for w, v in weighted.items()}
+    assert nonzero_parts(got) == nonzero_parts(naive_weighted_parts(g, c, degrees, x, y))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.one_of(
@@ -613,9 +631,25 @@ def test_ladder_pair_walks_the_table_once_per_rest_weight(monkeypatch):
     assert len(calls) <= 179
 
 
+def fold_brackets(words, depth):
+    """Brackets of the words at fold depth `depth`: a word's first
+    m = min(depth, len - 1) letters are folded through the prefix trie, one
+    bracket per distinct prefix of length 1..m, and its rest is bracketed
+    through the shared suffixes, one per distinct suffix word[i:] with
+    m <= i <= len - 2."""
+    prefixes, suffixes = set(), set()
+    for w in words:
+        m = min(depth, len(w) - 1)
+        prefixes |= {w[:i] for i in range(1, m + 1)}
+        suffixes |= {w[i:] for i in range(m, len(w) - 1)}
+    return len(prefixes) + len(suffixes)
+
+
 def test_class_eight_product_brackets_each_rest_once_and_folds_the_outer_bracket(monkeypatch):
-    # one bracket per distinct proper suffix of length >= 2 of the words,
-    # and one per letter for the folded outermost bracket
+    # at one weight the words are folded through the prefix trie at the
+    # depth with the fewest brackets: 31, where folding the outermost letter
+    # alone (depth 1) takes one bracket per letter and per distinct proper
+    # suffix of length >= 2, 2 + 56
     g = eigenbasis_algebra("central_product(5,8)")
     f = lower_central_series(g)
     assert f.nilpotency_class == 8
@@ -623,12 +657,39 @@ def test_class_eight_product_brackets_each_rest_once_and_folds_the_outer_bracket
     y = [F(-2, k + 1) for k in range(g.dim)]
     expected = bch_product(g, f, x, y)
     words = [w for w, _ in bch_table(8).nonzero]
-    suffixes = {w[i:] for w in words for i in range(1, len(w) - 1)}
+    assert fold_brackets(words, 1) == 2 + len({w[i:] for w in words for i in range(1, len(w) - 1)}) == 58
     calls = []
     kernel = lie.scaled_bracket
     monkeypatch.setattr(lie, "scaled_bracket", lambda *args: calls.append(args) or kernel(*args))
     assert bch_product(g, f, x, y) == expected
-    assert len(calls) == 2 + len(suffixes) == 58
+    assert len(calls) == min(fold_brackets(words, d) for d in range(1, 8)) == 31
+
+
+@pytest.mark.parametrize("c", range(2, 9))
+def test_one_weight_plan_makes_no_more_brackets_than_the_outer_fold(c, monkeypatch):
+    # the plan at one weight picks the trie depth with the fewest brackets,
+    # so never more than 2 + its suffix count, the outermost fold's; across
+    # weights it keeps the outermost fold.  On nonzero x and y every
+    # bracket is one kernel call
+    words = [w for w, _ in bch_table(c).nonzero]
+    outer = 2 + len({w[i:] for w in words for i in range(1, len(w) - 1)})
+    _, suffixes, edges = bch._plan(c, 0, True)
+    brackets = len(suffixes) + len(edges)
+    assert brackets == min(fold_brackets(words, d) for d in range(1, c)) <= outer
+    assert brackets == (1, 4, 5, 12, 15, 25, 31)[c - 2]
+    _, suffixes, edges = bch._plan(c, 0, False)
+    assert all(parent == -1 for _, parent, _ in edges)
+    assert len(suffixes) + len(edges) == fold_brackets(words, 1) == (outer if c > 2 else 1)
+    g = eigenbasis_algebra(f"filiform({c + 1})")
+    f = lower_central_series(g)
+    assert f.nilpotency_class == c
+    x = [F(k + 1, 3) for k in range(g.dim)]
+    y = [F(-2, k + 1) for k in range(g.dim)]
+    calls = []
+    kernel = lie.scaled_bracket
+    monkeypatch.setattr(lie, "scaled_bracket", lambda *args: calls.append(args) or kernel(*args))
+    bch_product(g, f, x, y)
+    assert len(calls) == brackets
 
 
 # --- the law difference along a dilation ladder

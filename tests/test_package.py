@@ -227,3 +227,14 @@ def test_importing_the_package_and_its_cli_loads_no_dataclasses():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False\n"
+
+
+def test_importing_the_package_and_its_cli_loads_no_importlib_resources():
+    # the catalog reads its fixtures relative to its module through pathlib,
+    # which the cli imports anyway; `importlib.resources` pulled in
+    # `tempfile`, `shutil` and `zipfile`, ~10 ms of every one-shot CLI call
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, nilgrade, nilgrade.cli; print(sorted({'importlib.resources', 'zipfile'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
