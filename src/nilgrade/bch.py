@@ -374,20 +374,18 @@ def _is_companion(g: LieAlgebra, ca: CarnotAlgebra) -> bool:
     That is: one degree per basis vector, none above g's nilpotency class
     c (so the weights below c that `_weighted_parts` keeps cover every
     w < d), and `lie.graded_part(g, ca.degrees)` equal to ca.algebra,
-    which fails when a bracket has a component of lower degree.  The
-    graded part, or None where it fails, is cached on g per degree tuple
-    (`carnot.carnot_algebra` seeds it), so a repeated pair costs one table
-    comparison, and a pair from `carnot_pair` one identity check.
+    which fails when a bracket has a component of lower degree.
+    `lie.graded_part` caches the part on g per degree tuple, so a repeated
+    pair costs one table comparison, and a pair from `carnot_pair` one
+    identity check.
     """
     degrees = tuple(ca.degrees)
     if len(degrees) != g.dim or max(degrees, default=0) > lie.lower_central_series(g).nilpotency_class:
         return False
-    if degrees not in g._graded_parts:
-        try:
-            g._graded_parts[degrees] = lie.graded_part(g, degrees)
-        except ValueError:
-            g._graded_parts[degrees] = None
-    part = g._graded_parts[degrees]
+    try:
+        part = lie.graded_part(g, degrees)
+    except ValueError:
+        return False
     return part is ca.algebra or part == ca.algebra
 
 

@@ -114,12 +114,14 @@ def carnot_algebra(g: LieAlgebra, d: GradingOperator | Sequence[int]) -> CarnotA
 
     D is a grading operator of g, for which this is `carnot_pair(g, D)[1]`,
     or the layer degree of each basis vector when g is already written in
-    the eigenbasis of one (as `carnot_pair` passes it).  The graded bracket
-    keeps, for basis vectors of degrees i and j, the degree-(i+j) component
-    of their bracket in g, so it respects the grading by construction; it
-    is checked to be a Lie algebra and to be generated by the degree-1 layer V_1.
-    It is then cached on g as g's graded part at these degrees, which is
-    how `bch.law_difference` recognises the pair as a companion.
+    the eigenbasis of one (as `carnot_pair` passes it).  g must satisfy
+    Jacobi, as every CLI verb checks when it loads an algebra.  The graded
+    bracket, `lie.graded_part(g, degrees)`, keeps for basis vectors of
+    degrees i and j the degree-(i+j) component of their bracket in g.  It is
+    the associated graded algebra of the filtration by degree, so it respects
+    the grading and satisfies Jacobi by construction; it is checked to be
+    generated by the degree-1 layer V_1.  `lie.graded_part` caches it on g,
+    and `bch.law_difference` recognises the pair as a companion by that instance.
 
     Given Jacobi, V_1 generates iff [V_1, V_{k-1}] = V_k for every k >= 2,
     which `lie.degree_one_generates` reads off the table.  Then the lower
@@ -134,12 +136,9 @@ def carnot_algebra(g: LieAlgebra, d: GradingOperator | Sequence[int]) -> CarnotA
     if len(degrees) != g.dim or any(k < 1 for k in degrees):
         raise ValueError("need one positive degree per basis vector")
     algebra = lie.graded_part(g, degrees)
-    if lie.check_jacobi(algebra):
-        raise AssertionError("graded bracket failed the Jacobi identity")
     if not lie.degree_one_generates(algebra, degrees):
         raise ValueError("degree-1 layer does not generate the graded algebra")
     lie._seed_graded_series(algebra, degrees)
-    g._graded_parts[degrees] = algebra
     return CarnotAlgebra(algebra, degrees)
 
 

@@ -7,7 +7,8 @@ not nilpotent, a class above the BCH cap in `bch`, `diff` and
 `goodman`), 3 internal errors (any other
 exception), 141 (128 + SIGPIPE) when the reader of stdout has gone away,
 with nothing on stderr.  Every verb but `check` rejects a bracket table that
-violates the Jacobi identity as an input error.  All error text goes to stderr;
+violates the Jacobi identity as an input error, and every verb rejects one
+that is not nilpotent.  All error text goes to stderr;
 `--json` renders the same values as one JSON document with numbers as
 strings.
 """
@@ -62,7 +63,8 @@ def _read_algebra(source: str) -> LieAlgebra:
 
 
 def _load_algebra(source: str) -> LieAlgebra:
-    """The algebra named by `source`, which must satisfy the Jacobi identity."""
+    """The algebra named by `source`, which must satisfy the Jacobi identity
+    and be nilpotent (`lie.NotNilpotentError` otherwise; the series is cached on g)."""
     g = _read_algebra(source)
     violations = lie.check_jacobi(g)
     if violations:
@@ -71,6 +73,7 @@ def _load_algebra(source: str) -> LieAlgebra:
             f"{source!r} violates the Jacobi identity on the triple "
             f"({g.labels[i]},{g.labels[j]},{g.labels[k]}); run `nilgrade check` for all of them"
         )
+    lie.lower_central_series(g)
     return g
 
 

@@ -2,7 +2,10 @@
 
 An algebra is given by the brackets of basis pairs [e_i, e_j] for i < j;
 antisymmetry fills in the rest and unlisted pairs are zero.  The Jacobi
-identity is checked explicitly (`check_jacobi`), never assumed.
+identity of an input table is checked explicitly (`check_jacobi`, which the
+CLI runs on every algebra it loads), never assumed; what is built from an
+algebra that satisfies it, a change of basis or a graded part, satisfies it
+by construction.
 """
 
 from __future__ import annotations
@@ -91,8 +94,7 @@ class LieAlgebra:
         self._lcs_cache: Filtration | None = None
         self._setup_cache = None  # derivability._setup fills it, idempotently
         self._splits: dict[tuple[int, ...], tuple] = {}  # `_degree_split` fills it
-        # `graded_part` per degree tuple, None where it raised: `bch._is_companion` fills it
-        self._graded_parts: dict[tuple[int, ...], LieAlgebra | None] = {}
+        self._graded_parts: dict[tuple[int, ...], LieAlgebra] = {}  # `graded_part` fills it
 
     @cached_property
     def brackets(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
@@ -200,8 +202,13 @@ def graded_part(g: LieAlgebra, degrees: Sequence[int]) -> LieAlgebra:
     The kept table entries are divided once by their gcd with sigma, so the
     new sigma is the least common denominator, as `LieAlgebra` would find
     it.  ValueError names the first pair, in table order, with a component
-    of lower degree.
+    of lower degree.  The part is cached on g per degree tuple, so a repeat
+    call returns the same instance; a failure is not cached and raises again.
     """
+    degrees = tuple(degrees)
+    part = g._graded_parts.get(degrees)
+    if part is not None:
+        return part
     kept = []
     common = g.sigma
     for a, b, entries in g.table:
@@ -213,7 +220,8 @@ def graded_part(g: LieAlgebra, degrees: Sequence[int]) -> LieAlgebra:
             kept.append((a, b, top))
             common = gcd(common, *(s for _, s in top))
     table = tuple((a, b, tuple((k, s // common) for k, s in top)) for a, b, top in kept)
-    return LieAlgebra._from_table(g.dim, g.sigma // common, table, g.labels)
+    part = g._graded_parts[degrees] = LieAlgebra._from_table(g.dim, g.sigma // common, table, g.labels)
+    return part
 
 
 def grading_violations(g: LieAlgebra, degrees: Sequence[int]) -> list[tuple[int, int]]:

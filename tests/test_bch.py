@@ -471,7 +471,7 @@ def test_law_difference_off_a_carnot_pair_keeps_the_two_products_and_the_ladder_
     assert law_difference(moved, ca, x, y) == two_products(moved, ca, x, y)
     with pytest.raises(ValueError, match="not the graded companion"):
         law_difference_ladder(moved, ca, x, y, [F(1)])
-    # the cached failure answers a repeated pair the same way
+    # a repeated pair fails the same way: `lie.graded_part` caches no failure, so it raises again
     assert law_difference(moved, ca, x, y) == two_products(moved, ca, x, y)
     assert law_difference_ladder(moved_eig, ca, x, y, [F(1)]) == [law_difference(moved_eig, ca, x, y)]
 

@@ -24,7 +24,7 @@ from test_bch import counting_fractions
 from test_derivability import SPARSE_1000, grading_operator_samples, moved_by
 from test_lie import FIXTURES, SMALL_ENTRIES, invertible_matrices, matrix_lie_algebras, rescaled_and_sheared
 
-from nilgrade import catalog
+from nilgrade import catalog, lie
 from nilgrade.carnot import (
     carnot_algebra,
     carnot_pair,
@@ -348,6 +348,19 @@ def test_graded_table_and_its_error_match_dense_construction(g, data):
     assert graded == dense and graded.labels == dense.labels and graded.brackets == dense.brackets
 
 
+def test_graded_part_is_cached_per_degree_tuple_and_a_failure_raises_again():
+    g = parse_algebra(catalog.get("heisenberg").definition)
+    part = graded_part(g, [1, 1, 2])
+    assert graded_part(g, (1, 1, 2)) is part and graded_part(g, [1, 1, 2]) is part
+    assert graded_part(g, (1, 2, 3)) is not part
+    # [e1, e2] = e3 has a component of degree 1 < 2: no part to cache, so
+    # a repeat call raises again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="degree below 2"):
+            graded_part(g, (1, 1, 1))
+    assert (1, 1, 1) not in g._graded_parts
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(grading_operator_samples(CATALOG_ALGEBRAS), grading_operator_samples(matrix_lie_algebras())))
 def test_carnot_pair_seeds_the_lower_central_series_of_the_eigenbasis_algebra(sample):
@@ -410,6 +423,24 @@ def test_carnot_algebra_passes_jacobi_and_is_graded():
         for (a, b), v in ca.algebra.brackets.items():
             target = ca.degrees[a] + ca.degrees[b]
             assert all(c == 0 or ca.degrees[k] == target for k, c in enumerate(v))
+
+
+@pytest.mark.parametrize(
+    "name", ["g6_11", "g6_17", "g7_0_8", "counterexample11", "filiform(9)", "central_product(4,7)", "central_product(5,8)"]
+)
+def test_carnot_pair_checks_no_jacobi_and_its_companion_is_the_cached_graded_part(monkeypatch, name):
+    # the graded part of an algebra that satisfies Jacobi satisfies it by
+    # construction, so building the companion runs no check; the companion
+    # is the instance `lie.graded_part` caches on g_eig, which is how
+    # `bch.law_difference` recognises the pair
+    g = catalog.get(name).algebra
+    witness = e_invariant(g).witness
+    calls = []
+    monkeypatch.setattr(lie, "check_jacobi", lambda h: calls.append(h) or [])
+    g_eig, ca = carnot_pair(g, witness)
+    assert calls == []
+    assert graded_part(g_eig, ca.degrees) is ca.algebra
+    assert carnot_algebra(g_eig, ca.degrees).algebra is ca.algebra
 
 
 def test_two_operators_same_tau_and_carnot_e_zero():

@@ -483,11 +483,27 @@ def test_value_error_inside_a_verb_is_internal(monkeypatch, capsys):
     assert err.startswith("internal error: ValueError: dimension mismatch")
 
 
-def test_not_nilpotent_input_exit_2(tmp_path, capsys):
+NOT_NILPOTENT_ARGS = {
+    "e": [],
+    "derivable": ["--cond", "(1,1|3)"],
+    "carnot": [],
+    "bch": ["--x", "1,0", "--y", "0,1"],
+    "diff": ["--x", "1,0", "--y", "0,1"],
+    "goodman": ["--samples", "2", "--tmax", "1"],
+    "grading": ["--degrees", "1,1"],
+}
+
+
+@pytest.mark.parametrize("verb", list(NOT_NILPOTENT_ARGS))
+def test_not_nilpotent_input_exit_2(tmp_path, capsys, verb):
+    # [e1, e2] = e1 satisfies Jacobi, but its lower central series stalls
+    # at span{e1}: every verb that loads an algebra rejects it as input,
+    # `grading` too, though its check alone would only find a violation
     path = tmp_path / "nn.alg"
     path.write_text("dim 2\nbracket e1 e2 = e1\n")
-    code, out, err = run_capture(capsys, ["e", str(path)])
+    code, out, err = run_capture(capsys, [verb, str(path), *NOT_NILPOTENT_ARGS[verb]])
     assert code == 2
+    assert out == ""
     assert err == "error: lower central series does not reach zero\n"
 
 

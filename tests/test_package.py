@@ -104,6 +104,21 @@ def test_one_bch_word_evaluator():
     assert len(callers) == 1, sorted(callers)
 
 
+def test_lie_owns_the_graded_part_cache_and_only_the_cli_checks_jacobi():
+    # `lie.graded_part` caches each graded part on its algebra, so no other
+    # module reads or writes `_graded_parts`; a graded part of an algebra
+    # that satisfies Jacobi satisfies it by construction, so only the CLI,
+    # which checks every algebra it loads, calls `check_jacobi`
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "_graded_parts":
+                assert path.name == "lie.py", (path.name, node.lineno)
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                assert name != "check_jacobi" or path.name == "cli.py", (path.name, node.lineno)
+
+
 def test_one_inverse_and_one_fraction_entry_to_the_integer_basis_change():
     # `linalg.integer_inverse` is the one matrix inverse, and the integer
     # basis-change kernel is entered from `lie.change_of_basis`, the one
